@@ -16,12 +16,14 @@ from .injectivize import (eta_system, verify_fixed_point, verify_pair_images,
 from .nblock import formula_block_substitution, thue_morse_block_system, verify_block_formula
 from .report import VerificationReport
 from .substitution import Substitution, pf_eigenvalue
-from .thue_morse import (FactorSet, enumerate_by_descendants, enumerate_by_scan,
+from .thue_morse import (MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan,
                          verify_prefix_pairs, verify_quarter_descendants,
                          verify_quarter_minima)
 
 CLAIM_ORDER = ("qandf", "quarters", "firsthalf", "nblock", "pairs",
                "fixedpoint", "primitivity", "theorem")
+# claims that compare level m with the factor set of level m + 1
+NEXT_LEVEL_CLAIMS = ("quarters", "firsthalf")
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -118,8 +120,8 @@ def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
-    if not 1 <= args.m <= 12:
-        print(f"error: factors requires 1 <= m <= 12, got {args.m}", file=sys.stderr)
+    if not 1 <= args.m <= MAX_M:
+        print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
     if args.method == "both":
         scan = enumerate_by_scan(args.m)
@@ -141,9 +143,9 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 def _cmd_build_theta(args: argparse.Namespace) -> int:
     explicit = args.explicit or args.both
-    if not (2 if explicit else 1) <= args.m <= 12:
+    if not (2 if explicit else 1) <= args.m <= MAX_M:
         print(f"error: build theta requires m in "
-              f"{'2' if explicit else '1'}..12, got {args.m}", file=sys.stderr)
+              f"{'2' if explicit else '1'}..{MAX_M}, got {args.m}", file=sys.stderr)
         return 2
     n = 2 ** args.m + 1
     if args.both:
@@ -162,8 +164,8 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_eta(args: argparse.Namespace) -> int:
-    if not 2 <= args.m <= 12:
-        print(f"error: build eta requires 2 <= m <= 12, got {args.m}", file=sys.stderr)
+    if not 2 <= args.m <= MAX_M:
+        print(f"error: build eta requires 2 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
     sys_m = eta_system(args.m)
     _emit_substitution(sys_m.eta, f"eta_{2 ** args.m + 1}", args.format)
@@ -197,10 +199,15 @@ def _claim_report(m: int, claim: str, tol: float, depth: int) -> VerificationRep
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.m
-    if lo < 2 or hi > 12:
-        print(f"error: verify requires 2 <= m <= 12, got {lo}..{hi}", file=sys.stderr)
+    if lo < 2 or hi > MAX_M:
+        print(f"error: verify requires 2 <= m <= {MAX_M}, got {lo}..{hi}", file=sys.stderr)
         return 2
     claims = tuple(c for c in CLAIM_ORDER if c in args.claims)
+    next_level = [c for c in claims if c in NEXT_LEVEL_CLAIMS]
+    if next_level and hi + 1 > MAX_M:
+        print(f"error: claims {', '.join(next_level)} need the factor set of level m+1, "
+              f"so verify them with m <= {MAX_M - 1}, got {lo}..{hi}", file=sys.stderr)
+        return 2
     failed = 0
     total = 0
     for m in range(lo, hi + 1):

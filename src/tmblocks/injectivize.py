@@ -176,8 +176,8 @@ def verify_fixed_point(sys: EtaSystem, n_max: int = 12) -> VerificationReport:
 
 def verify_primitivity_argument(sys: EtaSystem) -> VerificationReport:
     """The first-letter reachability argument, checked independently of the
-    generic boolean-matrix test, plus that test itself and direct forward
-    reachability from the two fixed-point letters."""
+    generic graph test of primitivity, plus that test itself and direct
+    forward reachability from the two fixed-point letters."""
     k = sys.size
     m = sys.m
     f0, f1 = sys.f0_index, sys.f1_index

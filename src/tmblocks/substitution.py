@@ -13,13 +13,15 @@ vector of images[b] and column sums are the image lengths.
 from __future__ import annotations
 
 import json
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 Word = tuple[int, ...]
+# one sparse column of an incidence matrix: sorted (letter, count > 0) pairs
+Column = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,11 @@ class Substitution:
         return len(set(self.images)) == len(self.images)
 
     def incidence_matrix(self) -> "IncidenceMatrix":
-        k = self.size
-        counts = np.zeros((k, k), dtype=np.int64)
-        for b, img in enumerate(self.images):
-            for a in img:
-                counts[a, b] += 1
-        return IncidenceMatrix(counts)
+        return IncidenceMatrix.from_columns(
+            tuple(tuple(sorted(Counter(img).items())) for img in self.images))
 
     def is_primitive(self) -> bool:
-        return _is_primitive_cached(self)
+        return self.incidence_matrix().is_primitive()
 
     def format_word(self, w: Sequence[int], one_based: bool = True) -> str:
         """Indexed rendering, e.g. 'w_4 w_10'."""
@@ -168,9 +166,18 @@ class Substitution:
         data = json.loads(text)
         if not isinstance(data, dict) or "alphabet" not in data or "images" not in data:
             raise ValueError("substitution JSON must contain 'alphabet' and 'images'")
-        labels = tuple(str(x) for x in data["alphabet"])
-        images = tuple(tuple(int(a) for a in img) for img in data["images"])
-        return cls(Alphabet(labels), images)
+        alphabet, images = data["alphabet"], data["images"]
+        if not isinstance(alphabet, list) or not isinstance(images, list):
+            raise ValueError("'alphabet' and 'images' must be lists")
+        for b, img in enumerate(images):
+            if not isinstance(img, list):
+                raise ValueError(f"image of letter {b} must be a list, got {img!r}")
+            for a in img:
+                # bool is a subclass of int, but true/false are not letters
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise ValueError(f"image of letter {b} has non-integer letter {a!r}")
+        return cls(Alphabet(tuple(str(x) for x in alphabet)),
+                   tuple(tuple(img) for img in images))
 
     def to_dot(self, name: str = "substitution") -> str:
         """Graphviz digraph: node per letter, edge b->a labeled with the
@@ -178,12 +185,9 @@ class Substitution:
         lines = [f"digraph {name} {{"]
         for i, label in enumerate(self.alphabet.labels):
             lines.append(f'  w{i + 1} [label="w{i + 1}:{label}"];')
-        for b, img in enumerate(self.images):
-            counts: dict[int, int] = {}
-            for a in img:
-                counts[a] = counts.get(a, 0) + 1
-            for a in sorted(counts):
-                lines.append(f'  w{b + 1} -> w{a + 1} [label="{counts[a]}"];')
+        for b, col in enumerate(self.incidence_matrix().columns):
+            for a, count in col:
+                lines.append(f'  w{b + 1} -> w{a + 1} [label="{count}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -197,49 +201,86 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
 
 
 class IncidenceMatrix:
-    """Square non-negative integer matrix of a substitution (read-only)."""
+    """Square non-negative integer matrix of a substitution (read-only).
 
-    def __init__(self, counts):
-        arr = np.asarray(counts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"incidence matrix must be square, got shape {arr.shape}")
-        if (arr < 0).any():
+    Stored by sparse columns: column b is the tuple of ``(a, count)`` pairs,
+    sorted by a, with count = M[a][b] > 0. Memory and the methods are linear
+    in k plus the number of non-zero entries; only the dense constructor and
+    the ``counts`` view take k*k.
+    """
+
+    def __init__(self, counts: Sequence[Sequence[int]]):
+        """Build from a dense square array or nested list (small k)."""
+        try:
+            entries = [list(row) for row in counts]
+            rows = [[int(c) for c in row] for row in entries]
+        except TypeError:
+            raise ValueError("incidence matrix must be a square 2-D array") from None
+        k = len(rows)
+        if k == 0 or any(len(row) != k for row in rows):
+            raise ValueError(f"incidence matrix must be square, got {k} rows of lengths "
+                             f"{sorted({len(row) for row in rows})}")
+        if rows != entries:
+            raise ValueError("incidence matrix entries must be integers")
+        if any(c < 0 for row in rows for c in row):
             raise ValueError("incidence matrix entries must be non-negative")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.counts = arr
+        self.columns = tuple(tuple((a, rows[a][b]) for a in range(k) if rows[a][b])
+                             for b in range(k))
+
+    @classmethod
+    def from_columns(cls, columns: tuple[Column, ...]) -> "IncidenceMatrix":
+        """Wrap sparse columns that are already valid, without a dense pass."""
+        matrix = cls.__new__(cls)
+        matrix.columns = columns
+        return matrix
 
     @property
     def size(self) -> int:
-        return self.counts.shape[0]
+        return len(self.columns)
+
+    @property
+    def counts(self):
+        """Dense read-only numpy view, built on demand: k*k int64 values, so
+        meant for small k."""
+        import numpy as np
+
+        arr = np.zeros((self.size, self.size), dtype=np.int64)
+        for b, col in enumerate(self.columns):
+            for a, c in col:
+                arr[a, b] = c
+        arr.setflags(write=False)
+        return arr
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IncidenceMatrix) and np.array_equal(self.counts, other.counts)
+        return isinstance(other, IncidenceMatrix) and self.columns == other.columns
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.counts.sum(axis=0))
+        return tuple(sum(c for _, c in col) for col in self.columns)
 
     def is_primitive(self) -> bool:
         """True iff some power of the matrix is entrywise positive.
 
-        Checked with boolean (reachability) arithmetic: positivity of M^n is
-        monotone in n once M has no zero row or column, so it suffices to
-        square the boolean matrix until the exponent passes the Wielandt
-        bound (k-1)^2 + 1.
+        That holds iff the graph with an edge b -> a whenever M[a][b] > 0 is
+        strongly connected and aperiodic (Seneta, Non-negative Matrices and
+        Markov Chains, ch. 1). Both are read off breadth-first search from
+        letter 0 in O(k + E): every letter must be reached along the edges and
+        against them, and the period, the gcd over all edges b -> a of
+        level(b) + 1 - level(a), must be 1 (Denardo 1977). With no edges the
+        gcd is 0 and the matrix is not primitive.
         """
-        a = self.counts > 0
-        if (~a.any(axis=0)).any() or (~a.any(axis=1)).any():
+        forward = [[a for a, _ in col] for col in self.columns]
+        backward: list[list[int]] = [[] for _ in forward]
+        for b, targets in enumerate(forward):
+            for a in targets:
+                backward[a].append(b)
+        level = _bfs_levels(forward)
+        if min(level) < 0 or min(_bfs_levels(backward)) < 0:
             return False
-        bound = (self.size - 1) ** 2 + 1
-        power = 1
-        b = a
-        while not b.all():
-            if power > bound:
-                return False
-            f = b.astype(np.float32)
-            b = (f @ f) > 0
-            power *= 2
-        return True
+        g = 0
+        for b, targets in enumerate(forward):
+            for a in targets:
+                g = math.gcd(g, level[b] + 1 - level[a])
+        return g == 1
 
     def image_length_sequence(self, letter: int, n_max: int) -> list[int]:
         """Exact lengths of the n-th image words of ``letter`` for n = 1..n_max,
@@ -251,37 +292,62 @@ class IncidenceMatrix:
         k = self.size
         if not 0 <= letter < k:
             raise ValueError(f"letter {letter} out of range for size {k}")
-        cols = [[(a, int(c)) for a, c in enumerate(self.counts[:, b]) if c] for b in range(k)]
         u = [1] * k  # u[b] = length of the n-th image of letter b
         out = []
         for _ in range(n_max):
-            u = [sum(c * u[a] for a, c in cols[b]) for b in range(k)]
+            u = [sum(c * u[a] for a, c in col) for col in self.columns]
             out.append(u[letter])
         return out
 
 
-def pf_eigenvalue(matrix: IncidenceMatrix | np.ndarray, tol: float = 1e-9,
+def _bfs_levels(adjacency: list[list[int]]) -> list[int]:
+    """Breadth-first distance of every node from node 0; -1 if unreached."""
+    level = [-1] * len(adjacency)
+    level[0] = 0
+    frontier = [0]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if level[v] < 0:
+                    level[v] = depth
+                    reached.append(v)
+        frontier = reached
+    return level
+
+
+def pf_eigenvalue(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1e-9,
                   max_iter: int = 10_000) -> float:
     """Dominant (Perron-Frobenius) eigenvalue by power iteration.
 
     Starts from the all-ones vector and stops when successive Rayleigh
     quotients differ by less than ``tol``. Raises ArithmeticError when the
-    cap is hit, which usually signals a non-primitive input.
+    cap is hit, which usually signals a non-primitive input. A dense array
+    is accepted and converted to sparse columns first.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    m = matrix.counts if isinstance(matrix, IncidenceMatrix) else np.asarray(matrix)
-    m = m.astype(np.float64)
-    k = m.shape[0]
-    x = np.ones(k) / np.sqrt(k)
+    if not isinstance(matrix, IncidenceMatrix):
+        matrix = IncidenceMatrix(matrix)
+    k = matrix.size
+    # row a of M as the letters whose images contain a, one entry per
+    # occurrence: (Mx)[a] is then a plain sum of entries of x
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for b, col in enumerate(matrix.columns):
+        for a, c in col:
+            rows[a].extend([b] * c)
+    x = [1 / math.sqrt(k)] * k
     lam_prev = None
     for _ in range(max_iter):
-        y = m @ x
-        lam = float(x @ y)
-        norm = float(np.linalg.norm(y))
+        get = x.__getitem__
+        y = [sum(map(get, row)) for row in rows]
+        lam = sum(map(operator.mul, x, y))
+        norm = math.sqrt(sum(map(operator.mul, y, y)))
         if norm == 0.0:
             raise ArithmeticError("power iteration collapsed to zero (nilpotent matrix?)")
-        x = y / norm
+        x = [v / norm for v in y]
         if lam_prev is not None and abs(lam - lam_prev) < tol:
             return lam
         lam_prev = lam
@@ -299,8 +365,3 @@ def length_growth_check(s: Substitution, letter: int, n_max: int) -> bool:
         if len(w) != 2 ** n:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _is_primitive_cached(s: Substitution) -> bool:
-    return s.incidence_matrix().is_primitive()

@@ -215,15 +215,15 @@ def verify_quarter_descendants(m: int, factors: FactorSet | None = None,
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2)."""
     fs = factors or enumerate_by_scan(m)
     fs_next = factors_next or enumerate_by_scan(m + 1)
-    q1, q2, q3, q4 = fs.quarters()
     p1, p2, p3, p4 = fs_next.quarters()
-    delta = lambda ws: {descendants(w)[0] for w in ws}
-    eps = lambda ws: {descendants(w)[1] for w in ws}
+    # (delta, eps) of each word, expanded once; Q1 u Q2 is the first half
+    pairs = [descendants(w) for w in fs.words]
+    low, high = pairs[:2 * fs.quarter_size], pairs[2 * fs.quarter_size:]
     checks = [
-        ("Q1", eps(q3 + q4), p1),
-        ("Q2", delta(q1 + q2), p2),
-        ("Q3", delta(q3 + q4), p3),
-        ("Q4", eps(q1 + q2), p4),
+        ("Q1", {e for _, e in high}, p1),
+        ("Q2", {d for d, _ in low}, p2),
+        ("Q3", {d for d, _ in high}, p3),
+        ("Q4", {e for _, e in low}, p4),
     ]
     rb = ReportBuilder(m, "quarters")
     for name, got, want in checks:

@@ -12,7 +12,7 @@ from tmblocks.injectivize import (eta_system, theorem_report, verify_fixed_point
                                   verify_pair_images, verify_primitivity_argument,
                                   verify_theorem, zeta5_fixture)
 from tmblocks.nblock import build_nblock, thue_morse_block_system, verify_block_formula
-from tmblocks.substitution import _is_primitive_cached, pf_eigenvalue
+from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import (apply_theta, descendants, enumerate_by_descendants,
                                  enumerate_by_scan, quarter_markers, theta,
                                  verify_prefix_pairs, verify_quarter_descendants,
@@ -42,7 +42,6 @@ def _clear_caches():
     enumerate_by_descendants.cache_clear()
     thue_morse_block_system.cache_clear()
     eta_system.cache_clear()
-    _is_primitive_cached.cache_clear()
 
 
 def test_c01_cardinality_and_method_agreement():

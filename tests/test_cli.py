@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
+from tmblocks.thue_morse import MAX_M
 
 
 def _run(capsys, argv):
@@ -125,6 +130,17 @@ def test_verify_rejects_bad_input(capsys):
     assert code == 2 and "2 <= m" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", str(MAX_M), "--claims", "quarters"],
+    ["verify", "--m", f"{MAX_M - 1}..{MAX_M}", "--claims", "qandf,firsthalf"],
+    ["verify", "--m", f"2..{MAX_M}"],
+])
+def test_verify_refuses_next_level_claims_at_max_m(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"m <= {MAX_M - 1}" in err
+
+
 def test_eigen_round_trip(capsys, tmp_path):
     _, payload, _ = _run(capsys, ["build", "eta", "--m", "2", "--format", "json"])
     path = tmp_path / "eta5.json"
@@ -158,6 +174,30 @@ def test_eigen_error_paths(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = _run(capsys, ["eigen", "--sub", str(bad)])
     assert code == 3
+
+
+@pytest.mark.parametrize("payload", [
+    '{"alphabet": ["a", "b"], "images": [[1.9], [0]]}',
+    '{"alphabet": ["a", "b"], "images": [[true], [0]]}',
+    '{"alphabet": ["a", "b"], "images": [["0"], [0]]}',
+    '{"alphabet": ["a"], "images": 5}',
+    '{"alphabet": "ab", "images": [[0], [1]]}',
+    '{"alphabet": ["a"], "images": [0]}',
+])
+def test_eigen_rejects_malformed_substitution(capsys, tmp_path, payload):
+    path = tmp_path / "sub.json"
+    path.write_text(payload)
+    code, out, err = _run(capsys, ["eigen", "--sub", str(path)])
+    assert code == 3 and out == "" and "could not load" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, tmblocks.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_usage_error_exit_code():

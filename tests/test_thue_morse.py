@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tmblocks import thue_morse
 from tmblocks.thue_morse import (FactorSet, apply_theta, descendants,
                                  enumerate_by_descendants, enumerate_by_scan,
                                  factor_set, quarter_markers, theta,
@@ -153,6 +154,17 @@ def test_verify_quarter_descendants_with_golden_cross_check():
     assert deltas == set(A3_GOLDEN[6:12])
     eps = {str(descendants(w)[1]) for w in q1 + q2}
     assert eps == set(A3_GOLDEN[18:24])
+
+
+def test_verify_quarter_descendants_expands_each_word_once(monkeypatch):
+    expanded = []
+
+    def counting(w):
+        expanded.append(w)
+        return descendants(w)
+    monkeypatch.setattr(thue_morse, "descendants", counting)
+    assert verify_quarter_descendants(3).ok
+    assert sorted(expanded) == list(enumerate_by_scan(3).words)
 
 
 def test_verify_prefix_pairs():
