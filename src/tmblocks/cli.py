@@ -8,6 +8,7 @@ runs; data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -46,7 +47,29 @@ def _claim_list(text: str) -> tuple[str, ...]:
         if name not in CLAIM_ORDER:
             raise argparse.ArgumentTypeError(
                 f"unknown claim {name!r} (choose from {', '.join(CLAIM_ORDER)})")
+    if not names:
+        raise argparse.ArgumentTypeError(f"no claim named in {text!r}")
     return names
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return tol
+
+
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = 0
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return depth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
     p_verify.add_argument("--claims", type=_claim_list, default=CLAIM_ORDER)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument("--depth", type=int, default=12)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_verify.add_argument("--depth", type=_depth, default=12)
 
     p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
                                                 "of a substitution JSON file")
@@ -134,7 +157,9 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         fs = enumerate_by_scan(args.m) if args.method == "scan" else enumerate_by_descendants(args.m)
     if args.format == "json":
         import json
-        print(json.dumps({"m": fs.m, "words": [str(w) for w in fs.words]}))
+        # streamed: at m = 12 the text is 50 MB, and dumps would hold it twice more
+        json.dump({"m": fs.m, "words": [str(w) for w in fs.words]}, sys.stdout)
+        print()
     else:
         header = f"m={fs.m} N={fs.word_length} count={fs.size}"
         print("\n".join(_factor_table(fs, header)))

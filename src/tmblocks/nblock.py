@@ -13,7 +13,7 @@ half the alphabet size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution, Word
@@ -41,13 +41,18 @@ def second_image_index(j: int, size: int) -> int:
 class NBlockSystem:
     base: Substitution
     block_len: int
-    blocks: tuple[Word, ...]          # length-N words over the base alphabet
+    block_texts: tuple[str, ...]      # length-N blocks as codepoint text, chr(a) per letter
     alphabet: Alphabet                # one letter per block, base-label text
     block_sub: Substitution           # the recoded substitution
 
     @property
     def size(self) -> int:
         return self.alphabet.size
+
+    @cached_property
+    def blocks(self) -> tuple[Word, ...]:
+        """The blocks as words over the base alphabet, built on first use."""
+        return tuple(tuple(map(ord, t)) for t in self.block_texts)
 
 
 def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
@@ -67,23 +72,29 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
         seed = next(a for a in range(base.size) if base.is_growing_seed(a))
     except StopIteration:
         raise ValueError("base has no growing letter to seed the fixed point") from None
-    blocks = base.language(block_len, seed)
-    position = {b: i for i, b in enumerate(blocks)}
-    base_labels = base.alphabet.labels
-    labels = tuple("".join(base_labels[a] for a in b) for b in blocks)
+    # blocks, their images and the windows are codepoint text (letter a is
+    # chr(a)): the base is applied by str.translate and windows are looked up
+    # in a dict keyed by their text
+    texts = tuple(base.language_text(block_len, seed))
+    position = {t: i for i, t in enumerate(texts)}
+    table = base.text_table()
+    # the L windows lie in the first block_len + L - 1 letters of an image,
+    # which come from the first `head` letters of the block
+    head = -(-(block_len + L - 1) // L)
     images = []
-    for b in blocks:
-        v = base.apply(b)
+    for t in texts:
+        v = t[:head].translate(table)
         img = []
         for off in range(L):
             window = v[off:off + block_len]
             if window not in position:
                 raise RuntimeError(
-                    f"window {window} of the image of block {b} is not in the "
-                    f"block alphabet (closure violation)")
+                    f"window {tuple(map(ord, window))} of the image of block "
+                    f"{tuple(map(ord, t))} is not in the block alphabet (closure violation)")
             img.append(position[window])
         images.append(tuple(img))
-    return NBlockSystem(base, block_len, blocks, Alphabet(labels),
+    labels = tuple(t.translate(base.alphabet.labels) for t in texts)
+    return NBlockSystem(base, block_len, texts, Alphabet(labels),
                         Substitution(Alphabet(labels), tuple(images)))
 
 

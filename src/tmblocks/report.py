@@ -28,10 +28,6 @@ class VerificationReport:
         return all(e.passed for e in self.entries)
 
     @property
-    def passed_count(self) -> int:
-        return sum(1 for e in self.entries if e.passed)
-
-    @property
     def failed_count(self) -> int:
         return sum(1 for e in self.entries if not e.passed)
 

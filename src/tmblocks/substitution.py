@@ -3,7 +3,10 @@
 Letters are opaque indices 0..k-1; display labels (e.g. the underlying
 binary words of a block alphabet) live on the Alphabet. Images may have
 different lengths, so non-constant-length substitutions are first-class.
-Words over the alphabet are plain tuples of letter indices.
+Words over the alphabet are plain tuples of letter indices. The hot loops
+(``language`` and the block recoding in ``nblock``) instead run on codepoint
+text, letter a as ``chr(a)``, so that applying a substitution is one
+``str.translate`` and windows are C-level slices.
 
 The incidence matrix follows the convention M[a][b] = number of occurrences
 of letter a in the image of letter b, so each column b is the letter-count
@@ -83,6 +86,11 @@ class Substitution:
             out.extend(images[a])
         return tuple(out)
 
+    def text_table(self) -> list[str]:
+        """``str.translate`` table applying the substitution to codepoint
+        text: entry a is the image of letter a as text."""
+        return ["".join(map(chr, img)) for img in self.images]
+
     def iterate(self, letter: int, n: int) -> Word:
         """The n-th image word of a single letter; n = 0 gives (letter,)."""
         if n < 0:
@@ -119,25 +127,33 @@ class Substitution:
         set and the iterate is longer than twice the factor length. Meaningful
         for primitive substitutions, where the factor sets stabilize.
         """
+        return tuple(tuple(map(ord, f)) for f in self.language_text(length, seed))
+
+    def language_text(self, length: int, seed: int) -> list[str]:
+        """``language`` with each factor as codepoint text."""
         if length < 1:
             raise ValueError(f"factor length must be >= 1, got {length}")
         if not self.is_growing_seed(seed):
             raise ValueError(f"letter {seed} is not a growing seed")
-        w: Word = (seed,)
+        table = self.text_table()
+        s = chr(seed)
         prev: set[str] | None = None
         while True:
-            w = self.apply(w)
-            # windows are extracted over a codepoint string: C-speed slicing
-            # and hashing, exact for any alphabet size we ever build
-            s = "".join(map(chr, w))
+            s = s.translate(table)
             found = {s[i:i + length] for i in range(len(s) - length + 1)}
-            if prev is not None and found == prev and len(w) > 2 * length:
+            if prev is not None and found == prev and len(s) > 2 * length:
                 break
             prev = found
+        # All factors have one length, so comparing label tuples is comparing
+        # the letters' ranks in label order, codepoint by codepoint.
         labels = self.alphabet.labels
-        factors = [tuple(map(ord, f)) for f in found]
-        factors.sort(key=lambda f: tuple(labels[a] for a in f))
-        return tuple(factors)
+        by_label = sorted(range(self.size), key=labels.__getitem__)
+        if by_label == list(range(self.size)):
+            return sorted(found)
+        rank = [""] * self.size
+        for r, a in enumerate(by_label):
+            rank[a] = chr(r)
+        return sorted(found, key=lambda f: f.translate(rank))
 
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""

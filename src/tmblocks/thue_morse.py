@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution
@@ -22,7 +23,17 @@ MAX_M = 12
 # recursion base: the six factors of length 3
 A1_WORDS = ("001", "010", "011", "100", "101", "110")
 
-_THETA_TR = str.maketrans({"0": "01", "1": "10"})
+
+def _spread_nibble(x: int) -> int:
+    """Move bit i of a 4-bit value to bit 2i of a byte."""
+    return sum(((x >> i) & 1) << (2 * i) for i in range(4))
+
+
+# byte -> the spread of its high / low nibble, for bytes.translate
+_SPREAD_HIGH = bytes(_spread_nibble(b >> 4) for b in range(256))
+_SPREAD_LOW = bytes(_spread_nibble(b & 15) for b in range(256))
+
+_bits = attrgetter("bits")
 
 
 def theta() -> Substitution:
@@ -31,8 +42,21 @@ def theta() -> Substitution:
 
 
 def apply_theta(w: BinaryWord) -> BinaryWord:
-    """theta on a packed binary word (0 -> 01, 1 -> 10), via C-level translate."""
-    return BinaryWord.from_string(str(w).translate(_THETA_TR))
+    """theta on a packed binary word (0 -> 01, 1 -> 10), on the bits alone.
+
+    Letter i from the end goes to bit 2i + 1 of the image and its complement
+    to bit 2i. The spread s (bit i of w at bit 2i) is built byte-wise with two
+    256-entry tables; the complements are then s xor 0b0101...01, and theta(w)
+    is (s << 1) | that. Zero bytes padding ``bits`` to whole bytes spread to
+    zero bits above bit 2n, so no mask is needed.
+    """
+    data = w.bits.to_bytes((w.length + 7) // 8, "big")
+    spread = bytearray(2 * len(data))
+    spread[0::2] = data.translate(_SPREAD_HIGH)
+    spread[1::2] = data.translate(_SPREAD_LOW)
+    s = int.from_bytes(spread, "big")
+    evens = ((1 << 2 * w.length) - 1) // 3
+    return BinaryWord(2 * w.length, (s << 1) | (s ^ evens))
 
 
 def thue_morse_prefix(first_letter: int, n: int) -> BinaryWord:
@@ -70,9 +94,10 @@ class FactorSet:
         for w in self.words:
             if len(w) != n:
                 raise ValueError(f"factor {w} has length {len(w)}, expected {n}")
-        for a, b in zip(self.words, self.words[1:]):
-            if not a < b:
-                raise ValueError("factors must be strictly increasing")
+        # equal lengths: integer order of the bits is lexicographic order
+        bits = list(map(_bits, self.words))
+        if any(a >= b for a, b in zip(bits, bits[1:])):
+            raise ValueError("factors must be strictly increasing")
 
     @property
     def word_length(self) -> int:
@@ -131,6 +156,22 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
 
 
+def _windows(w: BinaryWord, n: int) -> set[int]:
+    """The distinct width-n windows of w, as the ints of their bits.
+
+    The window ending s letters before the end of w is (bits >> s) masked to
+    n bits. It is read as the bytes of bits >> (s % 8) from byte s // 8 on,
+    one of eight shifted copies. Those byte slices carry up to 7 more bits
+    and are deduplicated before the few distinct ones are converted.
+    """
+    span = (n + 7) // 8
+    size = (w.length + 7) // 8
+    shifted = [(w.bits >> r).to_bytes(size, "little") for r in range(8)]
+    chunks = {shifted[s & 7][s >> 3:(s >> 3) + span] for s in range(w.length - n + 1)}
+    mask = (1 << n) - 1
+    return {int.from_bytes(c, "little") & mask for c in chunks}
+
+
 @lru_cache(maxsize=None)
 def enumerate_by_scan(m: int) -> FactorSet:
     """Collect the distinct width-N windows of a fixed-point prefix, doubling
@@ -140,14 +181,14 @@ def enumerate_by_scan(m: int) -> FactorSet:
     target = 3 * 2 ** m
     prefix_len = 16 * n
     while True:
-        text = str(thue_morse_prefix(0, prefix_len))
-        windows = {text[i:i + n] for i in range(len(text) - n + 1)}
+        windows = _windows(thue_morse_prefix(0, prefix_len), n)
         if len(windows) > target:
             raise RuntimeError(
                 f"found {len(windows)} distinct factors of length {n}, "
                 f"more than the expected {target}")
         if len(windows) == target:
-            return FactorSet(m, tuple(sorted(BinaryWord.from_string(t) for t in windows)))
+            # equal lengths: integer order is lexicographic order
+            return FactorSet(m, tuple(BinaryWord(n, b) for b in sorted(windows)))
         prefix_len *= 2
         if prefix_len > (1 << 24):
             raise RuntimeError(f"factor collection did not saturate for m={m}")
@@ -165,7 +206,7 @@ def enumerate_by_descendants(m: int) -> FactorSet:
             d, e = descendants(w)
             nxt.add(d)
             nxt.add(e)
-        words = sorted(nxt)
+        words = sorted(nxt, key=_bits)  # one length per level: int order is lex order
     return FactorSet(m, tuple(words))
 
 

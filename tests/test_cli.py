@@ -130,6 +130,18 @@ def test_verify_rejects_bad_input(capsys):
     assert code == 2 and "2 <= m" in err
 
 
+@pytest.mark.parametrize("option", [
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--depth", "0"], ["--depth", "-3"], ["--claims", ","], ["--claims", " , ,"],
+])
+def test_verify_rejects_bad_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--m", "2", *option])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {option[0]}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--m", str(MAX_M), "--claims", "quarters"],
     ["verify", "--m", f"{MAX_M - 1}..{MAX_M}", "--claims", "qandf,firsthalf"],

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmblocks.nblock import (build_nblock, first_image_index,
                              formula_block_substitution, half_shift,
@@ -129,3 +131,52 @@ def test_build_rejects_bad_bases():
         build_nblock(no_growing_seed, 3)
     with pytest.raises(ValueError):
         build_nblock(theta(), 0)
+
+
+def _nblock_reference(base, block_len):
+    """Tuple blocks from a tuple-iterate language; each image window is a
+    tuple slice of the image of the whole block."""
+    seed = next(a for a in range(base.size) if base.is_growing_seed(a))
+    w = (seed,)
+    prev = None
+    while True:
+        w = base.apply(w)
+        found = {w[i:i + block_len] for i in range(len(w) - block_len + 1)}
+        if prev is not None and found == prev and len(w) > 2 * block_len:
+            break
+        prev = found
+    labels = base.alphabet.labels
+    blocks = sorted(found, key=lambda f: tuple(labels[a] for a in f))
+    position = {b: i for i, b in enumerate(blocks)}
+    L = base.constant_length()
+    images = []
+    for b in blocks:
+        v = base.apply(b)
+        images.append(tuple(position[v[off:off + block_len]] for off in range(L)))
+    return (tuple(blocks), tuple("".join(labels[a] for a in b) for b in blocks),
+            tuple(images))
+
+
+@st.composite
+def _constant_length_bases(draw):
+    """Constant length L in 2..3 with letter 0 a growing seed; labels are
+    shuffled and of one width, so that block labels (their concatenations)
+    stay distinct."""
+    k = draw(st.integers(1, 4))
+    L = draw(st.integers(2, 3))
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=L, max_size=L)) for _ in range(k)]
+    images[0][0] = 0
+    width = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text("abcd", min_size=width, max_size=width), min_size=k,
+                           max_size=k, unique=True))
+    return Substitution(Alphabet(tuple(labels)), tuple(map(tuple, images)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constant_length_bases(), st.integers(1, 7))
+def test_build_nblock_matches_reference_window_construction(base, block_len):
+    blocks, labels, images = _nblock_reference(base, block_len)
+    system = build_nblock(base, block_len)
+    assert system.blocks == blocks
+    assert system.alphabet.labels == labels
+    assert system.block_sub.images == images

@@ -23,6 +23,10 @@ def test_apply_examples():
     assert t.apply(()) == ()
     with pytest.raises(ValueError):
         t.apply((0, 2))
+    with pytest.raises(ValueError, match="letter 5 not in alphabet of size 2"):
+        t.apply((0, 5, -1))
+    with pytest.raises(ValueError, match="letter -1 not in alphabet of size 2"):
+        t.apply((1, -1))
 
 
 def test_iterate_examples():
@@ -371,3 +375,39 @@ def test_image_length_sequence_matches_iteration(sub, data):
     letter = data.draw(st.integers(0, sub.size - 1))
     lengths = sub.incidence_matrix().image_length_sequence(letter, 6)
     assert lengths == [len(sub.iterate(letter, n)) for n in range(1, 7)]
+
+
+# ---- the codepoint-text word layer against tuple-by-tuple references
+
+def _language_reference(sub, length, seed):
+    """Tuple iterates and tuple windows, sorted on the tuple of labels."""
+    w = (seed,)
+    prev = None
+    while True:
+        w = sub.apply(w)
+        found = {w[i:i + length] for i in range(len(w) - length + 1)}
+        if prev is not None and found == prev and len(w) > 2 * length:
+            break
+        prev = found
+    labels = sub.alphabet.labels
+    return tuple(sorted(found, key=lambda f: tuple(labels[a] for a in f)))
+
+
+@st.composite
+def _seeded_substitutions(draw):
+    """Letter 0 is a growing seed; labels are distinct, multi-character and
+    in random order, so label order and index order differ."""
+    k = draw(st.integers(1, 4))
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)) for _ in range(k)]
+    if len(images[0]) < 2:
+        images[0].append(0)
+    images[0][0] = 0
+    labels = draw(st.lists(st.text("01", min_size=1, max_size=3), min_size=k,
+                           max_size=k, unique=True))
+    return Substitution(Alphabet(tuple(labels)), tuple(map(tuple, images)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seeded_substitutions(), st.integers(1, 5))
+def test_language_matches_reference(sub, length):
+    assert sub.language(length, 0) == _language_reference(sub, length, 0)

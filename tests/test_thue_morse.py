@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmblocks import thue_morse
 from tmblocks.thue_morse import (FactorSet, apply_theta, descendants,
@@ -8,7 +10,7 @@ from tmblocks.thue_morse import (FactorSet, apply_theta, descendants,
                                  factor_set, quarter_markers, theta,
                                  thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
-from tmblocks.words import word
+from tmblocks.words import BinaryWord, word
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -26,14 +28,19 @@ def test_apply_theta_examples():
     assert apply_theta(word("")) == word("")
 
 
-def test_apply_theta_agrees_with_generic_substitution():
-    rng = random.Random(31)
-    t = theta()
-    for _ in range(100):
-        n = rng.randrange(30)
-        w = word("".join(str(rng.randrange(2)) for _ in range(n)))
-        generic = "".join(str(a) for a in t.apply(tuple(w)))
-        assert str(apply_theta(w)) == generic
+@st.composite
+def _binary_words(draw):
+    n = draw(st.integers(0, 70))
+    return BinaryWord(n, draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_words())
+def test_apply_theta_agrees_with_generic_substitution(w):
+    # lengths 0..70 cover partial bytes on both sides of the byte tables
+    image = apply_theta(w)
+    assert image.length == 2 * w.length
+    assert tuple(image) == theta().apply(tuple(w))
 
 
 def test_thue_morse_prefix():
@@ -69,6 +76,16 @@ def test_enumeration_methods_agree():
         desc = enumerate_by_descendants(m)
         assert scan.words == desc.words
         assert scan.size == 3 * 2 ** m
+
+
+def test_scan_matches_windows_of_the_parity_sequence():
+    # reference: letter i of the fixed point is the parity of popcount(i),
+    # windows are string slices and sorted as strings
+    for m in range(1, 8):
+        n = 2 ** m + 1
+        text = "".join(str(bin(i).count("1") % 2) for i in range(32 * n))
+        want = sorted({text[i:i + n] for i in range(len(text) - n + 1)})
+        assert [str(w) for w in enumerate_by_scan(m).words] == want
 
 
 def test_factor_set_dispatch():
