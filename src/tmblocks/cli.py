@@ -25,6 +25,9 @@ CLAIM_ORDER = ("qandf", "quarters", "firsthalf", "nblock", "pairs",
                "fixedpoint", "primitivity", "theorem")
 # claims that compare level m with the factor set of level m + 1
 NEXT_LEVEL_CLAIMS = ("quarters", "firsthalf")
+# iterates checked by fixedpoint and theorem have 2^depth letters; at depth 20
+# `verify --m 2` peaks at about 140 MB, and each further step doubles that
+MAX_DEPTH = 20
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -67,8 +70,8 @@ def _depth(text: str) -> int:
         depth = int(text)
     except ValueError:
         depth = 0
-    if depth < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"expected an integer in 1..{MAX_DEPTH}, got {text!r}")
     return depth
 
 

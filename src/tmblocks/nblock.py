@@ -73,28 +73,28 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
     except StopIteration:
         raise ValueError("base has no growing letter to seed the fixed point") from None
     # blocks, their images and the windows are codepoint text (letter a is
-    # chr(a)): the base is applied by str.translate and windows are looked up
-    # in a dict keyed by their text
-    texts = tuple(base.language_text(block_len, seed))
-    position = {t: i for i, t in enumerate(texts)}
-    table = base.text_table()
-    # the L windows lie in the first block_len + L - 1 letters of an image,
-    # which come from the first `head` letters of the block
-    head = -(-(block_len + L - 1) // L)
+    # chr(a)); windows are looked up in a dict keyed by their text. Each block
+    # occurs in the iterate s at some position i, and the base has constant
+    # length L, so the image of the block is the slice [L*i, L*(i+N)) of the
+    # next iterate: one str.translate serves every block.
+    texts, s, occurrence = base._language_windows(block_len, seed)
+    position = {t: j for j, t in enumerate(texts)}
+    image_text = s.translate(base.text_table())
     images = []
     for t in texts:
-        v = t[:head].translate(table)
+        start = L * occurrence[t]
         img = []
-        for off in range(L):
-            window = v[off:off + block_len]
+        for off in range(start, start + L):
+            window = image_text[off:off + block_len]
             if window not in position:
                 raise RuntimeError(
                     f"window {tuple(map(ord, window))} of the image of block "
                     f"{tuple(map(ord, t))} is not in the block alphabet (closure violation)")
             img.append(position[window])
         images.append(tuple(img))
+    del s, image_text, occurrence, position
     labels = tuple(t.translate(base.alphabet.labels) for t in texts)
-    return NBlockSystem(base, block_len, texts, Alphabet(labels),
+    return NBlockSystem(base, block_len, tuple(texts), Alphabet(labels),
                         Substitution(Alphabet(labels), tuple(images)))
 
 
@@ -107,14 +107,18 @@ def thue_morse_block_system(m: int) -> NBlockSystem:
 def formula_block_substitution(m: int, factors: FactorSet | None = None) -> Substitution:
     """The width-(2^m+1) Thue-Morse block substitution assembled directly from
     the closed-form index map, without applying the base at all."""
+    images = _formula_images(m)
+    fs = factors or enumerate_by_scan(m)
+    return Substitution(fs.alphabet(), images)
+
+
+def _formula_images(m: int) -> tuple[Word, ...]:
+    """The closed-form 0-based image pairs on the 3·2^m blocks of width 2^m+1."""
     if m < 2:
         raise ValueError(f"the closed form needs a quarter partition (m >= 2), got m={m}")
-    fs = factors or enumerate_by_scan(m)
-    k = fs.size
-    images = tuple(
-        (first_image_index(j, k) - 1, second_image_index(j, k) - 1)
-        for j in range(1, k + 1))
-    return Substitution(fs.alphabet(), images)
+    k = 3 * 2 ** m
+    return tuple((first_image_index(j, k) - 1, second_image_index(j, k) - 1)
+                 for j in range(1, k + 1))
 
 
 def verify_block_formula(m: int, system: NBlockSystem | None = None) -> VerificationReport:
@@ -125,13 +129,15 @@ def verify_block_formula(m: int, system: NBlockSystem | None = None) -> Verifica
     fs = enumerate_by_scan(m)
     sys = system or thue_morse_block_system(m)
     built = sys.block_sub
-    explicit = formula_block_substitution(m, fs)
+    explicit = _formula_images(m)
     k = fs.size
     rb = ReportBuilder(m, "nblock")
 
-    rb.check("alphabet", sys.alphabet.labels == tuple(str(w) for w in fs.words),
+    # labels are compared one at a time: at m = 12 they take 50 MB
+    labels = sys.alphabet.labels
+    rb.check("alphabet", len(labels) == k and all(map(str.__eq__, labels, map(str, fs.words))),
              f"{sys.size} language blocks vs {fs.size} enumerated factors")
-    rb.check("images", built.images == explicit.images,
+    rb.check("images", built.images == explicit,
              f"all {k} two-letter images agree")
 
     q = k // 4

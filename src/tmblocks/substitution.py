@@ -131,17 +131,23 @@ class Substitution:
 
     def language_text(self, length: int, seed: int) -> list[str]:
         """``language`` with each factor as codepoint text."""
+        return self._language_windows(length, seed)[0]
+
+    def _language_windows(self, length: int, seed: int
+                          ) -> tuple[list[str], str, dict[str, int]]:
+        """The sorted factors of ``language_text``, the stable iterate s they
+        were read from, and one position in s of each factor."""
         if length < 1:
             raise ValueError(f"factor length must be >= 1, got {length}")
         if not self.is_growing_seed(seed):
             raise ValueError(f"letter {seed} is not a growing seed")
         table = self.text_table()
         s = chr(seed)
-        prev: set[str] | None = None
+        prev: dict[str, int] | None = None
         while True:
             s = s.translate(table)
-            found = {s[i:i + length] for i in range(len(s) - length + 1)}
-            if prev is not None and found == prev and len(s) > 2 * length:
+            found = {s[i:i + length]: i for i in range(len(s) - length + 1)}
+            if prev is not None and found.keys() == prev.keys() and len(s) > 2 * length:
                 break
             prev = found
         # All factors have one length, so comparing label tuples is comparing
@@ -149,11 +155,11 @@ class Substitution:
         labels = self.alphabet.labels
         by_label = sorted(range(self.size), key=labels.__getitem__)
         if by_label == list(range(self.size)):
-            return sorted(found)
+            return sorted(found), s, found
         rank = [""] * self.size
         for r, a in enumerate(by_label):
             rank[a] = chr(r)
-        return sorted(found, key=lambda f: f.translate(rank))
+        return sorted(found, key=lambda f: f.translate(rank)), s, found
 
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmblocks.cli import run
+from tmblocks.cli import MAX_DEPTH, run
 from tmblocks.report import CheckEntry, VerificationReport
 from tmblocks.thue_morse import MAX_M
 
@@ -133,6 +133,7 @@ def test_verify_rejects_bad_input(capsys):
 @pytest.mark.parametrize("option", [
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
     ["--depth", "0"], ["--depth", "-3"], ["--claims", ","], ["--claims", " , ,"],
+    ["--depth", str(MAX_DEPTH + 1)], ["--depth", "100"],
 ])
 def test_verify_rejects_bad_options(capsys, option):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmblocks.injectivize import (EtaSystem, build_eta, eta_system, initials_map,
+from tmblocks.injectivize import (EtaSystem, _first_hits, _map_power, build_eta,
+                                  eta_system, initials_map,
                                   theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
                                   verify_theorem, zeta5_fixture)
@@ -201,3 +204,85 @@ def test_quarter_helper():
     assert [sys2.quarter_of(i) for i in range(12)] == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
     assert sys2.odd_letters() == (0, 2, 4, 6, 8, 10)
     assert sys2.even_letters() == (1, 3, 5, 7, 9, 11)
+
+
+def _first_hit_walk(chain, start, targets, cap):
+    """Reference: walk up to ``cap`` steps from ``start``, one at a time."""
+    x = start
+    for step in range(1, cap + 1):
+        x = chain[x]
+        if x in targets:
+            return step
+    return -1
+
+
+def _power_walk(chain, start, n):
+    x = start
+    for _ in range(n):
+        x = chain[x]
+    return x
+
+
+@st.composite
+def _functional_graphs(draw):
+    """A map on k <= 12 letters, 1-2 targets and a cap in 1..2k; some maps
+    get a target-free cycle on letters the targets' letters never enter."""
+    k = draw(st.integers(1, 12))
+    chain = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    targets = set(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2)))
+    free = [x for x in range(k) if x not in targets]
+    if free and draw(st.booleans()):
+        cycle = draw(st.lists(st.sampled_from(free), min_size=1, max_size=len(free),
+                              unique=True))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            chain[a] = b
+    return chain, targets, draw(st.integers(1, 2 * k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functional_graphs())
+def test_first_hits_and_map_power_match_step_by_step_walks(graph):
+    chain, targets, cap = graph
+    k = len(chain)
+    assert _first_hits(chain, targets, cap) == [
+        _first_hit_walk(chain, x, targets, cap) for x in range(k)]
+    for n in (0, 1, cap, 2 * k + 1):
+        assert _map_power(chain, n) == [_power_walk(chain, x, n) for x in range(k)]
+
+
+def test_first_hits_on_a_target_free_cycle():
+    # 0 -> 1 -> 2 -> 0 never meets target 4; 3 -> 4 -> 4 does
+    chain = (1, 2, 0, 4, 4)
+    assert _first_hits(chain, {4}, 5) == [-1, -1, -1, 1, 1]
+    assert _first_hits(chain, {0}, 5) == [3, 2, 1, -1, -1]
+    assert _first_hits(chain, {0}, 2) == [-1, 2, 1, -1, -1]
+
+
+def _reachability_reference(sys_m):
+    """The phi_reaches and psi_reaches entries as the step-by-step walks give
+    them: (passed, detail) pairs."""
+    k, f0, f1 = sys_m.size, sys_m.f0_index, sys_m.f1_index
+    phi = initials_map(sys_m.nblock.block_sub)
+    psi = initials_map(sys_m.eta)
+    targets = {f0, f1}
+    bad = [i + 1 for i in range(k)
+           if _first_hit_walk(phi, i, targets, k // 2) < 0
+           or _power_walk(phi, i, k // 2) != (f0 if i < k // 2 else f1)]
+    phi_entry = (not bad, f"every letter hits its fixed letter within {k // 2} steps"
+                 if not bad else f"failures at w_{bad[:5]}")
+    bad = [i + 1 for i in range(k) if _first_hit_walk(psi, i, targets, k) < 0]
+    psi_entry = (not bad, "every letter reaches f0 or f1"
+                 if not bad else f"failures at w_{bad[:5]}")
+    return [phi_entry, psi_entry]
+
+
+def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
+    sys2 = eta_system(2)
+    probe = EtaSystem(2, sys2.nblock, zeta5_fixture())
+    rep = verify_primitivity_argument(probe)
+    entries = {e.claim.split(".", 1)[1]: (e.passed, e.detail) for e in rep}
+    assert [entries["phi_reaches"], entries["psi_reaches"]] == _reachability_reference(probe)
+    # the trapped pair {w3, w11} never reaches f0 or f1
+    assert entries["psi_reaches"] == (False, "failures at w_[3, 11]")
+    assert sorted(name for name, (passed, _) in entries.items() if not passed) == [
+        "matrix", "psi_q4_increasing", "psi_reaches"]

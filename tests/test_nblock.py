@@ -180,3 +180,26 @@ def test_build_nblock_matches_reference_window_construction(base, block_len):
     assert system.blocks == blocks
     assert system.alphabet.labels == labels
     assert system.block_sub.images == images
+
+
+def _per_block_translate(base, block_len):
+    """Oracle: each block's own image by str.translate of its first letters,
+    its L windows looked up among the language blocks."""
+    L = base.constant_length()
+    texts = base.language_text(block_len, 0)
+    position = {t: i for i, t in enumerate(texts)}
+    table = base.text_table()
+    head = -(-(block_len + L - 1) // L)
+    images = []
+    for t in texts:
+        v = t[:head].translate(table)
+        images.append(tuple(position[v[off:off + block_len]] for off in range(L)))
+    return tuple(texts), tuple(images)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_theta_blocks_read_off_one_iterate_match_per_block_images(m):
+    texts, images = _per_block_translate(theta(), 2 ** m + 1)
+    system = build_nblock(theta(), 2 ** m + 1)
+    assert system.block_texts == texts
+    assert system.block_sub.images == images
