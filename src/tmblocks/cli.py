@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .injectivize import (eta_system, verify_fixed_point, verify_pair_images,
                           verify_primitivity_argument, verify_theorem, zeta5_fixture)
@@ -116,33 +117,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _factor_table(fs: FactorSet, header: str) -> list[str]:
+def _factor_table(fs: FactorSet, header: str) -> Iterator[str]:
+    """The factor table line by line, without line ends: at m = 12 it is
+    50 MB of text, so it is written as it is formatted."""
     size = fs.size
     ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
     rows = size // ncols
     width = len(str(size))
-    lines = [header]
+    yield header
     for r in range(rows):
         cells = []
         for c in range(ncols):
             i = c * rows + r
             cells.append(f"w_{i + 1:<{width}} = {fs.words[i]}")
-        lines.append("   ".join(cells).rstrip())
-    return lines
+        yield "   ".join(cells).rstrip()
 
 
-def _sub_table(sub: Substitution, name: str) -> list[str]:
-    return [f"{name}(w_{j + 1}) = {sub.format_word(img)}"
-            for j, img in enumerate(sub.images)]
+def _sub_table(sub: Substitution, name: str) -> Iterator[str]:
+    for j, img in enumerate(sub.images):
+        yield f"{name}(w_{j + 1}) = {sub.format_word(img)}"
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        write("\n")
 
 
 def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
     if fmt == "json":
-        print(sub.to_json())
+        sys.stdout.writelines(sub.iter_json())
+        print()
     elif fmt == "dot":
-        sys.stdout.write(sub.to_dot(name))
+        sys.stdout.writelines(sub.iter_dot(name))
     else:
-        print("\n".join(_sub_table(sub, name)))
+        _write_lines(_sub_table(sub, name))
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
@@ -159,13 +169,17 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     else:
         fs = enumerate_by_scan(args.m) if args.method == "scan" else enumerate_by_descendants(args.m)
     if args.format == "json":
-        import json
-        # streamed: at m = 12 the text is 50 MB, and dumps would hold it twice more
-        json.dump({"m": fs.m, "words": [str(w) for w in fs.words]}, sys.stdout)
-        print()
+        # the bytes of json.dump({"m": m, "words": [...]}), written one word
+        # at a time: a word is 0/1 text, so it needs quotes and no escapes
+        write = sys.stdout.write
+        write(f'{{"m": {fs.m}, "words": ["')
+        for i, w in enumerate(fs.words):
+            if i:
+                write('", "')
+            write(str(w))
+        write('"]}\n')
     else:
-        header = f"m={fs.m} N={fs.word_length} count={fs.size}"
-        print("\n".join(_factor_table(fs, header)))
+        _write_lines(_factor_table(fs, f"m={fs.m} N={fs.word_length} count={fs.size}"))
     return 0
 
 
@@ -261,9 +275,10 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: could not load substitution: {exc}", file=sys.stderr)
         return 3
-    primitive = "true" if sub.is_primitive() else "false"
+    matrix = sub.incidence_matrix()
+    primitive = "true" if matrix.is_primitive() else "false"
     try:
-        value = pf_eigenvalue(sub.incidence_matrix())
+        value = pf_eigenvalue(matrix)
         print(f"PF ≈ {value:.9f}, primitive: {primitive}")
     except ArithmeticError:
         print(f"PF did not converge, primitive: {primitive}")

@@ -66,7 +66,7 @@ def build_eta(m: int, system: NBlockSystem | None = None) -> EtaSystem:
     sub = nb.block_sub
     k = sub.size
     n = 2 ** m + 1
-    f0_block = map(ord, nb.block_texts[k // 2 - 1])
+    f0_block = map(ord, nb.block_text(k // 2 - 1))
     if "".join(map(str, f0_block)) != str(thue_morse_prefix(0, n)):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []

@@ -13,7 +13,7 @@ half the alphabet size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution, Word
@@ -39,19 +39,38 @@ def second_image_index(j: int, size: int) -> int:
 
 @dataclass(frozen=True)
 class NBlockSystem:
+    """A block recoding, stored as the stable iterate s of the base and one
+    offset into s per block: block j is s[offsets[j]:offsets[j] + block_len].
+    Block texts, block words and labels are built from these on demand, so
+    the system holds len(s) + k letters, not k copies of N."""
+
     base: Substitution
     block_len: int
-    block_texts: tuple[str, ...]      # length-N blocks as codepoint text, chr(a) per letter
-    alphabet: Alphabet                # one letter per block, base-label text
+    iterate: str                      # codepoint text, chr(a) per letter
+    offsets: tuple[int, ...]
     block_sub: Substitution           # the recoded substitution
+
+    @property
+    def alphabet(self) -> Alphabet:
+        """One letter per block; its label is the block in base labels."""
+        return self.block_sub.alphabet
 
     @property
     def size(self) -> int:
         return self.alphabet.size
 
-    @cached_property
+    def block_text(self, j: int) -> str:
+        """Block j as codepoint text."""
+        start = self.offsets[j]
+        return self.iterate[start:start + self.block_len]
+
+    @property
+    def block_texts(self) -> tuple[str, ...]:
+        return tuple(map(self.block_text, range(self.size)))
+
+    @property
     def blocks(self) -> tuple[Word, ...]:
-        """The blocks as words over the base alphabet, built on first use."""
+        """The blocks as words over the base alphabet."""
         return tuple(tuple(map(ord, t)) for t in self.block_texts)
 
 
@@ -78,24 +97,32 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
     # length L, so the image of the block is the slice [L*i, L*(i+N)) of the
     # next iterate: one str.translate serves every block.
     texts, s, occurrence = base._language_windows(block_len, seed)
+    offsets = tuple(map(occurrence.__getitem__, texts))
     position = {t: j for j, t in enumerate(texts)}
     image_text = s.translate(base.text_table())
     images = []
-    for t in texts:
-        start = L * occurrence[t]
+    for i in offsets:
         img = []
-        for off in range(start, start + L):
+        for off in range(L * i, L * i + L):
             window = image_text[off:off + block_len]
             if window not in position:
                 raise RuntimeError(
                     f"window {tuple(map(ord, window))} of the image of block "
-                    f"{tuple(map(ord, t))} is not in the block alphabet (closure violation)")
+                    f"{tuple(map(ord, s[i:i + block_len]))} is not in the block alphabet "
+                    f"(closure violation)")
             img.append(position[window])
         images.append(tuple(img))
-    del s, image_text, occurrence, position
-    labels = tuple(t.translate(base.alphabet.labels) for t in texts)
-    return NBlockSystem(base, block_len, tuple(texts), Alphabet(labels),
-                        Substitution(Alphabet(labels), tuple(images)))
+
+    def label(j: int) -> str:
+        return s[offsets[j]:offsets[j] + block_len].translate(base_labels)
+
+    base_labels = base.alphabet.labels
+    if len(set(map(len, base_labels))) == 1:
+        # one label width: distinct blocks have distinct labels
+        alphabet = Alphabet.distinct(len(offsets), label)
+    else:
+        alphabet = Alphabet(tuple(map(label, range(len(offsets)))))
+    return NBlockSystem(base, block_len, s, offsets, Substitution(alphabet, tuple(images)))
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +160,17 @@ def verify_block_formula(m: int, system: NBlockSystem | None = None) -> Verifica
     k = fs.size
     rb = ReportBuilder(m, "nblock")
 
-    # labels are compared one at a time: at m = 12 they take 50 MB
-    labels = sys.alphabet.labels
-    rb.check("alphabet", len(labels) == k and all(map(str.__eq__, labels, map(str, fs.words))),
-             f"{sys.size} language blocks vs {fs.size} enumerated factors")
+    # labels are compared with the factors one at a time, as ints: label j is
+    # the window at offsets[j] of the iterate written in base labels, so with
+    # one-letter base labels its bits are a shift and a mask of the bits of
+    # the whole iterate (at m = 12 all labels as text would take 50 MB)
+    n = fs.word_length
+    text = sys.iterate.translate(sys.base.alphabet.labels)
+    bits, mask = int(text, 2), (1 << n) - 1
+    same = (sys.size == k and sys.block_len == n and len(text) == len(sys.iterate)
+            and all((bits >> (len(text) - off - n)) & mask == w.bits
+                    for off, w in zip(sys.offsets, fs.words)))
+    rb.check("alphabet", same, f"{sys.size} language blocks vs {fs.size} enumerated factors")
     rb.check("images", built.images == explicit,
              f"all {k} two-letter images agree")
 
@@ -149,7 +183,6 @@ def verify_block_formula(m: int, system: NBlockSystem | None = None) -> Verifica
              "first letters fill Q2 and Q3 twice each")
 
     f0_idx = k // 2 - 1
-    n = fs.word_length
     f0_ok = (fs.words[f0_idx] == thue_morse_prefix(0, n)
              and built.images[f0_idx] == (f0_idx, half_shift(f0_idx + 1, k) - 1))
     rb.check("f0_image", f0_ok,

@@ -20,31 +20,64 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 Word = tuple[int, ...]
 # one sparse column of an incidence matrix: sorted (letter, count > 0) pairs
 Column = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite alphabet; position in ``labels`` is the letter index."""
+    """Ordered finite alphabet; position in ``labels`` is the letter index.
 
-    labels: tuple[str, ...]
+    ``Alphabet(labels)`` holds the labels and checks that they are distinct.
+    ``Alphabet.distinct(size, label)`` holds only the function ``label`` from
+    letter to label, for large alphabets whose labels are distinct by
+    construction (block alphabets: k labels of N letters each). Either way
+    ``label(a)`` and ``iter_labels()`` give one label at a time, and
+    ``labels`` builds the whole tuple on each access.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    __slots__ = ("size", "label")
+
+    def __init__(self, labels: Sequence[str]) -> None:
+        labels = tuple(labels)
+        if not labels:
             raise ValueError("alphabet must contain at least one letter")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be distinct")
+        self.size = len(labels)
+        self.label: Callable[[int], str] = labels.__getitem__
+
+    @classmethod
+    def distinct(cls, size: int, label: Callable[[int], str]) -> "Alphabet":
+        """The alphabet whose letter a has label ``label(a)``; the caller
+        guarantees that the labels are distinct, so they are not checked."""
+        if size < 1:
+            raise ValueError("alphabet must contain at least one letter")
+        alphabet = cls.__new__(cls)
+        alphabet.size = size
+        alphabet.label = label
+        return alphabet
+
+    def iter_labels(self) -> Iterator[str]:
+        return map(self.label, range(self.size))
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.iter_labels())
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self is other or (self.size == other.size and all(
+            map(operator.eq, self.iter_labels(), other.iter_labels())))
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __repr__(self) -> str:
+        return f"Alphabet({self.labels!r})"
 
 
 @dataclass(frozen=True)
@@ -136,24 +169,35 @@ class Substitution:
     def _language_windows(self, length: int, seed: int
                           ) -> tuple[list[str], str, dict[str, int]]:
         """The sorted factors of ``language_text``, the stable iterate s they
-        were read from, and one position in s of each factor."""
+        were read from, and one position in s of each factor.
+
+        The seed is growing, so each iterate is a prefix of the next: a
+        window that does not reach into the new suffix was seen in an earlier
+        round. One dict collects the windows, each round reads only those that
+        start at or after ``start``, and the factor set is stable when a round
+        adds none.
+        """
         if length < 1:
             raise ValueError(f"factor length must be >= 1, got {length}")
         if not self.is_growing_seed(seed):
             raise ValueError(f"letter {seed} is not a growing seed")
         table = self.text_table()
-        s = chr(seed)
-        prev: dict[str, int] | None = None
+        s = chr(seed).translate(table)
+        found: dict[str, int] = {}
+        add = found.setdefault
+        start = 0
         while True:
-            s = s.translate(table)
-            found = {s[i:i + length]: i for i in range(len(s) - length + 1)}
-            if prev is not None and found.keys() == prev.keys() and len(s) > 2 * length:
+            before = len(found)
+            stop = len(s) - length + 1
+            for i in range(start, stop):
+                add(s[i:i + length], i)
+            if len(found) == before and len(s) > 2 * length:
                 break
-            prev = found
+            start = max(start, stop)
+            s = s.translate(table)
         # All factors have one length, so comparing label tuples is comparing
         # the letters' ranks in label order, codepoint by codepoint.
-        labels = self.alphabet.labels
-        by_label = sorted(range(self.size), key=labels.__getitem__)
+        by_label = sorted(range(self.size), key=self.alphabet.label)
         if by_label == list(range(self.size)):
             return sorted(found), s, found
         rank = [""] * self.size
@@ -178,10 +222,19 @@ class Substitution:
         return " ".join(f"w_{a + off}" for a in w)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "alphabet": list(self.alphabet.labels),
-            "images": [list(img) for img in self.images],
-        })
+        return "".join(self.iter_json())
+
+    def iter_json(self) -> Iterator[str]:
+        """``to_json`` in pieces of one label or one image each, so that a
+        block alphabet is written without a copy of all its labels. A list
+        of ints prints as its JSON."""
+        yield '{"alphabet": ['
+        for a, label in enumerate(self.alphabet.iter_labels()):
+            yield f", {json.dumps(label)}" if a else json.dumps(label)
+        yield '], "images": ['
+        for b, img in enumerate(self.images):
+            yield f", {list(img)}" if b else str(list(img))
+        yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "Substitution":
@@ -202,16 +255,18 @@ class Substitution:
                    tuple(tuple(img) for img in images))
 
     def to_dot(self, name: str = "substitution") -> str:
-        """Graphviz digraph: node per letter, edge b->a labeled with the
-        number of occurrences of a in the image of b."""
-        lines = [f"digraph {name} {{"]
-        for i, label in enumerate(self.alphabet.labels):
-            lines.append(f'  w{i + 1} [label="w{i + 1}:{label}"];')
+        return "".join(self.iter_dot(name))
+
+    def iter_dot(self, name: str = "substitution") -> Iterator[str]:
+        """Graphviz digraph, one line at a time: node per letter, edge b->a
+        labeled with the number of occurrences of a in the image of b."""
+        yield f"digraph {name} {{\n"
+        for i, label in enumerate(self.alphabet.iter_labels()):
+            yield f'  w{i + 1} [label="w{i + 1}:{label}"];\n'
         for b, col in enumerate(self.incidence_matrix().columns):
             for a, count in col:
-                lines.append(f'  w{b + 1} -> w{a + 1} [label="{count}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                yield f'  w{b + 1} -> w{a + 1} [label="{count}"];\n'
+        yield "}\n"
 
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:

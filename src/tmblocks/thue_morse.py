@@ -136,7 +136,9 @@ class FactorSet:
         return index0 // self.quarter_size + 1
 
     def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(str(w) for w in self.words))
+        """The words as labels; they are strictly increasing, hence distinct."""
+        words = self.words
+        return Alphabet.distinct(self.size, lambda i: str(words[i]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 
 from tmblocks.cli import MAX_DEPTH, run
 from tmblocks.report import CheckEntry, VerificationReport
-from tmblocks.thue_morse import MAX_M
+from tmblocks.thue_morse import MAX_M, enumerate_by_scan
 
 
 def _run(capsys, argv):
@@ -51,6 +51,31 @@ def test_factors_deterministic(capsys):
     _, first, _ = _run(capsys, ["factors", "--m", "4", "--format", "json"])
     _, second, _ = _run(capsys, ["factors", "--m", "4", "--format", "json"])
     assert first == second
+
+
+def _whole_factor_table(fs):
+    """Oracle: the factor table built as one list of lines and joined."""
+    size = fs.size
+    ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
+    rows = size // ncols
+    width = len(str(size))
+    lines = [f"m={fs.m} N={fs.word_length} count={size}"]
+    for r in range(rows):
+        cells = [f"w_{c * rows + r + 1:<{width}} = {fs.words[c * rows + r]}"
+                 for c in range(ncols)]
+        lines.append("   ".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_streamed_factors_match_whole_document_output(capsys, m):
+    fs = enumerate_by_scan(m)
+    code, out, _ = _run(capsys, ["factors", "--m", str(m), "--format", "json"])
+    assert code == 0
+    assert out == json.dumps({"m": m, "words": [str(w) for w in fs.words]}) + "\n"
+    code, out, _ = _run(capsys, ["factors", "--m", str(m)])
+    assert code == 0
+    assert out == _whole_factor_table(fs)
 
 
 def test_build_theta_text(capsys):

@@ -133,6 +133,15 @@ def test_build_rejects_bad_bases():
         build_nblock(theta(), 0)
 
 
+def test_block_labels_are_checked_when_base_labels_differ_in_width():
+    # blocks 01 and 10 are both "a" + "aa" = "aa" + "a" = "aaa"
+    base = Substitution(Alphabet(("a", "aa")), ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="alphabet labels must be distinct"):
+        build_nblock(base, 2)
+    wide = build_nblock(Substitution(Alphabet(("a", "bb")), ((0, 1), (1, 0))), 2)
+    assert wide.alphabet.labels == ("aa", "abb", "bba", "bbbb")
+
+
 def _nblock_reference(base, block_len):
     """Tuple blocks from a tuple-iterate language; each image window is a
     tuple slice of the image of the whole block."""
@@ -203,3 +212,25 @@ def test_theta_blocks_read_off_one_iterate_match_per_block_images(m):
     system = build_nblock(theta(), 2 ** m + 1)
     assert system.block_texts == texts
     assert system.block_sub.images == images
+
+
+def test_build_nblock_memory_is_one_copy_of_the_blocks_while_building_and_none_after():
+    """At width N = 2^10 + 1 the k = 3·2^10 blocks as text are k·N bytes.
+    Building holds them once (the window dict); the built system keeps the
+    iterate and one offset per block, not the block texts or labels."""
+    import tracemalloc
+
+    n = 2 ** 10 + 1
+    k = 3 * 2 ** 10
+    base = theta()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system = build_nblock(base, n)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.size == k
+    assert peak - before < 1.5 * k * n
+    assert after - before < 0.25 * k * n
