@@ -1,35 +1,48 @@
 """Thue-Morse factor combinatorics, N-block substitutions, and injective
 non-constant-length refinements, together with verifiers for the whole chain
-of structural claims."""
+of structural claims.
 
-from .injectivize import (EtaSystem, build_eta, eta_system, initials_map,
-                          theorem_report, verify_fixed_point, verify_pair_images,
-                          verify_primitivity_argument, verify_theorem, zeta5_fixture)
-from .nblock import (NBlockSystem, build_nblock, first_image_index,
-                     formula_block_substitution, half_shift, second_image_index,
-                     thue_morse_block_system, verify_block_formula)
-from .report import CheckEntry, VerificationReport
-from .substitution import (Alphabet, IncidenceMatrix, Substitution, compose,
-                           length_growth_check, pf_eigenvalue)
-from .thue_morse import (FactorSet, QuarterMarkers, apply_theta, descendants,
-                         enumerate_by_descendants, enumerate_by_scan, factor_set,
-                         quarter_markers, theta, thue_morse_prefix,
-                         verify_prefix_pairs, verify_quarter_descendants,
-                         verify_quarter_minima)
-from .words import EMPTY, BinaryWord, lex_compare, word
+The public names are resolved on first access (PEP 562), so importing the
+package, or one command of the CLI, loads only the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "BinaryWord", "CheckEntry", "EMPTY", "EtaSystem", "FactorSet",
-    "IncidenceMatrix", "NBlockSystem", "QuarterMarkers", "Substitution",
-    "VerificationReport", "apply_theta", "build_eta", "build_nblock", "compose",
-    "descendants", "enumerate_by_descendants", "enumerate_by_scan", "eta_system",
-    "factor_set", "first_image_index", "formula_block_substitution", "half_shift",
-    "initials_map", "length_growth_check", "lex_compare", "pf_eigenvalue",
-    "quarter_markers", "second_image_index", "theorem_report", "theta",
-    "thue_morse_block_system", "thue_morse_prefix", "verify_block_formula",
-    "verify_fixed_point", "verify_pair_images", "verify_prefix_pairs",
-    "verify_primitivity_argument", "verify_quarter_descendants",
-    "verify_quarter_minima", "verify_theorem", "word", "zeta5_fixture",
-]
+# public name -> the module that defines it
+_MODULE_OF = {
+    **dict.fromkeys(
+        ("EtaSystem", "build_eta", "eta_system", "initials_map", "theorem_report",
+         "verify_fixed_point", "verify_pair_images", "verify_primitivity_argument",
+         "verify_theorem", "zeta5_fixture"), "injectivize"),
+    **dict.fromkeys(
+        ("NBlockSystem", "build_nblock", "first_image_index", "formula_block_substitution",
+         "half_shift", "second_image_index", "thue_morse_block_system",
+         "verify_block_formula"), "nblock"),
+    **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
+    **dict.fromkeys(
+        ("Alphabet", "IncidenceMatrix", "Substitution", "compose", "length_growth_check",
+         "pf_eigenvalue"), "substitution"),
+    **dict.fromkeys(
+        ("FactorSet", "QuarterMarkers", "apply_theta", "descendants",
+         "enumerate_by_descendants", "enumerate_by_scan", "factor_set", "quarter_markers",
+         "theta", "thue_morse_prefix", "verify_prefix_pairs", "verify_quarter_descendants",
+         "verify_quarter_minima"), "thue_morse"),
+    **dict.fromkeys(("EMPTY", "BinaryWord", "lex_compare", "word"), "words"),
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

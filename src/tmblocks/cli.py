@@ -10,17 +10,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from .injectivize import (eta_system, verify_fixed_point, verify_pair_images,
-                          verify_primitivity_argument, verify_theorem, zeta5_fixture)
-from .nblock import formula_block_substitution, thue_morse_block_system, verify_block_formula
-from .report import VerificationReport
+# Each command imports the modules it uses, so that start-up costs what the
+# command needs: `eigen` loads substitution.py alone.
 from .substitution import Substitution, pf_eigenvalue
-from .thue_morse import (MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan,
-                         verify_prefix_pairs, verify_quarter_descendants,
-                         verify_quarter_minima)
 
 CLAIM_ORDER = ("qandf", "quarters", "firsthalf", "nblock", "pairs",
                "fixedpoint", "primitivity", "theorem")
@@ -117,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _factor_table(fs: FactorSet, header: str) -> Iterator[str]:
+def _factor_table(fs: "FactorSet", header: str) -> Iterator[str]:
     """The factor table line by line, without line ends: at m = 12 it is
     50 MB of text, so it is written as it is formatted."""
     size = fs.size
@@ -156,6 +150,8 @@ def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
+    from .thue_morse import MAX_M, enumerate_by_descendants, enumerate_by_scan
+
     if not 1 <= args.m <= MAX_M:
         print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
@@ -184,6 +180,9 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_theta(args: argparse.Namespace) -> int:
+    from .nblock import formula_block_substitution, thue_morse_block_system
+    from .thue_morse import MAX_M
+
     explicit = args.explicit or args.both
     if not (2 if explicit else 1) <= args.m <= MAX_M:
         print(f"error: build theta requires m in "
@@ -206,6 +205,9 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_eta(args: argparse.Namespace) -> int:
+    from .injectivize import eta_system
+    from .thue_morse import MAX_M
+
     if not 2 <= args.m <= MAX_M:
         print(f"error: build eta requires 2 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
@@ -215,11 +217,18 @@ def _cmd_build_eta(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
+    from .injectivize import zeta5_fixture
+
     _emit_substitution(zeta5_fixture(), "zeta_5", args.format)
     return 0
 
 
-def _claim_report(m: int, claim: str, tol: float, depth: int) -> VerificationReport:
+def _claim_report(m: int, claim: str, tol: float, depth: int) -> "VerificationReport":
+    from .injectivize import (eta_system, verify_fixed_point, verify_pair_images,
+                              verify_primitivity_argument, verify_theorem)
+    from .nblock import verify_block_formula
+    from .thue_morse import verify_prefix_pairs, verify_quarter_descendants, verify_quarter_minima
+
     if claim == "qandf":
         return verify_quarter_minima(m)
     if claim == "quarters":
@@ -240,6 +249,8 @@ def _claim_report(m: int, claim: str, tol: float, depth: int) -> VerificationRep
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .thue_morse import MAX_M
+
     lo, hi = args.m
     if lo < 2 or hi > MAX_M:
         print(f"error: verify requires 2 <= m <= {MAX_M}, got {lo}..{hi}", file=sys.stderr)
@@ -270,7 +281,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
     try:
-        text = sys.stdin.read() if args.sub == "-" else Path(args.sub).read_text()
+        if args.sub == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.sub) as fh:
+                text = fh.read()
         sub = Substitution.from_json(text)
     except (OSError, ValueError) as exc:
         print(f"error: could not load substitution: {exc}", file=sys.stderr)

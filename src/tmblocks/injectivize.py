@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .nblock import NBlockSystem, half_shift, thue_morse_block_system
 from .report import ReportBuilder, VerificationReport
-from .substitution import IncidenceMatrix, Substitution, Word, pf_eigenvalue
+from .substitution import IncidenceMatrix, Substitution, Word, pf_bracket
 from .thue_morse import enumerate_by_scan, thue_morse_prefix
 
 
@@ -275,8 +275,10 @@ def theorem_report(sub: Substitution, reference_sys: EtaSystem, tol: float = 1e-
     rb.check("primitive", matrix.is_primitive())
 
     try:
-        value = pf_eigenvalue(matrix, tol)
-        rb.check("pf_eigenvalue", abs(value - 2.0) < tol, f"PF = {value:.12f}")
+        # an exact bracket at most tol wide; on eta every letter occurs
+        # twice among the images, so the row sums give exactly [2, 2]
+        lo, hi = pf_bracket(matrix, tol)
+        rb.check("pf_eigenvalue", lo <= 2 <= hi, f"PF in [{lo}, {hi}]")
     except ArithmeticError as exc:
         rb.check("pf_eigenvalue", False, str(exc))
 

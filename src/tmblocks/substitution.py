@@ -19,8 +19,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 Word = tuple[int, ...]
 # one sparse column of an incidence matrix: sorted (letter, count > 0) pairs
@@ -80,21 +79,45 @@ class Alphabet:
         return f"Alphabet({self.labels!r})"
 
 
-@dataclass(frozen=True)
 class Substitution:
+    """The images of the letters of ``alphabet``, one tuple of letter
+    indices each; immutable, and equal to another substitution with the
+    same alphabet and images."""
+
+    __slots__ = ("alphabet", "images")
+
     alphabet: Alphabet
     images: tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        k = self.alphabet.size
-        if len(self.images) != k:
-            raise ValueError(f"expected {k} images, got {len(self.images)}")
-        for b, img in enumerate(self.images):
+    def __init__(self, alphabet: Alphabet, images: tuple[Word, ...]) -> None:
+        k = alphabet.size
+        if len(images) != k:
+            raise ValueError(f"expected {k} images, got {len(images)}")
+        for b, img in enumerate(images):
             if not img:
                 raise ValueError(f"image of letter {b} is empty")
             for a in img:
                 if not 0 <= a < k:
                     raise ValueError(f"image of letter {b} uses unknown letter {a}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.images))
+
+    def __repr__(self) -> str:
+        return f"Substitution(alphabet={self.alphabet!r}, images={self.images!r})"
 
     @property
     def size(self) -> int:
@@ -395,42 +418,138 @@ def _bfs_levels(adjacency: list[list[int]]) -> list[int]:
     return level
 
 
+# power-iteration steps between two Collatz-Wielandt certificates. A
+# certificate works on big integers and costs several float steps. The value
+# was chosen on one synthetic input (k = 1024) run to the cap; its cost on
+# inputs that converge before the cap has not been measured.
+# Only a certificate imports ``fractions`` (hence ``Fraction`` in
+# annotations), so a bracket settled by row or column sums stays off it.
+CERTIFY_EVERY = 32
+
+
 def pf_eigenvalue(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1e-9,
                   max_iter: int = 10_000) -> float:
-    """Dominant (Perron-Frobenius) eigenvalue by power iteration.
+    """Dominant (Perron-Frobenius) eigenvalue ρ, as the midpoint of the exact
+    bracket of ``pf_bracket``: the value is within ``tol`` / 2 of ρ, up to
+    the rounding of the midpoint to a float, and it is ρ itself when the
+    bracket is a single number.
 
-    Starts from the all-ones vector and stops when successive Rayleigh
-    quotients differ by less than ``tol``. Raises ArithmeticError when the
-    cap is hit, which usually signals a non-primitive input. A dense array
-    is accepted and converted to sparse columns first.
+    Raises ArithmeticError when no bracket at most ``tol`` wide is found
+    within ``max_iter`` power-iteration steps, as on a reducible input whose
+    dominant eigenvalue is defective (two diagonal blocks with the same ρ,
+    one feeding the other). A dense array is accepted and converted to
+    sparse columns first.
+    """
+    lo, hi = pf_bracket(matrix, tol, max_iter)
+    return float((lo + hi) / 2)
+
+
+def pf_bracket(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1e-9,
+               max_iter: int = 10_000) -> tuple[int | Fraction, int | Fraction]:
+    """An exact interval [lo, hi], ints or Fractions, that contains the
+    dominant eigenvalue ρ and is at most ``tol`` wide.
+
+    The bounds are Collatz-Wielandt certificates (Collatz 1942; Wielandt
+    1950): for x > 0, min_i (Mx)_i/x_i <= ρ <= max_i (Mx)_i/x_i. The first
+    takes x = 1 on M and on its transpose, which brackets ρ by the row sums
+    and by the column sums (the image lengths) in O(k + E); it is exact when
+    either kind of sum is constant. Otherwise power iteration on M + I from
+    the all-ones vector supplies x, certified every ``CERTIFY_EVERY`` steps.
+    Raises ArithmeticError as ``pf_eigenvalue`` does.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not isinstance(matrix, IncidenceMatrix):
         matrix = IncidenceMatrix(matrix)
+    for lo, hi in _pf_brackets(matrix, max_iter):
+        if hi - lo <= tol:
+            return lo, hi
+    raise ArithmeticError(
+        f"power iteration did not converge within {max_iter} iterations "
+        f"(is the matrix primitive?)")
+
+
+def _pf_brackets(matrix: IncidenceMatrix, max_iter: int
+                 ) -> Iterator[tuple[int | Fraction, int | Fraction]]:
+    """Exact brackets around ρ, each inside the one before: the row-sum and
+    column-sum bracket, then one per certificate of the power iterate."""
     k = matrix.size
+    row_sums = [0] * k
+    for col in matrix.columns:
+        for a, c in col:
+            row_sums[a] += c
+    col_sums = matrix.column_sums()
+    lo = max(min(row_sums), min(col_sums))
+    hi = min(max(row_sums), max(col_sums))
+    yield lo, hi
     # row a of M as the letters whose images contain a, one entry per
     # occurrence: (Mx)[a] is then a plain sum of entries of x
     rows: list[list[int]] = [[] for _ in range(k)]
     for b, col in enumerate(matrix.columns):
         for a, c in col:
             rows[a].extend([b] * c)
-    x = [1 / math.sqrt(k)] * k
-    lam_prev = None
-    for _ in range(max_iter):
+    # The iteration runs on M + I, which has the Perron vector of M and is
+    # primitive on every irreducible diagonal block of M. So the iterate
+    # settles on periodic blocks too, and the ratio (Mx)_i/x_i of a letter
+    # whose share of the iterate decays tends to at most ρ, not to the
+    # ratio of an alternating iterate. The iterate is never 0: its largest
+    # entry is 1 before a step, and the step adds x.
+    x = [1.0] * k
+    for n in range(1, max_iter + 1):
         get = x.__getitem__
-        y = [sum(map(get, row)) for row in rows]
-        lam = sum(map(operator.mul, x, y))
-        norm = math.sqrt(sum(map(operator.mul, y, y)))
-        if norm == 0.0:
-            raise ArithmeticError("power iteration collapsed to zero (nilpotent matrix?)")
-        x = [v / norm for v in y]
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
-            return lam
-        lam_prev = lam
-    raise ArithmeticError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(is the matrix primitive?)")
+        y = [sum(map(get, row), xi) for row, xi in zip(rows, x)]
+        top = max(y)
+        x = [v / top for v in y]
+        if n % CERTIFY_EVERY == 0 or n == max_iter:
+            below, above = _collatz_wielandt(rows, row_sums, x)
+            lo, hi = max(lo, below), min(hi, above)
+            yield lo, hi
+
+
+def _collatz_wielandt(rows: list[list[int]], row_sums: list[int], x: list[float]
+                      ) -> tuple[Fraction, Fraction]:
+    """Exact bounds on ρ from the float vector x >= 0, x != 0.
+
+    x is scaled to integers X without rounding, every non-zero entry at
+    least 2^53. The upper bound needs a positive vector, so it is taken at
+    X + 1, where M(X + 1) = MX + row sums. The lower bound min_i (MZ)_i/Z_i
+    over the support of Z holds for every Z >= 0, Z != 0 (Horn & Johnson,
+    Matrix Analysis, 8.1.26). It is taken at Z = X, and at X with the
+    entries below 2^-64 of the largest set to zero: on a reducible matrix
+    those are letters whose share of the iterate decays to 0, and their
+    ratios would hold the bound below ρ.
+    """
+    from fractions import Fraction
+
+    ratios = [v.as_integer_ratio() for v in x]  # denominators are powers of 2
+    scale = max(d for _, d in ratios) << 53
+    exact = [n * (scale // d) for n, d in ratios]
+    cutoff = max(exact) >> 64
+    truncated = [v if v > cutoff else 0 for v in exact]
+    lower = _lower_bound(rows, exact)
+    if truncated != exact:
+        lower = max(lower, _lower_bound(rows, truncated))
+    get = exact.__getitem__
+    num, den = 0, 1
+    for row, r, xi in zip(rows, row_sums, exact):
+        yi = sum(map(get, row)) + r
+        if yi * den > num * (xi + 1):
+            num, den = yi, xi + 1
+    return lower, Fraction(num, den)
+
+
+def _lower_bound(rows: list[list[int]], z: list[int]) -> Fraction:
+    """min over the support of z of (Mz)_i / z_i."""
+    from fractions import Fraction
+
+    get = z.__getitem__
+    num, den = None, 1
+    for row, zi in zip(rows, z):
+        if zi:
+            yi = sum(map(get, row))
+            if num is None or yi * den < num * zi:
+                num, den = yi, zi
+    return Fraction(num, den)
 
 
 def length_growth_check(s: Substitution, letter: int, n_max: int) -> bool:

@@ -229,13 +229,46 @@ def test_eigen_rejects_malformed_substitution(capsys, tmp_path, payload):
     assert code == 3 and out == "" and "could not load" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _src_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, tmblocks.cli; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), timeout=60)
     assert result.returncode == 0
+
+
+def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
+    _, payload, _ = _run(capsys, ["fixture", "zeta5", "--format", "json"])
+    path = tmp_path / "zeta5.json"
+    path.write_text(payload)
+    code = ("import sys\n"
+            "from tmblocks.cli import main\n"
+            "main(['eigen', '--sub', sys.argv[1]])\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", code, str(path)], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout == "PF ≈ 2.000000000, primitive: false\n"
+    loaded = set(result.stderr.split())
+    assert "tmblocks.substitution" in loaded
+    for name in ("dataclasses", "tmblocks.thue_morse", "tmblocks.nblock",
+                 "tmblocks.injectivize", "tmblocks.words", "tmblocks.report"):
+        assert name not in loaded, name
+
+
+def test_every_public_name_resolves():
+    import tmblocks
+
+    listing = dir(tmblocks)
+    for name in tmblocks.__all__:
+        assert getattr(tmblocks, name) is not None, name
+        assert name in listing, name
+    with pytest.raises(AttributeError):
+        tmblocks.no_such_name
 
 
 def test_usage_error_exit_code():

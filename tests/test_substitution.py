@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from tmblocks.injectivize import eta_system, zeta5_fixture
 from tmblocks.nblock import build_nblock
 from tmblocks.substitution import (Alphabet, IncidenceMatrix, Substitution,
-                                   compose, length_growth_check, pf_eigenvalue)
+                                   _pf_brackets, compose, length_growth_check, pf_bracket,
+                                   pf_eigenvalue)
 from tmblocks.thue_morse import theta
 
 
@@ -84,13 +85,22 @@ def test_incidence_matrix_validation():
 
 
 def test_pf_eigenvalue_constant_row_sums():
-    assert abs(pf_eigenvalue(IncidenceMatrix([[1, 1], [1, 1]])) - 2.0) < 1e-9
+    assert pf_eigenvalue(IncidenceMatrix([[1, 1], [1, 1]])) == 2.0
+    # the bracket from the sums alone is exact: every column of the first
+    # sums to 3, and every row of zeta5 and of eta sums to 2
+    assert pf_bracket(_numbered([[0, 1, 1], [1, 0, 1], [0, 0, 1]]).incidence_matrix()) == (3, 3)
+    assert pf_bracket(zeta5_fixture().incidence_matrix()) == (2, 2)
+    assert pf_bracket(eta_system(4).eta.incidence_matrix()) == (2, 2)
 
 
-def test_pf_eigenvalue_oscillation_raises():
-    # eigenvalues +-2: the power iterate cycles and never settles
+def test_pf_eigenvalue_periodic_and_defective_inputs():
+    # eigenvalues +-2: the iterate of M alternates, that of M + I settles
+    lo, hi = pf_bracket(IncidenceMatrix([[0, 1], [4, 0]]))
+    assert lo <= 2 <= hi and hi - lo <= 1e-9
+    # a Jordan block: the upper bound comes down only as 1 + 1/n, so no
+    # bracket is 1e-9 wide within the cap
     with pytest.raises(ArithmeticError):
-        pf_eigenvalue(IncidenceMatrix([[0, 1], [4, 0]]), max_iter=500)
+        pf_eigenvalue(IncidenceMatrix([[1, 0], [1, 1]]), max_iter=500)
     with pytest.raises(ValueError):
         pf_eigenvalue(IncidenceMatrix([[1]]), tol=0.0)
 
@@ -163,7 +173,7 @@ def test_pf_eigenvalue_equals_length_for_constant_length():
         s = Substitution(Alphabet(tuple(chr(ord("a") + i) for i in range(k))), images)
         if not s.is_primitive():
             continue
-        assert abs(pf_eigenvalue(s.incidence_matrix()) - L) < 1e-9
+        assert pf_eigenvalue(s.incidence_matrix()) == L
         found += 1
 
 
@@ -204,6 +214,23 @@ def test_dot_export():
     assert dot.startswith("digraph theta {")
     assert 'w1 [label="w1:0"];' in dot
     assert 'w1 -> w2 [label="1"];' in dot
+
+
+def test_substitution_is_an_immutable_value():
+    sub = theta()
+    twin = Substitution(Alphabet(("0", "1")), ((0, 1), (1, 0)))
+    assert sub == twin and hash(sub) == hash(twin) and sub is not twin
+    assert sub != Substitution(Alphabet(("0", "1")), ((0, 1), (1, 1)))
+    assert sub != (sub.alphabet, sub.images)
+    assert repr(sub) == ("Substitution(alphabet=Alphabet(('0', '1')), "
+                         "images=((0, 1), (1, 0)))")
+    with pytest.raises(AttributeError):
+        sub.images = ((0,), (1,))
+    with pytest.raises(AttributeError):
+        del sub.alphabet
+    with pytest.raises(AttributeError):
+        sub.extra = 1
+    assert sub == twin
 
 
 def test_substitution_validation():
@@ -349,8 +376,28 @@ def test_is_primitive_matches_wielandt_squaring(sub):
     assert matrix.is_primitive() == _wielandt_primitive(matrix.counts)
 
 
-def _dense_power_iteration(counts, tol=1e-9, max_iter=10_000) -> float:
-    """Reference: the same power iteration on a dense float matrix."""
+def _spectral_radius(counts) -> float:
+    """max |eigvals| over the irreducible diagonal blocks, which is the
+    spectral radius of the whole matrix. On a block it is a simple eigenvalue,
+    so numpy gets it to rounding error; on the whole matrix a repeated,
+    defective eigenvalue can cost half of the digits or more."""
+    a = np.asarray(counts)
+    k = len(a)
+    reach = (a > 0) | np.eye(k, dtype=bool)
+    for _ in range(k.bit_length()):
+        f = reach.astype(np.int64)
+        reach = (f @ f) > 0
+    radius = 0.0
+    for letters in {tuple(np.flatnonzero(row)) for row in reach & reach.T}:
+        block = a[np.ix_(letters, letters)].astype(float)
+        radius = max(radius, float(max(abs(np.linalg.eigvals(block)))))
+    return radius
+
+
+def _rayleigh_power_iteration(counts, tol=1e-9, max_iter=10_000) -> float:
+    """The former stopping rule, on a dense float matrix: power iteration
+    until two successive Rayleigh quotients differ by less than ``tol``. It
+    bounds no error, so it can stop far from the eigenvalue."""
     m = np.asarray(counts, dtype=np.float64)
     x = np.ones(len(m)) / np.sqrt(len(m))
     lam_prev = None
@@ -369,17 +416,48 @@ def _dense_power_iteration(counts, tol=1e-9, max_iter=10_000) -> float:
 
 @settings(max_examples=300, deadline=None)
 @given(_SUBSTITUTIONS)
-def test_pf_eigenvalue_matches_dense_power_iteration(sub):
+def test_pf_eigenvalue_is_within_tol_of_the_spectral_radius(sub):
     matrix = sub.incidence_matrix()
+    rho = _spectral_radius(matrix.counts)
     # a low cap keeps the inputs that never converge cheap
     try:
-        want = _dense_power_iteration(matrix.counts, max_iter=500)
+        value = pf_eigenvalue(matrix, max_iter=500)
     except ArithmeticError:
-        with pytest.raises(ArithmeticError):
-            pf_eigenvalue(matrix, max_iter=500)
+        # only where the former rule gave no value or a wrong one, and so
+        # never on a primitive input
+        assert not _wielandt_primitive(matrix.counts)
+        try:
+            former = _rayleigh_power_iteration(matrix.counts, max_iter=500)
+        except ArithmeticError:
+            return
+        assert abs(former - rho) > 1e-9
         return
-    assert pf_eigenvalue(matrix, max_iter=500) == pytest.approx(want, abs=1e-9)
-    assert pf_eigenvalue(matrix.counts) == pf_eigenvalue(matrix)
+    assert abs(value - rho) <= 1e-9
+    assert pf_eigenvalue(matrix.counts, max_iter=500) == value
+
+
+@pytest.mark.parametrize("images, rho", [
+    # letter 1 is in no image, and 2 only in the image of 1. On the iterate
+    # of M both entries fall to 0, and at x + 1 the ratio of letter 2 is its
+    # row sum 3, which held the upper bound at 3
+    ([[0, 0], [2, 2, 2], [0]], 2),
+    # the periodic block {1, 2, 3} (ρ = √3) feeds {0, 4} (ρ = 2). On the
+    # iterate of M its ratios alternate between 1 and 3
+    ([[4, 4, 0], [2, 4, 2], [1, 3], [2], [0]], 2),
+    ([[0], [0]], 1),                                     # a tail into a fixed letter
+    ([[0, 0], [0], [1], [2, 2, 2, 2]], 2),               # a chain of tails
+    ([[0, 1], [1, 0], [2]], 2),                          # closed blocks: θ, a fixed letter
+    ([[0, 1], [0], [2, 3], [2]], (1 + 5 ** 0.5) / 2),    # closed blocks: Fibonacci twice
+    ([[0, 1], [0], [2]], (1 + 5 ** 0.5) / 2),            # closed blocks: Fibonacci, a fixed letter
+    ([[0, 0, 1], [1], [2, 2]], 2),                       # {0} feeds {1}; {2} is closed
+])
+def test_pf_eigenvalue_on_reducible_inputs_that_the_former_rule_got_right(images, rho):
+    counts = _numbered(images).incidence_matrix().counts
+    assert abs(_spectral_radius(counts) - rho) <= 1e-12
+    assert abs(_rayleigh_power_iteration(counts) - rho) <= 1e-9
+    lo, hi = pf_bracket(IncidenceMatrix(counts))
+    assert lo <= rho + 1e-12 and rho - 1e-12 <= hi and hi - lo <= 1e-9
+    assert abs(pf_eigenvalue(counts) - rho) <= 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,31 +467,70 @@ def test_pf_eigenvalue_matches_dense_solver_on_primitive_inputs(sub):
     if not _wielandt_primitive(matrix.counts):
         return
     dominant = max(abs(np.linalg.eigvals(matrix.counts.astype(float))))
-    value = pf_eigenvalue(matrix)
-    # the stopping rule can stop on two equal Rayleigh quotients far from
-    # the eigenvalue (see the xfail below); a miss must be one that the
-    # dense iteration makes too
-    if value != pytest.approx(dominant, rel=1e-6):
-        assert value == pytest.approx(_dense_power_iteration(matrix.counts), abs=1e-9)
+    assert abs(pf_eigenvalue(matrix) - dominant) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="power iteration stops when two successive "
-                   "Rayleigh quotients agree, here 1.375 twice, which bounds no error")
+@st.composite
+def _periodic(draw):
+    """Letter b is in class b mod d and its image uses only letters of the
+    next class, so every cycle has a length divisible by d >= 2."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(d, 8))
+    images = [draw(st.lists(st.sampled_from(range((b + 1) % d, k, d)), min_size=1,
+                            max_size=3)) for b in range(k)]
+    return _numbered(images)
+
+
+@st.composite
+def _zero_rows(draw):
+    """Letters h..k-1 occur in no image: their rows of the matrix are zero."""
+    k = draw(st.integers(2, 8))
+    h = draw(st.integers(1, k - 1))
+    return _numbered([draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=3))
+                      for _ in range(k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_two_blocks(), _periodic(), _zero_rows(), _random_images()))
+def test_every_pf_bracket_contains_the_spectral_radius(sub):
+    matrix = sub.incidence_matrix()
+    rho = _spectral_radius(matrix.counts)
+    slack = 1e-12 * max(rho, 1)  # numpy's rounding; the bounds are exact
+    outer = None
+    for lo, hi in _pf_brackets(matrix, 200):
+        assert lo <= rho + slack and rho - slack <= hi, (lo, hi, rho)
+        if outer is not None:
+            assert outer[0] <= lo and hi <= outer[1]
+        outer = lo, hi
+
+
 def test_pf_eigenvalue_on_a_stalled_rayleigh_quotient():
-    # a 5-cycle with one self-loop: dominant root of x^5 = x^4 + 1
+    # a 5-cycle with one self-loop: dominant root of x^5 = x^4 + 1. Two
+    # successive Rayleigh quotients of the power iterate agree at 1.375
     sub = _numbered([[1, 0], [2], [3], [4], [0]])
     assert sub.is_primitive()
-    assert pf_eigenvalue(sub.incidence_matrix()) == pytest.approx(1.3247179572, rel=1e-6)
+    rho = 1.324717957244746
+    assert abs(pf_eigenvalue(sub.incidence_matrix()) - rho) <= 1e-9
+    for tol in (1e-3, 1e-9, 1e-13):
+        lo, hi = pf_bracket(sub.incidence_matrix(), tol)
+        assert lo <= rho <= hi and hi - lo <= tol
 
 
-@pytest.mark.xfail(strict=True, reason="power iteration from the all-ones vector "
-                   "alternates on a period-2 cycle; the Rayleigh quotients settle "
-                   "at 0.8, which is not an eigenvalue")
 def test_pf_eigenvalue_on_a_periodic_cycle_with_a_tail():
-    # 0 <-> 1 is a 2-cycle and 2 -> 0 a tail: eigenvalues 1, -1, 0
+    # 0 <-> 1 is a 2-cycle and 2 -> 0 a tail: eigenvalues 1, -1, 0. The power
+    # iterate alternates, but every image has length 1
     sub = _numbered([[1], [0], [0]])
     assert max(abs(np.linalg.eigvals(sub.incidence_matrix().counts))) == pytest.approx(1.0)
-    assert pf_eigenvalue(sub.incidence_matrix()) == pytest.approx(1.0, rel=1e-6)
+    assert pf_eigenvalue(sub.incidence_matrix()) == 1.0
+
+
+def test_pf_eigenvalue_on_a_closed_letter_that_outgrows_the_rest():
+    # letter 2 maps to 222 and {0, 1} to words of length 2 over {0, 1}:
+    # eigenvalues 3, 2, 0. Sums bracket only [2, 3]; the certificate of the
+    # power iterate, once the share of {0, 1} has decayed, gives [3, 3]
+    sub = _numbered([[0, 1], [1, 0], [2, 2, 2]])
+    assert pf_bracket(sub.incidence_matrix()) == (3, 3)
+    assert pf_eigenvalue(sub.incidence_matrix()) == 3.0
 
 
 @settings(max_examples=200, deadline=None)
