@@ -15,18 +15,18 @@ _MODULE_OF = {
     **dict.fromkeys(
         ("EtaSystem", "build_eta", "eta_system", "initials_map", "theorem_report",
          "verify_fixed_point", "verify_pair_images", "verify_primitivity_argument",
-         "verify_theorem", "zeta5_fixture"), "injectivize"),
+         "zeta5_fixture"), "injectivize"),
     **dict.fromkeys(
         ("NBlockSystem", "build_nblock", "first_image_index", "formula_block_substitution",
          "half_shift", "second_image_index", "thue_morse_block_system",
          "verify_block_formula"), "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(
-        ("Alphabet", "IncidenceMatrix", "Substitution", "compose", "length_growth_check",
-         "pf_eigenvalue"), "substitution"),
+        ("Alphabet", "IncidenceMatrix", "Substitution", "compose", "pf_eigenvalue"),
+        "substitution"),
     **dict.fromkeys(
         ("FactorSet", "QuarterMarkers", "apply_theta", "descendants",
-         "enumerate_by_descendants", "enumerate_by_scan", "factor_set", "quarter_markers",
+         "enumerate_by_descendants", "enumerate_by_scan", "quarter_markers",
          "theta", "thue_morse_prefix", "verify_prefix_pairs", "verify_quarter_descendants",
          "verify_quarter_minima"), "thue_morse"),
     **dict.fromkeys(("EMPTY", "BinaryWord", "lex_compare", "word"), "words"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -16,10 +17,6 @@ from collections.abc import Iterable, Iterator
 # command needs: `eigen` loads substitution.py alone.
 from .substitution import Substitution, pf_eigenvalue
 
-CLAIM_ORDER = ("qandf", "quarters", "firsthalf", "nblock", "pairs",
-               "fixedpoint", "primitivity", "theorem")
-# claims that compare level m with the factor set of level m + 1
-NEXT_LEVEL_CLAIMS = ("quarters", "firsthalf")
 # iterates checked by fixedpoint and theorem have 2^depth letters; at depth 20
 # `verify --m 2` peaks at about 140 MB, and each further step doubles that
 MAX_DEPTH = 20
@@ -40,11 +37,13 @@ def _m_range(text: str) -> tuple[int, int]:
 
 
 def _claim_list(text: str) -> tuple[str, ...]:
+    from .claims import CLAIMS
+
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     for name in names:
-        if name not in CLAIM_ORDER:
+        if name not in CLAIMS:
             raise argparse.ArgumentTypeError(
-                f"unknown claim {name!r} (choose from {', '.join(CLAIM_ORDER)})")
+                f"unknown claim {name!r} (choose from {', '.join(CLAIMS)})")
     if not names:
         raise argparse.ArgumentTypeError(f"no claim named in {text!r}")
     return names
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
-    p_verify.add_argument("--claims", type=_claim_list, default=CLAIM_ORDER)
+    p_verify.add_argument("--claims", type=_claim_list)
     p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
     p_verify.add_argument("--depth", type=_depth, default=12)
 
@@ -181,7 +180,7 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 def _cmd_build_theta(args: argparse.Namespace) -> int:
     from .nblock import formula_block_substitution, thue_morse_block_system
-    from .thue_morse import MAX_M
+    from .thue_morse import MAX_M, enumerate_by_scan
 
     explicit = args.explicit or args.both
     if not (2 if explicit else 1) <= args.m <= MAX_M:
@@ -191,13 +190,13 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
     n = 2 ** args.m + 1
     if args.both:
         built = thue_morse_block_system(args.m).block_sub
-        formula = formula_block_substitution(args.m)
+        formula = formula_block_substitution(enumerate_by_scan(args.m))
         if built != formula:
             print("error: window construction and closed form disagree", file=sys.stderr)
             return 1
         sub = built
     elif args.explicit:
-        sub = formula_block_substitution(args.m)
+        sub = formula_block_substitution(enumerate_by_scan(args.m))
     else:
         sub = thue_morse_block_system(args.m).block_sub
     _emit_substitution(sub, f"theta_{n}", args.format)
@@ -223,55 +222,31 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _claim_report(m: int, claim: str, tol: float, depth: int) -> "VerificationReport":
-    from .injectivize import (eta_system, verify_fixed_point, verify_pair_images,
-                              verify_primitivity_argument, verify_theorem)
-    from .nblock import verify_block_formula
-    from .thue_morse import verify_prefix_pairs, verify_quarter_descendants, verify_quarter_minima
-
-    if claim == "qandf":
-        return verify_quarter_minima(m)
-    if claim == "quarters":
-        return verify_quarter_descendants(m)
-    if claim == "firsthalf":
-        return verify_prefix_pairs(m)
-    if claim == "nblock":
-        return verify_block_formula(m)
-    if claim == "pairs":
-        return verify_pair_images(eta_system(m))
-    if claim == "fixedpoint":
-        return verify_fixed_point(eta_system(m), depth)
-    if claim == "primitivity":
-        return verify_primitivity_argument(eta_system(m))
-    if claim == "theorem":
-        return verify_theorem(m, tol, depth)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .claims import CLAIMS, levels
     from .thue_morse import MAX_M
 
     lo, hi = args.m
     if lo < 2 or hi > MAX_M:
         print(f"error: verify requires 2 <= m <= {MAX_M}, got {lo}..{hi}", file=sys.stderr)
         return 2
-    claims = tuple(c for c in CLAIM_ORDER if c in args.claims)
-    next_level = [c for c in claims if c in NEXT_LEVEL_CLAIMS]
+    claims = [c for c in CLAIMS if args.claims is None or c in args.claims]
+    next_level = [c for c in claims if CLAIMS[c].needs_next_level]
     if next_level and hi + 1 > MAX_M:
         print(f"error: claims {', '.join(next_level)} need the factor set of level m+1, "
               f"so verify them with m <= {MAX_M - 1}, got {lo}..{hi}", file=sys.stderr)
         return 2
     failed = 0
     total = 0
-    for m in range(lo, hi + 1):
+    for level in levels(lo, hi, args.tol, args.depth):
         for claim in claims:
-            rep = _claim_report(m, claim, args.tol, args.depth)
+            rep = CLAIMS[claim].run(level)
             total += 1
             if rep.ok:
-                print(f"PASS m={m} {claim}")
+                print(f"PASS m={level.m} {claim}")
             else:
                 failed += 1
-                print(f"FAIL m={m} {claim}")
+                print(f"FAIL m={level.m} {claim}")
                 for entry in rep:
                     if not entry.passed:
                         print(f"  {entry.claim}: {entry.detail or 'failed'}")
@@ -287,7 +262,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
             with open(args.sub) as fh:
                 text = fh.read()
         sub = Substitution.from_json(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: could not load substitution: {exc}", file=sys.stderr)
         return 3
     matrix = sub.incidence_matrix()
@@ -316,7 +291,16 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`). What is still buffered would
+        # raise again when the interpreter flushes stdout at exit, so stdout
+        # goes to the null device from here on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ dominant eigenvalue 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .nblock import NBlockSystem, half_shift, thue_morse_block_system
@@ -46,23 +45,12 @@ class EtaSystem:
         """0-based letter of the f1 block (smallest word starting with 1)."""
         return self.size // 2
 
-    def quarter_of(self, index0: int) -> int:
-        """1-based quarter of a 0-based letter index."""
-        return (4 * index0) // self.size + 1
 
-    def odd_letters(self) -> tuple[int, ...]:
-        """0-based letters whose 1-based index is odd."""
-        return tuple(range(0, self.size, 2))
-
-    def even_letters(self) -> tuple[int, ...]:
-        return tuple(range(1, self.size, 2))
-
-
-def build_eta(m: int, system: NBlockSystem | None = None) -> EtaSystem:
-    """Assemble the injective refinement on the width-(2^m+1) block alphabet."""
+def build_eta(m: int, nb: NBlockSystem) -> EtaSystem:
+    """Assemble the injective refinement of the Thue-Morse block system
+    ``nb`` of width 2^m + 1."""
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
-    nb = system or thue_morse_block_system(m)
     sub = nb.block_sub
     k = sub.size
     n = 2 ** m + 1
@@ -89,9 +77,10 @@ def build_eta(m: int, system: NBlockSystem | None = None) -> EtaSystem:
     return EtaSystem(m, nb, Substitution(sub.alphabet, tuple(images)))
 
 
-@lru_cache(maxsize=None)
 def eta_system(m: int) -> EtaSystem:
-    return build_eta(m)
+    """The block system of width 2^m + 1 and its injective refinement, built
+    from scratch."""
+    return build_eta(m, thue_morse_block_system(m))
 
 
 # The m=2 negative example: an injective redistribution that keeps the odd
@@ -207,10 +196,11 @@ def verify_fixed_point(sys: EtaSystem, n_max: int = 12) -> VerificationReport:
     return rb.build()
 
 
-def verify_primitivity_argument(sys: EtaSystem) -> VerificationReport:
+def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> VerificationReport:
     """The first-letter reachability argument, checked independently of the
-    generic graph test of primitivity, plus that test itself and direct
-    forward reachability from the two fixed-point letters."""
+    generic graph test of primitivity, plus that test's verdict ``primitive``
+    on the refinement's incidence matrix and direct forward reachability from
+    the two fixed-point letters."""
     k = sys.size
     m = sys.m
     f0, f1 = sys.f0_index, sys.f1_index
@@ -246,7 +236,7 @@ def verify_primitivity_argument(sys: EtaSystem) -> VerificationReport:
              "odd letters of Q1 map into Q4; even ones follow phi into Q2")
 
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
-    rb.check("matrix", sys.eta.is_primitive(), note)
+    rb.check("matrix", primitive, note)
 
     cap = 64 * k
     missing = []
@@ -263,16 +253,17 @@ def verify_primitivity_argument(sys: EtaSystem) -> VerificationReport:
     return rb.build()
 
 
-def theorem_report(sub: Substitution, reference_sys: EtaSystem, tol: float = 1e-9,
-                   n_max: int = 12, claim_prefix: str = "theorem") -> VerificationReport:
+def theorem_report(sub: Substitution, matrix: IncidenceMatrix, primitive: bool,
+                   reference_sys: EtaSystem, tol: float = 1e-9, n_max: int = 12,
+                   claim_prefix: str = "theorem") -> VerificationReport:
     """The headline claims for one substitution sharing the reference block
-    system's alphabet and f0 letter: injectivity, primitivity, dominant
+    system's alphabet and f0 letter, given its incidence matrix and that
+    matrix's primitivity verdict: injectivity, primitivity, dominant
     eigenvalue 2 (with the exact doubling identity both from the matrix and
     by direct iteration), and fixed-point agreement."""
     rb = ReportBuilder(reference_sys.m, claim_prefix)
-    matrix = sub.incidence_matrix()
     rb.check("injective", sub.is_injective())
-    rb.check("primitive", matrix.is_primitive())
+    rb.check("primitive", primitive)
 
     try:
         # an exact bracket at most tol wide; on eta every letter occurs
@@ -299,8 +290,3 @@ def theorem_report(sub: Substitution, reference_sys: EtaSystem, tol: float = 1e-
     rb.check("fixed_point", verify_fixed_point(probe, n_max).ok,
              "orbit agreement with the block substitution")
     return rb.build()
-
-
-def verify_theorem(m: int, tol: float = 1e-9, n_max: int = 12) -> VerificationReport:
-    sys = eta_system(m)
-    return theorem_report(sys.eta, sys, tol=tol, n_max=n_max)

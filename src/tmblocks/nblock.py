@@ -13,11 +13,10 @@ half the alphabet size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution, Word
-from .thue_morse import FactorSet, enumerate_by_scan, theta, thue_morse_prefix
+from .thue_morse import FactorSet, theta, thue_morse_prefix
 
 
 def half_shift(i: int, size: int) -> int:
@@ -125,18 +124,16 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
     return NBlockSystem(base, block_len, s, offsets, Substitution(alphabet, tuple(images)))
 
 
-@lru_cache(maxsize=None)
 def thue_morse_block_system(m: int) -> NBlockSystem:
     """The 2-letter-image block recoding of Thue-Morse at width 2^m + 1."""
     return build_nblock(theta(), 2 ** m + 1)
 
 
-def formula_block_substitution(m: int, factors: FactorSet | None = None) -> Substitution:
-    """The width-(2^m+1) Thue-Morse block substitution assembled directly from
-    the closed-form index map, without applying the base at all."""
-    images = _formula_images(m)
-    fs = factors or enumerate_by_scan(m)
-    return Substitution(fs.alphabet(), images)
+def formula_block_substitution(fs: FactorSet) -> Substitution:
+    """The width-(2^m+1) Thue-Morse block substitution on the factors ``fs``
+    of level m, assembled directly from the closed-form index map, without
+    applying the base at all."""
+    return Substitution(fs.alphabet(), _formula_images(fs.m))
 
 
 def _formula_images(m: int) -> tuple[Word, ...]:
@@ -148,17 +145,16 @@ def _formula_images(m: int) -> tuple[Word, ...]:
                  for j in range(1, k + 1))
 
 
-def verify_block_formula(m: int, system: NBlockSystem | None = None) -> VerificationReport:
-    """Cross-check the closed form against the window construction, plus the
-    structural facts the injective refinement relies on: first-letter indices
-    cover Q2 (from the first half) and Q3 (from the second half) twice each,
-    and the f0 block maps to itself followed by its half-shift."""
-    fs = enumerate_by_scan(m)
-    sys = system or thue_morse_block_system(m)
+def verify_block_formula(fs: FactorSet, sys: NBlockSystem) -> VerificationReport:
+    """Cross-check the closed form on the factors ``fs`` of level m against
+    the window construction ``sys`` at width 2^m + 1, plus the structural
+    facts the injective refinement relies on: first-letter indices cover Q2
+    (from the first half) and Q3 (from the second half) twice each, and the
+    f0 block maps to itself followed by its half-shift."""
     built = sys.block_sub
-    explicit = _formula_images(m)
+    explicit = _formula_images(fs.m)
     k = fs.size
-    rb = ReportBuilder(m, "nblock")
+    rb = ReportBuilder(fs.m, "nblock")
 
     # labels are compared with the factors one at a time, as ints: label j is
     # the window at offsets[j] of the iterate written in base labels, so with

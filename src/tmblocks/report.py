@@ -12,10 +12,6 @@ class CheckEntry:
     passed: bool
     detail: str = ""
 
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -27,31 +23,8 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    @property
-    def failed_count(self) -> int:
-        return sum(1 for e in self.entries if not e.passed)
-
-    def __add__(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.entries + other.entries)
-
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def entry(self, claim: str) -> CheckEntry:
-        for e in self.entries:
-            if e.claim == claim:
-                return e
-        raise KeyError(claim)
-
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            suffix = f"  ({e.detail})" if e.detail else ""
-            out.append(f"{e.status} m={e.m} {e.claim}{suffix}")
-        return out
 
 
 class ReportBuilder:

@@ -128,9 +128,6 @@ class Substitution:
         lengths = {len(img) for img in self.images}
         return lengths.pop() if len(lengths) == 1 else None
 
-    def image_lengths(self) -> tuple[int, ...]:
-        return tuple(len(img) for img in self.images)
-
     def apply(self, w: Sequence[int]) -> Word:
         """Letter-wise image concatenation (monoid morphism)."""
         images = self.images
@@ -159,21 +156,6 @@ class Substitution:
     def is_growing_seed(self, letter: int) -> bool:
         img = self.images[letter]
         return img[0] == letter and len(img) >= 2
-
-    def fixed_point_prefix(self, letter: int, min_len: int) -> Word:
-        """A prefix (length >= min_len) of the one-sided fixed point at ``letter``.
-
-        Requires images[letter] to start with ``letter`` and have length >= 2,
-        which makes every iterate a prefix of the next.
-        """
-        if not self.is_growing_seed(letter):
-            raise ValueError(
-                f"letter {letter} is not a growing seed: its image must start "
-                f"with the letter itself and have length >= 2")
-        w: Word = (letter,)
-        while len(w) < min_len:
-            w = self.apply(w)
-        return w
 
     def language(self, length: int, seed: int) -> tuple[Word, ...]:
         """All factors of the given length of the fixed point grown from ``seed``,
@@ -550,14 +532,3 @@ def _lower_bound(rows: list[list[int]], z: list[int]) -> Fraction:
             if num is None or yi * den < num * zi:
                 num, den = yi, zi
     return Fraction(num, den)
-
-
-def length_growth_check(s: Substitution, letter: int, n_max: int) -> bool:
-    """True iff the iterates of ``letter`` double in length every step,
-    i.e. len(s^n(letter)) == 2^n for n = 1..n_max."""
-    w: Word = (letter,)
-    for n in range(1, n_max + 1):
-        w = s.apply(w)
-        if len(w) != 2 ** n:
-            return False
-    return True

@@ -11,7 +11,7 @@ verifiers for the identities that tie them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 
 from .report import ReportBuilder, VerificationReport
@@ -131,10 +131,6 @@ class FactorSet:
         q = self.quarter_size
         return tuple(self.words[i * q:(i + 1) * q] for i in range(4))
 
-    def quarter_of(self, index0: int) -> int:
-        """1-based quarter number of a 0-based word index."""
-        return index0 // self.quarter_size + 1
-
     def alphabet(self) -> Alphabet:
         """The words as labels; they are strictly increasing, hence distinct."""
         words = self.words
@@ -174,7 +170,6 @@ def _windows(w: BinaryWord, n: int) -> set[int]:
     return {int.from_bytes(c, "little") & mask for c in chunks}
 
 
-@lru_cache(maxsize=None)
 def enumerate_by_scan(m: int) -> FactorSet:
     """Collect the distinct width-N windows of a fixed-point prefix, doubling
     the prefix until the known cardinality 3*2^m is reached."""
@@ -196,7 +191,6 @@ def enumerate_by_scan(m: int) -> FactorSet:
             raise RuntimeError(f"factor collection did not saturate for m={m}")
 
 
-@lru_cache(maxsize=None)
 def enumerate_by_descendants(m: int) -> FactorSet:
     """Grow the factor sets from the hard-coded length-3 base by taking both
     descendants of every word, level by level."""
@@ -212,14 +206,6 @@ def enumerate_by_descendants(m: int) -> FactorSet:
     return FactorSet(m, tuple(words))
 
 
-def factor_set(m: int, method: str = "scan") -> FactorSet:
-    if method == "scan":
-        return enumerate_by_scan(m)
-    if method == "descend":
-        return enumerate_by_descendants(m)
-    raise ValueError(f"unknown enumeration method {method!r}")
-
-
 def quarter_markers(factors: FactorSet) -> QuarterMarkers:
     q = factors.quarter_size
     n = factors.word_length
@@ -233,13 +219,12 @@ def quarter_markers(factors: FactorSet) -> QuarterMarkers:
     )
 
 
-def verify_quarter_minima(m: int, factors: FactorSet | None = None) -> VerificationReport:
+def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
     """Check that each quarter minimum is the stated rewrite of f_1:
     q1 = 1^{-1} f1 · 1, q2 = (10)^{-1} f1 · 11, q3 = f1, q4 = (100)^{-1} f1 · 110."""
-    fs = factors or enumerate_by_scan(m)
     mk = quarter_markers(fs)
     f1 = mk.f1
-    rb = ReportBuilder(m, "qandf")
+    rb = ReportBuilder(fs.m, "qandf")
     expected = {
         "q1": f1.strip_prefix(word("1")) + word("1"),
         "q2": f1.strip_prefix(word("10")) + word("11"),
@@ -252,12 +237,10 @@ def verify_quarter_minima(m: int, factors: FactorSet | None = None) -> Verificat
     return rb.build()
 
 
-def verify_quarter_descendants(m: int, factors: FactorSet | None = None,
-                               factors_next: FactorSet | None = None) -> VerificationReport:
-    """Check the four quarter image identities one level up:
+def verify_quarter_descendants(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
+    """Check the four quarter image identities one level up, from the factor
+    sets of levels m and m + 1:
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2)."""
-    fs = factors or enumerate_by_scan(m)
-    fs_next = factors_next or enumerate_by_scan(m + 1)
     p1, p2, p3, p4 = fs_next.quarters()
     # (delta, eps) of each word, expanded once; Q1 u Q2 is the first half
     pairs = [descendants(w) for w in fs.words]
@@ -268,19 +251,16 @@ def verify_quarter_descendants(m: int, factors: FactorSet | None = None,
         ("Q3", {d for d, _ in high}, p3),
         ("Q4", {e for _, e in low}, p4),
     ]
-    rb = ReportBuilder(m, "quarters")
+    rb = ReportBuilder(fs.m, "quarters")
     for name, got, want in checks:
         rb.check(name, got == set(want), f"{len(got)} images vs quarter of size {len(want)}")
     return rb.build()
 
 
-def verify_prefix_pairs(m: int, factors: FactorSet | None = None,
-                        factors_next: FactorSet | None = None) -> VerificationReport:
-    """Check that consecutive pairs of the next level share their length-N
-    prefix with the corresponding word one level down:
+def verify_prefix_pairs(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
+    """Check that consecutive pairs of the next level (``fs_next``) share
+    their length-N prefix with the corresponding word one level down:
     Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i."""
-    fs = factors or enumerate_by_scan(m)
-    fs_next = factors_next or enumerate_by_scan(m + 1)
     n = fs.word_length
     bad = []
     for i, w in enumerate(fs.words):
@@ -288,7 +268,7 @@ def verify_prefix_pairs(m: int, factors: FactorSet | None = None,
         right = fs_next.words[2 * i + 1].prefix(n)
         if left != w or right != w:
             bad.append(i + 1)
-    rb = ReportBuilder(m, "firsthalf")
+    rb = ReportBuilder(fs.m, "firsthalf")
     rb.check("pairs", not bad,
              f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")
     return rb.build()

@@ -7,11 +7,13 @@ artifact on its own, without importing fixtures from the unit tests.
 import random
 import time
 
+import pytest
+
 from tmblocks.cli import run as cli_run
 from tmblocks.injectivize import (eta_system, theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
-                                  verify_theorem, zeta5_fixture)
-from tmblocks.nblock import build_nblock, thue_morse_block_system, verify_block_formula
+                                  zeta5_fixture)
+from tmblocks.nblock import build_nblock, verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import (apply_theta, descendants, enumerate_by_descendants,
                                  enumerate_by_scan, quarter_markers, theta,
@@ -37,15 +39,19 @@ def _verdict(number, name, failures):
     assert not failures, failures
 
 
-def _clear_caches():
-    enumerate_by_scan.cache_clear()
-    enumerate_by_descendants.cache_clear()
-    thue_morse_block_system.cache_clear()
-    eta_system.cache_clear()
+@pytest.fixture(scope="module")
+def factors():
+    """The factor sets of levels 1..9, built once for the module."""
+    return {m: enumerate_by_scan(m) for m in range(1, 10)}
+
+
+@pytest.fixture(scope="module")
+def systems():
+    """The refinements at m = 2..8, built once for the module."""
+    return {m: eta_system(m) for m in range(2, 9)}
 
 
 def test_c01_cardinality_and_method_agreement():
-    _clear_caches()
     failures = []
     start = time.perf_counter()
     for m in range(1, 11):
@@ -61,13 +67,13 @@ def test_c01_cardinality_and_method_agreement():
     _verdict(1, "cardinality both methods, m=1..10", failures)
 
 
-def test_c02_golden_tables():
+def test_c02_golden_tables(factors):
     failures = []
-    if [str(w) for w in enumerate_by_scan(2).words] != A2_GOLDEN:
+    if [str(w) for w in factors[2].words] != A2_GOLDEN:
         failures.append("A_2 table mismatch")
-    if [str(w) for w in enumerate_by_scan(3).words] != A3_GOLDEN:
+    if [str(w) for w in factors[3].words] != A3_GOLDEN:
         failures.append("A_3 table mismatch")
-    fs3 = enumerate_by_scan(3)
+    fs3 = factors[3]
     mk = quarter_markers(fs3)
     expected = {"q1": 0, "q2": 6, "q3": 12, "q4": 18, "f0": 11, "f1": 12}
     for name, idx0 in expected.items():
@@ -76,31 +82,34 @@ def test_c02_golden_tables():
     _verdict(2, "golden tables A_2, A_3, markers", failures)
 
 
-def test_c03_quarter_minima_identities():
-    failures = [f"m={m}" for m in range(2, 9) if not verify_quarter_minima(m).ok]
+def test_c03_quarter_minima_identities(factors):
+    failures = [f"m={m}" for m in range(2, 9) if not verify_quarter_minima(factors[m]).ok]
     _verdict(3, "quarter minima from f1, m=2..8", failures)
 
 
-def test_c04_quarter_descendant_identities():
-    failures = [f"m={m}" for m in range(2, 9) if not verify_quarter_descendants(m).ok]
+def test_c04_quarter_descendant_identities(factors):
+    failures = [f"m={m}" for m in range(2, 9)
+                if not verify_quarter_descendants(factors[m], factors[m + 1]).ok]
     _verdict(4, "quarter image identities, m=2..8", failures)
 
 
-def test_c05_prefix_pairing():
-    failures = [f"m={m}" for m in range(1, 9) if not verify_prefix_pairs(m).ok]
+def test_c05_prefix_pairing(factors):
+    failures = [f"m={m}" for m in range(1, 9)
+                if not verify_prefix_pairs(factors[m], factors[m + 1]).ok]
     _verdict(5, "prefix pairing one level up, m=1..8", failures)
 
 
-def test_c06_block_formula():
-    failures = [f"m={m}" for m in range(2, 9) if not verify_block_formula(m).ok]
-    if thue_morse_block_system(2).block_sub.images != THETA5_IMAGES:
+def test_c06_block_formula(factors, systems):
+    failures = [f"m={m}" for m in range(2, 9)
+                if not verify_block_formula(factors[m], systems[m].nblock).ok]
+    if systems[2].nblock.block_sub.images != THETA5_IMAGES:
         failures.append("width-5 table mismatch")
     if build_nblock(theta(), 3).block_sub.images != THETA3_IMAGES:
         failures.append("width-3 table mismatch")
     _verdict(6, "closed form vs window construction, m=2..8", failures)
 
 
-def test_c07_zeta5_fixture():
+def test_c07_zeta5_fixture(systems):
     failures = []
     z = zeta5_fixture()
     if not z.is_injective():
@@ -109,22 +118,22 @@ def test_c07_zeta5_fixture():
         failures.append("unexpectedly primitive")
     if z.iterate(2, 2) != (2,):
         failures.append("2-cycle at the third letter not detected")
-    t5 = thue_morse_block_system(2).block_sub
+    t5 = systems[2].nblock.block_sub
     if any(z.iterate(5, n) != t5.iterate(5, n) for n in range(1, 11)):
         failures.append("orbit from the f0 letter diverges")
     _verdict(7, "zeta_5 fixture: injective, non-primitive, 2-cycle", failures)
 
 
-def test_c08_injective_refinement():
+def test_c08_injective_refinement(systems):
     failures = []
     for m in range(2, 9):
-        sys_m = eta_system(m)
+        sys_m = systems[m]
         eta, k = sys_m.eta, sys_m.size
         if not eta.is_injective():
             failures.append(f"m={m}: images not distinct")
         for idx0, img in enumerate(eta.images):
             odd = (idx0 + 1) % 2 == 1
-            want = 2 if not odd else (1 if sys_m.quarter_of(idx0) in (1, 2) else 3)
+            want = 2 if not odd else (1 if idx0 < k // 2 else 3)  # Q1 u Q2: first half
             if len(img) != want:
                 failures.append(f"m={m}: length profile broken at w_{idx0 + 1}")
                 break
@@ -143,10 +152,13 @@ def test_c08_injective_refinement():
     _verdict(8, "injective refinement profile and orbits, m=2..8", failures)
 
 
-def test_c09_primitivity_argument():
-    failures = [f"m={m}" for m in range(3, 9)
-                if not verify_primitivity_argument(eta_system(m)).ok]
-    rep2 = verify_primitivity_argument(eta_system(2))
+def _primitivity_argument(sys_m):
+    return verify_primitivity_argument(sys_m, sys_m.eta.is_primitive())
+
+
+def test_c09_primitivity_argument(systems):
+    failures = [f"m={m}" for m in range(3, 9) if not _primitivity_argument(systems[m]).ok]
+    rep2 = _primitivity_argument(systems[2])
     print(f"  m=2 reported {'positive' if rep2.ok else 'negative'} "
           f"(construction stated for m >= 3)")
     if not rep2.ok:
@@ -154,24 +166,28 @@ def test_c09_primitivity_argument():
     _verdict(9, "primitivity argument, m=3..8 (m=2 reported)", failures)
 
 
-def test_c10_eigenvalue_and_full_suite(capsys):
+def _theorem(sub, reference_sys, **kwargs):
+    matrix = sub.incidence_matrix()
+    return theorem_report(sub, matrix, matrix.is_primitive(), reference_sys, **kwargs)
+
+
+def test_c10_eigenvalue_and_full_suite(capsys, systems):
     failures = []
     for m in range(2, 9):
-        sys_m = eta_system(m)
+        sys_m = systems[m]
         matrix = sys_m.eta.incidence_matrix()
         value = pf_eigenvalue(matrix, 1e-9)
         if abs(value - 2.0) >= 1e-9:
             failures.append(f"m={m}: PF {value!r}")
         if matrix.image_length_sequence(sys_m.f0_index, 12) != [2 ** n for n in range(1, 13)]:
             failures.append(f"m={m}: integer doubling identity broken")
-        if not verify_theorem(m, 1e-9, 12).ok:
+        if not _theorem(sys_m.eta, sys_m, tol=1e-9, n_max=12).ok:
             failures.append(f"m={m}: theorem aggregate failed")
-    rep = theorem_report(zeta5_fixture(), eta_system(2), claim_prefix="zeta5")
+    rep = _theorem(zeta5_fixture(), systems[2], claim_prefix="zeta5")
     wrong = {e.claim.split(".", 1)[1] for e in rep if not e.passed}
     if wrong != {"primitive"}:
         failures.append(f"zeta_5 aggregate outcome {sorted(wrong)}")
 
-    _clear_caches()
     start = time.perf_counter()
     code = cli_run(["verify", "--m", "2..8"])
     elapsed = time.perf_counter() - start
@@ -186,12 +202,12 @@ def test_c10_eigenvalue_and_full_suite(capsys):
     _verdict(10, "PF eigenvalue 2 and full verify suite, m=2..8", failures)
 
 
-def test_c11_property_suites():
+def test_c11_property_suites(factors):
     failures = []
     rng = random.Random(20260810)
     violations = 0
     for _ in range(10_000):
-        fs = enumerate_by_scan(rng.randrange(2, 9))
+        fs = factors[rng.randrange(2, 9)]
         u, v = rng.sample(fs.words, 2)
         if v < u:
             u, v = v, u
@@ -205,7 +221,7 @@ def test_c11_property_suites():
     if violations:
         failures.append(f"{violations} order-preservation violations")
     for m in range(1, 9):
-        fs = enumerate_by_scan(m)
+        fs = factors[m]
         for i, w in enumerate(fs.words):
             if fs.index(w.mirror()) != fs.size - 1 - i:
                 failures.append(f"m={m}: mirror reversal broken at w_{i + 1}")

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from tmblocks import claims, injectivize, nblock, thue_morse
 from tmblocks.cli import MAX_DEPTH, run
 from tmblocks.report import CheckEntry, VerificationReport
+from tmblocks.substitution import IncidenceMatrix
 from tmblocks.thue_morse import MAX_M, enumerate_by_scan
 
 
@@ -144,6 +147,55 @@ def test_verify_single_m_and_claim_subset(capsys):
     assert out.splitlines() == ["PASS m=2 qandf", "PASS m=2 pairs"]
 
 
+def _count_calls(monkeypatch, name, key):
+    """Count the calls of the function ``name`` by ``key(*args)``, in every
+    module that binds it."""
+    modules = (thue_morse, nblock, injectivize, claims)
+    original = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+    seen = Counter()
+
+    def counting(*args):
+        seen[key(*args)] += 1
+        return original(*args)
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return seen
+
+
+def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
+    scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
+    blocks = _count_calls(monkeypatch, "build_nblock", lambda base, n: n)
+    etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
+    primitivity = Counter()
+    is_primitive = IncidenceMatrix.is_primitive
+
+    def counting_is_primitive(matrix):
+        primitivity[matrix.size] += 1
+        return is_primitive(matrix)
+    monkeypatch.setattr(IncidenceMatrix, "is_primitive", counting_is_primitive)
+    code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
+    assert code == 0 and len(out.splitlines()) == 40
+    assert scans == {m: 1 for m in range(2, 8)}
+    assert blocks == {2 ** m + 1: 1 for m in range(2, 7)}
+    assert etas == {m: 1 for m in range(2, 7)}
+    assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
+
+
+def test_verify_reports_a_failed_claim(capsys, monkeypatch):
+    def broken(sys_m):
+        return VerificationReport((CheckEntry(sys_m.m, "pairs.images", False, "mismatch at j=[1]"),
+                                   CheckEntry(sys_m.m, "pairs.kept", True, "fine"),
+                                   CheckEntry(sys_m.m, "pairs.bare", False)))
+    monkeypatch.setattr(claims, "verify_pair_images", broken)
+    code, out, err = _run(capsys, ["verify", "--m", "2", "--claims", "qandf,pairs,fixedpoint"])
+    assert code == 1
+    assert out.splitlines() == ["PASS m=2 qandf", "FAIL m=2 pairs",
+                                "  pairs.images: mismatch at j=[1]", "  pairs.bare: failed",
+                                "PASS m=2 fixedpoint"]
+    assert err == "2/3 claims passed\n"
+
+
 def test_verify_rejects_bad_input(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--m", "2..1"])
@@ -221,6 +273,7 @@ def test_eigen_error_paths(capsys, tmp_path):
     '{"alphabet": ["a"], "images": 5}',
     '{"alphabet": "ab", "images": [[0], [1]]}',
     '{"alphabet": ["a"], "images": [0]}',
+    "[" * 100_000,
 ])
 def test_eigen_rejects_malformed_substitution(capsys, tmp_path, payload):
     path = tmp_path / "sub.json"
@@ -233,6 +286,17 @@ def _src_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "tmblocks", "factors", "--m", "10"],
+                            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"m=10 ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 3
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -276,12 +340,3 @@ def test_usage_error_exit_code():
         run(["no-such-command"])
     assert exc.value.code == 2
 
-
-def test_report_failure_rendering():
-    rep = VerificationReport((CheckEntry(2, "demo.sub", False, "boom"),))
-    assert not rep.ok
-    assert rep.failed_count == 1
-    assert rep.lines() == ["FAIL m=2 demo.sub  (boom)"]
-    assert rep.entry("demo.sub").status == "FAIL"
-    with pytest.raises(KeyError):
-        rep.entry("other")

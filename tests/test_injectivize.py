@@ -7,7 +7,7 @@ from tmblocks.injectivize import (EtaSystem, _first_hits, _map_power, build_eta,
                                   eta_system, initials_map,
                                   theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
-                                  verify_theorem, zeta5_fixture)
+                                  zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
 from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import enumerate_by_scan
@@ -24,7 +24,7 @@ def test_build_eta_m2_golden():
     assert sys2.eta.alphabet.labels == tuple(str(w) for w in enumerate_by_scan(2).words)
     assert sys2.f0_index == 5 and sys2.f1_index == 6
     with pytest.raises(ValueError):
-        build_eta(1)
+        build_eta(1, thue_morse_block_system(1))
 
 
 def test_zeta5_fixture_golden():
@@ -57,7 +57,7 @@ def test_image_length_profile(m):
     eta, k = sys_m.eta, sys_m.size
     for idx0, img in enumerate(eta.images):
         i = idx0 + 1
-        quarter = sys_m.quarter_of(idx0)
+        quarter = 4 * idx0 // k + 1
         if i % 2 == 0:
             assert len(img) == 2
         elif quarter in (1, 2):
@@ -67,7 +67,7 @@ def test_image_length_profile(m):
     assert sum(len(img) for img in eta.images) == 2 * k
     # even letters keep the block images verbatim
     theta_n = sys_m.nblock.block_sub
-    for idx0 in sys_m.even_letters():
+    for idx0 in range(1, k, 2):  # 1-based index even
         assert eta.images[idx0] == theta_n.images[idx0]
 
 
@@ -115,9 +115,13 @@ def test_initials_maps():
         assert psi_m[k // 4:3 * k // 4] == phi_m[k // 4:3 * k // 4]
 
 
+def _primitivity_argument(sys_m):
+    return verify_primitivity_argument(sys_m, sys_m.eta.is_primitive())
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_primitivity_argument(m):
-    rep = verify_primitivity_argument(eta_system(m))
+    rep = _primitivity_argument(eta_system(m))
     assert rep.ok, [e.claim for e in rep if not e.passed]
     assert [e.claim.split(".", 1)[1] for e in rep] == [
         "phi_reaches", "psi_reaches", "psi_phi_q2_q3", "psi_q4_increasing",
@@ -132,7 +136,7 @@ def test_eta_incidence_column_sums_m2():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_column_sums_equal_image_lengths(m):
     eta = eta_system(m).eta
-    assert eta.incidence_matrix().column_sums() == eta.image_lengths()
+    assert eta.incidence_matrix().column_sums() == tuple(map(len, eta.images))
 
 
 def test_zeta5_incidence_column_of_the_trapped_letter():
@@ -180,30 +184,25 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         assert pairs == set(sub.images)
 
 
+def _theorem(sub, reference_sys, **kwargs):
+    matrix = sub.incidence_matrix()
+    return theorem_report(sub, matrix, matrix.is_primitive(), reference_sys, **kwargs)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_verify_theorem(m):
-    rep = verify_theorem(m)
+    sys_m = eta_system(m)
+    rep = _theorem(sys_m.eta, sys_m)
     assert rep.ok, [e.claim for e in rep if not e.passed]
 
 
 def test_zeta5_through_theorem_aggregator():
     sys2 = eta_system(2)
-    rep = theorem_report(zeta5_fixture(), sys2, claim_prefix="zeta5")
+    rep = _theorem(zeta5_fixture(), sys2, claim_prefix="zeta5")
     outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep}
     assert outcomes == {"injective": True, "primitive": False,
                         "pf_eigenvalue": True, "lengths_matrix": True,
                         "lengths_direct": True, "fixed_point": True}
-
-
-def test_eta_system_is_cached():
-    assert eta_system(2) is eta_system(2)
-
-
-def test_quarter_helper():
-    sys2 = eta_system(2)
-    assert [sys2.quarter_of(i) for i in range(12)] == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-    assert sys2.odd_letters() == (0, 2, 4, 6, 8, 10)
-    assert sys2.even_letters() == (1, 3, 5, 7, 9, 11)
 
 
 def _first_hit_walk(chain, start, targets, cap):
@@ -279,7 +278,7 @@ def _reachability_reference(sys_m):
 def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
     sys2 = eta_system(2)
     probe = EtaSystem(2, sys2.nblock, zeta5_fixture())
-    rep = verify_primitivity_argument(probe)
+    rep = _primitivity_argument(probe)
     entries = {e.claim.split(".", 1)[1]: (e.passed, e.detail) for e in rep}
     assert [entries["phi_reaches"], entries["psi_reaches"]] == _reachability_reference(probe)
     # the trapped pair {w3, w11} never reaches f0 or f1

@@ -55,16 +55,16 @@ def test_width_1_recoding_is_the_base_itself():
 
 def test_formula_matches_windows():
     for m in (2, 3, 4):
-        formula = formula_block_substitution(m)
+        formula = formula_block_substitution(enumerate_by_scan(m))
         built = thue_morse_block_system(m).block_sub
         assert formula == built
     with pytest.raises(ValueError):
-        formula_block_substitution(1)
+        formula_block_substitution(enumerate_by_scan(1))
 
 
 def test_verify_block_formula():
     for m in (2, 3):
-        rep = verify_block_formula(m)
+        rep = verify_block_formula(enumerate_by_scan(m), thue_morse_block_system(m))
         assert rep.ok
         assert {e.claim for e in rep} == {"nblock.alphabet", "nblock.images",
                                           "nblock.first_range", "nblock.f0_image"}
@@ -97,7 +97,7 @@ def test_block_substitutions_are_primitive():
 
 def test_block_fixed_point_prefix_from_f0():
     sub = thue_morse_block_system(2).block_sub
-    assert sub.fixed_point_prefix(5, 4) == (5, 11, 8, 2)
+    assert sub.iterate(5, 2) == (5, 11, 8, 2)
 
 
 def test_block_substitution_eigenvalue_is_two():

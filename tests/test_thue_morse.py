@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (FactorSet, apply_theta, descendants,
+from tmblocks.thue_morse import (MAX_M, FactorSet, apply_theta, descendants,
                                  enumerate_by_descendants, enumerate_by_scan,
-                                 factor_set, quarter_markers, theta,
+                                 quarter_markers, theta,
                                  thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
 from tmblocks.words import BinaryWord, word
@@ -88,14 +88,11 @@ def test_scan_matches_windows_of_the_parity_sequence():
         assert [str(w) for w in enumerate_by_scan(m).words] == want
 
 
-def test_factor_set_dispatch():
-    assert factor_set(2, "scan").words == factor_set(2, "descend").words
-    with pytest.raises(ValueError):
-        factor_set(2, "guess")
+def test_enumerators_reject_m_out_of_range():
     with pytest.raises(ValueError):
         enumerate_by_scan(0)
     with pytest.raises(ValueError):
-        enumerate_by_descendants(13)
+        enumerate_by_descendants(MAX_M + 1)
 
 
 def test_quarter_markers_m2():
@@ -157,15 +154,15 @@ def test_factor_set_validation():
 
 def test_verify_quarter_minima():
     for m in (2, 3, 4):
-        rep = verify_quarter_minima(m)
+        rep = verify_quarter_minima(enumerate_by_scan(m))
         assert rep.ok
         assert [e.claim for e in rep] == ["qandf.q1", "qandf.q2", "qandf.q3", "qandf.q4"]
 
 
 def test_verify_quarter_descendants_with_golden_cross_check():
-    rep = verify_quarter_descendants(2)
-    assert rep.ok
     fs2 = enumerate_by_scan(2)
+    rep = verify_quarter_descendants(fs2, enumerate_by_scan(3))
+    assert rep.ok
     q1, q2, _, _ = fs2.quarters()
     deltas = {str(descendants(w)[0]) for w in q1 + q2}
     assert deltas == set(A3_GOLDEN[6:12])
@@ -179,14 +176,15 @@ def test_verify_quarter_descendants_expands_each_word_once(monkeypatch):
     def counting(w):
         expanded.append(w)
         return descendants(w)
+    fs3 = enumerate_by_scan(3)
     monkeypatch.setattr(thue_morse, "descendants", counting)
-    assert verify_quarter_descendants(3).ok
-    assert sorted(expanded) == list(enumerate_by_scan(3).words)
+    assert verify_quarter_descendants(fs3, enumerate_by_scan(4)).ok
+    assert sorted(expanded) == list(fs3.words)
 
 
 def test_verify_prefix_pairs():
     for m in (1, 2, 3):
-        assert verify_prefix_pairs(m).ok
+        assert verify_prefix_pairs(enumerate_by_scan(m), enumerate_by_scan(m + 1)).ok
 
 
 def test_descendant_maps_are_injective_on_factors():
