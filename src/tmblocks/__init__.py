@@ -22,14 +22,13 @@ _MODULE_OF = {
          "verify_block_formula"), "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(
-        ("Alphabet", "IncidenceMatrix", "Substitution", "compose", "pf_eigenvalue"),
-        "substitution"),
+        ("Alphabet", "IncidenceMatrix", "Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
         ("FactorSet", "QuarterMarkers", "apply_theta", "descendants",
          "enumerate_by_descendants", "enumerate_by_scan", "quarter_markers",
          "theta", "thue_morse_prefix", "verify_prefix_pairs", "verify_quarter_descendants",
          "verify_quarter_minima"), "thue_morse"),
-    **dict.fromkeys(("EMPTY", "BinaryWord", "lex_compare", "word"), "words"),
+    **dict.fromkeys(("BinaryWord", "word"), "words"),
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -15,6 +15,7 @@ dominant eigenvalue 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, pairwise
 from typing import Sequence
 
 from .nblock import NBlockSystem, half_shift, thue_morse_block_system
@@ -53,9 +54,7 @@ def build_eta(m: int, nb: NBlockSystem) -> EtaSystem:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     sub = nb.block_sub
     k = sub.size
-    n = 2 ** m + 1
-    f0_block = map(ord, nb.block_text(k // 2 - 1))
-    if "".join(map(str, f0_block)) != str(thue_morse_prefix(0, n)):
+    if nb.alphabet.label(k // 2 - 1) != str(thue_morse_prefix(0, 2 ** m + 1)):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []
     for idx0 in range(k):
@@ -148,15 +147,15 @@ def verify_pair_images(sys: EtaSystem) -> VerificationReport:
     """The refinement and the block substitution agree on every image pair."""
     sub = sys.nblock.block_sub
     eta = sys.eta
-    bad = [j + 1 for j, pair in enumerate(sub.images)
-           if eta.apply(pair) != sub.apply(pair)]
+    pairs = ("".join(map(chr, img)) for img in sub.images)
+    bad = [j + 1 for j, pair in enumerate(pairs) if eta.apply(pair) != sub.apply(pair)]
     rb = ReportBuilder(sys.m, "pairs")
     rb.check("images", not bad,
              f"all {sys.size} pairs agree" if not bad else f"mismatch at j={bad[:5]}")
     return rb.build()
 
 
-def verify_fixed_point(sys: EtaSystem, n_max: int = 12) -> VerificationReport:
+def verify_fixed_point(sys: EtaSystem, n_max: int) -> VerificationReport:
     """Orbit equality from the f0 letter, and common-fixed-point agreement
     from the f1 letter.
 
@@ -169,27 +168,15 @@ def verify_fixed_point(sys: EtaSystem, n_max: int = 12) -> VerificationReport:
     eta = sys.eta
     rb = ReportBuilder(sys.m, "fixedpoint")
 
-    e: Word = (sys.f0_index,)
-    t: Word = (sys.f0_index,)
-    ok = True
-    for n in range(1, n_max + 1):
-        e = eta.apply(e)
-        t = theta_n.apply(t)
-        if e != t or len(e) != 2 ** n:
-            ok = False
-            break
+    orbits = zip(eta.iterates(sys.f0_index), theta_n.iterates(sys.f0_index))
+    ok = all(e == t and len(e) == 2 ** n
+             for n, (e, t) in enumerate(islice(orbits, 1, n_max + 1), 1))
     rb.check("f0_orbit", ok, f"orbits equal with length 2^n for n <= {n_max}")
 
-    e1: Word = (sys.f1_index,)
-    t1: Word = (sys.f1_index,)
-    t_next = theta_n.apply(t1)
-    ok = True
-    for n in range(1, n_max + 1):
-        e1 = eta.apply(e1)
-        t1, t_next = t_next, theta_n.apply(t_next)
-        if e1[:len(t1)] != t1 or t_next[:len(e1)] != e1:
-            ok = False
-            break
+    # (eta^n, theta_n^n, theta_n^(n+1)) of the f1 letter
+    chains = zip(eta.iterates(sys.f1_index), pairwise(theta_n.iterates(sys.f1_index)))
+    ok = all(e[:len(t)] == t and t_next[:len(e)] == e
+             for e, (t, t_next) in islice(chains, 1, n_max + 1))
     rb.check("f1_common_fixed_point", ok,
              "the f1 iterates of both substitutions are nested prefixes "
              "of one fixed point")
@@ -238,14 +225,16 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
     rb.check("matrix", primitive, note)
 
+    # seen collects the letters reachable in at most n steps, which are all
+    # the reachable ones once n = k - 1; the length cap bounds memory
     cap = 64 * k
     missing = []
     for seed in (f0, f1):
-        seen = {seed}
-        w: Word = (seed,)
-        while len(seen) < k and len(w) < cap:
-            w = sys.eta.apply(w)
+        seen: set[str] = set()
+        for w in islice(sys.eta.iterates(seed), k):
             seen.update(w)
+            if len(seen) == k or len(w) >= cap:
+                break
         if len(seen) < k:
             missing.append(seed)
     rb.check("forward", not missing,
@@ -254,14 +243,13 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
 
 
 def theorem_report(sub: Substitution, matrix: IncidenceMatrix, primitive: bool,
-                   reference_sys: EtaSystem, tol: float = 1e-9, n_max: int = 12,
-                   claim_prefix: str = "theorem") -> VerificationReport:
+                   reference_sys: EtaSystem, tol: float, n_max: int) -> VerificationReport:
     """The headline claims for one substitution sharing the reference block
     system's alphabet and f0 letter, given its incidence matrix and that
     matrix's primitivity verdict: injectivity, primitivity, dominant
     eigenvalue 2 (with the exact doubling identity both from the matrix and
     by direct iteration), and fixed-point agreement."""
-    rb = ReportBuilder(reference_sys.m, claim_prefix)
+    rb = ReportBuilder(reference_sys.m, "theorem")
     rb.check("injective", sub.is_injective())
     rb.check("primitive", primitive)
 
@@ -278,11 +266,7 @@ def theorem_report(sub: Substitution, matrix: IncidenceMatrix, primitive: bool,
     rb.check("lengths_matrix", matrix.image_length_sequence(f0, n_max) == powers,
              f"1^T M^n at the f0 column doubles up to n={n_max}")
 
-    w: Word = (f0,)
-    direct = []
-    for _ in range(n_max):
-        w = sub.apply(w)
-        direct.append(len(w))
+    direct = [len(w) for w in islice(sub.iterates(f0), 1, n_max + 1)]
     rb.check("lengths_direct", direct == powers,
              f"iterate lengths double up to n={n_max}")
 

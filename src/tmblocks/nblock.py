@@ -40,8 +40,8 @@ def second_image_index(j: int, size: int) -> int:
 class NBlockSystem:
     """A block recoding, stored as the stable iterate s of the base and one
     offset into s per block: block j is s[offsets[j]:offsets[j] + block_len].
-    Block texts, block words and labels are built from these on demand, so
-    the system holds len(s) + k letters, not k copies of N."""
+    Labels are built from these on demand, so the system holds len(s) + k
+    letters, not k copies of N."""
 
     base: Substitution
     block_len: int
@@ -57,20 +57,6 @@ class NBlockSystem:
     @property
     def size(self) -> int:
         return self.alphabet.size
-
-    def block_text(self, j: int) -> str:
-        """Block j as codepoint text."""
-        start = self.offsets[j]
-        return self.iterate[start:start + self.block_len]
-
-    @property
-    def block_texts(self) -> tuple[str, ...]:
-        return tuple(map(self.block_text, range(self.size)))
-
-    @property
-    def blocks(self) -> tuple[Word, ...]:
-        """The blocks as words over the base alphabet."""
-        return tuple(tuple(map(ord, t)) for t in self.block_texts)
 
 
 def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
@@ -94,11 +80,12 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
     # chr(a)); windows are looked up in a dict keyed by their text. Each block
     # occurs in the iterate s at some position i, and the base has constant
     # length L, so the image of the block is the slice [L*i, L*(i+N)) of the
-    # next iterate: one str.translate serves every block.
+    # next iterate: one application of the base serves every block.
     texts, s, occurrence = base._language_windows(block_len, seed)
     offsets = tuple(map(occurrence.__getitem__, texts))
     position = {t: j for j, t in enumerate(texts)}
-    image_text = s.translate(base.text_table())
+    base_labels = base.alphabet.labels
+    image_text = base.apply(s)
     images = []
     for i in offsets:
         img = []
@@ -106,16 +93,15 @@ def build_nblock(base: Substitution, block_len: int) -> NBlockSystem:
             window = image_text[off:off + block_len]
             if window not in position:
                 raise RuntimeError(
-                    f"window {tuple(map(ord, window))} of the image of block "
-                    f"{tuple(map(ord, s[i:i + block_len]))} is not in the block alphabet "
-                    f"(closure violation)")
+                    f"window {window.translate(base_labels)!r} of the image of block "
+                    f"{s[i:i + block_len].translate(base_labels)!r} is not in the block "
+                    f"alphabet (closure violation)")
             img.append(position[window])
         images.append(tuple(img))
 
     def label(j: int) -> str:
         return s[offsets[j]:offsets[j] + block_len].translate(base_labels)
 
-    base_labels = base.alphabet.labels
     if len(set(map(len, base_labels))) == 1:
         # one label width: distinct blocks have distinct labels
         alphabet = Alphabet.distinct(len(offsets), label)

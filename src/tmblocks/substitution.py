@@ -3,10 +3,9 @@
 Letters are opaque indices 0..k-1; display labels (e.g. the underlying
 binary words of a block alphabet) live on the Alphabet. Images may have
 different lengths, so non-constant-length substitutions are first-class.
-Words over the alphabet are plain tuples of letter indices. The hot loops
-(``language`` and the block recoding in ``nblock``) instead run on codepoint
-text, letter a as ``chr(a)``, so that applying a substitution is one
-``str.translate`` and windows are C-level slices.
+Words over the alphabet are codepoint text, letter a as ``chr(a)``, so that
+applying a substitution is one ``str.translate`` and windows and prefixes
+are C-level slices. The images themselves are tuples of letter indices.
 
 The incidence matrix follows the convention M[a][b] = number of occurrences
 of letter a in the image of letter b, so each column b is the letter-count
@@ -20,7 +19,9 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
+from itertools import islice
 
+# the image of a letter: a tuple of letter indices
 Word = tuple[int, ...]
 # one sparse column of an incidence matrix: sorted (letter, count > 0) pairs
 Column = tuple[tuple[int, int], ...]
@@ -84,7 +85,7 @@ class Substitution:
     indices each; immutable, and equal to another substitution with the
     same alphabet and images."""
 
-    __slots__ = ("alphabet", "images")
+    __slots__ = ("alphabet", "images", "_table")
 
     alphabet: Alphabet
     images: tuple[Word, ...]
@@ -128,52 +129,60 @@ class Substitution:
         lengths = {len(img) for img in self.images}
         return lengths.pop() if len(lengths) == 1 else None
 
-    def apply(self, w: Sequence[int]) -> Word:
-        """Letter-wise image concatenation (monoid morphism)."""
-        images = self.images
-        k = self.size
-        out: list[int] = []
-        for a in w:
-            if not 0 <= a < k:
-                raise ValueError(f"letter {a} not in alphabet of size {k}")
-            out.extend(images[a])
-        return tuple(out)
+    def _text_table(self) -> tuple[str, ...]:
+        """``str.translate`` table: entry a is the image of letter a as
+        text. Built on first use; a code point >= k is not in it, and
+        ``translate`` would leave such a letter unchanged."""
+        try:
+            return self._table
+        except AttributeError:
+            table = tuple("".join(map(chr, img)) for img in self.images)
+            object.__setattr__(self, "_table", table)
+            return table
 
-    def text_table(self) -> list[str]:
-        """``str.translate`` table applying the substitution to codepoint
-        text: entry a is the image of letter a as text."""
-        return ["".join(map(chr, img)) for img in self.images]
+    def apply(self, w: str) -> str:
+        """Letter-wise image concatenation (monoid morphism) on text."""
+        if w:
+            top = ord(max(w))
+            if top >= self.size:
+                raise ValueError(f"letter {top} not in alphabet of size {self.size}")
+        return w.translate(self._text_table())
 
-    def iterate(self, letter: int, n: int) -> Word:
-        """The n-th image word of a single letter; n = 0 gives (letter,)."""
+    def iterates(self, letter: int) -> Iterator[str]:
+        """The n-th image words of a single letter for n = 0, 1, 2, ...,
+        without end. Only the letter is range-checked: images use letters
+        of the alphabet alone, so every later step is one ``translate``."""
+        if not 0 <= letter < self.size:
+            raise ValueError(f"letter {letter} not in alphabet of size {self.size}")
+        table = self._text_table()
+        w = chr(letter)
+        while True:
+            yield w
+            w = w.translate(table)
+
+    def iterate(self, letter: int, n: int) -> str:
+        """The n-th image word of a single letter; n = 0 gives chr(letter)."""
         if n < 0:
             raise ValueError(f"iteration count must be >= 0, got {n}")
-        w: Word = (letter,)
-        for _ in range(n):
-            w = self.apply(w)
-        return w
+        return next(islice(self.iterates(letter), n, None))
 
     def is_growing_seed(self, letter: int) -> bool:
         img = self.images[letter]
         return img[0] == letter and len(img) >= 2
 
-    def language(self, length: int, seed: int) -> tuple[Word, ...]:
+    def language(self, length: int, seed: int) -> list[str]:
         """All factors of the given length of the fixed point grown from ``seed``,
-        sorted lexicographically by display labels.
+        as text, sorted lexicographically by display labels.
 
         Iterates the seed until two consecutive iterates yield the same factor
         set and the iterate is longer than twice the factor length. Meaningful
         for primitive substitutions, where the factor sets stabilize.
         """
-        return tuple(tuple(map(ord, f)) for f in self.language_text(length, seed))
-
-    def language_text(self, length: int, seed: int) -> list[str]:
-        """``language`` with each factor as codepoint text."""
         return self._language_windows(length, seed)[0]
 
     def _language_windows(self, length: int, seed: int
                           ) -> tuple[list[str], str, dict[str, int]]:
-        """The sorted factors of ``language_text``, the stable iterate s they
+        """The sorted factors of ``language``, the stable iterate s they
         were read from, and one position in s of each factor.
 
         The seed is growing, so each iterate is a prefix of the next: a
@@ -186,7 +195,7 @@ class Substitution:
             raise ValueError(f"factor length must be >= 1, got {length}")
         if not self.is_growing_seed(seed):
             raise ValueError(f"letter {seed} is not a growing seed")
-        table = self.text_table()
+        table = self._text_table()
         s = chr(seed).translate(table)
         found: dict[str, int] = {}
         add = found.setdefault
@@ -272,14 +281,6 @@ class Substitution:
             for a, count in col:
                 yield f'  w{b + 1} -> w{a + 1} [label="{count}"];\n'
         yield "}\n"
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """The substitution a -> outer(inner(a)) on the shared alphabet."""
-    if outer.alphabet != inner.alphabet:
-        raise ValueError("composition requires a common alphabet")
-    return Substitution(outer.alphabet,
-                        tuple(outer.apply(img) for img in inner.images))
 
 
 class IncidenceMatrix:

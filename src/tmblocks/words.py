@@ -34,17 +34,6 @@ class BinaryWord:
             raise ValueError(f"word must consist of '0'/'1' characters, got {text!r}")
         return cls(len(text), int(text, 2) if text else 0)
 
-    @classmethod
-    def from_letters(cls, letters) -> "BinaryWord":
-        bits = 0
-        n = 0
-        for a in letters:
-            if a not in (0, 1):
-                raise ValueError(f"letter must be 0 or 1, got {a!r}")
-            bits = (bits << 1) | a
-            n += 1
-        return cls(n, bits)
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b") if self.length else ""
 
@@ -60,39 +49,9 @@ class BinaryWord:
         for i in range(self.length):
             yield (self.bits >> (self.length - 1 - i)) & 1
 
-    # Lexicographic order; a proper prefix precedes its extensions.
-    def _cmp(self, other: "BinaryWord") -> int:
-        n = min(self.length, other.length)
-        a = self.bits >> (self.length - n)
-        b = other.bits >> (other.length - n)
-        if a != b:
-            return -1 if a < b else 1
-        if self.length == other.length:
-            return 0
-        return -1 if self.length < other.length else 1
-
-    def __lt__(self, other: "BinaryWord") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "BinaryWord") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "BinaryWord") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "BinaryWord") -> bool:
-        return self._cmp(other) >= 0
-
     def __add__(self, other: "BinaryWord") -> "BinaryWord":
         return BinaryWord(self.length + other.length,
                           (self.bits << other.length) | other.bits)
-
-    def concat(self, other: "BinaryWord") -> "BinaryWord":
-        return self + other
-
-    def mirror(self) -> "BinaryWord":
-        """Complement every letter (0 <-> 1)."""
-        return BinaryWord(self.length, self.bits ^ ((1 << self.length) - 1))
 
     def prefix(self, n: int) -> "BinaryWord":
         """The first n letters."""
@@ -121,18 +80,8 @@ class BinaryWord:
             raise ValueError(f"letter must be 0 or 1, got {letter!r}")
         return BinaryWord(self.length + 1, (self.bits << 1) | letter)
 
-    def starts_with(self, p: "BinaryWord") -> bool:
-        return p.length <= self.length and self.prefix(p.length) == p
-
-
-EMPTY = BinaryWord(0, 0)
-
 
 def word(text: str) -> BinaryWord:
     """Shorthand constructor from '0'/'1' text."""
     return BinaryWord.from_string(text)
 
-
-def lex_compare(u: BinaryWord, v: BinaryWord) -> int:
-    """Three-way lexicographic comparison: -1 (LT), 0 (EQ), +1 (GT)."""
-    return u._cmp(v)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -286,6 +287,36 @@ def _src_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+# SHA-256 of the stdout bytes of each command line, recorded before words over
+# a substitution's alphabet became codepoint text: representation changes
+# below the CLI must leave its output byte-identical
+STDOUT_SHA256 = {
+    "build theta --m 4": "15841bc3bf52b63616f8dcb1e461a253e94bdedca585cabf3237bceab45c1228",
+    "build theta --m 4 --format json":
+        "387ba956430121a910ea469c35de73c5b2d4a22ac08fa2386d2a057e28274e1b",
+    "build theta --m 4 --format dot":
+        "03db039eb8c952f3190b53613644a9680a42e9bf900ff03d1fce063b664f4687",
+    "build eta --m 4": "fdccc79317802e41518f3e3dbdf6cf8c44adbd0ecf9b70fab54d26f71227569a",
+    "build eta --m 4 --format json":
+        "2152e01cc91f946c98eda4471f607e719b2a0a152b32edf3d909210c94946ed6",
+    "build eta --m 4 --format dot":
+        "ed843bdcd3efca8c3cbc489c1409d6448ea3b169ddb42d23629c51edee91e4db",
+    "fixture zeta5 --format dot":
+        "1f2856b9c144fc1a9be8b2c6f6a2a9758b60f502446b3f85218341b45ad999c1",
+    "factors --m 5 --format json":
+        "aae60885096e12e630ce7d5c5fd7a891419c0c4aa46579724d98b1d60c9ca261",
+    "verify --m 2..6": "f5fe71144acc0cac429dd8a526e537c3bf7fb9a290c0237f45fd0a3d55b4e3f3",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_SHA256)
+def test_stdout_bytes_are_pinned(command):
+    result = subprocess.run([sys.executable, "-m", "tmblocks", *command.split()],
+                            env=_src_env(), capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[command]
 
 
 def test_closed_stdout_exits_3_without_traceback():

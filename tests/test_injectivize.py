@@ -9,7 +9,7 @@ from tmblocks.injectivize import (EtaSystem, _first_hits, _map_power, build_eta,
                                   verify_pair_images, verify_primitivity_argument,
                                   zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
-from tmblocks.substitution import pf_eigenvalue
+from tmblocks.substitution import Substitution, pf_eigenvalue
 from tmblocks.thue_morse import enumerate_by_scan
 
 ETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5,), (5, 11),
@@ -33,8 +33,8 @@ def test_zeta5_fixture_golden():
     assert z.is_injective()
     assert not z.is_primitive()
     # the trapped 2-cycle: the third letter returns to itself in two steps
-    assert z.iterate(2, 1) == (10,)
-    assert z.iterate(2, 2) == (2,)
+    assert z.iterate(2, 1) == chr(10)
+    assert z.iterate(2, 2) == chr(2)
 
 
 def test_zeta5_orbit_agrees_with_block_substitution():
@@ -80,7 +80,7 @@ def test_pair_images_golden_and_verifier():
     sys2 = eta_system(2)
     t5 = sys2.nblock.block_sub
     # the pair starting the f1 orbit: image of (w7, w1)
-    assert sys2.eta.apply((6, 0)) == (6, 0, 3, 9) == t5.apply((6, 0))
+    assert sys2.eta.apply("\x06\x00") == "\x06\x00\x03\x09" == t5.apply("\x06\x00")
     for m in (2, 3, 4):
         assert verify_pair_images(eta_system(m)).ok
 
@@ -169,7 +169,7 @@ def test_growth_identity_matrix_vs_iteration():
         for n in range(1, 13):
             mn = mn @ matrix.counts
             assert int(mn.sum(axis=0)[sys_m.f0_index]) == 2 ** n
-        w = (sys_m.f0_index,)
+        w = chr(sys_m.f0_index)
         for n in range(1, 13):
             w = sys_m.eta.apply(w)
             assert len(w) == 2 ** n
@@ -180,7 +180,7 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         sub = thue_morse_block_system(m).block_sub
         f0 = sub.size // 2 - 1
         w = sub.iterate(f0, 12 if m == 2 else 13)
-        pairs = {(w[i], w[i + 1]) for i in range(0, len(w) - 1, 2)}
+        pairs = {(ord(w[i]), ord(w[i + 1])) for i in range(0, len(w) - 1, 2)}
         assert pairs == set(sub.images)
 
 
@@ -192,13 +192,13 @@ def _theorem(sub, reference_sys, **kwargs):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_verify_theorem(m):
     sys_m = eta_system(m)
-    rep = _theorem(sys_m.eta, sys_m)
+    rep = _theorem(sys_m.eta, sys_m, tol=1e-9, n_max=12)
     assert rep.ok, [e.claim for e in rep if not e.passed]
 
 
 def test_zeta5_through_theorem_aggregator():
     sys2 = eta_system(2)
-    rep = _theorem(zeta5_fixture(), sys2, claim_prefix="zeta5")
+    rep = _theorem(zeta5_fixture(), sys2, tol=1e-9, n_max=12)
     outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep}
     assert outcomes == {"injective": True, "primitive": False,
                         "pf_eigenvalue": True, "lengths_matrix": True,
@@ -285,3 +285,14 @@ def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
     assert entries["psi_reaches"] == (False, "failures at w_[3, 11]")
     assert sorted(name for name, (passed, _) in entries.items() if not passed) == [
         "matrix", "psi_q4_increasing", "psi_reaches"]
+
+
+def test_forward_reachability_ends_when_an_iterate_stops_growing():
+    # f0 maps to itself alone: its iterates never grow, so the walk must end
+    # on the step bound, not the length bound
+    sys2 = eta_system(2)
+    images = list(sys2.eta.images)
+    images[sys2.f0_index] = (sys2.f0_index,)
+    probe = EtaSystem(2, sys2.nblock, Substitution(sys2.eta.alphabet, tuple(images)))
+    rep = verify_primitivity_argument(probe, False)
+    assert [e.claim for e in rep if not e.passed][-1] == "primitivity.forward"

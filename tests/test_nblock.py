@@ -17,6 +17,11 @@ THETA5_IMAGES = ((3, 9), (3, 9), (4, 10), (4, 10), (5, 11), (5, 11),
                  (6, 0), (6, 0), (7, 1), (7, 1), (8, 2), (8, 2))
 
 
+def _blocks(system):
+    """The blocks of a block system as text, read off its iterate."""
+    return [system.iterate[i:i + system.block_len] for i in system.offsets]
+
+
 def test_half_shift():
     assert half_shift(4, 12) == 10
     assert half_shift(7, 12) == 1
@@ -83,7 +88,7 @@ def test_first_letter_always_followed_by_its_half_shift():
         f0 = k // 2 - 1
         two_blocks = sub.language(2, f0)
         firsts_seen = set()
-        for c, d in two_blocks:
+        for c, d in (map(ord, f) for f in two_blocks):
             if k // 4 <= c < 3 * k // 4:  # c is a first-of-image letter (Q2 u Q3)
                 assert d == half_shift(c + 1, k) - 1
                 firsts_seen.add(c)
@@ -97,7 +102,7 @@ def test_block_substitutions_are_primitive():
 
 def test_block_fixed_point_prefix_from_f0():
     sub = thue_morse_block_system(2).block_sub
-    assert sub.iterate(5, 2) == (5, 11, 8, 2)
+    assert sub.iterate(5, 2) == "".join(map(chr, (5, 11, 8, 2)))
 
 
 def test_block_substitution_eigenvalue_is_two():
@@ -111,10 +116,10 @@ def test_generic_base_period_doubling():
     pd = Substitution(Alphabet(("0", "1")), ((0, 1), (0, 0)))
     sys3 = build_nblock(pd, 3)
     assert sys3.block_sub.constant_length() == 2
-    assert all(len(b) == 3 for b in sys3.blocks)
+    assert all(len(b) == 3 for b in _blocks(sys3))
     # closure: every window of every image is again a block
-    blocks = set(sys3.blocks)
-    for b in sys3.blocks:
+    blocks = set(_blocks(sys3))
+    for b in blocks:
         v = pd.apply(b)
         assert v[0:3] in blocks and v[1:4] in blocks
 
@@ -142,6 +147,10 @@ def test_block_labels_are_checked_when_base_labels_differ_in_width():
     assert wide.alphabet.labels == ("aa", "abb", "bba", "bbbb")
 
 
+def _apply_tuple(base, w):
+    return tuple(a for b in w for a in base.images[b])
+
+
 def _nblock_reference(base, block_len):
     """Tuple blocks from a tuple-iterate language; each image window is a
     tuple slice of the image of the whole block."""
@@ -149,7 +158,7 @@ def _nblock_reference(base, block_len):
     w = (seed,)
     prev = None
     while True:
-        w = base.apply(w)
+        w = _apply_tuple(base, w)
         found = {w[i:i + block_len] for i in range(len(w) - block_len + 1)}
         if prev is not None and found == prev and len(w) > 2 * block_len:
             break
@@ -160,7 +169,7 @@ def _nblock_reference(base, block_len):
     L = base.constant_length()
     images = []
     for b in blocks:
-        v = base.apply(b)
+        v = _apply_tuple(base, b)
         images.append(tuple(position[v[off:off + block_len]] for off in range(L)))
     return (tuple(blocks), tuple("".join(labels[a] for a in b) for b in blocks),
             tuple(images))
@@ -186,22 +195,21 @@ def _constant_length_bases(draw):
 def test_build_nblock_matches_reference_window_construction(base, block_len):
     blocks, labels, images = _nblock_reference(base, block_len)
     system = build_nblock(base, block_len)
-    assert system.blocks == blocks
+    assert tuple(tuple(map(ord, b)) for b in _blocks(system)) == blocks
     assert system.alphabet.labels == labels
     assert system.block_sub.images == images
 
 
 def _per_block_translate(base, block_len):
-    """Oracle: each block's own image by str.translate of its first letters,
+    """Oracle: each block's own image by applying the base to its first letters,
     its L windows looked up among the language blocks."""
     L = base.constant_length()
-    texts = base.language_text(block_len, 0)
+    texts = base.language(block_len, 0)
     position = {t: i for i, t in enumerate(texts)}
-    table = base.text_table()
     head = -(-(block_len + L - 1) // L)
     images = []
     for t in texts:
-        v = t[:head].translate(table)
+        v = base.apply(t[:head])
         images.append(tuple(position[v[off:off + block_len]] for off in range(L)))
     return tuple(texts), tuple(images)
 
@@ -210,7 +218,7 @@ def _per_block_translate(base, block_len):
 def test_theta_blocks_read_off_one_iterate_match_per_block_images(m):
     texts, images = _per_block_translate(theta(), 2 ** m + 1)
     system = build_nblock(theta(), 2 ** m + 1)
-    assert system.block_texts == texts
+    assert tuple(_blocks(system)) == texts
     assert system.block_sub.images == images
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,33 +11,37 @@ from hypothesis import strategies as st
 from tmblocks.injectivize import eta_system, zeta5_fixture
 from tmblocks.nblock import build_nblock
 from tmblocks.substitution import (Alphabet, IncidenceMatrix, Substitution,
-                                   _pf_brackets, compose, pf_bracket, pf_eigenvalue)
+                                   _pf_brackets, pf_bracket, pf_eigenvalue)
 from tmblocks.thue_morse import theta
 
 
 def _word_text(s, w):
-    return "".join(s.alphabet.labels[a] for a in w)
+    return w.translate(s.alphabet.labels)
+
+
+def _text(letters) -> str:
+    return "".join(map(chr, letters))
 
 
 def test_apply_examples():
     t = theta()
-    w = tuple(int(c) for c in "00101")
+    w = _text(int(c) for c in "00101")
     assert _word_text(t, t.apply(w)) == "0101100110"
-    assert t.apply(()) == ()
+    assert t.apply("") == ""
     with pytest.raises(ValueError):
-        t.apply((0, 2))
+        t.apply(_text((0, 2)))
     with pytest.raises(ValueError, match="letter 5 not in alphabet of size 2"):
-        t.apply((0, 5, -1))
-    with pytest.raises(ValueError, match="letter -1 not in alphabet of size 2"):
-        t.apply((1, -1))
+        t.apply(_text((0, 5, 1)))
 
 
 def test_iterate_examples():
     t = theta()
     assert _word_text(t, t.iterate(0, 4)) == "0110100110010110"
-    assert t.iterate(1, 0) == (1,)
+    assert t.iterate(1, 0) == "\x01"
     with pytest.raises(ValueError):
         t.iterate(0, -1)
+    with pytest.raises(ValueError, match="letter 2 not in alphabet of size 2"):
+        t.iterate(2, 0)
 
 
 def test_fixed_point_prefix():
@@ -140,8 +145,8 @@ def test_apply_is_morphism_property():
     rng = random.Random(21)
     t = theta()
     for _ in range(200):
-        u = tuple(rng.randrange(2) for _ in range(rng.randrange(10)))
-        v = tuple(rng.randrange(2) for _ in range(rng.randrange(10)))
+        u = _text(rng.randrange(2) for _ in range(rng.randrange(10)))
+        v = _text(rng.randrange(2) for _ in range(rng.randrange(10)))
         assert t.apply(u + v) == t.apply(u) + t.apply(v)
 
 
@@ -158,7 +163,10 @@ def test_incidence_of_composition_is_matrix_product():
     for _ in range(50):
         k = rng.randrange(2, 6)
         s, t = _random_substitution(rng, k), _random_substitution(rng, k)
-        left = compose(s, t).incidence_matrix().counts
+        # s∘t maps a to the images under s of the letters of t(a), in order
+        s_after_t = Substitution(s.alphabet, tuple(
+            tuple(c for b in img for c in s.images[b]) for img in t.images))
+        left = s_after_t.incidence_matrix().counts
         right = s.incidence_matrix().counts @ t.incidence_matrix().counts
         assert np.array_equal(left, right)
 
@@ -230,7 +238,9 @@ def test_substitution_is_an_immutable_value():
         del sub.alphabet
     with pytest.raises(AttributeError):
         sub.extra = 1
-    assert sub == twin
+    # the translate table built by apply is not part of the value
+    assert sub.apply("\x00") == "\x00\x01"
+    assert sub == twin and hash(sub) == hash(twin)
 
 
 def test_substitution_validation():
@@ -277,11 +287,6 @@ def test_streamed_json_and_dot_match_whole_document_builders(labels, data):
     lines += [f'  w{b + 1} -> w{a + 1} [label="{c}"];'
               for b, img in enumerate(images) for a, c in sorted(Counter(img).items())]
     assert sub.to_dot("s") == "\n".join(lines + ["}"]) + "\n"
-
-
-def test_compose_requires_common_alphabet():
-    with pytest.raises(ValueError):
-        compose(theta(), Substitution(Alphabet(("x", "y")), ((0, 1), (1, 0))))
 
 
 def test_incidence_matrix_from_dense_round_trip():
@@ -543,18 +548,69 @@ def test_image_length_sequence_matches_iteration(sub, data):
 
 # ---- the codepoint-text word layer against tuple-by-tuple references
 
+def _apply_reference(sub, w):
+    """The per-letter loop that applied a substitution to a tuple word."""
+    images = sub.images
+    k = sub.size
+    out = []
+    for a in w:
+        if not 0 <= a < k:
+            raise ValueError(f"letter {a} not in alphabet of size {k}")
+        out.extend(images[a])
+    return tuple(out)
+
+
+@cache
+def _wide_substitution(k):
+    """k letters; each image starts with the letter's partner a ^ 1, so that
+    surrogate code points (0xD800..0xDFFF, an even-aligned range) map to
+    surrogates when k > 0xDFFF."""
+    rng = random.Random(k)
+    images = tuple((a ^ 1 if a ^ 1 < k else a,)
+                   + tuple(rng.randrange(k) for _ in range(rng.randrange(3)))
+                   for a in range(k))
+    return Substitution(Alphabet(tuple(map(str, range(k)))), images)
+
+
+# 1-byte, 2-byte and 4-byte str, the last with the surrogates
+_WIDE = st.sampled_from((300, 70_000)).map(_wide_substitution)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_SUBSTITUTIONS, _WIDE), st.data())
+def test_text_apply_matches_tuple_loop(sub, data):
+    k = sub.size
+    letter = st.integers(0, k - 1)
+    if k > 0xDFFF:
+        letter = st.one_of(letter, st.integers(0xD800, 0xDFFF))
+    w = data.draw(st.lists(letter, max_size=20))
+    assert sub.apply(_text(w)) == _text(_apply_reference(sub, w))
+    a = data.draw(letter)
+    ref = (a,)
+    for n in range(4):
+        assert sub.iterate(a, n) == _text(ref)
+        ref = _apply_reference(sub, ref)
+    # translate leaves a code point without a table entry unchanged, so the
+    # range check is what refuses a letter outside the alphabet
+    bad = data.draw(st.integers(k, 0x10FFFF))
+    at = data.draw(st.integers(0, len(w)))
+    with pytest.raises(ValueError, match=f"letter {bad} not in alphabet of size {k}"):
+        sub.apply(_text(w[:at] + [bad] + w[at:]))
+
+
 def _language_reference(sub, length, seed):
-    """Tuple iterates and tuple windows, sorted on the tuple of labels."""
+    """Tuple iterates and tuple windows, sorted on the tuple of labels,
+    then written as text."""
     w = (seed,)
     prev = None
     while True:
-        w = sub.apply(w)
+        w = _apply_reference(sub, w)
         found = {w[i:i + length] for i in range(len(w) - length + 1)}
         if prev is not None and found == prev and len(w) > 2 * length:
             break
         prev = found
     labels = sub.alphabet.labels
-    return tuple(sorted(found, key=lambda f: tuple(labels[a] for a in f)))
+    return [_text(f) for f in sorted(found, key=lambda f: tuple(labels[a] for a in f))]
 
 
 @st.composite
@@ -582,11 +638,10 @@ def _rehashing_language_windows(sub, length, seed):
     two consecutive iterates give the same factor set and the iterate is
     longer than twice the factor length. Returns the factors sorted on their
     label tuples, the stable iterate and the last position of each factor."""
-    table = sub.text_table()
     s = chr(seed)
     prev = None
     while True:
-        s = s.translate(table)
+        s = sub.apply(s)
         found = {s[i:i + length]: i for i in range(len(s) - length + 1)}
         if prev is not None and found.keys() == prev.keys() and len(s) > 2 * length:
             break
@@ -627,7 +682,7 @@ def test_incremental_language_windows_match_rehashing_every_iterate(sub, length)
     # the block images as the oracle's language gives them: block f sits at
     # last[f] in s, so its image is a slice of the next iterate
     position = {f: j for j, f in enumerate(factors)}
-    image_text = s.translate(sub.text_table())
+    image_text = sub.apply(s)
     images = tuple(tuple(position[image_text[off:off + length]]
                          for off in range(L * last[f], L * last[f] + L)) for f in factors)
     labels = tuple("".join(sub.alphabet.labels[ord(a)] for a in f) for f in factors)
@@ -637,6 +692,6 @@ def test_incremental_language_windows_match_rehashing_every_iterate(sub, length)
             build_nblock(sub, length)
         return
     system = build_nblock(sub, length)
-    assert system.block_texts == tuple(factors)
+    assert [system.iterate[i:i + length] for i in system.offsets] == factors
     assert system.block_sub.images == images
     assert system.alphabet.labels == labels

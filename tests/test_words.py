@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tmblocks.words import EMPTY, BinaryWord, lex_compare, word
+from tmblocks.words import BinaryWord, word
+
+EMPTY = BinaryWord(0, 0)
 
 
 def test_parse_and_render_round_trip():
@@ -25,21 +27,13 @@ def test_letter_access():
         w[4]
 
 
-def test_lex_compare_examples():
-    assert lex_compare(word("00101"), word("00110")) == -1
-    assert lex_compare(word("01101"), word("01101")) == 0
-    assert lex_compare(word("10010"), word("01101")) == 1
-
-
-def test_lex_compare_prefix_precedes_extension():
-    assert word("01") < word("011")
-    assert lex_compare(word("0110"), word("01")) == 1
-
-
-def test_mirror_examples():
-    assert word("0110").mirror() == word("1001")
-    assert word("00101").mirror() == word("11010")
-    assert EMPTY.mirror() == EMPTY
+def test_bits_order_is_lexicographic_on_equal_lengths():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        u = BinaryWord(n, rng.getrandbits(n))
+        v = BinaryWord(n, rng.getrandbits(n))
+        assert (u.bits < v.bits) == (str(u) < str(v))
 
 
 def test_prefix_examples():
@@ -85,39 +79,16 @@ def test_strip_concat_round_trip_property():
         assert (p + w).strip_prefix(p) == w
 
 
-def test_mirror_is_involution_and_order_reversing():
-    rng = random.Random(12)
-    for _ in range(300):
-        w = _random_word(rng)
-        assert w.mirror().mirror() == w
-    for _ in range(300):
-        n = rng.randrange(1, 30)
-        u = BinaryWord(n, rng.getrandbits(n))
-        v = BinaryWord(n, rng.getrandbits(n))
-        if u < v:
-            assert u.mirror() > v.mirror()
-        elif u == v:
-            assert u.mirror() == v.mirror()
-
-
 def test_prefix_monotone_on_equal_lengths():
     rng = random.Random(13)
     for _ in range(300):
         n = rng.randrange(1, 30)
         u = BinaryWord(n, rng.getrandbits(n))
         v = BinaryWord(n, rng.getrandbits(n))
-        if u > v:
+        if u.bits > v.bits:
             u, v = v, u
         k = rng.randrange(n + 1)
-        assert u.prefix(k) <= v.prefix(k)
-
-
-def test_from_letters_and_starts_with():
-    assert BinaryWord.from_letters([0, 1, 1, 0]) == word("0110")
-    assert word("0110").starts_with(word("011"))
-    assert not word("0110").starts_with(word("10"))
-    with pytest.raises(ValueError):
-        BinaryWord.from_letters([0, 2])
+        assert u.prefix(k).bits <= v.prefix(k).bits
 
 
 def test_constructor_validation():
