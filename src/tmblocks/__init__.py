@@ -17,9 +17,9 @@ _MODULE_OF = {
          "verify_fixed_point", "verify_pair_images", "verify_primitivity_argument",
          "zeta5_fixture"), "injectivize"),
     **dict.fromkeys(
-        ("NBlockSystem", "build_nblock", "first_image_index", "formula_block_substitution",
-         "half_shift", "second_image_index", "thue_morse_block_system",
-         "verify_block_formula"), "nblock"),
+        ("first_image_index", "formula_block_substitution", "half_shift",
+         "second_image_index", "thue_morse_block_system", "verify_block_formula"),
+        "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(
         ("Alphabet", "IncidenceMatrix", "Substitution", "pf_eigenvalue"), "substitution"),

@@ -15,17 +15,18 @@ from typing import NamedTuple
 
 from .injectivize import (EtaSystem, build_eta, theorem_report, verify_fixed_point,
                           verify_pair_images, verify_primitivity_argument)
-from .nblock import NBlockSystem, thue_morse_block_system, verify_block_formula
+from .nblock import thue_morse_block_system, verify_block_formula
 from .report import VerificationReport
-from .substitution import IncidenceMatrix
+from .substitution import IncidenceMatrix, Substitution
 from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
-    m + 1, the block system, the refinement η, and η's incidence matrix and
-    its primitivity verdict; plus the tolerance and iteration depth."""
+    m + 1, the block substitution θ_N on the first, the refinement η, and
+    η's incidence matrix and its primitivity verdict; plus the tolerance and
+    iteration depth."""
 
     def __init__(self, m: int, tol: float, depth: int) -> None:
         self.m = m
@@ -41,8 +42,8 @@ class Level:
         return enumerate_by_scan(self.m + 1)
 
     @cached_property
-    def nblock(self) -> NBlockSystem:
-        return thue_morse_block_system(self.m)
+    def nblock(self) -> Substitution:
+        return thue_morse_block_system(self.factors)
 
     @cached_property
     def eta(self) -> EtaSystem:

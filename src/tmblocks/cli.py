@@ -191,17 +191,17 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
               f"{'2' if explicit else '1'}..{MAX_M}, got {args.m}", file=sys.stderr)
         return 2
     n = 2 ** args.m + 1
+    fs = enumerate_by_scan(args.m)
     if args.both:
-        built = thue_morse_block_system(args.m).block_sub
-        formula = formula_block_substitution(enumerate_by_scan(args.m))
-        if built != formula:
+        # both are built on fs.alphabet(), so only the images can differ
+        sub = thue_morse_block_system(fs)
+        if sub.images != formula_block_substitution(fs).images:
             print("error: window construction and closed form disagree", file=sys.stderr)
             return 1
-        sub = built
     elif args.explicit:
-        sub = formula_block_substitution(enumerate_by_scan(args.m))
+        sub = formula_block_substitution(fs)
     else:
-        sub = thue_morse_block_system(args.m).block_sub
+        sub = thue_morse_block_system(fs)
     _emit_substitution(sub, f"theta_{n}", args.format)
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice, pairwise
 from typing import Sequence
 
-from .nblock import NBlockSystem, half_shift, thue_morse_block_system
+from .nblock import half_shift, thue_morse_block_system
 from .report import ReportBuilder, VerificationReport
 from .substitution import IncidenceMatrix, Substitution, Word, pf_bracket
 from .thue_morse import enumerate_by_scan, thue_morse_prefix
@@ -26,10 +26,10 @@ from .thue_morse import enumerate_by_scan, thue_morse_prefix
 
 @dataclass(frozen=True)
 class EtaSystem:
-    """The block system together with its injective refinement."""
+    """The block substitution theta_N together with its injective refinement."""
 
     m: int
-    nblock: NBlockSystem
+    nblock: Substitution
     eta: Substitution
 
     @property
@@ -47,24 +47,23 @@ class EtaSystem:
         return self.size // 2
 
 
-def build_eta(m: int, nb: NBlockSystem) -> EtaSystem:
-    """Assemble the injective refinement of the Thue-Morse block system
-    ``nb`` of width 2^m + 1."""
+def build_eta(m: int, theta_n: Substitution) -> EtaSystem:
+    """Assemble the injective refinement of the Thue-Morse block
+    substitution ``theta_n`` of width 2^m + 1."""
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
-    sub = nb.block_sub
-    k = sub.size
-    if nb.alphabet.label(k // 2 - 1) != str(thue_morse_prefix(0, 2 ** m + 1)):
+    k = theta_n.size
+    if theta_n.alphabet.label(k // 2 - 1) != str(thue_morse_prefix(0, 2 ** m + 1)):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []
     for idx0 in range(k):
-        pair = sub.images[idx0]
+        pair = theta_n.images[idx0]
         i = idx0 + 1
         if i % 2 == 0:
             images.append(pair)
             continue
         quarter = (4 * idx0) // k + 1
-        partner = sub.images[half_shift(i, k) - 1]
+        partner = theta_n.images[half_shift(i, k) - 1]
         if quarter == 1:
             images.append((pair[1],))
         elif quarter == 2:
@@ -73,13 +72,13 @@ def build_eta(m: int, nb: NBlockSystem) -> EtaSystem:
             images.append(pair + (partner[0],))
         else:
             images.append((partner[1],) + pair)
-    return EtaSystem(m, nb, Substitution(sub.alphabet, tuple(images)))
+    return EtaSystem(m, theta_n, Substitution(theta_n.alphabet, tuple(images)))
 
 
 def eta_system(m: int) -> EtaSystem:
-    """The block system of width 2^m + 1 and its injective refinement, built
-    from scratch."""
-    return build_eta(m, thue_morse_block_system(m))
+    """The block substitution of width 2^m + 1 and its injective refinement,
+    built from scratch."""
+    return build_eta(m, thue_morse_block_system(enumerate_by_scan(m)))
 
 
 # The m=2 negative example: an injective redistribution that keeps the odd
@@ -145,7 +144,7 @@ def _map_power(chain: Sequence[int], n: int) -> list[int]:
 
 def verify_pair_images(sys: EtaSystem) -> VerificationReport:
     """The refinement and the block substitution agree on every image pair."""
-    sub = sys.nblock.block_sub
+    sub = sys.nblock
     eta = sys.eta
     pairs = ("".join(map(chr, img)) for img in sub.images)
     bad = [j + 1 for j, pair in enumerate(pairs) if eta.apply(pair) != sub.apply(pair)]
@@ -164,7 +163,7 @@ def verify_fixed_point(sys: EtaSystem, n_max: int) -> VerificationReport:
     refined iterate and the refined iterate is a prefix of the next block
     iterate: both sequences expand the same one-sided fixed point.
     """
-    theta_n = sys.nblock.block_sub
+    theta_n = sys.nblock
     eta = sys.eta
     rb = ReportBuilder(sys.m, "fixedpoint")
 
@@ -191,7 +190,7 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
     k = sys.size
     m = sys.m
     f0, f1 = sys.f0_index, sys.f1_index
-    phi = initials_map(sys.nblock.block_sub)
+    phi = initials_map(sys.nblock)
     psi = initials_map(sys.eta)
     rb = ReportBuilder(m, "primitivity")
 

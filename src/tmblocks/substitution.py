@@ -166,59 +166,6 @@ class Substitution:
             raise ValueError(f"iteration count must be >= 0, got {n}")
         return next(islice(self.iterates(letter), n, None))
 
-    def is_growing_seed(self, letter: int) -> bool:
-        img = self.images[letter]
-        return img[0] == letter and len(img) >= 2
-
-    def language(self, length: int, seed: int) -> list[str]:
-        """All factors of the given length of the fixed point grown from ``seed``,
-        as text, sorted lexicographically by display labels.
-
-        Iterates the seed until two consecutive iterates yield the same factor
-        set and the iterate is longer than twice the factor length. Meaningful
-        for primitive substitutions, where the factor sets stabilize.
-        """
-        return self._language_windows(length, seed)[0]
-
-    def _language_windows(self, length: int, seed: int
-                          ) -> tuple[list[str], str, dict[str, int]]:
-        """The sorted factors of ``language``, the stable iterate s they
-        were read from, and one position in s of each factor.
-
-        The seed is growing, so each iterate is a prefix of the next: a
-        window that does not reach into the new suffix was seen in an earlier
-        round. One dict collects the windows, each round reads only those that
-        start at or after ``start``, and the factor set is stable when a round
-        adds none.
-        """
-        if length < 1:
-            raise ValueError(f"factor length must be >= 1, got {length}")
-        if not self.is_growing_seed(seed):
-            raise ValueError(f"letter {seed} is not a growing seed")
-        table = self._text_table()
-        s = chr(seed).translate(table)
-        found: dict[str, int] = {}
-        add = found.setdefault
-        start = 0
-        while True:
-            before = len(found)
-            stop = len(s) - length + 1
-            for i in range(start, stop):
-                add(s[i:i + length], i)
-            if len(found) == before and len(s) > 2 * length:
-                break
-            start = max(start, stop)
-            s = s.translate(table)
-        # All factors have one length, so comparing label tuples is comparing
-        # the letters' ranks in label order, codepoint by codepoint.
-        by_label = sorted(range(self.size), key=self.alphabet.label)
-        if by_label == list(range(self.size)):
-            return sorted(found), s, found
-        rank = [""] * self.size
-        for r, a in enumerate(by_label):
-            rank[a] = chr(r)
-        return sorted(found, key=lambda f: f.translate(rank)), s, found
-
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""
         return len(set(self.images)) == len(self.images)

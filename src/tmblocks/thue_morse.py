@@ -108,18 +108,18 @@ class FactorSet:
         return len(self.words)
 
     @cached_property
-    def _positions(self) -> dict[BinaryWord, int]:
-        return {w: i for i, w in enumerate(self.words)}
+    def _positions(self) -> dict[int, int]:
+        """The ``bits`` of each factor -> its 0-based position."""
+        return {w.bits: i for i, w in enumerate(self.words)}
 
     def index(self, w: BinaryWord) -> int:
         """0-based position of w; raises ValueError for non-members."""
-        try:
-            return self._positions[w]
-        except KeyError:
-            raise ValueError(f"{w} is not a factor of length {self.word_length}") from None
+        if w not in self:
+            raise ValueError(f"{w} is not a factor of length {self.word_length}")
+        return self._positions[w.bits]
 
     def __contains__(self, w: BinaryWord) -> bool:
-        return w in self._positions
+        return len(w) == self.word_length and w.bits in self._positions
 
     @property
     def quarter_size(self) -> int:

@@ -12,7 +12,6 @@ Display convention: contiguous '0'/'1' characters, no separators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -40,15 +39,6 @@ class BinaryWord:
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"letter index {i} out of range for length {self.length}")
-        return (self.bits >> (self.length - 1 - i)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.bits >> (self.length - 1 - i)) & 1
-
     def __add__(self, other: "BinaryWord") -> "BinaryWord":
         return BinaryWord(self.length + other.length,
                           (self.bits << other.length) | other.bits)
@@ -74,11 +64,6 @@ class BinaryWord:
         if p.length > self.length or self.prefix(p.length) != p:
             raise ValueError(f"{p} is not a prefix of {self}")
         return self.suffix(self.length - p.length)
-
-    def append(self, letter: int) -> "BinaryWord":
-        if letter not in (0, 1):
-            raise ValueError(f"letter must be 0 or 1, got {letter!r}")
-        return BinaryWord(self.length + 1, (self.bits << 1) | letter)
 
 
 def word(text: str) -> BinaryWord:

@@ -90,6 +90,13 @@ def test_build_theta_text(capsys):
     assert lines[6] == "theta_5(w_7) = w_7 w_1"
 
 
+def test_build_theta_both_scans_once(capsys, monkeypatch):
+    scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
+    code, _, _ = _run(capsys, ["build", "theta", "--m", "4", "--both"])
+    assert code == 0
+    assert scans == {4: 1}
+
+
 def test_build_theta_explicit_matches_windows(capsys):
     _, windows, _ = _run(capsys, ["build", "theta", "--m", "3"])
     _, explicit, _ = _run(capsys, ["build", "theta", "--m", "3", "--explicit"])
@@ -166,7 +173,7 @@ def _count_calls(monkeypatch, name, key):
 
 def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
-    blocks = _count_calls(monkeypatch, "build_nblock", lambda base, n: n)
+    blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
     primitivity = Counter()
     is_primitive = IncidenceMatrix.is_primitive
@@ -178,7 +185,7 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
     assert code == 0 and len(out.splitlines()) == 40
     assert scans == {m: 1 for m in range(2, 8)}
-    assert blocks == {2 ** m + 1: 1 for m in range(2, 7)}
+    assert blocks == {m: 1 for m in range(2, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
 
@@ -308,6 +315,12 @@ STDOUT_SHA256 = {
     "factors --m 5 --format json":
         "aae60885096e12e630ce7d5c5fd7a891419c0c4aa46579724d98b1d60c9ca261",
     "verify --m 2..6": "f5fe71144acc0cac429dd8a526e537c3bf7fb9a290c0237f45fd0a3d55b4e3f3",
+    # m = 1 has no closed form, so only the window construction prints it
+    "build theta --m 1": "47737d7a72335ee508db57dff98bbbc30f5573c2c25347acc6a9c8b2775e3d57",
+    "build theta --m 9 --format json":
+        "9e70ca2511cfe9a850d61d5c496cdf20b7cf4f28486bd4dbc705264b9b12308f",
+    "build eta --m 9 --format dot":
+        "f0480a4c35d27ed46c72b31a1956f9c2425464b15a2aaf4dca1692b25e3867ca",
 }
 
 

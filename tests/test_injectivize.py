@@ -24,7 +24,7 @@ def test_build_eta_m2_golden():
     assert sys2.eta.alphabet.labels == tuple(str(w) for w in enumerate_by_scan(2).words)
     assert sys2.f0_index == 5 and sys2.f1_index == 6
     with pytest.raises(ValueError):
-        build_eta(1, thue_morse_block_system(1))
+        build_eta(1, thue_morse_block_system(enumerate_by_scan(1)))
 
 
 def test_zeta5_fixture_golden():
@@ -39,7 +39,7 @@ def test_zeta5_fixture_golden():
 
 def test_zeta5_orbit_agrees_with_block_substitution():
     z = zeta5_fixture()
-    t5 = thue_morse_block_system(2).block_sub
+    t5 = thue_morse_block_system(enumerate_by_scan(2))
     for n in range(1, 11):
         assert z.iterate(5, n) == t5.iterate(5, n)
 
@@ -66,7 +66,7 @@ def test_image_length_profile(m):
             assert len(img) == 3
     assert sum(len(img) for img in eta.images) == 2 * k
     # even letters keep the block images verbatim
-    theta_n = sys_m.nblock.block_sub
+    theta_n = sys_m.nblock
     for idx0 in range(1, k, 2):  # 1-based index even
         assert eta.images[idx0] == theta_n.images[idx0]
 
@@ -76,9 +76,14 @@ def test_eta_is_injective(m):
     assert eta_system(m).eta.is_injective()
 
 
+def test_eta_system_keeps_theta_n():
+    for m in (2, 3, 4):
+        assert eta_system(m).nblock == thue_morse_block_system(enumerate_by_scan(m))
+
+
 def test_pair_images_golden_and_verifier():
     sys2 = eta_system(2)
-    t5 = sys2.nblock.block_sub
+    t5 = sys2.nblock
     # the pair starting the f1 orbit: image of (w7, w1)
     assert sys2.eta.apply("\x06\x00") == "\x06\x00\x03\x09" == t5.apply("\x06\x00")
     for m in (2, 3, 4):
@@ -87,7 +92,7 @@ def test_pair_images_golden_and_verifier():
 
 def test_fixed_point_orbits():
     sys2 = eta_system(2)
-    eta, t5 = sys2.eta, sys2.nblock.block_sub
+    eta, t5 = sys2.eta, sys2.nblock
     for n in range(1, 9):
         assert eta.iterate(sys2.f0_index, n) == t5.iterate(sys2.f0_index, n)
     # from f1 the refined iterate is longer but expands the same fixed point
@@ -103,14 +108,14 @@ def test_fixed_point_orbits():
 
 def test_initials_maps():
     sys2 = eta_system(2)
-    phi = initials_map(sys2.nblock.block_sub)
+    phi = initials_map(sys2.nblock)
     psi = initials_map(sys2.eta)
     assert phi[0] == 3   # the first letter's block image starts at w_4
     assert psi[0] == 9   # the refined image of w_1 is the single letter w_10
     for m in (2, 3, 4):
         sys_m = eta_system(m)
         k = sys_m.size
-        phi_m = initials_map(sys_m.nblock.block_sub)
+        phi_m = initials_map(sys_m.nblock)
         psi_m = initials_map(sys_m.eta)
         assert psi_m[k // 4:3 * k // 4] == phi_m[k // 4:3 * k // 4]
 
@@ -177,7 +182,7 @@ def test_growth_identity_matrix_vs_iteration():
 
 def test_even_position_pairs_are_exactly_the_image_pairs():
     for m in (2, 3):
-        sub = thue_morse_block_system(m).block_sub
+        sub = thue_morse_block_system(enumerate_by_scan(m))
         f0 = sub.size // 2 - 1
         w = sub.iterate(f0, 12 if m == 2 else 13)
         pairs = {(ord(w[i]), ord(w[i + 1])) for i in range(0, len(w) - 1, 2)}
@@ -261,7 +266,7 @@ def _reachability_reference(sys_m):
     """The phi_reaches and psi_reaches entries as the step-by-step walks give
     them: (passed, detail) pairs."""
     k, f0, f1 = sys_m.size, sys_m.f0_index, sys_m.f1_index
-    phi = initials_map(sys_m.nblock.block_sub)
+    phi = initials_map(sys_m.nblock)
     psi = initials_map(sys_m.eta)
     targets = {f0, f1}
     bad = [i + 1 for i in range(k)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmblocks.injectivize import eta_system, zeta5_fixture
-from tmblocks.nblock import build_nblock
 from tmblocks.substitution import (Alphabet, IncidenceMatrix, Substitution,
                                    _pf_brackets, pf_bracket, pf_eigenvalue)
 from tmblocks.thue_morse import theta
@@ -50,13 +49,6 @@ def test_fixed_point_prefix():
     assert _word_text(t, t.iterate(1, 3)) == "10010110"
     w = t.iterate(0, 3)
     assert len(w) >= 5 and t.apply(w)[:len(w)] == w
-
-
-def test_fixed_point_prefix_rejects_non_growing_seed():
-    s = Substitution(Alphabet(("a", "b")), ((1, 0), (1, 0)))
-    assert not s.is_growing_seed(0)
-    with pytest.raises(ValueError, match="not a growing seed"):
-        s.language(2, 0)
 
 
 def test_incidence_matrix_of_theta():
@@ -108,37 +100,6 @@ def test_pf_eigenvalue_periodic_and_defective_inputs():
         pf_eigenvalue(IncidenceMatrix([[1, 0], [1, 1]]), max_iter=500)
     with pytest.raises(ValueError):
         pf_eigenvalue(IncidenceMatrix([[1]]), tol=0.0)
-
-
-def test_language_small_lengths():
-    t = theta()
-    lang3 = [_word_text(t, f) for f in t.language(3, 0)]
-    assert lang3 == ["001", "010", "011", "100", "101", "110"]
-    assert [_word_text(t, f) for f in t.language(1, 0)] == ["0", "1"]
-    lang5 = [_word_text(t, f) for f in t.language(5, 0)]
-    assert lang5 == ["00101", "00110", "01001", "01011", "01100", "01101",
-                     "10010", "10011", "10100", "10110", "11001", "11010"]
-
-
-def test_language_is_factor_closed():
-    t = theta()
-    for L in (3, 5, 7):
-        shorter = set(t.language(L - 1, 0))
-        longer = t.language(L, 0)
-        # every shorter factor extends to the right inside the language
-        for u in shorter:
-            assert any(f[:-1] == u for f in longer)
-        # and every window of a longer factor is a shorter factor
-        for f in longer:
-            assert f[:-1] in shorter and f[1:] in shorter
-
-
-def test_language_never_contains_cubes_of_a_letter():
-    t = theta()
-    for L in range(3, 11):
-        for f in t.language(L, 0):
-            text = _word_text(t, f)
-            assert "000" not in text and "111" not in text
 
 
 def test_apply_is_morphism_property():
@@ -596,102 +557,3 @@ def test_text_apply_matches_tuple_loop(sub, data):
     at = data.draw(st.integers(0, len(w)))
     with pytest.raises(ValueError, match=f"letter {bad} not in alphabet of size {k}"):
         sub.apply(_text(w[:at] + [bad] + w[at:]))
-
-
-def _language_reference(sub, length, seed):
-    """Tuple iterates and tuple windows, sorted on the tuple of labels,
-    then written as text."""
-    w = (seed,)
-    prev = None
-    while True:
-        w = _apply_reference(sub, w)
-        found = {w[i:i + length] for i in range(len(w) - length + 1)}
-        if prev is not None and found == prev and len(w) > 2 * length:
-            break
-        prev = found
-    labels = sub.alphabet.labels
-    return [_text(f) for f in sorted(found, key=lambda f: tuple(labels[a] for a in f))]
-
-
-@st.composite
-def _seeded_substitutions(draw):
-    """Letter 0 is a growing seed; labels are distinct, multi-character and
-    in random order, so label order and index order differ."""
-    k = draw(st.integers(1, 4))
-    images = [draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)) for _ in range(k)]
-    if len(images[0]) < 2:
-        images[0].append(0)
-    images[0][0] = 0
-    labels = draw(st.lists(st.text("01", min_size=1, max_size=3), min_size=k,
-                           max_size=k, unique=True))
-    return Substitution(Alphabet(tuple(labels)), tuple(map(tuple, images)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_seeded_substitutions(), st.integers(1, 5))
-def test_language_matches_reference(sub, length):
-    assert sub.language(length, 0) == _language_reference(sub, length, 0)
-
-
-def _rehashing_language_windows(sub, length, seed):
-    """Oracle: every window of every iterate hashed into a fresh dict, until
-    two consecutive iterates give the same factor set and the iterate is
-    longer than twice the factor length. Returns the factors sorted on their
-    label tuples, the stable iterate and the last position of each factor."""
-    s = chr(seed)
-    prev = None
-    while True:
-        s = sub.apply(s)
-        found = {s[i:i + length]: i for i in range(len(s) - length + 1)}
-        if prev is not None and found.keys() == prev.keys() and len(s) > 2 * length:
-            break
-        prev = found
-    labels = sub.alphabet.labels
-    return sorted(found, key=lambda f: tuple(labels[ord(a)] for a in f)), s, found
-
-
-@st.composite
-def _growing_substitutions(draw):
-    """Letter 0 is a growing seed and the labels are shuffled. Some draws
-    have constant length L in 2..3 and labels of one width, so that they are
-    bases of a block recoding."""
-    k = draw(st.integers(1, 4))
-    L = draw(st.sampled_from((None, 2, 3)))
-    images = [draw(st.lists(st.integers(0, k - 1), min_size=L or 1, max_size=L or 3))
-              for _ in range(k)]
-    if len(images[0]) < 2:
-        images[0].append(0)
-    images[0][0] = 0
-    width = draw(st.integers(1, 3)) if L else None
-    labels = draw(st.lists(st.text("abcd", min_size=width or 1, max_size=width or 3),
-                           min_size=k, max_size=k, unique=True))
-    return Substitution(Alphabet(tuple(labels)), tuple(map(tuple, images)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_growing_substitutions(), st.integers(1, 6))
-def test_incremental_language_windows_match_rehashing_every_iterate(sub, length):
-    factors, s, last = _rehashing_language_windows(sub, length, 0)
-    got, got_s, occurrence = sub._language_windows(length, 0)
-    assert (got, got_s) == (factors, s)
-    assert sorted(occurrence) == sorted(factors)
-    assert all(s[i:i + length] == f for f, i in occurrence.items())
-    L = sub.constant_length()
-    if L is None:
-        return
-    # the block images as the oracle's language gives them: block f sits at
-    # last[f] in s, so its image is a slice of the next iterate
-    position = {f: j for j, f in enumerate(factors)}
-    image_text = sub.apply(s)
-    images = tuple(tuple(position[image_text[off:off + length]]
-                         for off in range(L * last[f], L * last[f] + L)) for f in factors)
-    labels = tuple("".join(sub.alphabet.labels[ord(a)] for a in f) for f in factors)
-    if len(set(labels)) < len(labels):
-        # labels of several widths can spell two blocks alike (a·aa = aa·a)
-        with pytest.raises(ValueError, match="alphabet labels must be distinct"):
-            build_nblock(sub, length)
-        return
-    system = build_nblock(sub, length)
-    assert [system.iterate[i:i + length] for i in system.offsets] == factors
-    assert system.block_sub.images == images
-    assert system.alphabet.labels == labels

@@ -40,7 +40,9 @@ def test_apply_theta_agrees_with_generic_substitution(w):
     # lengths 0..70 cover partial bytes on both sides of the byte tables
     image = apply_theta(w)
     assert image.length == 2 * w.length
-    assert "".join(map(chr, image)) == theta().apply("".join(map(chr, w)))
+    # theta's letter a is code point a in the text form: "0" -> "\x00"
+    letters = str.maketrans("01", "\x00\x01")
+    assert str(image).translate(letters) == theta().apply(str(w).translate(letters))
 
 
 def test_thue_morse_prefix():
@@ -78,14 +80,47 @@ def test_enumeration_methods_agree():
         assert scan.size == 3 * 2 ** m
 
 
+def _parity_factors(n, prefix_len):
+    """Reference: the sorted width-n windows of the first ``prefix_len``
+    letters of the fixed point, letter i the parity of popcount(i); windows
+    are string slices and sorted as strings."""
+    text = "".join(str(bin(i).count("1") % 2) for i in range(prefix_len))
+    return sorted({text[i:i + n] for i in range(len(text) - n + 1)})
+
+
 def test_scan_matches_windows_of_the_parity_sequence():
-    # reference: letter i of the fixed point is the parity of popcount(i),
-    # windows are string slices and sorted as strings
     for m in range(1, 8):
         n = 2 ** m + 1
-        text = "".join(str(bin(i).count("1") % 2) for i in range(32 * n))
-        want = sorted({text[i:i + n] for i in range(len(text) - n + 1)})
-        assert [str(w) for w in enumerate_by_scan(m).words] == want
+        assert [str(w) for w in enumerate_by_scan(m).words] == _parity_factors(n, 32 * n)
+
+
+def test_small_factor_tables():
+    assert _parity_factors(1, 64) == ["0", "1"]
+    assert _parity_factors(2, 64) == ["00", "01", "10", "11"]
+    assert _parity_factors(3, 64) == ["001", "010", "011", "100", "101", "110"]
+    assert _parity_factors(5, 256) == A2_GOLDEN
+
+
+def test_factors_are_factor_closed():
+    for m in range(1, 6):
+        n = 2 ** m + 1
+        shorter = set(_parity_factors(n - 1, 32 * n))
+        longer = [str(w) for w in enumerate_by_scan(m).words]
+        # every shorter factor extends to the right among the factors
+        for u in shorter:
+            assert any(f[:-1] == u for f in longer)
+        # and both windows of a factor one letter shorter are shorter factors
+        for f in longer:
+            assert f[:-1] in shorter and f[1:] in shorter
+
+
+def test_factors_never_contain_cubes_of_a_letter():
+    for n in range(3, 11):
+        for f in _parity_factors(n, 32 * n):
+            assert "000" not in f and "111" not in f
+    for m in range(1, 7):
+        for w in enumerate_by_scan(m).words:
+            assert "000" not in str(w) and "111" not in str(w)
 
 
 def test_enumerators_reject_m_out_of_range():
@@ -126,7 +161,7 @@ def test_factor_set_structure():
             mirror = BinaryWord(w.length, w.bits ^ ((1 << w.length) - 1))
             assert fs.index(mirror) == fs.size - 1 - i
         # exactly half the words start with 0
-        assert sum(1 for w in fs.words if w[0] == 0) == fs.size // 2
+        assert sum(1 for w in fs.words if str(w)[0] == "0") == fs.size // 2
         assert "000" not in "".join(str(fs.words[0]))
 
 
@@ -144,6 +179,16 @@ def test_index_rejects_non_members():
         fs.index(word("00000"))
     assert word("00101") in fs
     assert word("00000") not in fs
+
+
+def test_membership_needs_the_factor_length():
+    # positions are keyed by bits, so 0101 and 000101 share the bits of 00101
+    fs = enumerate_by_scan(2)
+    for w in (word("0101"), word("000101")):
+        assert w not in fs
+        with pytest.raises(ValueError, match="is not a factor of length 5"):
+            fs.index(w)
+    assert fs.index(word("00101")) == 0
 
 
 def test_factor_set_validation():
@@ -208,5 +253,5 @@ def test_order_preservation_small_sample():
         assert apply_theta(u).bits < apply_theta(v).bits
         du, dv = descendants(u), descendants(v)
         assert du[0].bits < dv[0].bits
-        if u[0] == v[0]:
+        if str(u)[0] == str(v)[0]:
             assert du[1].bits < dv[1].bits

