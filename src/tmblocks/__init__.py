@@ -22,7 +22,7 @@ _MODULE_OF = {
         "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(
-        ("Alphabet", "IncidenceMatrix", "Substitution", "pf_eigenvalue"), "substitution"),
+        ("Alphabet", "Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
         ("FactorSet", "QuarterMarkers", "apply_theta", "descendants",
          "enumerate_by_descendants", "enumerate_by_scan", "quarter_markers",

@@ -17,7 +17,7 @@ from .injectivize import (EtaSystem, build_eta, theorem_report, verify_fixed_poi
                           verify_pair_images, verify_primitivity_argument)
 from .nblock import thue_morse_block_system, verify_block_formula
 from .report import VerificationReport
-from .substitution import IncidenceMatrix, Substitution
+from .substitution import Substitution
 from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
@@ -25,8 +25,7 @@ from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
     m + 1, the block substitution θ_N on the first, the refinement η, and
-    η's incidence matrix and its primitivity verdict; plus the tolerance and
-    iteration depth."""
+    η's primitivity verdict; plus the tolerance and iteration depth."""
 
     def __init__(self, m: int, tol: float, depth: int) -> None:
         self.m = m
@@ -50,12 +49,8 @@ class Level:
         return build_eta(self.m, self.nblock)
 
     @cached_property
-    def eta_matrix(self) -> IncidenceMatrix:
-        return self.eta.eta.incidence_matrix()
-
-    @cached_property
     def eta_primitive(self) -> bool:
-        return self.eta_matrix.is_primitive()
+        return self.eta.eta.is_primitive()
 
 
 def levels(lo: int, hi: int, tol: float, depth: int) -> Iterator[Level]:
@@ -85,5 +80,5 @@ CLAIMS = {
     "fixedpoint": Claim(False, lambda lv: verify_fixed_point(lv.eta, lv.depth)),
     "primitivity": Claim(False, lambda lv: verify_primitivity_argument(lv.eta, lv.eta_primitive)),
     "theorem": Claim(False, lambda lv: theorem_report(
-        lv.eta.eta, lv.eta_matrix, lv.eta_primitive, lv.eta, lv.tol, lv.depth)),
+        lv.eta.eta, lv.eta_primitive, lv.eta, lv.tol, lv.depth)),
 }

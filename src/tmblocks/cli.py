@@ -268,10 +268,9 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: could not load substitution: {exc}", file=sys.stderr)
         return 3
-    matrix = sub.incidence_matrix()
-    primitive = "true" if matrix.is_primitive() else "false"
+    primitive = "true" if sub.is_primitive() else "false"
     try:
-        value = pf_eigenvalue(matrix)
+        value = pf_eigenvalue(sub)
         print(f"PF ≈ {value:.9f}, primitive: {primitive}")
     except ArithmeticError:
         print(f"PF did not converge, primitive: {primitive}")

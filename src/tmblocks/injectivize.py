@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .nblock import half_shift, thue_morse_block_system
 from .report import ReportBuilder, VerificationReport
-from .substitution import IncidenceMatrix, Substitution, Word, pf_bracket
+from .substitution import Substitution, Word, pf_bracket
 from .thue_morse import enumerate_by_scan, thue_morse_prefix
 
 
@@ -241,13 +241,13 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
     return rb.build()
 
 
-def theorem_report(sub: Substitution, matrix: IncidenceMatrix, primitive: bool,
-                   reference_sys: EtaSystem, tol: float, n_max: int) -> VerificationReport:
+def theorem_report(sub: Substitution, primitive: bool, reference_sys: EtaSystem,
+                   tol: float, n_max: int) -> VerificationReport:
     """The headline claims for one substitution sharing the reference block
-    system's alphabet and f0 letter, given its incidence matrix and that
-    matrix's primitivity verdict: injectivity, primitivity, dominant
-    eigenvalue 2 (with the exact doubling identity both from the matrix and
-    by direct iteration), and fixed-point agreement."""
+    system's alphabet and f0 letter, given its primitivity verdict:
+    injectivity, primitivity, dominant eigenvalue 2 of its incidence matrix
+    (with the exact doubling identity both from the matrix, read off the
+    images, and by direct iteration), and fixed-point agreement."""
     rb = ReportBuilder(reference_sys.m, "theorem")
     rb.check("injective", sub.is_injective())
     rb.check("primitive", primitive)
@@ -255,14 +255,14 @@ def theorem_report(sub: Substitution, matrix: IncidenceMatrix, primitive: bool,
     try:
         # an exact bracket at most tol wide; on eta every letter occurs
         # twice among the images, so the row sums give exactly [2, 2]
-        lo, hi = pf_bracket(matrix, tol)
+        lo, hi = pf_bracket(sub, tol)
         rb.check("pf_eigenvalue", lo <= 2 <= hi, f"PF in [{lo}, {hi}]")
     except ArithmeticError as exc:
         rb.check("pf_eigenvalue", False, str(exc))
 
     f0 = reference_sys.f0_index
     powers = [2 ** n for n in range(1, n_max + 1)]
-    rb.check("lengths_matrix", matrix.image_length_sequence(f0, n_max) == powers,
+    rb.check("lengths_matrix", sub.image_length_sequence(f0, n_max) == powers,
              f"1^T M^n at the f0 column doubles up to n={n_max}")
 
     direct = [len(w) for w in islice(sub.iterates(f0), 1, n_max + 1)]

@@ -7,9 +7,11 @@ Words over the alphabet are codepoint text, letter a as ``chr(a)``, so that
 applying a substitution is one ``str.translate`` and windows and prefixes
 are C-level slices. The images themselves are tuples of letter indices.
 
-The incidence matrix follows the convention M[a][b] = number of occurrences
-of letter a in the image of letter b, so each column b is the letter-count
-vector of images[b] and column sums are the image lengths.
+The images are the only representation of a substitution. Its incidence
+matrix M[a][b] = number of occurrences of letter a in the image of letter b
+is read off them: column b is the multiset images[b], column sums are the
+image lengths, and the graph with an edge b -> a per letter a of images[b]
+is the graph of M.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from itertools import islice
 
 # the image of a letter: a tuple of letter indices
 Word = tuple[int, ...]
-# one sparse column of an incidence matrix: sorted (letter, count > 0) pairs
-Column = tuple[tuple[int, int], ...]
 
 
 class Alphabet:
@@ -124,11 +123,6 @@ class Substitution:
     def size(self) -> int:
         return self.alphabet.size
 
-    def constant_length(self) -> int | None:
-        """The common image length L, or None for non-constant length."""
-        lengths = {len(img) for img in self.images}
-        return lengths.pop() if len(lengths) == 1 else None
-
     def _text_table(self) -> tuple[str, ...]:
         """``str.translate`` table: entry a is the image of letter a as
         text. Built on first use; a code point >= k is not in it, and
@@ -160,27 +154,53 @@ class Substitution:
             yield w
             w = w.translate(table)
 
-    def iterate(self, letter: int, n: int) -> str:
-        """The n-th image word of a single letter; n = 0 gives chr(letter)."""
-        if n < 0:
-            raise ValueError(f"iteration count must be >= 0, got {n}")
-        return next(islice(self.iterates(letter), n, None))
-
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""
         return len(set(self.images)) == len(self.images)
 
-    def incidence_matrix(self) -> "IncidenceMatrix":
-        return IncidenceMatrix.from_columns(
-            tuple(tuple(sorted(Counter(img).items())) for img in self.images))
-
     def is_primitive(self) -> bool:
-        return self.incidence_matrix().is_primitive()
+        """True iff some power of the incidence matrix is entrywise positive.
 
-    def format_word(self, w: Sequence[int], one_based: bool = True) -> str:
+        That holds iff the graph with an edge b -> a for each letter a of
+        images[b] is strongly connected and aperiodic (Seneta, Non-negative
+        Matrices and Markov Chains, ch. 1). Both are read off breadth-first
+        search from letter 0 in O(k + E): every letter must be reached along
+        the edges and against them, and the period, the gcd over all edges
+        b -> a of level(b) + 1 - level(a), must be 1 (Denardo 1977). A letter
+        repeated in an image repeats an edge, which changes neither search
+        nor gcd. With no edges the gcd is 0 and the matrix is not primitive.
+        """
+        forward = self.images
+        level = _bfs_levels(forward)
+        if min(level) < 0 or min(_bfs_levels(_transpose(forward))) < 0:
+            return False
+        g = 0
+        for b, img in enumerate(forward):
+            for a in img:
+                g = math.gcd(g, level[b] + 1 - level[a])
+        return g == 1
+
+    def image_length_sequence(self, letter: int, n_max: int) -> list[int]:
+        """Exact lengths of the n-th image words of ``letter`` for n = 1..n_max,
+        computed without building them: the letter's entry of 1^T M^n, by
+        u_b = sum of u_a over the letters a of images[b].
+
+        Uses Python integers, so arbitrarily deep powers stay exact.
+        """
+        k = self.size
+        if not 0 <= letter < k:
+            raise ValueError(f"letter {letter} out of range for size {k}")
+        u = [1] * k  # u[b] = length of the n-th image of letter b
+        out = []
+        for _ in range(n_max):
+            get = u.__getitem__
+            u = [sum(map(get, img)) for img in self.images]
+            out.append(u[letter])
+        return out
+
+    def format_word(self, w: Sequence[int]) -> str:
         """Indexed rendering, e.g. 'w_4 w_10'."""
-        off = 1 if one_based else 0
-        return " ".join(f"w_{a + off}" for a in w)
+        return " ".join(f"w_{a + 1}" for a in w)
 
     def to_json(self) -> str:
         return "".join(self.iter_json())
@@ -215,122 +235,29 @@ class Substitution:
         return cls(Alphabet(tuple(str(x) for x in alphabet)),
                    tuple(tuple(img) for img in images))
 
-    def to_dot(self, name: str = "substitution") -> str:
-        return "".join(self.iter_dot(name))
-
     def iter_dot(self, name: str = "substitution") -> Iterator[str]:
         """Graphviz digraph, one line at a time: node per letter, edge b->a
         labeled with the number of occurrences of a in the image of b."""
         yield f"digraph {name} {{\n"
         for i, label in enumerate(self.alphabet.iter_labels()):
             yield f'  w{i + 1} [label="w{i + 1}:{label}"];\n'
-        for b, col in enumerate(self.incidence_matrix().columns):
-            for a, count in col:
+        for b, img in enumerate(self.images):
+            for a, count in sorted(Counter(img).items()):
                 yield f'  w{b + 1} -> w{a + 1} [label="{count}"];\n'
         yield "}\n"
 
 
-class IncidenceMatrix:
-    """Square non-negative integer matrix of a substitution (read-only).
-
-    Stored by sparse columns: column b is the tuple of ``(a, count)`` pairs,
-    sorted by a, with count = M[a][b] > 0. Memory and the methods are linear
-    in k plus the number of non-zero entries; only the dense constructor and
-    the ``counts`` view take k*k.
-    """
-
-    def __init__(self, counts: Sequence[Sequence[int]]):
-        """Build from a dense square array or nested list (small k)."""
-        try:
-            entries = [list(row) for row in counts]
-            rows = [[int(c) for c in row] for row in entries]
-        except TypeError:
-            raise ValueError("incidence matrix must be a square 2-D array") from None
-        k = len(rows)
-        if k == 0 or any(len(row) != k for row in rows):
-            raise ValueError(f"incidence matrix must be square, got {k} rows of lengths "
-                             f"{sorted({len(row) for row in rows})}")
-        if rows != entries:
-            raise ValueError("incidence matrix entries must be integers")
-        if any(c < 0 for row in rows for c in row):
-            raise ValueError("incidence matrix entries must be non-negative")
-        self.columns = tuple(tuple((a, rows[a][b]) for a in range(k) if rows[a][b])
-                             for b in range(k))
-
-    @classmethod
-    def from_columns(cls, columns: tuple[Column, ...]) -> "IncidenceMatrix":
-        """Wrap sparse columns that are already valid, without a dense pass."""
-        matrix = cls.__new__(cls)
-        matrix.columns = columns
-        return matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.columns)
-
-    @property
-    def counts(self):
-        """Dense read-only numpy view, built on demand: k*k int64 values, so
-        meant for small k."""
-        import numpy as np
-
-        arr = np.zeros((self.size, self.size), dtype=np.int64)
-        for b, col in enumerate(self.columns):
-            for a, c in col:
-                arr[a, b] = c
-        arr.setflags(write=False)
-        return arr
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IncidenceMatrix) and self.columns == other.columns
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(c for _, c in col) for col in self.columns)
-
-    def is_primitive(self) -> bool:
-        """True iff some power of the matrix is entrywise positive.
-
-        That holds iff the graph with an edge b -> a whenever M[a][b] > 0 is
-        strongly connected and aperiodic (Seneta, Non-negative Matrices and
-        Markov Chains, ch. 1). Both are read off breadth-first search from
-        letter 0 in O(k + E): every letter must be reached along the edges and
-        against them, and the period, the gcd over all edges b -> a of
-        level(b) + 1 - level(a), must be 1 (Denardo 1977). With no edges the
-        gcd is 0 and the matrix is not primitive.
-        """
-        forward = [[a for a, _ in col] for col in self.columns]
-        backward: list[list[int]] = [[] for _ in forward]
-        for b, targets in enumerate(forward):
-            for a in targets:
-                backward[a].append(b)
-        level = _bfs_levels(forward)
-        if min(level) < 0 or min(_bfs_levels(backward)) < 0:
-            return False
-        g = 0
-        for b, targets in enumerate(forward):
-            for a in targets:
-                g = math.gcd(g, level[b] + 1 - level[a])
-        return g == 1
-
-    def image_length_sequence(self, letter: int, n_max: int) -> list[int]:
-        """Exact lengths of the n-th image words of ``letter`` for n = 1..n_max,
-        computed from the matrix alone: the letter's entry of 1^T M^n.
-
-        Uses Python integers on the sparse columns, so arbitrarily deep powers
-        stay exact.
-        """
-        k = self.size
-        if not 0 <= letter < k:
-            raise ValueError(f"letter {letter} out of range for size {k}")
-        u = [1] * k  # u[b] = length of the n-th image of letter b
-        out = []
-        for _ in range(n_max):
-            u = [sum(c * u[a] for a, c in col) for col in self.columns]
-            out.append(u[letter])
-        return out
+def _transpose(images: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row a of the incidence matrix: the letters b whose image contains a,
+    in ascending order and once per occurrence."""
+    rows: list[list[int]] = [[] for _ in images]
+    for b, img in enumerate(images):
+        for a in img:
+            rows[a].append(b)
+    return rows
 
 
-def _bfs_levels(adjacency: list[list[int]]) -> list[int]:
+def _bfs_levels(adjacency: Sequence[Sequence[int]]) -> list[int]:
     """Breadth-first distance of every node from node 0; -1 if unreached."""
     level = [-1] * len(adjacency)
     level[0] = 0
@@ -357,27 +284,26 @@ def _bfs_levels(adjacency: list[list[int]]) -> list[int]:
 CERTIFY_EVERY = 32
 
 
-def pf_eigenvalue(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1e-9,
-                  max_iter: int = 10_000) -> float:
-    """Dominant (Perron-Frobenius) eigenvalue ρ, as the midpoint of the exact
-    bracket of ``pf_bracket``: the value is within ``tol`` / 2 of ρ, up to
-    the rounding of the midpoint to a float, and it is ρ itself when the
-    bracket is a single number.
+def pf_eigenvalue(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000) -> float:
+    """Dominant (Perron-Frobenius) eigenvalue ρ of the incidence matrix of
+    ``sub``, as the midpoint of the exact bracket of ``pf_bracket``: the
+    value is within ``tol`` / 2 of ρ, up to the rounding of the midpoint to a
+    float, and it is ρ itself when the bracket is a single number.
 
     Raises ArithmeticError when no bracket at most ``tol`` wide is found
     within ``max_iter`` power-iteration steps, as on a reducible input whose
     dominant eigenvalue is defective (two diagonal blocks with the same ρ,
-    one feeding the other). A dense array is accepted and converted to
-    sparse columns first.
+    one feeding the other).
     """
-    lo, hi = pf_bracket(matrix, tol, max_iter)
+    lo, hi = pf_bracket(sub, tol, max_iter)
     return float((lo + hi) / 2)
 
 
-def pf_bracket(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1e-9,
-               max_iter: int = 10_000) -> tuple[int | Fraction, int | Fraction]:
+def pf_bracket(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000
+               ) -> tuple[int | Fraction, int | Fraction]:
     """An exact interval [lo, hi], ints or Fractions, that contains the
-    dominant eigenvalue ρ and is at most ``tol`` wide.
+    dominant eigenvalue ρ of the incidence matrix M of ``sub`` and is at most
+    ``tol`` wide.
 
     The bounds are Collatz-Wielandt certificates (Collatz 1942; Wielandt
     1950): for x > 0, min_i (Mx)_i/x_i <= ρ <= max_i (Mx)_i/x_i. The first
@@ -387,11 +313,9 @@ def pf_bracket(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1
     the all-ones vector supplies x, certified every ``CERTIFY_EVERY`` steps.
     Raises ArithmeticError as ``pf_eigenvalue`` does.
     """
-    if tol <= 0:
+    if not tol > 0:  # also refuses nan
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not isinstance(matrix, IncidenceMatrix):
-        matrix = IncidenceMatrix(matrix)
-    for lo, hi in _pf_brackets(matrix, max_iter):
+    for lo, hi in _pf_brackets(sub, max_iter):
         if hi - lo <= tol:
             return lo, hi
     raise ArithmeticError(
@@ -399,25 +323,20 @@ def pf_bracket(matrix: IncidenceMatrix | Sequence[Sequence[int]], tol: float = 1
         f"(is the matrix primitive?)")
 
 
-def _pf_brackets(matrix: IncidenceMatrix, max_iter: int
+def _pf_brackets(sub: Substitution, max_iter: int
                  ) -> Iterator[tuple[int | Fraction, int | Fraction]]:
     """Exact brackets around ρ, each inside the one before: the row-sum and
     column-sum bracket, then one per certificate of the power iterate."""
-    k = matrix.size
-    row_sums = [0] * k
-    for col in matrix.columns:
-        for a, c in col:
-            row_sums[a] += c
-    col_sums = matrix.column_sums()
+    images = sub.images
+    k = len(images)
+    # with one entry per occurrence, (Mx)[a] is a plain sum of entries of x
+    # and the row sum is the length of the row
+    rows = _transpose(images)
+    row_sums = list(map(len, rows))
+    col_sums = list(map(len, images))
     lo = max(min(row_sums), min(col_sums))
     hi = min(max(row_sums), max(col_sums))
     yield lo, hi
-    # row a of M as the letters whose images contain a, one entry per
-    # occurrence: (Mx)[a] is then a plain sum of entries of x
-    rows: list[list[int]] = [[] for _ in range(k)]
-    for b, col in enumerate(matrix.columns):
-        for a, c in col:
-            rows[a].extend([b] * c)
     # The iteration runs on M + I, which has the Perron vector of M and is
     # primitive on every irreducible diagonal block of M. So the iterate
     # settles on periodic blocks too, and the ratio (Mx)_i/x_i of a letter

@@ -112,12 +112,6 @@ class FactorSet:
         """The ``bits`` of each factor -> its 0-based position."""
         return {w.bits: i for i, w in enumerate(self.words)}
 
-    def index(self, w: BinaryWord) -> int:
-        """0-based position of w; raises ValueError for non-members."""
-        if w not in self:
-            raise ValueError(f"{w} is not a factor of length {self.word_length}")
-        return self._positions[w.bits]
-
     def __contains__(self, w: BinaryWord) -> bool:
         return len(w) == self.word_length and w.bits in self._positions
 

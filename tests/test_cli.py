@@ -12,7 +12,7 @@ import pytest
 from tmblocks import claims, injectivize, nblock, thue_morse
 from tmblocks.cli import MAX_DEPTH, run
 from tmblocks.report import CheckEntry, VerificationReport
-from tmblocks.substitution import IncidenceMatrix
+from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import MAX_M, enumerate_by_scan
 
 
@@ -176,12 +176,12 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
     primitivity = Counter()
-    is_primitive = IncidenceMatrix.is_primitive
+    is_primitive = Substitution.is_primitive
 
-    def counting_is_primitive(matrix):
-        primitivity[matrix.size] += 1
-        return is_primitive(matrix)
-    monkeypatch.setattr(IncidenceMatrix, "is_primitive", counting_is_primitive)
+    def counting_is_primitive(sub):
+        primitivity[sub.size] += 1
+        return is_primitive(sub)
+    monkeypatch.setattr(Substitution, "is_primitive", counting_is_primitive)
     code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
     assert code == 0 and len(out.splitlines()) == 40
     assert scans == {m: 1 for m in range(2, 8)}
@@ -248,12 +248,36 @@ def test_eigen_round_trip(capsys, tmp_path):
     assert out == "PF ≈ 2.000000000, primitive: true\n"
 
 
-def test_eigen_from_stdin(capsys, monkeypatch):
-    _, payload, _ = _run(capsys, ["build", "eta", "--m", "3", "--format", "json"])
+# images -> the exact eigen line; None is η at m = 3, from `build eta`. The
+# lines were recorded before the images became the only representation.
+EIGEN_LINES = {
+    "eta_m3": (None, "PF ≈ 2.000000000, primitive: true"),
+    "cycle_with_tail": ([[1], [0], [0]], "PF ≈ 1.000000000, primitive: false"),
+    "stalled_rayleigh": ([[1, 0], [2], [3], [4], [0]], "PF ≈ 1.324717957, primitive: true"),
+    "closed_letter_outgrows": ([[0, 1], [1, 0], [2, 2, 2]],
+                               "PF ≈ 3.000000000, primitive: false"),
+    "row_sum_3_tail": ([[0, 0], [2, 2, 2], [0]], "PF ≈ 2.000000000, primitive: false"),
+    "periodic_block_feeds": ([[4, 4, 0], [2, 4, 2], [1, 3], [2], [0]],
+                             "PF ≈ 2.000000000, primitive: false"),
+    "period_2": ([[1], [0, 0, 0, 0]], "PF ≈ 2.000000000, primitive: false"),
+    "sqrt5_block": ([[0], [2], [1, 1, 1, 1, 1]], "PF ≈ 2.236067977, primitive: false"),
+    # first bracket (1, 3): the power iteration and its certificates run
+    "k97": ([[(b + 1) % 97] + [(3 * b) % 97] * (b % 3) for b in range(97)],
+            "PF ≈ 1.989025368, primitive: true"),
+}
+
+
+@pytest.mark.parametrize("images, line", EIGEN_LINES.values(), ids=EIGEN_LINES)
+def test_eigen_from_stdin(capsys, monkeypatch, images, line):
+    if images is None:
+        _, payload, _ = _run(capsys, ["build", "eta", "--m", "3", "--format", "json"])
+    else:
+        payload = json.dumps({"alphabet": [str(a) for a in range(len(images))],
+                              "images": images})
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = _run(capsys, ["eigen", "--sub", "-"])
     assert code == 0
-    assert out == "PF ≈ 2.000000000, primitive: true\n"
+    assert out == line + "\n"
 
 
 def test_eigen_on_zeta5(capsys, tmp_path):
@@ -343,10 +367,22 @@ def test_closed_stdout_exits_3_without_traceback():
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, tmblocks.cli; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), timeout=60)
-    assert result.returncode == 0
+def test_cli_import_leaves_numpy_unloaded(capsys, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src" / "tmblocks"
+    assert not [p.name for p in src.glob("*.py") if "numpy" in p.read_text()]
+    _, payload, _ = _run(capsys, ["fixture", "zeta5", "--format", "json"])
+    path = tmp_path / "zeta5.json"
+    path.write_text(payload)
+    # a None entry in sys.modules makes every later import of numpy fail
+    code = ("import sys, tmblocks.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.exit(tmblocks.cli.main(['verify', '--m', '2..5'])\n"
+            "         or tmblocks.cli.main(['eigen', '--sub', sys.argv[1]]))\n")
+    result = subprocess.run([sys.executable, "-c", code, str(path)], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("\nPF ≈ 2.000000000, primitive: false\n")
 
 
 def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import nth_image
 from tmblocks.nblock import (first_image_index, formula_block_substitution, half_shift,
                              second_image_index, thue_morse_block_system,
                              verify_block_formula)
@@ -122,13 +123,13 @@ def test_block_substitutions_are_primitive():
 
 
 def test_block_fixed_point_prefix_from_f0():
-    assert _theta_n(2).iterate(5, 2) == "".join(map(chr, (5, 11, 8, 2)))
+    assert nth_image(_theta_n(2), 5, 2) == "".join(map(chr, (5, 11, 8, 2)))
 
 
 def test_block_substitution_eigenvalue_is_two():
     from tmblocks.substitution import pf_eigenvalue
     for m in (2, 3):
-        assert abs(pf_eigenvalue(_theta_n(m).incidence_matrix()) - 2.0) < 1e-9
+        assert abs(pf_eigenvalue(_theta_n(m)) - 2.0) < 1e-9
 
 
 def _apply_tuple(base, w):
@@ -150,7 +151,7 @@ def _nblock_reference(base, block_len):
     labels = base.alphabet.labels
     blocks = sorted(found, key=lambda f: tuple(labels[a] for a in f))
     position = {b: i for i, b in enumerate(blocks)}
-    L = base.constant_length()
+    L = len(base.images[0])  # the base has constant length
     images = []
     for b in blocks:
         v = _apply_tuple(base, b)

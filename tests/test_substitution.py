@@ -2,15 +2,17 @@ import json
 import random
 from collections import Counter
 from functools import cache
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense, from_dense, nth_image
 from tmblocks.injectivize import eta_system, zeta5_fixture
-from tmblocks.substitution import (Alphabet, IncidenceMatrix, Substitution,
-                                   _pf_brackets, pf_bracket, pf_eigenvalue)
+from tmblocks.substitution import (Alphabet, Substitution, _pf_brackets, pf_bracket,
+                                   pf_eigenvalue)
 from tmblocks.thue_morse import theta
 
 
@@ -35,26 +37,22 @@ def test_apply_examples():
 
 def test_iterate_examples():
     t = theta()
-    assert _word_text(t, t.iterate(0, 4)) == "0110100110010110"
-    assert t.iterate(1, 0) == "\x01"
-    with pytest.raises(ValueError):
-        t.iterate(0, -1)
+    assert _word_text(t, nth_image(t, 0, 4)) == "0110100110010110"
+    assert next(t.iterates(1)) == "\x01"
     with pytest.raises(ValueError, match="letter 2 not in alphabet of size 2"):
-        t.iterate(2, 0)
+        next(t.iterates(2))
 
 
 def test_fixed_point_prefix():
     t = theta()
-    assert _word_text(t, t.iterate(0, 4)) == "0110100110010110"
-    assert _word_text(t, t.iterate(1, 3)) == "10010110"
-    w = t.iterate(0, 3)
+    assert _word_text(t, nth_image(t, 0, 4)) == "0110100110010110"
+    assert _word_text(t, nth_image(t, 1, 3)) == "10010110"
+    w = nth_image(t, 0, 3)
     assert len(w) >= 5 and t.apply(w)[:len(w)] == w
 
 
 def test_incidence_matrix_of_theta():
-    m = theta().incidence_matrix()
-    assert np.array_equal(m.counts, [[1, 1], [1, 1]])
-    assert m.column_sums() == (2, 2)
+    assert np.array_equal(dense(theta()), [[1, 1], [1, 1]])
 
 
 def test_is_injective():
@@ -72,34 +70,28 @@ def test_is_primitive():
     assert not sink.is_primitive()
 
 
-def test_incidence_matrix_validation():
-    with pytest.raises(ValueError):
-        IncidenceMatrix([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        IncidenceMatrix([[1, -1], [0, 1]])
-    with pytest.raises(ValueError):
-        IncidenceMatrix([[0.5]])
-
-
 def test_pf_eigenvalue_constant_row_sums():
-    assert pf_eigenvalue(IncidenceMatrix([[1, 1], [1, 1]])) == 2.0
+    assert pf_eigenvalue(from_dense([[1, 1], [1, 1]])) == 2.0
     # the bracket from the sums alone is exact: every column of the first
     # sums to 3, and every row of zeta5 and of eta sums to 2
-    assert pf_bracket(_numbered([[0, 1, 1], [1, 0, 1], [0, 0, 1]]).incidence_matrix()) == (3, 3)
-    assert pf_bracket(zeta5_fixture().incidence_matrix()) == (2, 2)
-    assert pf_bracket(eta_system(4).eta.incidence_matrix()) == (2, 2)
+    assert pf_bracket(_numbered([[0, 1, 1], [1, 0, 1], [0, 0, 1]])) == (3, 3)
+    assert pf_bracket(zeta5_fixture()) == (2, 2)
+    assert pf_bracket(eta_system(4).eta) == (2, 2)
 
 
 def test_pf_eigenvalue_periodic_and_defective_inputs():
     # eigenvalues +-2: the iterate of M alternates, that of M + I settles
-    lo, hi = pf_bracket(IncidenceMatrix([[0, 1], [4, 0]]))
+    lo, hi = pf_bracket(from_dense([[0, 1], [4, 0]]))
     assert lo <= 2 <= hi and hi - lo <= 1e-9
     # a Jordan block: the upper bound comes down only as 1 + 1/n, so no
     # bracket is 1e-9 wide within the cap
     with pytest.raises(ArithmeticError):
-        pf_eigenvalue(IncidenceMatrix([[1, 0], [1, 1]]), max_iter=500)
-    with pytest.raises(ValueError):
-        pf_eigenvalue(IncidenceMatrix([[1]]), tol=0.0)
+        pf_eigenvalue(from_dense([[1, 0], [1, 1]]), max_iter=500)
+    # no width is at most nan, so nan would run to the cap even on an
+    # input whose first bracket is exact
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            pf_eigenvalue(from_dense([[1, 1], [1, 1]]), tol=tol)
 
 
 def test_apply_is_morphism_property():
@@ -127,9 +119,7 @@ def test_incidence_of_composition_is_matrix_product():
         # s∘t maps a to the images under s of the letters of t(a), in order
         s_after_t = Substitution(s.alphabet, tuple(
             tuple(c for b in img for c in s.images[b]) for img in t.images))
-        left = s_after_t.incidence_matrix().counts
-        right = s.incidence_matrix().counts @ t.incidence_matrix().counts
-        assert np.array_equal(left, right)
+        assert np.array_equal(dense(s_after_t), dense(s) @ dense(t))
 
 
 def test_pf_eigenvalue_equals_length_for_constant_length():
@@ -142,28 +132,19 @@ def test_pf_eigenvalue_equals_length_for_constant_length():
         s = Substitution(Alphabet(tuple(chr(ord("a") + i) for i in range(k))), images)
         if not s.is_primitive():
             continue
-        assert pf_eigenvalue(s.incidence_matrix()) == L
+        assert pf_eigenvalue(s) == L
         found += 1
 
 
-def test_constant_length_and_image_lengths():
-    t = theta()
-    assert t.constant_length() == 2
-    assert t.incidence_matrix().column_sums() == (2, 2)
-    s = Substitution(Alphabet(("a", "b")), ((0, 1), (1,)))
-    assert s.constant_length() is None
-
-
 def test_length_growth_check():
-    assert [len(theta().iterate(0, n)) for n in range(1, 11)] == [2 ** n for n in range(1, 11)]
+    lengths = [len(w) for w in islice(theta().iterates(0), 1, 11)]
+    assert lengths == [2 ** n for n in range(1, 11)]
     s = Substitution(Alphabet(("a", "b")), ((0, 1, 1), (1, 0)))
-    assert [len(s.iterate(0, n)) for n in range(1, 4)] != [2, 4, 8]
+    assert [len(w) for w in islice(s.iterates(0), 1, 4)] != [2, 4, 8]
 
 
 def test_image_length_sequence_matches_direct_iteration():
-    t = theta()
-    m = t.incidence_matrix()
-    assert m.image_length_sequence(0, 10) == [2 ** n for n in range(1, 11)]
+    assert theta().image_length_sequence(0, 10) == [2 ** n for n in range(1, 11)]
 
 
 def test_json_round_trip():
@@ -179,7 +160,7 @@ def test_json_round_trip():
 
 
 def test_dot_export():
-    dot = theta().to_dot("theta")
+    dot = "".join(theta().iter_dot("theta"))
     assert dot.startswith("digraph theta {")
     assert 'w1 [label="w1:0"];' in dot
     assert 'w1 -> w2 [label="1"];' in dot
@@ -236,8 +217,8 @@ def test_alphabet_forms_compare_by_labels():
 @given(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True),
        st.data())
 def test_streamed_json_and_dot_match_whole_document_builders(labels, data):
-    """Oracle: the json.dumps document and the joined dot lines that
-    ``to_json`` and ``to_dot`` built before they were streamed."""
+    """Oracle: the json.dumps document and the joined dot lines that the
+    JSON and dot exports built before they were streamed."""
     k = len(labels)
     images = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3),
                                 min_size=k, max_size=k))
@@ -247,15 +228,15 @@ def test_streamed_json_and_dot_match_whole_document_builders(labels, data):
     lines += [f'  w{i + 1} [label="w{i + 1}:{label}"];' for i, label in enumerate(labels)]
     lines += [f'  w{b + 1} -> w{a + 1} [label="{c}"];'
               for b, img in enumerate(images) for a, c in sorted(Counter(img).items())]
-    assert sub.to_dot("s") == "\n".join(lines + ["}"]) + "\n"
+    assert "".join(sub.iter_dot("s")) == "\n".join(lines + ["}"]) + "\n"
 
 
-def test_incidence_matrix_from_dense_round_trip():
-    m = Substitution(Alphabet(("a", "b", "c")), ((0, 0, 2), (1,), (2, 0))).incidence_matrix()
-    assert m.columns == (((0, 2), (2, 1)), ((1, 1),), ((0, 1), (2, 1)))
-    assert IncidenceMatrix(m.counts) == m
-    assert IncidenceMatrix(m.counts.tolist()) == m
-    assert not m.counts.flags.writeable
+def test_dense_helper_round_trip():
+    sub = Substitution(Alphabet(("a", "b", "c")), ((0, 0, 2), (1,), (2, 0)))
+    counts = dense(sub)
+    assert counts.tolist() == [[2, 0, 1], [0, 1, 0], [1, 0, 1]]
+    assert from_dense(counts).images == ((0, 0, 2), (1,), (0, 2))
+    assert from_dense(counts.tolist()) == from_dense(counts)
 
 
 # ---- differential tests against a dense reference
@@ -328,18 +309,18 @@ _SUBSTITUTIONS = st.one_of(_random_images(), _permutations(), _two_blocks())
     (eta_system(4).eta, True),
 ])
 def test_is_primitive_examples_match_reference(sub, primitive):
-    counts = sub.incidence_matrix().counts
+    counts = dense(sub)
     assert _wielandt_primitive(counts) == primitive
     assert sub.is_primitive() == primitive
-    assert IncidenceMatrix(counts).is_primitive() == primitive
+    assert from_dense(counts).is_primitive() == primitive
 
 
 @settings(max_examples=400, deadline=None)
 @given(_SUBSTITUTIONS)
 def test_is_primitive_matches_wielandt_squaring(sub):
-    matrix = sub.incidence_matrix()
-    assert IncidenceMatrix(matrix.counts) == matrix
-    assert matrix.is_primitive() == _wielandt_primitive(matrix.counts)
+    counts = dense(sub)
+    assert np.array_equal(dense(from_dense(counts)), counts)
+    assert sub.is_primitive() == _wielandt_primitive(counts)
 
 
 def _spectral_radius(counts) -> float:
@@ -383,23 +364,24 @@ def _rayleigh_power_iteration(counts, tol=1e-9, max_iter=10_000) -> float:
 @settings(max_examples=300, deadline=None)
 @given(_SUBSTITUTIONS)
 def test_pf_eigenvalue_is_within_tol_of_the_spectral_radius(sub):
-    matrix = sub.incidence_matrix()
-    rho = _spectral_radius(matrix.counts)
+    counts = dense(sub)
+    rho = _spectral_radius(counts)
     # a low cap keeps the inputs that never converge cheap
     try:
-        value = pf_eigenvalue(matrix, max_iter=500)
+        value = pf_eigenvalue(sub, max_iter=500)
     except ArithmeticError:
         # only where the former rule gave no value or a wrong one, and so
         # never on a primitive input
-        assert not _wielandt_primitive(matrix.counts)
+        assert not _wielandt_primitive(counts)
         try:
-            former = _rayleigh_power_iteration(matrix.counts, max_iter=500)
+            former = _rayleigh_power_iteration(counts, max_iter=500)
         except ArithmeticError:
             return
         assert abs(former - rho) > 1e-9
         return
     assert abs(value - rho) <= 1e-9
-    assert pf_eigenvalue(matrix.counts, max_iter=500) == value
+    # the value depends on the matrix alone, not on the order within images
+    assert pf_eigenvalue(from_dense(counts), max_iter=500) == value
 
 
 @pytest.mark.parametrize("images, rho", [
@@ -418,22 +400,23 @@ def test_pf_eigenvalue_is_within_tol_of_the_spectral_radius(sub):
     ([[0, 0, 1], [1], [2, 2]], 2),                       # {0} feeds {1}; {2} is closed
 ])
 def test_pf_eigenvalue_on_reducible_inputs_that_the_former_rule_got_right(images, rho):
-    counts = _numbered(images).incidence_matrix().counts
+    sub = _numbered(images)
+    counts = dense(sub)
     assert abs(_spectral_radius(counts) - rho) <= 1e-12
     assert abs(_rayleigh_power_iteration(counts) - rho) <= 1e-9
-    lo, hi = pf_bracket(IncidenceMatrix(counts))
+    lo, hi = pf_bracket(sub)
     assert lo <= rho + 1e-12 and rho - 1e-12 <= hi and hi - lo <= 1e-9
-    assert abs(pf_eigenvalue(counts) - rho) <= 1e-9
+    assert abs(pf_eigenvalue(from_dense(counts)) - rho) <= 1e-9
 
 
 @settings(max_examples=300, deadline=None)
 @given(_SUBSTITUTIONS)
 def test_pf_eigenvalue_matches_dense_solver_on_primitive_inputs(sub):
-    matrix = sub.incidence_matrix()
-    if not _wielandt_primitive(matrix.counts):
+    counts = dense(sub)
+    if not _wielandt_primitive(counts):
         return
-    dominant = max(abs(np.linalg.eigvals(matrix.counts.astype(float))))
-    assert abs(pf_eigenvalue(matrix) - dominant) <= 1e-9
+    dominant = max(abs(np.linalg.eigvals(counts.astype(float))))
+    assert abs(pf_eigenvalue(sub) - dominant) <= 1e-9
 
 
 @st.composite
@@ -459,11 +442,10 @@ def _zero_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_two_blocks(), _periodic(), _zero_rows(), _random_images()))
 def test_every_pf_bracket_contains_the_spectral_radius(sub):
-    matrix = sub.incidence_matrix()
-    rho = _spectral_radius(matrix.counts)
+    rho = _spectral_radius(dense(sub))
     slack = 1e-12 * max(rho, 1)  # numpy's rounding; the bounds are exact
     outer = None
-    for lo, hi in _pf_brackets(matrix, 200):
+    for lo, hi in _pf_brackets(sub, 200):
         assert lo <= rho + slack and rho - slack <= hi, (lo, hi, rho)
         if outer is not None:
             assert outer[0] <= lo and hi <= outer[1]
@@ -476,9 +458,9 @@ def test_pf_eigenvalue_on_a_stalled_rayleigh_quotient():
     sub = _numbered([[1, 0], [2], [3], [4], [0]])
     assert sub.is_primitive()
     rho = 1.324717957244746
-    assert abs(pf_eigenvalue(sub.incidence_matrix()) - rho) <= 1e-9
+    assert abs(pf_eigenvalue(sub) - rho) <= 1e-9
     for tol in (1e-3, 1e-9, 1e-13):
-        lo, hi = pf_bracket(sub.incidence_matrix(), tol)
+        lo, hi = pf_bracket(sub, tol)
         assert lo <= rho <= hi and hi - lo <= tol
 
 
@@ -486,8 +468,8 @@ def test_pf_eigenvalue_on_a_periodic_cycle_with_a_tail():
     # 0 <-> 1 is a 2-cycle and 2 -> 0 a tail: eigenvalues 1, -1, 0. The power
     # iterate alternates, but every image has length 1
     sub = _numbered([[1], [0], [0]])
-    assert max(abs(np.linalg.eigvals(sub.incidence_matrix().counts))) == pytest.approx(1.0)
-    assert pf_eigenvalue(sub.incidence_matrix()) == 1.0
+    assert max(abs(np.linalg.eigvals(dense(sub)))) == pytest.approx(1.0)
+    assert pf_eigenvalue(sub) == 1.0
 
 
 def test_pf_eigenvalue_on_a_closed_letter_that_outgrows_the_rest():
@@ -495,16 +477,16 @@ def test_pf_eigenvalue_on_a_closed_letter_that_outgrows_the_rest():
     # eigenvalues 3, 2, 0. Sums bracket only [2, 3]; the certificate of the
     # power iterate, once the share of {0, 1} has decayed, gives [3, 3]
     sub = _numbered([[0, 1], [1, 0], [2, 2, 2]])
-    assert pf_bracket(sub.incidence_matrix()) == (3, 3)
-    assert pf_eigenvalue(sub.incidence_matrix()) == 3.0
+    assert pf_bracket(sub) == (3, 3)
+    assert pf_eigenvalue(sub) == 3.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(_SUBSTITUTIONS, st.data())
 def test_image_length_sequence_matches_iteration(sub, data):
     letter = data.draw(st.integers(0, sub.size - 1))
-    lengths = sub.incidence_matrix().image_length_sequence(letter, 6)
-    assert lengths == [len(sub.iterate(letter, n)) for n in range(1, 7)]
+    lengths = sub.image_length_sequence(letter, 6)
+    assert lengths == [len(w) for w in islice(sub.iterates(letter), 1, 7)]
 
 
 # ---- the codepoint-text word layer against tuple-by-tuple references
@@ -548,8 +530,8 @@ def test_text_apply_matches_tuple_loop(sub, data):
     assert sub.apply(_text(w)) == _text(_apply_reference(sub, w))
     a = data.draw(letter)
     ref = (a,)
-    for n in range(4):
-        assert sub.iterate(a, n) == _text(ref)
+    for image in islice(sub.iterates(a), 4):
+        assert image == _text(ref)
         ref = _apply_reference(sub, ref)
     # translate leaves a code point without a table entry unchanged, so the
     # range check is what refuses a letter outside the alphabet
