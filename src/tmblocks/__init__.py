@@ -12,10 +12,11 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _MODULE_OF = {
+    "eta_system": "claims",
     **dict.fromkeys(
-        ("EtaSystem", "build_eta", "eta_system", "initials_map", "theorem_report",
-         "verify_fixed_point", "verify_pair_images", "verify_primitivity_argument",
-         "zeta5_fixture"), "injectivize"),
+        ("build_eta", "initials_map", "theorem_report", "verify_fixed_point",
+         "verify_pair_images", "verify_primitivity_argument", "zeta5_fixture"),
+        "injectivize"),
     **dict.fromkeys(
         ("first_image_index", "formula_block_substitution", "half_shift",
          "second_image_index", "thue_morse_block_system", "verify_block_formula"),
@@ -24,10 +25,9 @@ _MODULE_OF = {
     **dict.fromkeys(
         ("Alphabet", "Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
-        ("FactorSet", "QuarterMarkers", "apply_theta", "descendants",
-         "enumerate_by_descendants", "enumerate_by_scan", "quarter_markers",
-         "theta", "thue_morse_prefix", "verify_prefix_pairs", "verify_quarter_descendants",
-         "verify_quarter_minima"), "thue_morse"),
+        ("FactorSet", "apply_theta", "descendants", "enumerate_by_descendants",
+         "enumerate_by_scan", "theta", "thue_morse_prefix", "verify_prefix_pairs",
+         "verify_quarter_descendants", "verify_quarter_minima"), "thue_morse"),
     **dict.fromkeys(("BinaryWord", "word"), "words"),
 }
 

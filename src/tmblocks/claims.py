@@ -13,8 +13,8 @@ from collections.abc import Callable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
-from .injectivize import (EtaSystem, build_eta, theorem_report, verify_fixed_point,
-                          verify_pair_images, verify_primitivity_argument)
+from .injectivize import (build_eta, theorem_report, verify_fixed_point, verify_pair_images,
+                          verify_primitivity_argument)
 from .nblock import thue_morse_block_system, verify_block_formula
 from .report import VerificationReport
 from .substitution import Substitution
@@ -24,8 +24,9 @@ from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
-    m + 1, the block substitution θ_N on the first, the refinement η, and
-    η's primitivity verdict; plus the tolerance and iteration depth."""
+    m + 1, the block substitution θ_N on the first, the refinement η, η's
+    primitivity verdict and its fixed-point report; plus the tolerance and
+    iteration depth."""
 
     def __init__(self, m: int, tol: float, depth: int) -> None:
         self.m = m
@@ -45,12 +46,23 @@ class Level:
         return thue_morse_block_system(self.factors)
 
     @cached_property
-    def eta(self) -> EtaSystem:
+    def eta(self) -> Substitution:
         return build_eta(self.m, self.nblock)
 
     @cached_property
     def eta_primitive(self) -> bool:
-        return self.eta.eta.is_primitive()
+        return self.eta.is_primitive()
+
+    @cached_property
+    def fixed_point(self) -> VerificationReport:
+        # the report only: the iterates it compares are gone when it returns
+        return verify_fixed_point(self.m, self.nblock, self.eta, self.depth)
+
+
+def eta_system(m: int) -> Level:
+    """The Level of m, with ``verify``'s default tolerance and depth; its
+    ``eta`` and ``nblock`` are built from scratch on first use."""
+    return Level(m, 1e-9, 12)
 
 
 def levels(lo: int, hi: int, tol: float, depth: int) -> Iterator[Level]:
@@ -76,9 +88,10 @@ CLAIMS = {
     "quarters": Claim(True, lambda lv: verify_quarter_descendants(lv.factors, lv.factors_next)),
     "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(lv.factors, lv.factors_next)),
     "nblock": Claim(False, lambda lv: verify_block_formula(lv.factors, lv.nblock)),
-    "pairs": Claim(False, lambda lv: verify_pair_images(lv.eta)),
-    "fixedpoint": Claim(False, lambda lv: verify_fixed_point(lv.eta, lv.depth)),
-    "primitivity": Claim(False, lambda lv: verify_primitivity_argument(lv.eta, lv.eta_primitive)),
+    "pairs": Claim(False, lambda lv: verify_pair_images(lv.m, lv.nblock, lv.eta)),
+    "fixedpoint": Claim(False, lambda lv: lv.fixed_point),
+    "primitivity": Claim(False, lambda lv: verify_primitivity_argument(
+        lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
     "theorem": Claim(False, lambda lv: theorem_report(
-        lv.eta.eta, lv.eta_primitive, lv.eta, lv.tol, lv.depth)),
+        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point, lv.tol, lv.depth)),
 }

@@ -20,7 +20,7 @@ from .substitution import Substitution, pf_eigenvalue
 # iterates checked by fixedpoint and theorem have up to 2^(depth+1) letters,
 # held as text of 1 or 2 bytes a letter for m <= 12. At depth 20, `verify
 # --m 2..10 --depth 20 --claims fixedpoint,primitivity,theorem` peaks at about
-# 39 MB and `verify --m 12 --depth 20 --claims fixedpoint,theorem` at 73 MB
+# 37 MB and `verify --m 12 --depth 20 --claims fixedpoint,theorem` at 48 MB
 # (Python 3.11, x86-64); the iterates double with each further step
 MAX_DEPTH = 20
 
@@ -207,14 +207,13 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_eta(args: argparse.Namespace) -> int:
-    from .injectivize import eta_system
+    from .claims import eta_system
     from .thue_morse import MAX_M
 
     if not 2 <= args.m <= MAX_M:
         print(f"error: build eta requires 2 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
-    sys_m = eta_system(args.m)
-    _emit_substitution(sys_m.eta, f"eta_{2 ** args.m + 1}", args.format)
+    _emit_substitution(eta_system(args.m).eta, f"eta_{2 ** args.m + 1}", args.format)
     return 0
 
 

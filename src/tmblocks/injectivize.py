@@ -14,46 +14,28 @@ dominant eigenvalue 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, pairwise
 from typing import Sequence
 
-from .nblock import half_shift, thue_morse_block_system
+from .nblock import half_shift
 from .report import ReportBuilder, VerificationReport
 from .substitution import Substitution, Word, pf_bracket
 from .thue_morse import enumerate_by_scan, thue_morse_prefix
 
 
-@dataclass(frozen=True)
-class EtaSystem:
-    """The block substitution theta_N together with its injective refinement."""
-
-    m: int
-    nblock: Substitution
-    eta: Substitution
-
-    @property
-    def size(self) -> int:
-        return self.nblock.size
-
-    @property
-    def f0_index(self) -> int:
-        """0-based letter of the f0 block (largest word starting with 0)."""
-        return self.size // 2 - 1
-
-    @property
-    def f1_index(self) -> int:
-        """0-based letter of the f1 block (smallest word starting with 1)."""
-        return self.size // 2
+def fixed_letters(k: int) -> tuple[int, int]:
+    """0-based letters of the f0 block (largest word starting with 0) and
+    the f1 block (smallest word starting with 1) among k blocks."""
+    return k // 2 - 1, k // 2
 
 
-def build_eta(m: int, theta_n: Substitution) -> EtaSystem:
-    """Assemble the injective refinement of the Thue-Morse block
-    substitution ``theta_n`` of width 2^m + 1."""
+def build_eta(m: int, theta_n: Substitution) -> Substitution:
+    """The injective refinement of the Thue-Morse block substitution
+    ``theta_n`` of width 2^m + 1."""
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     k = theta_n.size
-    if theta_n.alphabet.label(k // 2 - 1) != str(thue_morse_prefix(0, 2 ** m + 1)):
+    if theta_n.alphabet.label(fixed_letters(k)[0]) != str(thue_morse_prefix(0, 2 ** m + 1)):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []
     for idx0 in range(k):
@@ -72,13 +54,7 @@ def build_eta(m: int, theta_n: Substitution) -> EtaSystem:
             images.append(pair + (partner[0],))
         else:
             images.append((partner[1],) + pair)
-    return EtaSystem(m, theta_n, Substitution(theta_n.alphabet, tuple(images)))
-
-
-def eta_system(m: int) -> EtaSystem:
-    """The block substitution of width 2^m + 1 and its injective refinement,
-    built from scratch."""
-    return build_eta(m, thue_morse_block_system(enumerate_by_scan(m)))
+    return Substitution(theta_n.alphabet, tuple(images))
 
 
 # The m=2 negative example: an injective redistribution that keeps the odd
@@ -142,19 +118,18 @@ def _map_power(chain: Sequence[int], n: int) -> list[int]:
     return result
 
 
-def verify_pair_images(sys: EtaSystem) -> VerificationReport:
+def verify_pair_images(m: int, theta_n: Substitution, eta: Substitution) -> VerificationReport:
     """The refinement and the block substitution agree on every image pair."""
-    sub = sys.nblock
-    eta = sys.eta
-    pairs = ("".join(map(chr, img)) for img in sub.images)
-    bad = [j + 1 for j, pair in enumerate(pairs) if eta.apply(pair) != sub.apply(pair)]
-    rb = ReportBuilder(sys.m, "pairs")
+    pairs = ("".join(map(chr, img)) for img in theta_n.images)
+    bad = [j + 1 for j, pair in enumerate(pairs) if eta.apply(pair) != theta_n.apply(pair)]
+    rb = ReportBuilder(m, "pairs")
     rb.check("images", not bad,
-             f"all {sys.size} pairs agree" if not bad else f"mismatch at j={bad[:5]}")
+             f"all {theta_n.size} pairs agree" if not bad else f"mismatch at j={bad[:5]}")
     return rb.build()
 
 
-def verify_fixed_point(sys: EtaSystem, n_max: int) -> VerificationReport:
+def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
+                       n_max: int) -> VerificationReport:
     """Orbit equality from the f0 letter, and common-fixed-point agreement
     from the f1 letter.
 
@@ -163,17 +138,16 @@ def verify_fixed_point(sys: EtaSystem, n_max: int) -> VerificationReport:
     refined iterate and the refined iterate is a prefix of the next block
     iterate: both sequences expand the same one-sided fixed point.
     """
-    theta_n = sys.nblock
-    eta = sys.eta
-    rb = ReportBuilder(sys.m, "fixedpoint")
+    f0, f1 = fixed_letters(theta_n.size)
+    rb = ReportBuilder(m, "fixedpoint")
 
-    orbits = zip(eta.iterates(sys.f0_index), theta_n.iterates(sys.f0_index))
+    orbits = zip(eta.iterates(f0), theta_n.iterates(f0))
     ok = all(e == t and len(e) == 2 ** n
              for n, (e, t) in enumerate(islice(orbits, 1, n_max + 1), 1))
     rb.check("f0_orbit", ok, f"orbits equal with length 2^n for n <= {n_max}")
 
     # (eta^n, theta_n^n, theta_n^(n+1)) of the f1 letter
-    chains = zip(eta.iterates(sys.f1_index), pairwise(theta_n.iterates(sys.f1_index)))
+    chains = zip(eta.iterates(f1), pairwise(theta_n.iterates(f1)))
     ok = all(e[:len(t)] == t and t_next[:len(e)] == e
              for e, (t, t_next) in islice(chains, 1, n_max + 1))
     rb.check("f1_common_fixed_point", ok,
@@ -182,16 +156,16 @@ def verify_fixed_point(sys: EtaSystem, n_max: int) -> VerificationReport:
     return rb.build()
 
 
-def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> VerificationReport:
+def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution,
+                                primitive: bool) -> VerificationReport:
     """The first-letter reachability argument, checked independently of the
     generic graph test of primitivity, plus that test's verdict ``primitive``
     on the refinement's incidence matrix and direct forward reachability from
     the two fixed-point letters."""
-    k = sys.size
-    m = sys.m
-    f0, f1 = sys.f0_index, sys.f1_index
-    phi = initials_map(sys.nblock)
-    psi = initials_map(sys.eta)
+    k = theta_n.size
+    f0, f1 = fixed_letters(k)
+    phi = initials_map(theta_n)
+    psi = initials_map(eta)
     rb = ReportBuilder(m, "primitivity")
 
     targets = {f0, f1}
@@ -230,7 +204,7 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
     missing = []
     for seed in (f0, f1):
         seen: set[str] = set()
-        for w in islice(sys.eta.iterates(seed), k):
+        for w in islice(eta.iterates(seed), k):
             seen.update(w)
             if len(seen) == k or len(w) >= cap:
                 break
@@ -241,35 +215,33 @@ def verify_primitivity_argument(sys: EtaSystem, primitive: bool) -> Verification
     return rb.build()
 
 
-def theorem_report(sub: Substitution, primitive: bool, reference_sys: EtaSystem,
+def theorem_report(m: int, eta: Substitution, primitive: bool, fixed_point: VerificationReport,
                    tol: float, n_max: int) -> VerificationReport:
-    """The headline claims for one substitution sharing the reference block
-    system's alphabet and f0 letter, given its primitivity verdict:
-    injectivity, primitivity, dominant eigenvalue 2 of its incidence matrix
-    (with the exact doubling identity both from the matrix, read off the
-    images, and by direct iteration), and fixed-point agreement."""
-    rb = ReportBuilder(reference_sys.m, "theorem")
-    rb.check("injective", sub.is_injective())
+    """The headline claims for the refinement ``eta`` at level m, given its
+    primitivity verdict and its fixed-point report: injectivity,
+    primitivity, dominant eigenvalue 2 of its incidence matrix (with the
+    exact doubling identity both from the matrix, read off the images, and
+    by direct iteration), and fixed-point agreement."""
+    rb = ReportBuilder(m, "theorem")
+    rb.check("injective", eta.is_injective())
     rb.check("primitive", primitive)
 
     try:
         # an exact bracket at most tol wide; on eta every letter occurs
         # twice among the images, so the row sums give exactly [2, 2]
-        lo, hi = pf_bracket(sub, tol)
+        lo, hi = pf_bracket(eta, tol)
         rb.check("pf_eigenvalue", lo <= 2 <= hi, f"PF in [{lo}, {hi}]")
     except ArithmeticError as exc:
         rb.check("pf_eigenvalue", False, str(exc))
 
-    f0 = reference_sys.f0_index
+    f0, _ = fixed_letters(eta.size)
     powers = [2 ** n for n in range(1, n_max + 1)]
-    rb.check("lengths_matrix", sub.image_length_sequence(f0, n_max) == powers,
+    rb.check("lengths_matrix", eta.image_length_sequence(f0, n_max) == powers,
              f"1^T M^n at the f0 column doubles up to n={n_max}")
 
-    direct = [len(w) for w in islice(sub.iterates(f0), 1, n_max + 1)]
+    direct = [len(w) for w in islice(eta.iterates(f0), 1, n_max + 1)]
     rb.check("lengths_direct", direct == powers,
              f"iterate lengths double up to n={n_max}")
 
-    probe = EtaSystem(reference_sys.m, reference_sys.nblock, sub)
-    rb.check("fixed_point", verify_fixed_point(probe, n_max).ok,
-             "orbit agreement with the block substitution")
+    rb.check("fixed_point", fixed_point.ok, "orbit agreement with the block substitution")
     return rb.build()

@@ -112,9 +112,6 @@ class FactorSet:
         """The ``bits`` of each factor -> its 0-based position."""
         return {w.bits: i for i, w in enumerate(self.words)}
 
-    def __contains__(self, w: BinaryWord) -> bool:
-        return len(w) == self.word_length and w.bits in self._positions
-
     @property
     def quarter_size(self) -> int:
         if self.size % 4:
@@ -129,18 +126,6 @@ class FactorSet:
         """The words as labels; they are strictly increasing, hence distinct."""
         words = self.words
         return Alphabet.distinct(self.size, lambda i: str(words[i]))
-
-
-@dataclass(frozen=True)
-class QuarterMarkers:
-    """Minima of the four quarters plus the two fixed-point prefixes."""
-
-    q1: BinaryWord
-    q2: BinaryWord
-    q3: BinaryWord
-    q4: BinaryWord
-    f0: BinaryWord
-    f1: BinaryWord
 
 
 def _check_m(m: int) -> None:
@@ -200,24 +185,11 @@ def enumerate_by_descendants(m: int) -> FactorSet:
     return FactorSet(m, tuple(words))
 
 
-def quarter_markers(factors: FactorSet) -> QuarterMarkers:
-    q = factors.quarter_size
-    n = factors.word_length
-    return QuarterMarkers(
-        q1=factors.words[0],
-        q2=factors.words[q],
-        q3=factors.words[2 * q],
-        q4=factors.words[3 * q],
-        f0=thue_morse_prefix(0, n),
-        f1=thue_morse_prefix(1, n),
-    )
-
-
 def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
     """Check that each quarter minimum is the stated rewrite of f_1:
     q1 = 1^{-1} f1 · 1, q2 = (10)^{-1} f1 · 11, q3 = f1, q4 = (100)^{-1} f1 · 110."""
-    mk = quarter_markers(fs)
-    f1 = mk.f1
+    q = fs.quarter_size
+    f1 = thue_morse_prefix(1, fs.word_length)
     rb = ReportBuilder(fs.m, "qandf")
     expected = {
         "q1": f1.strip_prefix(word("1")) + word("1"),
@@ -225,8 +197,8 @@ def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
         "q3": f1,
         "q4": f1.strip_prefix(word("100")) + word("110"),
     }
-    for name, want in expected.items():
-        got = getattr(mk, name)
+    for i, (name, want) in enumerate(expected.items()):
+        got = fs.words[i * q]  # the minimum of quarter i + 1
         rb.check(name, got == want, f"{name}={got}, from f1={f1}")
     return rb.build()
 

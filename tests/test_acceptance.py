@@ -10,14 +10,15 @@ from itertools import islice
 
 import pytest
 
+from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
-from tmblocks.injectivize import (eta_system, theorem_report, verify_fixed_point,
+from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
                                   zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import (apply_theta, descendants, enumerate_by_descendants,
-                                 enumerate_by_scan, quarter_markers,
+                                 enumerate_by_scan, thue_morse_prefix,
                                  verify_prefix_pairs, verify_quarter_descendants,
                                  verify_quarter_minima)
 from tmblocks.words import BinaryWord
@@ -76,10 +77,12 @@ def test_c02_golden_tables(factors):
     if [str(w) for w in factors[3].words] != A3_GOLDEN:
         failures.append("A_3 table mismatch")
     fs3 = factors[3]
-    mk = quarter_markers(fs3)
+    q1, q2, q3, q4 = (quarter[0] for quarter in fs3.quarters())
+    markers = {"q1": q1, "q2": q2, "q3": q3, "q4": q4,
+               "f0": thue_morse_prefix(0, 9), "f1": thue_morse_prefix(1, 9)}
     expected = {"q1": 0, "q2": 6, "q3": 12, "q4": 18, "f0": 11, "f1": 12}
     for name, idx0 in expected.items():
-        if fs3.words.index(getattr(mk, name)) != idx0:
+        if fs3.words.index(markers[name]) != idx0:
             failures.append(f"{name} is not w_{idx0 + 1}")
     _verdict(2, "golden tables A_2, A_3, markers", failures)
 
@@ -130,7 +133,7 @@ def test_c08_injective_refinement(systems):
     failures = []
     for m in range(2, 9):
         sys_m = systems[m]
-        eta, k = sys_m.eta, sys_m.size
+        theta_n, eta, k = sys_m.nblock, sys_m.eta, sys_m.eta.size
         if not eta.is_injective():
             failures.append(f"m={m}: images not distinct")
         for idx0, img in enumerate(eta.images):
@@ -141,11 +144,11 @@ def test_c08_injective_refinement(systems):
                 break
         if sum(len(img) for img in eta.images) != 2 * k:
             failures.append(f"m={m}: total image length is not 2|A_m|")
-        if not verify_pair_images(sys_m).ok:
+        if not verify_pair_images(m, theta_n, eta).ok:
             failures.append(f"m={m}: pair images differ")
-        if not verify_fixed_point(sys_m, 12).ok:
+        if not verify_fixed_point(m, theta_n, eta, 12).ok:
             failures.append(f"m={m}: fixed point orbits differ")
-        w = chr(sys_m.f0_index)
+        w = chr(fixed_letters(k)[0])
         for n in range(1, 13):
             w = eta.apply(w)
             if len(w) != 2 ** n:
@@ -154,13 +157,13 @@ def test_c08_injective_refinement(systems):
     _verdict(8, "injective refinement profile and orbits, m=2..8", failures)
 
 
-def _primitivity_argument(sys_m):
-    return verify_primitivity_argument(sys_m, sys_m.eta.is_primitive())
+def _primitivity_argument(m, sys_m):
+    return verify_primitivity_argument(m, sys_m.nblock, sys_m.eta, sys_m.eta.is_primitive())
 
 
 def test_c09_primitivity_argument(systems):
-    failures = [f"m={m}" for m in range(3, 9) if not _primitivity_argument(systems[m]).ok]
-    rep2 = _primitivity_argument(systems[2])
+    failures = [f"m={m}" for m in range(3, 9) if not _primitivity_argument(m, systems[m]).ok]
+    rep2 = _primitivity_argument(2, systems[2])
     print(f"  m=2 reported {'positive' if rep2.ok else 'negative'} "
           f"(construction stated for m >= 3)")
     if not rep2.ok:
@@ -168,8 +171,9 @@ def test_c09_primitivity_argument(systems):
     _verdict(9, "primitivity argument, m=3..8 (m=2 reported)", failures)
 
 
-def _theorem(sub, reference_sys, **kwargs):
-    return theorem_report(sub, sub.is_primitive(), reference_sys, **kwargs)
+def _theorem(m, theta_n, sub, tol, n_max):
+    fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point, tol, n_max)
 
 
 def test_c10_eigenvalue_and_full_suite(capsys, systems):
@@ -179,11 +183,12 @@ def test_c10_eigenvalue_and_full_suite(capsys, systems):
         value = pf_eigenvalue(sys_m.eta, 1e-9)
         if abs(value - 2.0) >= 1e-9:
             failures.append(f"m={m}: PF {value!r}")
-        if sys_m.eta.image_length_sequence(sys_m.f0_index, 12) != [2 ** n for n in range(1, 13)]:
+        f0, _ = fixed_letters(sys_m.eta.size)
+        if sys_m.eta.image_length_sequence(f0, 12) != [2 ** n for n in range(1, 13)]:
             failures.append(f"m={m}: integer doubling identity broken")
-        if not _theorem(sys_m.eta, sys_m, tol=1e-9, n_max=12).ok:
+        if not _theorem(m, sys_m.nblock, sys_m.eta, tol=1e-9, n_max=12).ok:
             failures.append(f"m={m}: theorem aggregate failed")
-    rep = _theorem(zeta5_fixture(), systems[2], tol=1e-9, n_max=12)
+    rep = _theorem(2, systems[2].nblock, zeta5_fixture(), tol=1e-9, n_max=12)
     wrong = {e.claim.split(".", 1)[1] for e in rep if not e.passed}
     if wrong != {"primitive"}:
         failures.append(f"zeta_5 aggregate outcome {sorted(wrong)}")

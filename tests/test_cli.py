@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -175,6 +176,7 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
+    fixed_points = _count_calls(monkeypatch, "verify_fixed_point", lambda m, nb, eta, n: m)
     primitivity = Counter()
     is_primitive = Substitution.is_primitive
 
@@ -187,14 +189,16 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     assert scans == {m: 1 for m in range(2, 8)}
     assert blocks == {m: 1 for m in range(2, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
+    # fixedpoint and theorem read one report
+    assert fixed_points == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
 
 
 def test_verify_reports_a_failed_claim(capsys, monkeypatch):
-    def broken(sys_m):
-        return VerificationReport((CheckEntry(sys_m.m, "pairs.images", False, "mismatch at j=[1]"),
-                                   CheckEntry(sys_m.m, "pairs.kept", True, "fine"),
-                                   CheckEntry(sys_m.m, "pairs.bare", False)))
+    def broken(m, theta_n, eta):
+        return VerificationReport((CheckEntry(m, "pairs.images", False, "mismatch at j=[1]"),
+                                   CheckEntry(m, "pairs.kept", True, "fine"),
+                                   CheckEntry(m, "pairs.bare", False)))
     monkeypatch.setattr(claims, "verify_pair_images", broken)
     code, out, err = _run(capsys, ["verify", "--m", "2", "--claims", "qandf,pairs,fixedpoint"])
     assert code == 1
@@ -354,6 +358,22 @@ def test_stdout_bytes_are_pinned(command):
                             env=_src_env(), capture_output=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[command]
+
+
+def test_benchmark_library_inputs(capsys, tmp_path):
+    """The eigen_mix workload writes its library inputs through the public
+    API; run that script as the benchmark does."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("eigen_inputs",
+                                                  root / "perfbench" / "eigen_inputs.py")
+    eigen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(eigen_inputs)
+    subprocess.run([sys.executable, "-c", eigen_inputs._LIBRARY_INPUTS, str(tmp_path)],
+                   env=_src_env(), check=True, timeout=120)
+    for name, k in (("eta_m9", 1536), ("eta_m10", 3072), ("zeta5", 12)):
+        assert Substitution.from_json((tmp_path / f"{name}.json").read_text()).size == k
+    _, out, _ = _run(capsys, ["build", "eta", "--m", "9", "--format", "json"])
+    assert (tmp_path / "eta_m9.json").read_text() == out[:-1]
 
 
 def test_closed_stdout_exits_3_without_traceback():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense, nth_image
-from tmblocks.injectivize import (EtaSystem, _first_hits, _map_power, build_eta,
-                                  eta_system, initials_map,
-                                  theorem_report, verify_fixed_point,
+from tmblocks.claims import eta_system
+from tmblocks.injectivize import (_first_hits, _map_power, build_eta, fixed_letters,
+                                  initials_map, theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
                                   zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
@@ -23,7 +23,7 @@ def test_build_eta_m2_golden():
     sys2 = eta_system(2)
     assert sys2.eta.images == ETA5_IMAGES
     assert sys2.eta.alphabet.labels == tuple(str(w) for w in enumerate_by_scan(2).words)
-    assert sys2.f0_index == 5 and sys2.f1_index == 6
+    assert fixed_letters(sys2.eta.size) == (5, 6)
     with pytest.raises(ValueError):
         build_eta(1, thue_morse_block_system(enumerate_by_scan(1)))
 
@@ -55,7 +55,7 @@ def test_eta_and_zeta_differ_exactly_at_two_letters():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_image_length_profile(m):
     sys_m = eta_system(m)
-    eta, k = sys_m.eta, sys_m.size
+    eta, k = sys_m.eta, sys_m.eta.size
     for idx0, img in enumerate(eta.images):
         i = idx0 + 1
         quarter = 4 * idx0 // k + 1
@@ -88,23 +88,26 @@ def test_pair_images_golden_and_verifier():
     # the pair starting the f1 orbit: image of (w7, w1)
     assert sys2.eta.apply("\x06\x00") == "\x06\x00\x03\x09" == t5.apply("\x06\x00")
     for m in (2, 3, 4):
-        assert verify_pair_images(eta_system(m)).ok
+        sys_m = eta_system(m)
+        assert verify_pair_images(m, sys_m.nblock, sys_m.eta).ok
 
 
 def test_fixed_point_orbits():
     sys2 = eta_system(2)
     eta, t5 = sys2.eta, sys2.nblock
+    f0, f1 = fixed_letters(t5.size)
     for n in range(1, 9):
-        assert nth_image(eta, sys2.f0_index, n) == nth_image(t5, sys2.f0_index, n)
+        assert nth_image(eta, f0, n) == nth_image(t5, f0, n)
     # from f1 the refined iterate is longer but expands the same fixed point
     for n in range(1, 8):
-        e = nth_image(eta, sys2.f1_index, n)
-        t = nth_image(t5, sys2.f1_index, n)
+        e = nth_image(eta, f1, n)
+        t = nth_image(t5, f1, n)
         assert len(e) == 3 * 2 ** (n - 1)
         assert e[:len(t)] == t
-        assert nth_image(t5, sys2.f1_index, n + 1)[:len(e)] == e
+        assert nth_image(t5, f1, n + 1)[:len(e)] == e
     for m in (2, 3, 4):
-        assert verify_fixed_point(eta_system(m), 12).ok
+        sys_m = eta_system(m)
+        assert verify_fixed_point(m, sys_m.nblock, sys_m.eta, 12).ok
 
 
 def test_initials_maps():
@@ -115,19 +118,20 @@ def test_initials_maps():
     assert psi[0] == 9   # the refined image of w_1 is the single letter w_10
     for m in (2, 3, 4):
         sys_m = eta_system(m)
-        k = sys_m.size
+        k = sys_m.eta.size
         phi_m = initials_map(sys_m.nblock)
         psi_m = initials_map(sys_m.eta)
         assert psi_m[k // 4:3 * k // 4] == phi_m[k // 4:3 * k // 4]
 
 
-def _primitivity_argument(sys_m):
-    return verify_primitivity_argument(sys_m, sys_m.eta.is_primitive())
+def _primitivity_argument(m, theta_n, eta):
+    return verify_primitivity_argument(m, theta_n, eta, eta.is_primitive())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_primitivity_argument(m):
-    rep = _primitivity_argument(eta_system(m))
+    sys_m = eta_system(m)
+    rep = _primitivity_argument(m, sys_m.nblock, sys_m.eta)
     assert rep.ok, [e.claim for e in rep if not e.passed]
     assert [e.claim.split(".", 1)[1] for e in rep] == [
         "phi_reaches", "psi_reaches", "psi_phi_q2_q3", "psi_q4_increasing",
@@ -165,18 +169,19 @@ def test_pf_cross_checked_against_dense_solver():
 
 def test_growth_identity_matrix_vs_iteration():
     for m in (2, 3):
-        sys_m = eta_system(m)
-        lengths = sys_m.eta.image_length_sequence(sys_m.f0_index, 12)
+        eta = eta_system(m).eta
+        f0, _ = fixed_letters(eta.size)
+        lengths = eta.image_length_sequence(f0, 12)
         assert lengths == [2 ** n for n in range(1, 13)]
         # independent route: dense integer matrix powers
-        counts = dense(sys_m.eta)
-        mn = np.eye(sys_m.size, dtype=np.int64)
+        counts = dense(eta)
+        mn = np.eye(eta.size, dtype=np.int64)
         for n in range(1, 13):
             mn = mn @ counts
-            assert int(mn.sum(axis=0)[sys_m.f0_index]) == 2 ** n
-        w = chr(sys_m.f0_index)
+            assert int(mn.sum(axis=0)[f0]) == 2 ** n
+        w = chr(f0)
         for n in range(1, 13):
-            w = sys_m.eta.apply(w)
+            w = eta.apply(w)
             assert len(w) == 2 ** n
 
 
@@ -189,20 +194,23 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         assert pairs == set(sub.images)
 
 
-def _theorem(sub, reference_sys, **kwargs):
-    return theorem_report(sub, sub.is_primitive(), reference_sys, **kwargs)
+def _theorem(m, theta_n, sub, tol, n_max):
+    """theorem_report on ``sub`` in the place of η, with its own primitivity
+    verdict and fixed-point report against ``theta_n``."""
+    fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point, tol, n_max)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_verify_theorem(m):
     sys_m = eta_system(m)
-    rep = _theorem(sys_m.eta, sys_m, tol=1e-9, n_max=12)
+    rep = _theorem(m, sys_m.nblock, sys_m.eta, tol=1e-9, n_max=12)
     assert rep.ok, [e.claim for e in rep if not e.passed]
 
 
 def test_zeta5_through_theorem_aggregator():
     sys2 = eta_system(2)
-    rep = _theorem(zeta5_fixture(), sys2, tol=1e-9, n_max=12)
+    rep = _theorem(2, sys2.nblock, zeta5_fixture(), tol=1e-9, n_max=12)
     outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep}
     assert outcomes == {"injective": True, "primitive": False,
                         "pf_eigenvalue": True, "lengths_matrix": True,
@@ -261,12 +269,13 @@ def test_first_hits_on_a_target_free_cycle():
     assert _first_hits(chain, {0}, 2) == [-1, 2, 1, -1, -1]
 
 
-def _reachability_reference(sys_m):
+def _reachability_reference(theta_n, eta):
     """The phi_reaches and psi_reaches entries as the step-by-step walks give
     them: (passed, detail) pairs."""
-    k, f0, f1 = sys_m.size, sys_m.f0_index, sys_m.f1_index
-    phi = initials_map(sys_m.nblock)
-    psi = initials_map(sys_m.eta)
+    k = theta_n.size
+    f0, f1 = fixed_letters(k)
+    phi = initials_map(theta_n)
+    psi = initials_map(eta)
     targets = {f0, f1}
     bad = [i + 1 for i in range(k)
            if _first_hit_walk(phi, i, targets, k // 2) < 0
@@ -280,11 +289,11 @@ def _reachability_reference(sys_m):
 
 
 def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
-    sys2 = eta_system(2)
-    probe = EtaSystem(2, sys2.nblock, zeta5_fixture())
-    rep = _primitivity_argument(probe)
+    t5 = eta_system(2).nblock
+    rep = _primitivity_argument(2, t5, zeta5_fixture())
     entries = {e.claim.split(".", 1)[1]: (e.passed, e.detail) for e in rep}
-    assert [entries["phi_reaches"], entries["psi_reaches"]] == _reachability_reference(probe)
+    assert [entries["phi_reaches"], entries["psi_reaches"]] == _reachability_reference(
+        t5, zeta5_fixture())
     # the trapped pair {w3, w11} never reaches f0 or f1
     assert entries["psi_reaches"] == (False, "failures at w_[3, 11]")
     assert sorted(name for name, (passed, _) in entries.items() if not passed) == [
@@ -295,8 +304,9 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     # f0 maps to itself alone: its iterates never grow, so the walk must end
     # on the step bound, not the length bound
     sys2 = eta_system(2)
+    f0, _ = fixed_letters(sys2.eta.size)
     images = list(sys2.eta.images)
-    images[sys2.f0_index] = (sys2.f0_index,)
-    probe = EtaSystem(2, sys2.nblock, Substitution(sys2.eta.alphabet, tuple(images)))
-    rep = verify_primitivity_argument(probe, False)
+    images[f0] = (f0,)
+    probe = Substitution(sys2.eta.alphabet, tuple(images))
+    rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
     assert [e.claim for e in rep if not e.passed][-1] == "primitivity.forward"

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense, from_dense, nth_image
-from tmblocks.injectivize import eta_system, zeta5_fixture
+from tmblocks.claims import eta_system
+from tmblocks.injectivize import zeta5_fixture
 from tmblocks.substitution import (Alphabet, Substitution, _pf_brackets, pf_bracket,
                                    pf_eigenvalue)
 from tmblocks.thue_morse import theta

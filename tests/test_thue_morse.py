@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tmblocks import thue_morse
 from tmblocks.thue_morse import (MAX_M, FactorSet, apply_theta, descendants,
                                  enumerate_by_descendants, enumerate_by_scan,
-                                 quarter_markers, theta,
+                                 theta,
                                  thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
 from tmblocks.words import BinaryWord, word
@@ -63,7 +63,7 @@ def test_descendants_examples():
     d, _ = descendants(word("01101"))
     assert d == word("011010011")
     assert d == thue_morse_prefix(0, 9)
-    assert d in enumerate_by_scan(3)
+    assert d in enumerate_by_scan(3).words
 
 
 def test_scan_golden_tables():
@@ -130,28 +130,32 @@ def test_enumerators_reject_m_out_of_range():
         enumerate_by_descendants(MAX_M + 1)
 
 
+def _quarter_minima(fs):
+    return tuple(quarter[0] for quarter in fs.quarters())
+
+
 def test_quarter_markers_m2():
-    mk = quarter_markers(enumerate_by_scan(2))
-    assert (str(mk.q1), str(mk.q2), str(mk.q3), str(mk.q4)) == ("00101", "01011", "10010", "10110")
-    assert str(mk.f0) == "01101" and str(mk.f1) == "10010"
+    q1, q2, q3, q4 = _quarter_minima(enumerate_by_scan(2))
+    assert (str(q1), str(q2), str(q3), str(q4)) == ("00101", "01011", "10010", "10110")
+    assert str(thue_morse_prefix(0, 5)) == "01101" and str(thue_morse_prefix(1, 5)) == "10010"
 
 
 def test_quarter_markers_m3_indices():
     fs = enumerate_by_scan(3)
-    mk = quarter_markers(fs)
+    q1, q2, q3, q4 = _quarter_minima(fs)
     index = fs.words.index
-    assert index(mk.q1) == 0
-    assert index(mk.q2) == 6
-    assert index(mk.q3) == 12
-    assert index(mk.q4) == 18
-    assert index(mk.f0) == 11
-    assert index(mk.f1) == 12
+    assert index(q1) == 0
+    assert index(q2) == 6
+    assert index(q3) == 12
+    assert index(q4) == 18
+    assert index(thue_morse_prefix(0, 9)) == 11
+    assert index(thue_morse_prefix(1, 9)) == 12
 
 
 def test_q3_equals_f1():
     for m in range(2, 7):
-        mk = quarter_markers(enumerate_by_scan(m))
-        assert mk.q3 == mk.f1
+        fs = enumerate_by_scan(m)
+        assert _quarter_minima(fs)[2] == thue_morse_prefix(1, fs.word_length)
 
 
 def test_factor_set_structure():
@@ -171,15 +175,7 @@ def test_quarters_need_m_at_least_2():
     with pytest.raises(ValueError):
         fs.quarter_size
     with pytest.raises(ValueError):
-        quarter_markers(fs)
-
-
-def test_membership_needs_the_factor_length():
-    # positions are keyed by bits, so 0101 and 000101 share the bits of 00101
-    fs = enumerate_by_scan(2)
-    for w in (word("0101"), word("000101"), word("00000")):
-        assert w not in fs
-    assert word("00101") in fs
+        verify_quarter_minima(fs)
 
 
 def test_factor_set_validation():
