@@ -21,6 +21,10 @@ from .substitution import Substitution
 from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
+# verify's --tol and --depth when they are not given
+DEFAULT_TOL = 1e-9
+DEFAULT_DEPTH = 12
+
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
@@ -28,7 +32,7 @@ class Level:
     primitivity verdict and its fixed-point report; plus the tolerance and
     iteration depth."""
 
-    def __init__(self, m: int, tol: float, depth: int) -> None:
+    def __init__(self, m: int, tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH) -> None:
         self.m = m
         self.tol = tol
         self.depth = depth
@@ -62,7 +66,7 @@ class Level:
 def eta_system(m: int) -> Level:
     """The Level of m, with ``verify``'s default tolerance and depth; its
     ``eta`` and ``nblock`` are built from scratch on first use."""
-    return Level(m, 1e-9, 12)
+    return Level(m)
 
 
 def levels(lo: int, hi: int, tol: float, depth: int) -> Iterator[Level]:

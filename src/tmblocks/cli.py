@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 # Each command imports the modules it uses, so that start-up costs what the
 # command needs: `eigen` loads substitution.py alone.
@@ -104,8 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
     p_verify.add_argument("--claims", type=_claim_list)
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
-    p_verify.add_argument("--depth", type=_depth, default=12)
+    # the defaults are claims.DEFAULT_TOL and DEFAULT_DEPTH, read when the
+    # command runs, so that building the parser imports no claim module
+    p_verify.add_argument("--tol", type=_tolerance)
+    p_verify.add_argument("--depth", type=_depth)
 
     p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
                                                 "of a substitution JSON file")
@@ -113,10 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _factor_table(fs: "FactorSet", header: str) -> Iterator[str]:
-    """The factor table line by line, without line ends: at m = 12 it is
-    50 MB of text, so it is written as it is formatted."""
-    size = fs.size
+def _factor_table(size: int, label: Callable[[int], str], header: str) -> Iterator[str]:
+    """The factor table of the words ``label(0..size-1)`` line by line,
+    without line ends: at m = 12 it is 50 MB of text, so it is written as it
+    is formatted."""
     ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
     rows = size // ncols
     width = len(str(size))
@@ -125,7 +127,7 @@ def _factor_table(fs: "FactorSet", header: str) -> Iterator[str]:
         cells = []
         for c in range(ncols):
             i = c * rows + r
-            cells.append(f"w_{i + 1:<{width}} = {fs.words[i]}")
+            cells.append(f"w_{i + 1:<{width}} = {label(i)}")
         yield "   ".join(cells).rstrip()
 
 
@@ -157,27 +159,29 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     if not 1 <= args.m <= MAX_M:
         print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
         return 2
-    if args.method == "both":
-        scan = enumerate_by_scan(args.m)
-        desc = enumerate_by_descendants(args.m)
-        if scan.words != desc.words:
+    if args.method == "descend":
+        # the word-level oracle prints each word from its own bits
+        words = enumerate_by_descendants(args.m)
+        size, label = len(words), lambda i: str(words[i])
+    else:
+        fs = enumerate_by_scan(args.m)
+        if args.method == "both" and fs.bits != tuple(
+                w.bits for w in enumerate_by_descendants(args.m)):
             print("error: enumeration methods disagree", file=sys.stderr)
             return 1
-        fs = scan
-    else:
-        fs = enumerate_by_scan(args.m) if args.method == "scan" else enumerate_by_descendants(args.m)
+        size, label = fs.size, fs.label
     if args.format == "json":
         # the bytes of json.dump({"m": m, "words": [...]}), written one word
         # at a time: a word is 0/1 text, so it needs quotes and no escapes
         write = sys.stdout.write
-        write(f'{{"m": {fs.m}, "words": ["')
-        for i, w in enumerate(fs.words):
+        write(f'{{"m": {args.m}, "words": ["')
+        for i in range(size):
             if i:
                 write('", "')
-            write(str(w))
+            write(label(i))
         write('"]}\n')
     else:
-        _write_lines(_factor_table(fs, f"m={fs.m} N={fs.word_length} count={fs.size}"))
+        _write_lines(_factor_table(size, label, f"m={args.m} N={2 ** args.m + 1} count={size}"))
     return 0
 
 
@@ -225,7 +229,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .claims import CLAIMS, levels
+    from .claims import CLAIMS, DEFAULT_DEPTH, DEFAULT_TOL, levels
     from .thue_morse import MAX_M
 
     lo, hi = args.m
@@ -240,7 +244,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     failed = 0
     total = 0
-    for level in levels(lo, hi, args.tol, args.depth):
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    for level in levels(lo, hi, tol, depth):
         for claim in claims:
             rep = CLAIMS[claim].run(level)
             total += 1

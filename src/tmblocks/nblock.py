@@ -4,18 +4,23 @@ The alphabet of theta_N is A_m, the 3·2^m Thue-Morse factors of length N in
 lexicographic order, w_1 < ... < w_k. The block w_j maps to the two width-N
 windows of theta(w_j), which are again factors: this is the higher block
 presentation of Lind & Marcus, *An Introduction to Symbolic Dynamics and
-Coding*, §1.4, read off the factor set without scanning a second time. The
-image indices also follow a closed form: the first index depends only on
-ceil(j/2) and lands in the second quarter (from the first half of the
-alphabet) or the third quarter (from the second half); the second index is
-the first shifted by half the alphabet size.
+Coding*, §1.4. It is read off the factor set without a second scan and
+without applying theta to any block: the factor set is a prefix P of the
+fixed point with one offset p per factor, theta(P) is again a prefix of the
+fixed point, and theta(w_j) is its window of width 2N at 2p, so the two
+image letters are the width-N windows of theta(P) at 2p and 2p + 1, looked
+up by their bits among the factors. The image indices also follow a closed
+form: the first index depends only on ceil(j/2) and lands in the second
+quarter (from the first half of the alphabet) or the third quarter (from the
+second half); the second index is the first shifted by half the alphabet
+size.
 """
 
 from __future__ import annotations
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Substitution, Word
-from .thue_morse import FactorSet, apply_theta, thue_morse_prefix
+from .thue_morse import FactorSet, thue_morse_prefix
 from .words import BinaryWord
 
 
@@ -38,23 +43,20 @@ def second_image_index(j: int, size: int) -> int:
 
 def thue_morse_block_system(fs: FactorSet) -> Substitution:
     """theta_N on the factors ``fs`` of level m, N = 2^m + 1: the block w_j
-    maps to the two width-N windows of theta(w_j), each looked up among the
-    factors. A window that is not a factor raises RuntimeError."""
+    maps to the two width-N windows of theta(w_j), read at twice its offset
+    in theta(P) and each looked up among the factors. A window that is not a
+    factor raises RuntimeError."""
     n = fs.word_length
-    mask = (1 << n) - 1
     position = fs._positions
     images = []
-    for w in fs.words:
-        image = apply_theta(w).bits
-        pair = []
-        for window in (image >> n, (image >> (n - 1)) & mask):
-            j = position.get(window)
-            if j is None:
-                raise RuntimeError(
-                    f"window {BinaryWord(n, window)} of the image of block {w} is not "
-                    f"a factor (closure violation)")
-            pair.append(j)
-        images.append(tuple(pair))
+    for j, windows in enumerate(fs.theta_windows(n)):
+        image = tuple(map(position.get, windows))
+        if None in image:
+            window = windows[image.index(None)]
+            raise RuntimeError(
+                f"window {BinaryWord(n, window)} of the image of block {fs.label(j)} is not "
+                f"a factor (closure violation)")
+        images.append(image)
     return Substitution(fs.alphabet(), tuple(images))
 
 
@@ -98,7 +100,7 @@ def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationRe
              "first letters fill Q2 and Q3 twice each")
 
     f0_idx = k // 2 - 1
-    f0_ok = (fs.words[f0_idx] == thue_morse_prefix(0, fs.word_length)
+    f0_ok = (fs.word(f0_idx) == thue_morse_prefix(0, fs.word_length)
              and theta_n.images[f0_idx] == (f0_idx, half_shift(f0_idx + 1, k) - 1))
     rb.check("f0_image", f0_ok,
              f"image of w_{f0_idx + 1} is w_{f0_idx + 1} w_{half_shift(f0_idx + 1, k)}")

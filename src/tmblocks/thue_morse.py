@@ -1,18 +1,28 @@
 """Thue-Morse factors of length N = 2^m + 1 and their lexicographic structure.
 
-The factor set A_m (3·2^m words, lexicographically ordered) is enumerated two
-independent ways: by sliding a window over a fixed-point prefix, and by the
-descendant recursion that maps each word u of A_m to the two length-(2N-1)
-windows of theta(u). On top of the ordered set sit the quarter partition
-Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes, and executable
-verifiers for the identities that tie them together.
+The factor set A_m (3·2^m words, lexicographically ordered) is one prefix P
+of the Thue-Morse fixed point plus, for each factor, the int of its bits and
+the offset of one of its occurrences in P. Every per-factor step reads
+windows by offset instead of handling the words one at a time: θ(P) is
+again a prefix of the fixed point, so the factor at offset p has θ_N image
+the two width-N windows of θ(P) at 2p and 2p + 1, and descendants δ and ε
+the width-(2N-1) windows there (the higher block presentation, Lind &
+Marcus, §1.4). A factor is printed as a slice of P's text.
+
+The factor set is enumerated two independent ways: by collecting the
+windows of P, and by the descendant recursion on ``BinaryWord``s, which maps
+each word u of A_m to the two length-(2N-1) windows of theta(u). On top of
+the ordered set sit the quarter partition Q_1..Q_4, its minima, the f_0/f_1
+fixed-point prefixes, and executable verifiers for the identities that tie
+them together.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, eq
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution
@@ -81,23 +91,43 @@ def descendants(w: BinaryWord) -> tuple[BinaryWord, BinaryWord]:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """The lexicographically sorted factors of length 2^m + 1."""
+    """The lexicographically sorted factors of length N = 2^m + 1, as
+    windows of one Thue-Morse prefix.
+
+    ``prefix`` is a prefix P of the fixed point in which every factor
+    occurs. For the factor w_{i+1}, ``bits[i]`` is the int of its bits (so
+    ``bits`` is strictly increasing) and ``offsets[i]`` is the start of one
+    of its occurrences in P. No factor is held as a word of its own: its
+    label is a slice of P's text, and its θ image and descendants are
+    windows of θ(P) at twice its offset (``theta_windows``). Construction
+    checks that ``bits[i]`` is the window of P at ``offsets[i]``, so the
+    label printed for a factor is the word the claims check.
+    """
 
     m: int
-    words: tuple[BinaryWord, ...]
+    prefix: BinaryWord
+    bits: tuple[int, ...]
+    offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = 2 ** self.m + 1
-        if len(self.words) != 3 * 2 ** self.m:
-            raise ValueError(
-                f"expected {3 * 2 ** self.m} factors for m={self.m}, got {len(self.words)}")
-        for w in self.words:
-            if len(w) != n:
-                raise ValueError(f"factor {w} has length {len(w)}, expected {n}")
+        n = self.word_length
+        k = 3 * 2 ** self.m
+        if len(self.bits) != k:
+            raise ValueError(f"expected {k} factors for m={self.m}, got {len(self.bits)}")
+        if len(self.offsets) != k:
+            raise ValueError(f"expected {k} offsets for m={self.m}, got {len(self.offsets)}")
+        bits = self.bits
+        if bits[0] < 0 or bits[-1] >> n:
+            raise ValueError(f"factor bits out of range for length {n}")
         # equal lengths: integer order of the bits is lexicographic order
-        bits = list(map(_bits, self.words))
         if any(a >= b for a, b in zip(bits, bits[1:])):
             raise ValueError("factors must be strictly increasing")
+        if min(self.offsets) < 0 or max(self.offsets) > self.prefix.length - n:
+            raise ValueError(
+                f"an offset is out of range for a prefix of length {self.prefix.length}")
+        # labels are read from the offsets and every claim from the bits
+        if not all(map(eq, _read_windows(self.prefix, n, self.offsets), bits)):
+            raise ValueError("the bits of a factor differ from its window of the prefix")
 
     @property
     def word_length(self) -> int:
@@ -105,12 +135,16 @@ class FactorSet:
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.bits)
 
     @cached_property
     def _positions(self) -> dict[int, int]:
         """The ``bits`` of each factor -> its 0-based position."""
-        return {w.bits: i for i, w in enumerate(self.words)}
+        return {b: i for i, b in enumerate(self.bits)}
+
+    @cached_property
+    def _text(self) -> str:
+        return str(self.prefix)
 
     @property
     def quarter_size(self) -> int:
@@ -118,14 +152,33 @@ class FactorSet:
             raise ValueError(f"|A_{self.m}| = {self.size} has no quarter partition (need m >= 2)")
         return self.size // 4
 
-    def quarters(self) -> tuple[tuple[BinaryWord, ...], ...]:
+    def quarters(self) -> tuple[tuple[int, ...], ...]:
+        """The ``bits`` of the factors of Q_1..Q_4."""
         q = self.quarter_size
-        return tuple(self.words[i * q:(i + 1) * q] for i in range(4))
+        return tuple(self.bits[i * q:(i + 1) * q] for i in range(4))
+
+    def word(self, i: int) -> BinaryWord:
+        """The factor w_{i+1}."""
+        return BinaryWord(self.word_length, self.bits[i])
+
+    def label(self, i: int) -> str:
+        """The factor w_{i+1} as 0/1 text: a slice of the prefix text."""
+        start = self.offsets[i]
+        return self._text[start:start + self.word_length]
 
     def alphabet(self) -> Alphabet:
         """The words as labels; they are strictly increasing, hence distinct."""
-        words = self.words
-        return Alphabet.distinct(self.size, lambda i: str(words[i]))
+        return Alphabet.distinct(self.size, self.label)
+
+    def theta_windows(self, width: int) -> Iterator[tuple[int, int]]:
+        """For each factor, in order, the width-``width`` windows of θ(P) at
+        2p and 2p + 1, where p is the factor's offset in P, as the ints of
+        their bits. θ(w) is the window of θ(P) of width 2N at 2p, so width N
+        gives the two letters of w's θ_N image and width 2N - 1 its
+        descendants (δ(w), ε(w))."""
+        starts = (q for p in self.offsets for q in (2 * p, 2 * p + 1))
+        windows = _read_windows(apply_theta(self.prefix), width, starts)
+        return zip(windows, windows)  # consecutive windows of the one iterator
 
 
 def _check_m(m: int) -> None:
@@ -133,46 +186,73 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
 
 
-def _windows(w: BinaryWord, n: int) -> set[int]:
-    """The distinct width-n windows of w, as the ints of their bits.
+def _shifted_copies(w: BinaryWord) -> list[bytes]:
+    """bits >> r for r = 0..7, each as little-endian bytes of w's size.
 
-    The window ending s letters before the end of w is (bits >> s) masked to
-    n bits. It is read as the bytes of bits >> (s % 8) from byte s // 8 on,
-    one of eight shifted copies. Those byte slices carry up to 7 more bits
-    and are deduplicated before the few distinct ones are converted.
+    The window of width n that ends s letters before the end of w is
+    (bits >> s) masked to n bits. It is read as the bytes of copy s % 8 from
+    byte s // 8 on, (n + 7) // 8 of them, which carry up to 7 more bits.
+    """
+    size = (w.length + 7) // 8
+    return [(w.bits >> r).to_bytes(size, "little") for r in range(8)]
+
+
+def _window_offsets(w: BinaryWord, n: int) -> dict[int, int]:
+    """The distinct width-n windows of w, as the ints of their bits, each
+    with the offset in w of one of its occurrences.
+
+    The byte slices of the shifted copies are deduplicated, with an offset
+    each, before the few distinct ones are converted.
     """
     span = (n + 7) // 8
-    size = (w.length + 7) // 8
-    shifted = [(w.bits >> r).to_bytes(size, "little") for r in range(8)]
-    chunks = {shifted[s & 7][s >> 3:(s >> 3) + span] for s in range(w.length - n + 1)}
+    shifted = _shifted_copies(w)
+    last = w.length - n  # the window at offset p ends last - p letters before the end
+    chunks = {shifted[s & 7][s >> 3:(s >> 3) + span]: s for s in range(last + 1)}
     mask = (1 << n) - 1
-    return {int.from_bytes(c, "little") & mask for c in chunks}
+    return {int.from_bytes(c, "little") & mask: last - s for c, s in chunks.items()}
+
+
+def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]:
+    """The width-n windows of w at the offsets ``starts``, as the ints of
+    their bits, one at a time."""
+    span = (n + 7) // 8
+    shifted = _shifted_copies(w)
+    last = w.length - n
+    mask = (1 << n) - 1
+    for p in starts:
+        s = last - p
+        i = s >> 3
+        yield int.from_bytes(shifted[s & 7][i:i + span], "little") & mask
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
-    """Collect the distinct width-N windows of a fixed-point prefix, doubling
-    the prefix until the known cardinality 3*2^m is reached."""
+    """Collect the distinct width-N windows of the fixed-point prefix
+    P = θ^(m+4)(0), one offset each, doubling P until the known cardinality
+    3*2^m is reached. P of 16·2^m letters holds every factor, so θ(P) is the
+    prefix that level m + 1 scans."""
     _check_m(m)
     n = 2 ** m + 1
     target = 3 * 2 ** m
-    prefix_len = 16 * n
+    prefix = thue_morse_prefix(0, 2 ** (m + 4))
     while True:
-        windows = _windows(thue_morse_prefix(0, prefix_len), n)
+        windows = _window_offsets(prefix, n)
         if len(windows) > target:
             raise RuntimeError(
                 f"found {len(windows)} distinct factors of length {n}, "
                 f"more than the expected {target}")
         if len(windows) == target:
             # equal lengths: integer order is lexicographic order
-            return FactorSet(m, tuple(BinaryWord(n, b) for b in sorted(windows)))
-        prefix_len *= 2
-        if prefix_len > (1 << 24):
+            bits = sorted(windows)
+            return FactorSet(m, prefix, tuple(bits), tuple(map(windows.__getitem__, bits)))
+        if prefix.length >= (1 << 24):
             raise RuntimeError(f"factor collection did not saturate for m={m}")
+        prefix = apply_theta(prefix)
 
 
-def enumerate_by_descendants(m: int) -> FactorSet:
-    """Grow the factor sets from the hard-coded length-3 base by taking both
-    descendants of every word, level by level."""
+def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:
+    """The factors of length N in lexicographic order, as ``BinaryWord``s,
+    grown from the hard-coded length-3 base by taking both descendants of
+    every word, level by level: a word-level oracle for the scan."""
     _check_m(m)
     words = [word(t) for t in A1_WORDS]
     for _ in range(m - 1):
@@ -182,7 +262,9 @@ def enumerate_by_descendants(m: int) -> FactorSet:
             nxt.add(d)
             nxt.add(e)
         words = sorted(nxt, key=_bits)  # one length per level: int order is lex order
-    return FactorSet(m, tuple(words))
+    if len(words) != 3 * 2 ** m:
+        raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(words)}")
+    return tuple(words)
 
 
 def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
@@ -198,7 +280,7 @@ def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
         "q4": f1.strip_prefix(word("100")) + word("110"),
     }
     for i, (name, want) in enumerate(expected.items()):
-        got = fs.words[i * q]  # the minimum of quarter i + 1
+        got = fs.word(i * q)  # the minimum of quarter i + 1
         rb.check(name, got == want, f"{name}={got}, from f1={f1}")
     return rb.build()
 
@@ -206,10 +288,13 @@ def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
 def verify_quarter_descendants(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
     """Check the four quarter image identities one level up, from the factor
     sets of levels m and m + 1:
-    Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2)."""
+    Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2).
+
+    delta and eps of every factor are the width-(2N-1) windows of θ(P) at
+    twice its offset; they are compared as ints with the quarters' bits."""
     p1, p2, p3, p4 = fs_next.quarters()
-    # (delta, eps) of each word, expanded once; Q1 u Q2 is the first half
-    pairs = [descendants(w) for w in fs.words]
+    # (delta, eps) of each word; Q1 u Q2 is the first half
+    pairs = list(fs.theta_windows(2 * fs.word_length - 1))
     low, high = pairs[:2 * fs.quarter_size], pairs[2 * fs.quarter_size:]
     checks = [
         ("Q1", {e for _, e in high}, p1),
@@ -227,13 +312,10 @@ def verify_prefix_pairs(fs: FactorSet, fs_next: FactorSet) -> VerificationReport
     """Check that consecutive pairs of the next level (``fs_next``) share
     their length-N prefix with the corresponding word one level down:
     Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i."""
-    n = fs.word_length
-    bad = []
-    for i, w in enumerate(fs.words):
-        left = fs_next.words[2 * i].prefix(n)
-        right = fs_next.words[2 * i + 1].prefix(n)
-        if left != w or right != w:
-            bad.append(i + 1)
+    shift = fs_next.word_length - fs.word_length  # Pref_N drops the other letters
+    nxt = fs_next.bits
+    bad = [i + 1 for i, b in enumerate(fs.bits)
+           if nxt[2 * i] >> shift != b or nxt[2 * i + 1] >> shift != b]
     rb = ReportBuilder(fs.m, "firsthalf")
     rb.check("pairs", not bad,
              f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")

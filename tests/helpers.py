@@ -1,11 +1,14 @@
 """Test-side views of a substitution: its dense incidence matrix, the
-substitution of a dense matrix, and the n-th image of one letter."""
+substitution of a dense matrix, and the n-th image of one letter; and of a
+factor set: its words, and a factor set read off a corrupted prefix."""
 
 from itertools import islice
 
 import numpy as np
 
 from tmblocks.substitution import Alphabet, Substitution
+from tmblocks.thue_morse import FactorSet
+from tmblocks.words import BinaryWord, word
 
 
 def dense(sub: Substitution) -> np.ndarray:
@@ -30,3 +33,28 @@ def from_dense(counts) -> Substitution:
 def nth_image(sub: Substitution, letter: int, n: int) -> str:
     """The n-th image word of ``letter``; n = 0 gives chr(letter)."""
     return next(islice(sub.iterates(letter), n, None))
+
+
+def factor_words(fs: FactorSet) -> tuple[BinaryWord, ...]:
+    """The factors of ``fs`` in order, as words read from their bits."""
+    return tuple(map(fs.word, range(fs.size)))
+
+
+def factor_labels(fs: FactorSet) -> list[str]:
+    """The factors of ``fs`` in order, as the prefix slices it prints."""
+    return list(map(fs.label, range(fs.size)))
+
+
+def off_prefix(fs: FactorSet) -> FactorSet:
+    """A factor set like ``fs`` but read off its prefix with one letter
+    flipped: the windows at the same offsets, sorted, for the first letter
+    whose flip changes them and keeps them distinct. The prefix is then no
+    Thue-Morse prefix, and the set is not the factor set."""
+    n, text = fs.word_length, str(fs.prefix)
+    for j, letter in enumerate(text):
+        flipped = text[:j] + "10"[int(letter)] + text[j + 1:]
+        windows = {int(flipped[p:p + n], 2): p for p in fs.offsets}
+        if len(windows) == fs.size and windows.keys() != set(fs.bits):
+            bits = sorted(windows)
+            return FactorSet(fs.m, word(flipped), tuple(bits), tuple(map(windows.__getitem__, bits)))
+    raise AssertionError("no single flip keeps the windows distinct")

@@ -21,7 +21,6 @@ from tmblocks.thue_morse import (apply_theta, descendants, enumerate_by_descenda
                                  enumerate_by_scan, thue_morse_prefix,
                                  verify_prefix_pairs, verify_quarter_descendants,
                                  verify_quarter_minima)
-from tmblocks.words import BinaryWord
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -62,7 +61,7 @@ def test_c01_cardinality_and_method_agreement():
         desc = enumerate_by_descendants(m)
         if scan.size != 3 * 2 ** m:
             failures.append(f"m={m}: size {scan.size}")
-        if scan.words != desc.words:
+        if scan.bits != tuple(w.bits for w in desc):
             failures.append(f"m={m}: methods disagree")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -72,17 +71,17 @@ def test_c01_cardinality_and_method_agreement():
 
 def test_c02_golden_tables(factors):
     failures = []
-    if [str(w) for w in factors[2].words] != A2_GOLDEN:
-        failures.append("A_2 table mismatch")
-    if [str(w) for w in factors[3].words] != A3_GOLDEN:
-        failures.append("A_3 table mismatch")
+    for m, golden in ((2, A2_GOLDEN), (3, A3_GOLDEN)):
+        fs = factors[m]
+        if [fs.label(i) for i in range(fs.size)] != golden:
+            failures.append(f"A_{m} table mismatch")
     fs3 = factors[3]
     q1, q2, q3, q4 = (quarter[0] for quarter in fs3.quarters())
     markers = {"q1": q1, "q2": q2, "q3": q3, "q4": q4,
-               "f0": thue_morse_prefix(0, 9), "f1": thue_morse_prefix(1, 9)}
+               "f0": thue_morse_prefix(0, 9).bits, "f1": thue_morse_prefix(1, 9).bits}
     expected = {"q1": 0, "q2": 6, "q3": 12, "q4": 18, "f0": 11, "f1": 12}
     for name, idx0 in expected.items():
-        if fs3.words.index(markers[name]) != idx0:
+        if fs3.bits.index(markers[name]) != idx0:
             failures.append(f"{name} is not w_{idx0 + 1}")
     _verdict(2, "golden tables A_2, A_3, markers", failures)
 
@@ -213,7 +212,7 @@ def test_c11_property_suites(factors):
     violations = 0
     for _ in range(10_000):
         fs = factors[rng.randrange(2, 9)]
-        u, v = rng.sample(fs.words, 2)
+        u, v = map(fs.word, rng.sample(range(fs.size), 2))
         # u, v and their images each share one length: bits order is lex order
         if v.bits < u.bits:
             u, v = v, u
@@ -228,12 +227,12 @@ def test_c11_property_suites(factors):
         failures.append(f"{violations} order-preservation violations")
     for m in range(1, 9):
         fs = factors[m]
-        for i, w in enumerate(fs.words):
-            mirror = BinaryWord(w.length, w.bits ^ ((1 << w.length) - 1))
-            if fs.words.index(mirror) != fs.size - 1 - i:
+        for i, bits in enumerate(fs.bits):
+            mirror = bits ^ ((1 << fs.word_length) - 1)
+            if fs.bits.index(mirror) != fs.size - 1 - i:
                 failures.append(f"m={m}: mirror reversal broken at w_{i + 1}")
                 break
-            text = str(w)
+            text = fs.label(i)
             if "000" in text or "111" in text:
                 failures.append(f"m={m}: cube of a letter in w_{i + 1}")
                 break

@@ -14,7 +14,8 @@ from tmblocks import claims, injectivize, nblock, thue_morse
 from tmblocks.cli import MAX_DEPTH, run
 from tmblocks.report import CheckEntry, VerificationReport
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import MAX_M, enumerate_by_scan
+from tmblocks.thue_morse import MAX_M, enumerate_by_descendants
+from tmblocks.words import BinaryWord
 
 
 def _run(capsys, argv):
@@ -49,7 +50,7 @@ def test_factors_method_both(capsys):
 
 def test_factors_bad_m(capsys):
     code, _, err = _run(capsys, ["factors", "--m", "0"])
-    assert code == 2 and "1 <= m <= 12" in err
+    assert code == 2 and f"1 <= m <= {MAX_M}" in err
 
 
 def test_factors_deterministic(capsys):
@@ -58,15 +59,16 @@ def test_factors_deterministic(capsys):
     assert first == second
 
 
-def _whole_factor_table(fs):
-    """Oracle: the factor table built as one list of lines and joined."""
-    size = fs.size
+def _whole_factor_table(m, words):
+    """Oracle: the factor table of ``words`` at level m, built as one list of
+    lines and joined."""
+    size = len(words)
     ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
     rows = size // ncols
     width = len(str(size))
-    lines = [f"m={fs.m} N={fs.word_length} count={size}"]
+    lines = [f"m={m} N={2 ** m + 1} count={size}"]
     for r in range(rows):
-        cells = [f"w_{c * rows + r + 1:<{width}} = {fs.words[c * rows + r]}"
+        cells = [f"w_{c * rows + r + 1:<{width}} = {words[c * rows + r]}"
                  for c in range(ncols)]
         lines.append("   ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
@@ -74,13 +76,16 @@ def _whole_factor_table(fs):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_streamed_factors_match_whole_document_output(capsys, m):
-    fs = enumerate_by_scan(m)
-    code, out, _ = _run(capsys, ["factors", "--m", str(m), "--format", "json"])
-    assert code == 0
-    assert out == json.dumps({"m": m, "words": [str(w) for w in fs.words]}) + "\n"
-    code, out, _ = _run(capsys, ["factors", "--m", str(m)])
-    assert code == 0
-    assert out == _whole_factor_table(fs)
+    # the words as the descendant oracle prints them, each from its own bits
+    words = [str(w) for w in enumerate_by_descendants(m)]
+    for method in ("scan", "descend"):
+        code, out, _ = _run(capsys, ["factors", "--m", str(m), "--method", method,
+                                     "--format", "json"])
+        assert code == 0
+        assert out == json.dumps({"m": m, "words": words}) + "\n"
+        code, out, _ = _run(capsys, ["factors", "--m", str(m), "--method", method])
+        assert code == 0
+        assert out == _whole_factor_table(m, words)
 
 
 def test_build_theta_text(capsys):
@@ -111,7 +116,7 @@ def test_build_theta_width_three(capsys):
     assert code == 0
     assert out.splitlines()[0] == "theta_3(w_1) = w_2 w_5"
     code, _, err = _run(capsys, ["build", "theta", "--m", "1", "--explicit"])
-    assert code == 2 and "2..12" in err
+    assert code == 2 and f"2..{MAX_M}" in err
 
 
 def test_build_eta_text_and_json(capsys):
@@ -192,6 +197,32 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     # fixedpoint and theorem read one report
     assert fixed_points == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
+
+
+def _is_thue_morse_prefix(w):
+    """Whether w starts the fixed point from 0 or from 1: letter i of the
+    one from 0 is the parity of popcount(i)."""
+    text = "".join(str(i.bit_count() & 1) for i in range(len(w)))
+    return str(w) in (text, text.translate(str.maketrans("01", "10")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "8"], ["build", "theta", "--m", "8", "--both"],
+    ["build", "eta", "--m", "8"], ["factors", "--m", "8"],
+    ["factors", "--m", "8", "--format", "json"],
+])
+def test_no_theta_and_no_word_per_factor(capsys, monkeypatch, argv):
+    """The factors are windows of one prefix: θ is applied only to build
+    prefixes of the fixed point, and the words made are few. A word or a θ
+    per factor would make k = 768 of them at m = 8."""
+    thetas = _count_calls(monkeypatch, "apply_theta", _is_thue_morse_prefix)
+    made = []
+    post_init = BinaryWord.__post_init__
+    monkeypatch.setattr(BinaryWord, "__post_init__", lambda w: made.append(w) or post_init(w))
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert set(thetas) == {True} and sum(thetas.values()) < 64
+    assert len(made) < 3 * 2 ** 8 // 4
 
 
 def test_verify_reports_a_failed_claim(capsys, monkeypatch):

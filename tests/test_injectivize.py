@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, nth_image
+from helpers import dense, factor_labels, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import (_first_hits, _map_power, build_eta, fixed_letters,
                                   initials_map, theorem_report, verify_fixed_point,
                                   verify_pair_images, verify_primitivity_argument,
                                   zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
-from tmblocks.substitution import Substitution, pf_eigenvalue
+from tmblocks.substitution import Alphabet, Substitution, pf_eigenvalue
 from tmblocks.thue_morse import enumerate_by_scan
 
 ETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5,), (5, 11),
@@ -22,7 +22,7 @@ ZETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5, 11, 8), (5, 11),
 def test_build_eta_m2_golden():
     sys2 = eta_system(2)
     assert sys2.eta.images == ETA5_IMAGES
-    assert sys2.eta.alphabet.labels == tuple(str(w) for w in enumerate_by_scan(2).words)
+    assert sys2.eta.alphabet.labels == tuple(factor_labels(enumerate_by_scan(2)))
     assert fixed_letters(sys2.eta.size) == (5, 6)
     with pytest.raises(ValueError):
         build_eta(1, thue_morse_block_system(enumerate_by_scan(1)))
@@ -90,6 +90,52 @@ def test_pair_images_golden_and_verifier():
     for m in (2, 3, 4):
         sys_m = eta_system(m)
         assert verify_pair_images(m, sys_m.nblock, sys_m.eta).ok
+
+
+def _pair_mismatches(theta_n, eta):
+    """Reference: the 1-based j whose θ_N image pair η and θ_N map
+    differently, one word of θ_N's images at a time."""
+    return [j + 1 for j, img in enumerate(theta_n.images)
+            if nth_image(eta, img[0], 1) + nth_image(eta, img[1], 1)
+            != nth_image(theta_n, img[0], 1) + nth_image(theta_n, img[1], 1)]
+
+
+def _with_images(sub, changes):
+    images = list(sub.images)
+    for letter, image in changes.items():
+        images[letter] = image
+    return Substitution(sub.alphabet, tuple(images))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_pair_images_name_the_pairs_that_differ(m):
+    level = eta_system(m)
+    theta_n, eta = level.nblock, level.eta
+    assert verify_pair_images(m, theta_n, eta).ok
+    assert _pair_mismatches(theta_n, eta) == []
+    # 0-based letters 1 and 3 have two-letter images under η; swapped, every
+    # pair keeps its length
+    swapped = _with_images(eta, {1: eta.images[3], 3: eta.images[1]})
+    # cut down to one letter, the image of letter 1 changes the lengths
+    shorter = _with_images(eta, {1: eta.images[1][:1]})
+    for wrong in (swapped, shorter):
+        bad = _pair_mismatches(theta_n, wrong)
+        assert bad
+        rep = verify_pair_images(m, theta_n, wrong)
+        assert [(e.claim, e.passed, e.detail) for e in rep] == [
+            ("pairs.images", False, f"mismatch at j={bad[:5]}")]
+
+
+def test_pair_images_are_compared_pair_by_pair():
+    # θ: 0 -> 01, 1 -> 20, 2 -> 12 and η: 0 -> 012, 1 -> 0, 2 -> 12 agree on
+    # the concatenation 012012 of the pairs 01, 20, 12, but not on 20 or 12
+    alphabet = Alphabet(("a", "b", "c"))
+    theta_n = Substitution(alphabet, ((0, 1), (2, 0), (1, 2)))
+    eta = Substitution(alphabet, ((0, 1, 2), (0,), (1, 2)))
+    assert eta.apply("\0\1\2\0\1\2") == theta_n.apply("\0\1\2\0\1\2")
+    assert _pair_mismatches(theta_n, eta) == [2, 3]
+    rep = verify_pair_images(2, theta_n, eta)
+    assert [(e.passed, e.detail) for e in rep] == [(False, "mismatch at j=[2, 3]")]
 
 
 def test_fixed_point_orbits():

@@ -2,13 +2,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import nth_image
+from helpers import factor_words, nth_image, off_prefix
 from tmblocks.nblock import (first_image_index, formula_block_substitution, half_shift,
                              second_image_index, thue_morse_block_system,
                              verify_block_formula)
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import FactorSet, enumerate_by_scan, theta
-from tmblocks.words import BinaryWord
+from tmblocks.thue_morse import (apply_theta, enumerate_by_descendants,
+                                 enumerate_by_scan, theta)
 
 # the 2-letter-image tables at widths 3 and 5, 0-based letter indices
 THETA3_IMAGES = ((1, 4), (2, 5), (2, 5), (3, 0), (3, 0), (4, 1))
@@ -46,7 +46,7 @@ def test_build_width_3_table():
 
 def test_build_width_5_table():
     theta5 = _theta_n(2)
-    assert theta5.alphabet.labels == tuple(str(w) for w in enumerate_by_scan(2).words)
+    assert theta5.alphabet.labels == tuple(map(str, enumerate_by_descendants(2)))
     assert theta5.images == THETA5_IMAGES
 
 
@@ -79,12 +79,27 @@ def test_verify_block_formula_fails_on_a_wrong_size_or_image():
 
 
 def test_closure_violation_is_an_error():
-    # a factor set that is not factor-closed: a window of an image is missing
-    fs = enumerate_by_scan(2)
-    words = list(fs.words)
-    words[0] = BinaryWord(5, 0b00001)
-    with pytest.raises(RuntimeError, match="not a factor"):
-        thue_morse_block_system(FactorSet(2, tuple(words)))
+    # a factor set that is not factor-closed: the prefix 01101... becomes
+    # 11101..., so the factor 01101 at offset 0 is replaced by 11101, and
+    # 01101, the first letter of θ_5(01100), is missing
+    broken = off_prefix(enumerate_by_scan(2))
+    assert str(broken.prefix).startswith("11101")
+    message = "window 01101 of the image of block 01100 is not a factor"
+    with pytest.raises(RuntimeError, match=message):
+        thue_morse_block_system(broken)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_theta_n_on_offsets_matches_per_factor_theta(m):
+    fs = enumerate_by_scan(m)
+    n = fs.word_length
+    words = factor_words(fs)
+    position = {w: i for i, w in enumerate(words)}
+    images = []
+    for w in words:
+        image = apply_theta(w)
+        images.append((position[image.prefix(n)], position[image.suffix(2 * n - 1).prefix(n)]))
+    assert thue_morse_block_system(fs).images == tuple(images)
 
 
 def test_block_substitution_is_two_to_one():
@@ -169,12 +184,15 @@ def test_theta_n_matches_the_per_letter_reference(m):
 
 def test_theta_n_memory_is_a_fraction_of_the_blocks():
     """At width N = 2^10 + 1 the k = 3·2^10 blocks as text would be k·N
-    bytes. Built from the factor set, theta_N holds no block text: what it
-    adds is the factor set's bits-to-position map, k ints of N bits."""
+    bytes. Built from the factor set, theta_N holds no block text and no
+    block word: it adds the factor set's bits-to-position map and the image
+    pairs, and reads one pair of windows at a time. That peaks at about 150
+    bytes a block at every width (tracemalloc, m = 8, 10 and 12, Python
+    3.11), so the bound does not grow with N."""
     import tracemalloc
 
     m = 10
-    n, k = 2 ** m + 1, 3 * 2 ** m
+    k = 3 * 2 ** m
     fs = enumerate_by_scan(m)
     tracemalloc.start()
     try:
@@ -185,4 +203,4 @@ def test_theta_n_memory_is_a_fraction_of_the_blocks():
     finally:
         tracemalloc.stop()
     assert sub.size == k
-    assert peak - before < 0.25 * k * n
+    assert peak - before < 200 * k

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmblocks import thue_morse
+from helpers import factor_labels, factor_words, off_prefix
 from tmblocks.thue_morse import (MAX_M, FactorSet, apply_theta, descendants,
                                  enumerate_by_descendants, enumerate_by_scan,
                                  theta,
@@ -63,20 +63,20 @@ def test_descendants_examples():
     d, _ = descendants(word("01101"))
     assert d == word("011010011")
     assert d == thue_morse_prefix(0, 9)
-    assert d in enumerate_by_scan(3).words
+    assert d.bits in enumerate_by_scan(3).bits
 
 
 def test_scan_golden_tables():
-    assert [str(w) for w in enumerate_by_scan(1).words] == ["001", "010", "011", "100", "101", "110"]
-    assert [str(w) for w in enumerate_by_scan(2).words] == A2_GOLDEN
-    assert [str(w) for w in enumerate_by_scan(3).words] == A3_GOLDEN
+    assert factor_labels(enumerate_by_scan(1)) == ["001", "010", "011", "100", "101", "110"]
+    assert factor_labels(enumerate_by_scan(2)) == A2_GOLDEN
+    assert factor_labels(enumerate_by_scan(3)) == A3_GOLDEN
 
 
 def test_enumeration_methods_agree():
     for m in range(1, 7):
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
-        assert scan.words == desc.words
+        assert factor_words(scan) == desc
         assert scan.size == 3 * 2 ** m
 
 
@@ -91,7 +91,7 @@ def _parity_factors(n, prefix_len):
 def test_scan_matches_windows_of_the_parity_sequence():
     for m in range(1, 8):
         n = 2 ** m + 1
-        assert [str(w) for w in enumerate_by_scan(m).words] == _parity_factors(n, 32 * n)
+        assert factor_labels(enumerate_by_scan(m)) == _parity_factors(n, 32 * n)
 
 
 def test_small_factor_tables():
@@ -105,7 +105,7 @@ def test_factors_are_factor_closed():
     for m in range(1, 6):
         n = 2 ** m + 1
         shorter = set(_parity_factors(n - 1, 32 * n))
-        longer = [str(w) for w in enumerate_by_scan(m).words]
+        longer = factor_labels(enumerate_by_scan(m))
         # every shorter factor extends to the right among the factors
         for u in shorter:
             assert any(f[:-1] == u for f in longer)
@@ -119,8 +119,8 @@ def test_factors_never_contain_cubes_of_a_letter():
         for f in _parity_factors(n, 32 * n):
             assert "000" not in f and "111" not in f
     for m in range(1, 7):
-        for w in enumerate_by_scan(m).words:
-            assert "000" not in str(w) and "111" not in str(w)
+        for w in factor_labels(enumerate_by_scan(m)):
+            assert "000" not in w and "111" not in w
 
 
 def test_enumerators_reject_m_out_of_range():
@@ -131,7 +131,7 @@ def test_enumerators_reject_m_out_of_range():
 
 
 def _quarter_minima(fs):
-    return tuple(quarter[0] for quarter in fs.quarters())
+    return tuple(fs.word(i * fs.quarter_size) for i in range(4))
 
 
 def test_quarter_markers_m2():
@@ -143,7 +143,7 @@ def test_quarter_markers_m2():
 def test_quarter_markers_m3_indices():
     fs = enumerate_by_scan(3)
     q1, q2, q3, q4 = _quarter_minima(fs)
-    index = fs.words.index
+    index = factor_words(fs).index
     assert index(q1) == 0
     assert index(q2) == 6
     assert index(q3) == 12
@@ -161,13 +161,14 @@ def test_q3_equals_f1():
 def test_factor_set_structure():
     for m in range(2, 6):
         fs = enumerate_by_scan(m)
+        words = factor_words(fs)
         # mirror closure with index reversal: the mirror complements every bit
-        for i, w in enumerate(fs.words):
+        for i, w in enumerate(words):
             mirror = BinaryWord(w.length, w.bits ^ ((1 << w.length) - 1))
-            assert fs.words.index(mirror) == fs.size - 1 - i
+            assert words.index(mirror) == fs.size - 1 - i
         # exactly half the words start with 0
-        assert sum(1 for w in fs.words if str(w)[0] == "0") == fs.size // 2
-        assert "000" not in "".join(str(fs.words[0]))
+        assert sum(1 for w in words if str(w)[0] == "0") == fs.size // 2
+        assert "000" not in str(words[0])
 
 
 def test_quarters_need_m_at_least_2():
@@ -179,10 +180,21 @@ def test_quarters_need_m_at_least_2():
 
 
 def test_factor_set_validation():
-    with pytest.raises(ValueError):
-        FactorSet(1, tuple(word(t) for t in ("001", "010")))
-    with pytest.raises(ValueError):
-        FactorSet(1, tuple(word(t) for t in ("010", "001", "011", "100", "101", "110")))
+    fs = enumerate_by_scan(1)
+    prefix, bits, offsets = fs.prefix, fs.bits, fs.offsets
+    assert FactorSet(1, prefix, bits, offsets) == fs
+    with pytest.raises(ValueError, match="expected 6 factors"):
+        FactorSet(1, prefix, bits[:2], offsets[:2])
+    with pytest.raises(ValueError, match="expected 6 offsets"):
+        FactorSet(1, prefix, bits, offsets[:5])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FactorSet(1, prefix, (bits[1], bits[0], *bits[2:]), offsets)
+    with pytest.raises(ValueError, match="out of range for length 3"):
+        FactorSet(1, prefix, (*bits[:5], 0b1000), offsets)
+    with pytest.raises(ValueError, match="offset is out of range"):
+        FactorSet(1, prefix, bits, (*offsets[:5], prefix.length - 2))
+    with pytest.raises(ValueError, match="differ from its window"):
+        FactorSet(1, prefix, bits, (offsets[1], offsets[0], *offsets[2:]))
 
 
 def test_verify_quarter_minima():
@@ -196,23 +208,82 @@ def test_verify_quarter_descendants_with_golden_cross_check():
     fs2 = enumerate_by_scan(2)
     rep = verify_quarter_descendants(fs2, enumerate_by_scan(3))
     assert rep.ok
-    q1, q2, _, _ = fs2.quarters()
+    words = factor_words(fs2)
+    q1, q2 = words[:3], words[3:6]
     deltas = {str(descendants(w)[0]) for w in q1 + q2}
     assert deltas == set(A3_GOLDEN[6:12])
     eps = {str(descendants(w)[1]) for w in q1 + q2}
     assert eps == set(A3_GOLDEN[18:24])
 
 
-def test_verify_quarter_descendants_expands_each_word_once(monkeypatch):
-    expanded = []
+def _parity_text(n):
+    """Reference: the first n letters of the Thue-Morse fixed point, letter i
+    the parity of popcount(i)."""
+    return "".join(str(bin(i).count("1") % 2) for i in range(n))
 
-    def counting(w):
-        expanded.append(w)
-        return descendants(w)
-    fs3 = enumerate_by_scan(3)
-    monkeypatch.setattr(thue_morse, "descendants", counting)
-    assert verify_quarter_descendants(fs3, enumerate_by_scan(4)).ok
-    assert sorted(expanded, key=lambda w: w.bits) == list(fs3.words)
+
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_every_offset_reads_back_its_word(m):
+    fs = enumerate_by_scan(m)
+    n = fs.word_length
+    text = _parity_text(fs.prefix.length)
+    # θ(P) is the prefix of level m + 1
+    assert fs.prefix.length == 2 ** (m + 4) and str(fs.prefix) == text
+    assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, fs.bits))
+    assert factor_labels(fs) == [format(b, f"0{n}b") for b in fs.bits]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_theta_windows_match_per_factor_descendants(m):
+    fs = enumerate_by_scan(m)
+    n = fs.word_length
+    words = factor_words(fs)
+    pairs = [descendants(w) for w in words]
+    assert list(fs.theta_windows(2 * n - 1)) == [(d.bits, e.bits) for d, e in pairs]
+    images = [apply_theta(w) for w in words]
+    assert list(fs.theta_windows(n)) == [(t.prefix(n).bits, t.suffix(2 * n - 1).prefix(n).bits)
+                                         for t in images]
+
+
+def _entries(rep):
+    return [(e.claim, e.passed, e.detail) for e in rep]
+
+
+def _quarter_descendants_reference(fs, fs_next):
+    """The quarters claim per factor, on words: the descendants of each."""
+    words, q = factor_words(fs), fs.quarter_size
+    upper = factor_words(fs_next)
+    p1, p2, p3, p4 = (set(upper[i * 2 * q:(i + 1) * 2 * q]) for i in range(4))
+    pairs = [descendants(w) for w in words]
+    low, high = pairs[:2 * q], pairs[2 * q:]
+    checks = [("Q1", {e for _, e in high}, p1), ("Q2", {d for d, _ in low}, p2),
+              ("Q3", {d for d, _ in high}, p3), ("Q4", {e for _, e in low}, p4)]
+    return [(f"quarters.{name}", got == want, f"{len(got)} images vs quarter of size {len(want)}")
+            for name, got, want in checks]
+
+
+def _prefix_pairs_reference(fs, fs_next):
+    """The firsthalf claim per factor, on words: the N-prefixes of each pair."""
+    n, upper = fs.word_length, factor_words(fs_next)
+    bad = [i + 1 for i, w in enumerate(factor_words(fs))
+           if upper[2 * i].prefix(n) != w or upper[2 * i + 1].prefix(n) != w]
+    return [("firsthalf.pairs", not bad,
+             f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_level_claims_on_offsets_match_the_per_factor_reference(m):
+    fs, fs_next = enumerate_by_scan(m), enumerate_by_scan(m + 1)
+    for lower, upper in ((fs, fs_next), (off_prefix(fs), fs_next)):
+        rep = verify_prefix_pairs(lower, upper)
+        assert _entries(rep) == _prefix_pairs_reference(lower, upper)
+        assert rep.ok == (lower is fs)
+    if m < 2:
+        return
+    for upper in (fs_next, off_prefix(fs_next)):
+        rep = verify_quarter_descendants(fs, upper)
+        assert _entries(rep) == _quarter_descendants_reference(fs, upper)
+        assert rep.ok == (upper is fs_next)
 
 
 def test_verify_prefix_pairs():
@@ -223,7 +294,7 @@ def test_verify_prefix_pairs():
 def test_descendant_maps_are_injective_on_factors():
     for m in (2, 3, 4):
         fs = enumerate_by_scan(m)
-        ds = [descendants(w) for w in fs.words]
+        ds = [descendants(w) for w in factor_words(fs)]
         assert len({d for d, _ in ds}) == fs.size
         assert len({e for _, e in ds}) == fs.size
 
@@ -233,7 +304,7 @@ def test_order_preservation_small_sample():
     for _ in range(200):
         m = rng.randrange(2, 6)
         fs = enumerate_by_scan(m)
-        u, v = rng.sample(fs.words, 2)
+        u, v = rng.sample(factor_words(fs), 2)
         if v.bits < u.bits:
             u, v = v, u
         # all words compared have one length, so bits order is lexicographic
