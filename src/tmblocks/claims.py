@@ -5,6 +5,8 @@ each entry says whether the claim compares level m with level m + 1 and how
 it runs against a ``Level``. A ``Level`` builds each input on first use and
 at most once. Nothing is cached across levels except the factor set of level
 m + 1, which ``levels`` hands on to the next m, so each level is scanned once.
+Every check is exact; the one setting is the depth to which ``fixedpoint``
+and ``theorem`` iterate.
 """
 
 from __future__ import annotations
@@ -21,20 +23,18 @@ from .substitution import Substitution
 from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
-# verify's --tol and --depth when they are not given
-DEFAULT_TOL = 1e-9
+# verify's --depth when it is not given
 DEFAULT_DEPTH = 12
 
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
     m + 1, the block substitution θ_N on the first, the refinement η, η's
-    primitivity verdict and its fixed-point report; plus the tolerance and
-    iteration depth."""
+    primitivity verdict and its fixed-point report; plus the iteration
+    depth."""
 
-    def __init__(self, m: int, tol: float = DEFAULT_TOL, depth: int = DEFAULT_DEPTH) -> None:
+    def __init__(self, m: int, depth: int = DEFAULT_DEPTH) -> None:
         self.m = m
-        self.tol = tol
         self.depth = depth
 
     @cached_property
@@ -64,17 +64,17 @@ class Level:
 
 
 def eta_system(m: int) -> Level:
-    """The Level of m, with ``verify``'s default tolerance and depth; its
-    ``eta`` and ``nblock`` are built from scratch on first use."""
+    """The Level of m, with ``verify``'s default depth; its ``eta`` and
+    ``nblock`` are built from scratch on first use."""
     return Level(m)
 
 
-def levels(lo: int, hi: int, tol: float, depth: int) -> Iterator[Level]:
+def levels(lo: int, hi: int, depth: int) -> Iterator[Level]:
     """One Level per m in lo..hi. The level-(m+1) factor set, if level m
     built it, becomes the level factor set of m + 1."""
     carried = None
     for m in range(lo, hi + 1):
-        level = Level(m, tol, depth)
+        level = Level(m, depth)
         if carried is not None:
             level.factors = carried
         yield level
@@ -97,5 +97,5 @@ CLAIMS = {
     "primitivity": Claim(False, lambda lv: verify_primitivity_argument(
         lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
     "theorem": Claim(False, lambda lv: theorem_report(
-        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point, lv.tol, lv.depth)),
+        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point, lv.depth)),
 }

@@ -8,7 +8,6 @@ runs; data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -20,8 +19,8 @@ from .substitution import Substitution, pf_eigenvalue
 # iterates checked by fixedpoint and theorem have up to 2^(depth+1) letters,
 # held as text of 1 or 2 bytes a letter for m <= 12. At depth 20, `verify
 # --m 2..10 --depth 20 --claims fixedpoint,primitivity,theorem` peaks at about
-# 37 MB and `verify --m 12 --depth 20 --claims fixedpoint,theorem` at 48 MB
-# (Python 3.11, x86-64); the iterates double with each further step
+# 37 MB and `verify --m 12 --depth 20 --claims fixedpoint,primitivity,theorem`
+# at 47 MB (Python 3.11, x86-64); the iterates double with each further step
 MAX_DEPTH = 20
 
 
@@ -50,16 +49,6 @@ def _claim_list(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError(f"no claim named in {text!r}")
     return names
-
-
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return tol
 
 
 def _depth(text: str) -> int:
@@ -104,9 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
     p_verify.add_argument("--claims", type=_claim_list)
-    # the defaults are claims.DEFAULT_TOL and DEFAULT_DEPTH, read when the
-    # command runs, so that building the parser imports no claim module
-    p_verify.add_argument("--tol", type=_tolerance)
+    # the default is claims.DEFAULT_DEPTH, read when the command runs, so
+    # that building the parser imports no claim module
     p_verify.add_argument("--depth", type=_depth)
 
     p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
@@ -229,7 +217,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .claims import CLAIMS, DEFAULT_DEPTH, DEFAULT_TOL, levels
+    from .claims import CLAIMS, DEFAULT_DEPTH, levels
     from .thue_morse import MAX_M
 
     lo, hi = args.m
@@ -244,9 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     failed = 0
     total = 0
-    tol = DEFAULT_TOL if args.tol is None else args.tol
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
-    for level in levels(lo, hi, tol, depth):
+    for level in levels(lo, hi, depth):
         for claim in claims:
             rep = CLAIMS[claim].run(level)
             total += 1

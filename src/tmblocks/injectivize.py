@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .nblock import half_shift
 from .report import ReportBuilder, VerificationReport
-from .substitution import Substitution, Word, pf_bracket
+from .substitution import Substitution, Word, _bfs_levels, pf_bracket
 from .thue_morse import enumerate_by_scan, thue_morse_prefix
 
 
@@ -74,35 +74,6 @@ def zeta5_fixture() -> Substitution:
 def initials_map(s: Substitution) -> tuple[int, ...]:
     """letter -> first letter of its image (0-based)."""
     return tuple(img[0] for img in s.images)
-
-
-def _first_hits(chain: Sequence[int], targets: set[int], cap: int) -> list[int]:
-    """For every letter x, the least n in 1..cap with chain^n(x) in
-    ``targets``, or -1 when there is none.
-
-    One pass over the functional graph: each letter is resolved once, from
-    the letter after it. A walk that comes back to itself has closed a cycle
-    without meeting a target, so its letters never hit one.
-    """
-    hit = [0] * len(chain)  # 0: unresolved, -1: never, n > 0: first-hit step
-    for start in range(len(chain)):
-        path = []
-        on_path = set()
-        x = start
-        while hit[x] == 0 and x not in on_path:
-            nxt = chain[x]
-            if nxt in targets:
-                hit[x] = 1
-                break
-            path.append(x)
-            on_path.add(x)
-            x = nxt
-        # x is resolved now, or lies on a target-free cycle through the path
-        n = hit[x] if hit[x] else -1
-        for y in reversed(path):
-            n = n + 1 if n > 0 else -1
-            hit[y] = n
-    return [n if n <= cap else -1 for n in hit]
 
 
 def _map_power(chain: Sequence[int], n: int) -> list[int]:
@@ -160,24 +131,27 @@ def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution
                                 primitive: bool) -> VerificationReport:
     """The first-letter reachability argument, checked independently of the
     generic graph test of primitivity, plus that test's verdict ``primitive``
-    on the refinement's incidence matrix and direct forward reachability from
-    the two fixed-point letters."""
+    on the refinement's incidence matrix and forward reachability from the
+    two fixed-point letters, by breadth-first search over its images."""
     k = theta_n.size
     f0, f1 = fixed_letters(k)
     phi = initials_map(theta_n)
     psi = initials_map(eta)
     rb = ReportBuilder(m, "primitivity")
 
-    targets = {f0, f1}
-    steps = _first_hits(phi, targets, k // 2)
+    # phi^(k/2) landing on the fixed letter means the walk met it by then
     landed = _map_power(phi, k // 2)
-    bad = [i + 1 for i in range(k)
-           if steps[i] < 0 or landed[i] != (f0 if i < k // 2 else f1)]
+    bad = [i + 1 for i in range(k) if landed[i] != (f0 if i < k // 2 else f1)]
     rb.check("phi_reaches", not bad,
              f"every letter hits its fixed letter within {k // 2} steps"
              if not bad else f"failures at w_{bad[:5]}")
 
-    bad = [i + 1 for i, n in enumerate(_first_hits(psi, targets, k)) if n < 0]
+    # with f0 and f1 absorbing, psi^n(i) meets one of them for some n in
+    # 1..k iff the walk from psi(i) rests on one after k - 1 steps
+    absorbing = list(psi)
+    absorbing[f0], absorbing[f1] = f0, f1
+    landed = _map_power(absorbing, k - 1)
+    bad = [i + 1 for i in range(k) if landed[psi[i]] not in (f0, f1)]
     rb.check("psi_reaches", not bad,
              "every letter reaches f0 or f1" if not bad else f"failures at w_{bad[:5]}")
 
@@ -198,25 +172,13 @@ def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
     rb.check("matrix", primitive, note)
 
-    # seen collects the letters reachable in at most n steps, which are all
-    # the reachable ones once n = k - 1; the length cap bounds memory
-    cap = 64 * k
-    missing = []
-    for seed in (f0, f1):
-        seen: set[str] = set()
-        for w in islice(eta.iterates(seed), k):
-            seen.update(w)
-            if len(seen) == k or len(w) >= cap:
-                break
-        if len(seen) < k:
-            missing.append(seed)
-    rb.check("forward", not missing,
+    rb.check("forward", all(min(_bfs_levels(eta.images, seed)) >= 0 for seed in (f0, f1)),
              "every letter occurs in iterates of both fixed-point letters")
     return rb.build()
 
 
 def theorem_report(m: int, eta: Substitution, primitive: bool, fixed_point: VerificationReport,
-                   tol: float, n_max: int) -> VerificationReport:
+                   n_max: int) -> VerificationReport:
     """The headline claims for the refinement ``eta`` at level m, given its
     primitivity verdict and its fixed-point report: injectivity,
     primitivity, dominant eigenvalue 2 of its incidence matrix (with the
@@ -227,10 +189,10 @@ def theorem_report(m: int, eta: Substitution, primitive: bool, fixed_point: Veri
     rb.check("primitive", primitive)
 
     try:
-        # an exact bracket at most tol wide; on eta every letter occurs
-        # twice among the images, so the row sums give exactly [2, 2]
-        lo, hi = pf_bracket(eta, tol)
-        rb.check("pf_eigenvalue", lo <= 2 <= hi, f"PF in [{lo}, {hi}]")
+        # exact: on eta every letter occurs twice among the images, so the
+        # row sums give [2, 2] before any power iteration
+        lo, hi = pf_bracket(eta)
+        rb.check("pf_eigenvalue", lo == hi == 2, f"PF in [{lo}, {hi}]")
     except ArithmeticError as exc:
         rb.check("pf_eigenvalue", False, str(exc))
 

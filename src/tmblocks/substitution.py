@@ -257,11 +257,12 @@ def _transpose(images: Sequence[Sequence[int]]) -> list[list[int]]:
     return rows
 
 
-def _bfs_levels(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Breadth-first distance of every node from node 0; -1 if unreached."""
+def _bfs_levels(adjacency: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """Breadth-first distance of every node from node ``start``; -1 if
+    unreached."""
     level = [-1] * len(adjacency)
-    level[0] = 0
-    frontier = [0]
+    level[start] = 0
+    frontier = [start]
     depth = 0
     while frontier:
         depth += 1

@@ -227,26 +227,20 @@ def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]
 
 def enumerate_by_scan(m: int) -> FactorSet:
     """Collect the distinct width-N windows of the fixed-point prefix
-    P = θ^(m+4)(0), one offset each, doubling P until the known cardinality
-    3*2^m is reached. P of 16·2^m letters holds every factor, so θ(P) is the
-    prefix that level m + 1 scans."""
+    P = θ^(m+4)(0), one offset each. P of 16·2^m letters holds all 3·2^m
+    factors, so θ(P) is the prefix that level m + 1 scans; any other count
+    raises ``RuntimeError``."""
     _check_m(m)
     n = 2 ** m + 1
     target = 3 * 2 ** m
     prefix = thue_morse_prefix(0, 2 ** (m + 4))
-    while True:
-        windows = _window_offsets(prefix, n)
-        if len(windows) > target:
-            raise RuntimeError(
-                f"found {len(windows)} distinct factors of length {n}, "
-                f"more than the expected {target}")
-        if len(windows) == target:
-            # equal lengths: integer order is lexicographic order
-            bits = sorted(windows)
-            return FactorSet(m, prefix, tuple(bits), tuple(map(windows.__getitem__, bits)))
-        if prefix.length >= (1 << 24):
-            raise RuntimeError(f"factor collection did not saturate for m={m}")
-        prefix = apply_theta(prefix)
+    windows = _window_offsets(prefix, n)
+    if len(windows) != target:
+        raise RuntimeError(
+            f"found {len(windows)} distinct factors of length {n}, expected {target}")
+    # equal lengths: integer order is lexicographic order
+    bits = sorted(windows)
+    return FactorSet(m, prefix, tuple(bits), tuple(map(windows.__getitem__, bits)))
 
 
 def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:

@@ -170,9 +170,9 @@ def test_c09_primitivity_argument(systems):
     _verdict(9, "primitivity argument, m=3..8 (m=2 reported)", failures)
 
 
-def _theorem(m, theta_n, sub, tol, n_max):
+def _theorem(m, theta_n, sub, n_max):
     fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point, tol, n_max)
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point, n_max)
 
 
 def test_c10_eigenvalue_and_full_suite(capsys, systems):
@@ -185,9 +185,9 @@ def test_c10_eigenvalue_and_full_suite(capsys, systems):
         f0, _ = fixed_letters(sys_m.eta.size)
         if sys_m.eta.image_length_sequence(f0, 12) != [2 ** n for n in range(1, 13)]:
             failures.append(f"m={m}: integer doubling identity broken")
-        if not _theorem(m, sys_m.nblock, sys_m.eta, tol=1e-9, n_max=12).ok:
+        if not _theorem(m, sys_m.nblock, sys_m.eta, n_max=12).ok:
             failures.append(f"m={m}: theorem aggregate failed")
-    rep = _theorem(2, systems[2].nblock, zeta5_fixture(), tol=1e-9, n_max=12)
+    rep = _theorem(2, systems[2].nblock, zeta5_fixture(), n_max=12)
     wrong = {e.claim.split(".", 1)[1] for e in rep if not e.passed}
     if wrong != {"primitive"}:
         failures.append(f"zeta_5 aggregate outcome {sorted(wrong)}")

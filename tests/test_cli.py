@@ -251,7 +251,6 @@ def test_verify_rejects_bad_input(capsys):
 
 
 @pytest.mark.parametrize("option", [
-    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
     ["--depth", "0"], ["--depth", "-3"], ["--claims", ","], ["--claims", " , ,"],
     ["--depth", str(MAX_DEPTH + 1)], ["--depth", "100"],
 ])
@@ -261,6 +260,15 @@ def test_verify_rejects_bad_options(capsys, option):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"error: argument {option[0]}" in captured.err
+
+
+def test_verify_has_no_tolerance_option():
+    # the eigenvalue check is exact, so there is no tolerance to set
+    result = subprocess.run([sys.executable, "-m", "tmblocks", "verify", "--m", "2",
+                             "--tol", "1e-9"],
+                            env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import dense, factor_labels, nth_image
 from tmblocks.claims import eta_system
-from tmblocks.injectivize import (_first_hits, _map_power, build_eta, fixed_letters,
-                                  initials_map, theorem_report, verify_fixed_point,
-                                  verify_pair_images, verify_primitivity_argument,
-                                  zeta5_fixture)
+from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
+                                  theorem_report, verify_fixed_point, verify_pair_images,
+                                  verify_primitivity_argument, zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
-from tmblocks.substitution import Alphabet, Substitution, pf_eigenvalue
+from tmblocks.report import ReportBuilder
+from tmblocks.substitution import Alphabet, Substitution, pf_bracket, pf_eigenvalue
 from tmblocks.thue_morse import enumerate_by_scan
 
 ETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5,), (5, 11),
@@ -240,27 +240,40 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         assert pairs == set(sub.images)
 
 
-def _theorem(m, theta_n, sub, tol, n_max):
+def _theorem(m, theta_n, sub, n_max):
     """theorem_report on ``sub`` in the place of η, with its own primitivity
     verdict and fixed-point report against ``theta_n``."""
     fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point, tol, n_max)
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point, n_max)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_verify_theorem(m):
     sys_m = eta_system(m)
-    rep = _theorem(m, sys_m.nblock, sys_m.eta, tol=1e-9, n_max=12)
+    rep = _theorem(m, sys_m.nblock, sys_m.eta, n_max=12)
     assert rep.ok, [e.claim for e in rep if not e.passed]
+    assert [e.detail for e in rep if e.claim == "theorem.pf_eigenvalue"] == ["PF in [2, 2]"]
 
 
 def test_zeta5_through_theorem_aggregator():
     sys2 = eta_system(2)
-    rep = _theorem(2, sys2.nblock, zeta5_fixture(), tol=1e-9, n_max=12)
+    rep = _theorem(2, sys2.nblock, zeta5_fixture(), n_max=12)
     outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep}
     assert outcomes == {"injective": True, "primitive": False,
                         "pf_eigenvalue": True, "lengths_matrix": True,
                         "lengths_direct": True, "fixed_point": True}
+
+
+def test_pf_eigenvalue_needs_exactly_two():
+    # ρ = 2, but the row and column sums are not constant, so the bracket
+    # comes from power iteration and is 2 only up to its width
+    probe = Substitution(Alphabet(("a", "b", "c")), ((0, 0), (2, 2, 2), (0,)))
+    lo, hi = pf_bracket(probe)
+    assert lo == 2 < hi < 2 + 1e-9
+    rep = theorem_report(2, probe, probe.is_primitive(), ReportBuilder(2, "fixedpoint").build(),
+                         n_max=4)
+    assert [(e.passed, e.detail) for e in rep if e.claim == "theorem.pf_eigenvalue"] == [
+        (False, f"PF in [{lo}, {hi}]")]
 
 
 def _first_hit_walk(chain, start, targets, cap):
@@ -298,21 +311,37 @@ def _functional_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_functional_graphs())
-def test_first_hits_and_map_power_match_step_by_step_walks(graph):
-    chain, targets, cap = graph
+def test_map_power_matches_step_by_step_walks(graph):
+    chain, _, cap = graph
     k = len(chain)
-    assert _first_hits(chain, targets, cap) == [
-        _first_hit_walk(chain, x, targets, cap) for x in range(k)]
     for n in (0, 1, cap, 2 * k + 1):
         assert _map_power(chain, n) == [_power_walk(chain, x, n) for x in range(k)]
 
 
-def test_first_hits_on_a_target_free_cycle():
-    # 0 -> 1 -> 2 -> 0 never meets target 4; 3 -> 4 -> 4 does
-    chain = (1, 2, 0, 4, 4)
-    assert _first_hits(chain, {4}, 5) == [-1, -1, -1, 1, 1]
-    assert _first_hits(chain, {0}, 5) == [3, 2, 1, -1, -1]
-    assert _first_hits(chain, {0}, 2) == [-1, 2, 1, -1, -1]
+def _relabelled(chain, targets):
+    """``chain`` with its two targets renamed to the fixed letters of
+    ``len(chain)`` letters, and the renaming: old letter -> new letter."""
+    f0, _ = fixed_letters(len(chain))
+    others = [x for x in range(len(chain)) if x not in targets]
+    order = others[:f0] + sorted(targets) + others[f0:]
+    rank = {old: new for new, old in enumerate(order)}
+    return [rank[chain[old]] for old in order], rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functional_graphs())
+def test_psi_reaches_matches_step_by_step_walks(graph):
+    # psi_reaches on a substitution whose initials map is the drawn map, with
+    # the two targets moved to f0 and f1, against walks of up to k steps
+    chain, targets, _ = graph
+    assume(len(targets) == 2)
+    k = len(chain)
+    psi, rank = _relabelled(chain, targets)
+    sub = Substitution(Alphabet(tuple(map(str, range(k)))), tuple((a,) for a in psi))
+    rep = verify_primitivity_argument(2, sub, sub, False)
+    bad = sorted(rank[i] + 1 for i in range(k) if _first_hit_walk(chain, i, targets, k) < 0)
+    assert [(e.passed, e.detail) for e in rep if e.claim == "primitivity.psi_reaches"] == [
+        (not bad, "every letter reaches f0 or f1" if not bad else f"failures at w_{bad[:5]}")]
 
 
 def _reachability_reference(theta_n, eta):
@@ -347,8 +376,7 @@ def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
 
 
 def test_forward_reachability_ends_when_an_iterate_stops_growing():
-    # f0 maps to itself alone: its iterates never grow, so the walk must end
-    # on the step bound, not the length bound
+    # f0 maps to itself alone: nothing else is reachable from it
     sys2 = eta_system(2)
     f0, _ = fixed_letters(sys2.eta.size)
     images = list(sys2.eta.images)
@@ -356,3 +384,16 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     probe = Substitution(sys2.eta.alphabet, tuple(images))
     rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
     assert [e.claim for e in rep if not e.passed][-1] == "primitivity.forward"
+
+
+def test_forward_reachability_has_no_length_cap():
+    # an f0 image longer than 64 k letters that adds no new letter: every
+    # letter is still reachable from f0, through the letters of η's image
+    sys2 = eta_system(2)
+    k = sys2.eta.size
+    f0, _ = fixed_letters(k)
+    images = list(sys2.eta.images)
+    images[f0] += (f0,) * (64 * k)
+    probe = Substitution(sys2.eta.alphabet, tuple(images))
+    rep = verify_primitivity_argument(2, sys2.nblock, probe, probe.is_primitive())
+    assert [e.passed for e in rep if e.claim == "primitivity.forward"] == [True]

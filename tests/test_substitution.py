@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from helpers import dense, from_dense, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import zeta5_fixture
-from tmblocks.substitution import (Alphabet, Substitution, _pf_brackets, pf_bracket,
-                                   pf_eigenvalue)
+from tmblocks.substitution import (Alphabet, Substitution, _bfs_levels, _pf_brackets,
+                                   pf_bracket, pf_eigenvalue)
 from tmblocks.thue_morse import theta
 
 
@@ -322,6 +322,24 @@ def test_is_primitive_matches_wielandt_squaring(sub):
     counts = dense(sub)
     assert np.array_equal(dense(from_dense(counts)), counts)
     assert sub.is_primitive() == _wielandt_primitive(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SUBSTITUTIONS, st.data())
+def test_bfs_levels_from_any_start_match_reachability(sub, data):
+    start = data.draw(st.integers(0, sub.size - 1))
+    level = _bfs_levels(sub.images, start)
+    reached = {start}  # reference: grow the set by its images until it stops
+    while (grown := reached.union(*(sub.images[b] for b in reached))) != reached:
+        reached = grown
+    assert {a for a, d in enumerate(level) if d >= 0} == reached
+    # and the levels are distances: no edge skips one, and every reached
+    # letter but the start has an edge in from the level before
+    assert level[start] == 0
+    for b, img in enumerate(sub.images):
+        assert level[b] < 0 or all(level[a] <= level[b] + 1 for a in img)
+    assert all(any(level[b] == d - 1 and a in img for b, img in enumerate(sub.images))
+               for a, d in enumerate(level) if d > 0)
 
 
 def _spectral_radius(counts) -> float:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import factor_labels, factor_words, off_prefix
+from tmblocks import thue_morse
 from tmblocks.thue_morse import (MAX_M, FactorSet, apply_theta, descendants,
                                  enumerate_by_descendants, enumerate_by_scan,
                                  theta,
@@ -78,6 +79,14 @@ def test_enumeration_methods_agree():
         desc = enumerate_by_descendants(m)
         assert factor_words(scan) == desc
         assert scan.size == 3 * 2 ** m
+
+
+def test_scan_names_both_counts_when_the_prefix_misses_factors(monkeypatch):
+    # a prefix of 8 letters, not 64, holds 4 of the 12 factors of length 5
+    prefix = thue_morse.thue_morse_prefix
+    monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: prefix(a, n // 8))
+    with pytest.raises(RuntimeError, match="found 4 distinct factors of length 5, expected 12"):
+        enumerate_by_scan(2)
 
 
 def _parity_factors(n, prefix_len):
