@@ -72,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_factors.add_argument("--m", type=int, required=True)
     p_factors.add_argument("--method", choices=("scan", "descend", "both"), default="scan")
     p_factors.add_argument("--format", choices=("text", "json"), default="text")
+    p_factors.set_defaults(run=_cmd_factors)
 
     p_build = commands.add_parser("build", help="construct a substitution")
     build_kind = p_build.add_subparsers(dest="kind", required=True)
@@ -82,13 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--explicit", action="store_true")
     mode.add_argument("--both", action="store_true")
     p_theta.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p_theta.set_defaults(run=_cmd_build_theta)
     p_eta = build_kind.add_parser("eta", help="the injective refinement")
     p_eta.add_argument("--m", type=int, required=True)
     p_eta.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p_eta.set_defaults(run=_cmd_build_eta)
 
     p_fixture = commands.add_parser("fixture", help="dump a hard-coded fixture")
     p_fixture.add_argument("name", choices=("zeta5",))
     p_fixture.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p_fixture.set_defaults(run=_cmd_fixture)
 
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
@@ -96,10 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # the default is claims.DEFAULT_DEPTH, read when the command runs, so
     # that building the parser imports no claim module
     p_verify.add_argument("--depth", type=_depth)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
                                                 "of a substitution JSON file")
     p_eigen.add_argument("--sub", required=True, metavar="FILE|-")
+    p_eigen.set_defaults(run=_cmd_eigen)
     return parser
 
 
@@ -271,17 +277,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 
 def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "factors":
-        return _cmd_factors(args)
-    if args.command == "build":
-        return _cmd_build_theta(args) if args.kind == "theta" else _cmd_build_eta(args)
-    if args.command == "fixture":
-        return _cmd_fixture(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "eigen":
-        return _cmd_eigen(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.run(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -190,7 +190,7 @@ def theorem_report(m: int, eta: Substitution, primitive: bool, fixed_point: Veri
 
     try:
         # exact: on eta every letter occurs twice among the images, so the
-        # row sums give [2, 2] before any power iteration
+        # row sums give [2, 2] before any block is iterated
         lo, hi = pf_bracket(eta)
         rb.check("pf_eigenvalue", lo == hi == 2, f"PF in [{lo}, {hi}]")
     except ArithmeticError as exc:

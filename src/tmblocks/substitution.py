@@ -11,11 +11,13 @@ The images are the only representation of a substitution. Its incidence
 matrix M[a][b] = number of occurrences of letter a in the image of letter b
 is read off them: column b is the multiset images[b], column sums are the
 image lengths, and the graph with an edge b -> a per letter a of images[b]
-is the graph of M.
+is the graph of M, whose strongly connected components give the irreducible
+diagonal blocks on which ``pf_bracket`` certifies ρ.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -276,13 +278,49 @@ def _bfs_levels(adjacency: Sequence[Sequence[int]], start: int = 0) -> list[int]
     return level
 
 
-# power-iteration steps between two Collatz-Wielandt certificates. A
-# certificate works on big integers and costs several float steps. The value
-# was chosen on one synthetic input (k = 1024) run to the cap; its cost on
-# inputs that converge before the cap has not been measured.
-# Only a certificate imports ``fractions`` (hence ``Fraction`` in
-# annotations), so a bracket settled by row or column sums stays off it.
-CERTIFY_EVERY = 32
+def _components(images: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The strongly connected components of the graph with an edge b -> a
+    per letter a of images[b], each yielded after every component it
+    reaches: Tarjan's algorithm (1972), one pass in O(k + E), with a stack
+    of (letter, edges left) pairs in place of recursion."""
+    k = len(images)
+    order = itertools.count()
+    index = [-1] * k  # visit order; k once the letter's component is yielded
+    low = [0] * k
+    stack: list[int] = []
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        path = [(root, iter(images[root]))]
+        while path:
+            b, edges = path[-1]
+            for a in edges:
+                if index[a] < 0:
+                    index[a] = low[a] = next(order)
+                    stack.append(a)
+                    path.append((a, iter(images[a])))
+                    break
+                low[b] = min(low[b], index[a])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[b])
+                if low[b] == index[b]:
+                    component = []
+                    while b not in component[-1:]:  # pop the stack down to b
+                        component.append(stack.pop())
+                        index[component[-1]] = k
+                    yield component
+
+
+# (M + I)-steps between two certificates of a block. On a cycle b -> b + 1
+# with a self-loop on 0 and 1 500 or 2 000 random extra edges (k = 1024 and
+# 2048: primitive, no constant sum), certifying at steps 2^j instead took
+# 1.2 to 1.6 times the CPU (medians of 21 interleaved runs, Python 3.11).
+CERTIFY_EVERY = 16
 
 
 def pf_eigenvalue(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000) -> float:
@@ -291,10 +329,8 @@ def pf_eigenvalue(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000) 
     value is within ``tol`` / 2 of ρ, up to the rounding of the midpoint to a
     float, and it is ρ itself when the bracket is a single number.
 
-    Raises ArithmeticError when no bracket at most ``tol`` wide is found
-    within ``max_iter`` power-iteration steps, as on a reducible input whose
-    dominant eigenvalue is defective (two diagonal blocks with the same ρ,
-    one feeding the other).
+    Raises ArithmeticError when a diagonal block gets no bracket at most
+    ``tol`` wide within ``max_iter`` steps of its iterate.
     """
     lo, hi = pf_bracket(sub, tol, max_iter)
     return float((lo + hi) / 2)
@@ -302,101 +338,60 @@ def pf_eigenvalue(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000) 
 
 def pf_bracket(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000
                ) -> tuple[int | Fraction, int | Fraction]:
-    """An exact interval [lo, hi], ints or Fractions, that contains the
-    dominant eigenvalue ρ of the incidence matrix M of ``sub`` and is at most
-    ``tol`` wide.
+    """An exact interval [lo, hi], ints or Fractions, at most ``tol`` wide
+    around the dominant eigenvalue ρ of the incidence matrix M of ``sub``.
 
     The bounds are Collatz-Wielandt certificates (Collatz 1942; Wielandt
-    1950): for x > 0, min_i (Mx)_i/x_i <= ρ <= max_i (Mx)_i/x_i. The first
-    takes x = 1 on M and on its transpose, which brackets ρ by the row sums
-    and by the column sums (the image lengths) in O(k + E); it is exact when
-    either kind of sum is constant. Otherwise power iteration on M + I from
-    the all-ones vector supplies x, certified every ``CERTIFY_EVERY`` steps.
+    1950): for x > 0, min_i (Mx)_i/x_i <= ρ <= max_i (Mx)_i/x_i. x = 1 on M
+    and on its transpose brackets ρ by the row sums and by the column sums
+    (the image lengths), exactly when either kind of sum is constant.
+    Otherwise ρ is the largest ρ of the irreducible diagonal blocks, one per
+    strongly connected component, each bracketed by ``_block_bracket``.
     Raises ArithmeticError as ``pf_eigenvalue`` does.
     """
     if not tol > 0:  # also refuses nan
         raise ValueError(f"tolerance must be positive, got {tol}")
-    for lo, hi in _pf_brackets(sub, max_iter):
-        if hi - lo <= tol:
-            return lo, hi
-    raise ArithmeticError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(is the matrix primitive?)")
-
-
-def _pf_brackets(sub: Substitution, max_iter: int
-                 ) -> Iterator[tuple[int | Fraction, int | Fraction]]:
-    """Exact brackets around ρ, each inside the one before: the row-sum and
-    column-sum bracket, then one per certificate of the power iterate."""
     images = sub.images
-    k = len(images)
     # with one entry per occurrence, (Mx)[a] is a plain sum of entries of x
     # and the row sum is the length of the row
     rows = _transpose(images)
-    row_sums = list(map(len, rows))
-    col_sums = list(map(len, images))
-    lo = max(min(row_sums), min(col_sums))
-    hi = min(max(row_sums), max(col_sums))
-    yield lo, hi
-    # The iteration runs on M + I, which has the Perron vector of M and is
-    # primitive on every irreducible diagonal block of M. So the iterate
-    # settles on periodic blocks too, and the ratio (Mx)_i/x_i of a letter
-    # whose share of the iterate decays tends to at most ρ, not to the
-    # ratio of an alternating iterate. The iterate is never 0: its largest
-    # entry is 1 before a step, and the step adds x.
-    x = [1.0] * k
-    for n in range(1, max_iter + 1):
+    lo = max(min(map(len, rows)), min(map(len, images)))
+    hi = min(max(map(len, rows)), max(map(len, images)))
+    if hi - lo <= tol:
+        return lo, hi
+    lo = hi = 0
+    for letters in _components(images):
+        local = {a: i for i, a in enumerate(letters)}
+        block = [[local[b] for b in rows[a] if b in local] for a in letters]
+        block_lo, block_hi = _block_bracket(block, tol, max_iter, lo)
+        lo, hi = max(lo, block_lo), max(hi, block_hi)
+    return lo, hi
+
+
+def _block_bracket(rows: list[list[int]], tol: float, max_iter: int,
+                   floor: int | Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds on ρ of the irreducible matrix M with rows ``rows``, at most
+    ``tol`` apart or the upper one at most ``floor``, from the iterate x of
+    M + I on Python ints. M + I has M's Perron vector and is primitive, so x
+    settles on periodic blocks too. A right shift keeps the smallest entry
+    of x at 60 bits, so every entry is positive and 60 bits precise."""
+    from fractions import Fraction  # only here: the sums path stays off it
+
+    x = [1] * len(rows)
+    for n in range(max_iter + 1):
         get = x.__getitem__
         y = [sum(map(get, row), xi) for row, xi in zip(rows, x)]
-        top = max(y)
-        x = [v / top for v in y]
         if n % CERTIFY_EVERY == 0 or n == max_iter:
-            below, above = _collatz_wielandt(rows, row_sums, x)
-            lo, hi = max(lo, below), min(hi, above)
-            yield lo, hi
-
-
-def _collatz_wielandt(rows: list[list[int]], row_sums: list[int], x: list[float]
-                      ) -> tuple[Fraction, Fraction]:
-    """Exact bounds on ρ from the float vector x >= 0, x != 0.
-
-    x is scaled to integers X without rounding, every non-zero entry at
-    least 2^53. The upper bound needs a positive vector, so it is taken at
-    X + 1, where M(X + 1) = MX + row sums. The lower bound min_i (MZ)_i/Z_i
-    over the support of Z holds for every Z >= 0, Z != 0 (Horn & Johnson,
-    Matrix Analysis, 8.1.26). It is taken at Z = X, and at X with the
-    entries below 2^-64 of the largest set to zero: on a reducible matrix
-    those are letters whose share of the iterate decays to 0, and their
-    ratios would hold the bound below ρ.
-    """
-    from fractions import Fraction
-
-    ratios = [v.as_integer_ratio() for v in x]  # denominators are powers of 2
-    scale = max(d for _, d in ratios) << 53
-    exact = [n * (scale // d) for n, d in ratios]
-    cutoff = max(exact) >> 64
-    truncated = [v if v > cutoff else 0 for v in exact]
-    lower = _lower_bound(rows, exact)
-    if truncated != exact:
-        lower = max(lower, _lower_bound(rows, truncated))
-    get = exact.__getitem__
-    num, den = 0, 1
-    for row, r, xi in zip(rows, row_sums, exact):
-        yi = sum(map(get, row)) + r
-        if yi * den > num * (xi + 1):
-            num, den = yi, xi + 1
-    return lower, Fraction(num, den)
-
-
-def _lower_bound(rows: list[list[int]], z: list[int]) -> Fraction:
-    """min over the support of z of (Mz)_i / z_i."""
-    from fractions import Fraction
-
-    get = z.__getitem__
-    num, den = None, 1
-    for row, zi in zip(rows, z):
-        if zi:
-            yi = sum(map(get, row))
-            if num is None or yi * den < num * zi:
-                num, den = yi, zi
-    return Fraction(num, den)
+            lo_y, lo_x = hi_y, hi_x = y[0], x[0]
+            for yi, xi in zip(y, x):  # min and max of y_i / x_i
+                if yi * lo_x < lo_y * xi:
+                    lo_y, lo_x = yi, xi
+                elif yi * hi_x > hi_y * xi:
+                    hi_y, hi_x = yi, xi
+            lo, hi = Fraction(lo_y, lo_x) - 1, Fraction(hi_y, hi_x) - 1
+            if hi <= floor or hi - lo <= tol:
+                return lo, hi
+        shift = min(y).bit_length() - 60
+        x = [v >> shift for v in y] if shift > 0 else y
+    raise ArithmeticError(f"no bracket at most {tol} wide within {max_iter} "
+                          f"iterations on a block of {len(rows)} letters")

@@ -20,9 +20,9 @@ them together.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, eq
+from operator import attrgetter
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution
@@ -95,39 +95,32 @@ class FactorSet:
     windows of one Thue-Morse prefix.
 
     ``prefix`` is a prefix P of the fixed point in which every factor
-    occurs. For the factor w_{i+1}, ``bits[i]`` is the int of its bits (so
-    ``bits`` is strictly increasing) and ``offsets[i]`` is the start of one
-    of its occurrences in P. No factor is held as a word of its own: its
-    label is a slice of P's text, and its θ image and descendants are
-    windows of θ(P) at twice its offset (``theta_windows``). Construction
-    checks that ``bits[i]`` is the window of P at ``offsets[i]``, so the
-    label printed for a factor is the word the claims check.
+    occurs. For the factor w_{i+1}, ``offsets[i]`` is the start of one of
+    its occurrences in P, and ``bits[i]``, read off P at construction, is
+    the int of its bits (so ``bits`` is strictly increasing). No factor is
+    held as a word of its own: its label is a slice of P's text, and its θ
+    image and descendants are windows of θ(P) at twice its offset
+    (``theta_windows``).
     """
 
     m: int
     prefix: BinaryWord
-    bits: tuple[int, ...]
     offsets: tuple[int, ...]
+    bits: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.word_length
         k = 3 * 2 ** self.m
-        if len(self.bits) != k:
-            raise ValueError(f"expected {k} factors for m={self.m}, got {len(self.bits)}")
         if len(self.offsets) != k:
             raise ValueError(f"expected {k} offsets for m={self.m}, got {len(self.offsets)}")
-        bits = self.bits
-        if bits[0] < 0 or bits[-1] >> n:
-            raise ValueError(f"factor bits out of range for length {n}")
-        # equal lengths: integer order of the bits is lexicographic order
-        if any(a >= b for a, b in zip(bits, bits[1:])):
-            raise ValueError("factors must be strictly increasing")
         if min(self.offsets) < 0 or max(self.offsets) > self.prefix.length - n:
             raise ValueError(
                 f"an offset is out of range for a prefix of length {self.prefix.length}")
-        # labels are read from the offsets and every claim from the bits
-        if not all(map(eq, _read_windows(self.prefix, n, self.offsets), bits)):
-            raise ValueError("the bits of a factor differ from its window of the prefix")
+        bits = tuple(_read_windows(self.prefix, n, self.offsets))
+        # equal lengths: integer order of the bits is lexicographic order
+        if any(a >= b for a, b in zip(bits, bits[1:])):
+            raise ValueError("factors must be strictly increasing")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def word_length(self) -> int:
@@ -239,8 +232,7 @@ def enumerate_by_scan(m: int) -> FactorSet:
         raise RuntimeError(
             f"found {len(windows)} distinct factors of length {n}, expected {target}")
     # equal lengths: integer order is lexicographic order
-    bits = sorted(windows)
-    return FactorSet(m, prefix, tuple(bits), tuple(map(windows.__getitem__, bits)))
+    return FactorSet(m, prefix, tuple(map(windows.__getitem__, sorted(windows))))
 
 
 def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:

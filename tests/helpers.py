@@ -55,6 +55,5 @@ def off_prefix(fs: FactorSet) -> FactorSet:
         flipped = text[:j] + "10"[int(letter)] + text[j + 1:]
         windows = {int(flipped[p:p + n], 2): p for p in fs.offsets}
         if len(windows) == fs.size and windows.keys() != set(fs.bits):
-            bits = sorted(windows)
-            return FactorSet(fs.m, word(flipped), tuple(bits), tuple(map(windows.__getitem__, bits)))
+            return FactorSet(fs.m, word(flipped), tuple(map(windows.__getitem__, sorted(windows))))
     raise AssertionError("no single flip keeps the windows distinct")

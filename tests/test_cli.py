@@ -448,14 +448,20 @@ def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
     _, payload, _ = _run(capsys, ["fixture", "zeta5", "--format", "json"])
     path = tmp_path / "zeta5.json"
     path.write_text(payload)
+    # a defective dominant eigenvalue: the sums bracket only [1, 2], so this
+    # input takes the path through the strongly connected blocks
+    defective = tmp_path / "defective.json"
+    defective.write_text('{"alphabet": ["0","1"], "images": [[1,0],[1]]}')
     code = ("import sys\n"
             "from tmblocks.cli import main\n"
             "main(['eigen', '--sub', sys.argv[1]])\n"
+            "main(['eigen', '--sub', sys.argv[2]])\n"
             "print(*sorted(sys.modules), file=sys.stderr)\n")
-    result = subprocess.run([sys.executable, "-c", code, str(path)], env=_src_env(),
-                            capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code, str(path), str(defective)],
+                            env=_src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
-    assert result.stdout == "PF ≈ 2.000000000, primitive: false\n"
+    assert result.stdout == ("PF ≈ 2.000000000, primitive: false\n"
+                             "PF ≈ 1.000000000, primitive: false\n")
     loaded = set(result.stderr.split())
     assert "tmblocks.substitution" in loaded
     for name in ("dataclasses", "tmblocks.thue_morse", "tmblocks.nblock",

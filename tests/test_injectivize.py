@@ -265,11 +265,13 @@ def test_zeta5_through_theorem_aggregator():
 
 
 def test_pf_eigenvalue_needs_exactly_two():
-    # ρ = 2, but the row and column sums are not constant, so the bracket
-    # comes from power iteration and is 2 only up to its width
-    probe = Substitution(Alphabet(("a", "b", "c")), ((0, 0), (2, 2, 2), (0,)))
+    # primitive with ρ = 2 (x^3 - 2x^2 + x - 2 = (x - 2)(x^2 + 1)), but
+    # the row and column sums are not constant, so the bracket comes from
+    # the iterate and holds 2 only up to its width
+    probe = Substitution(Alphabet(("a", "b", "c")), ((0, 1, 1), (1, 2), (0,)))
+    assert probe.is_primitive()
     lo, hi = pf_bracket(probe)
-    assert lo == 2 < hi < 2 + 1e-9
+    assert lo < 2 < hi and hi - lo <= 1e-9
     rep = theorem_report(2, probe, probe.is_primitive(), ReportBuilder(2, "fixedpoint").build(),
                          n_max=4)
     assert [(e.passed, e.detail) for e in rep if e.claim == "theorem.pf_eigenvalue"] == [

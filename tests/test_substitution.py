@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import islice
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import dense, from_dense, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import zeta5_fixture
-from tmblocks.substitution import (Alphabet, Substitution, _bfs_levels, _pf_brackets,
+from tmblocks.substitution import (Alphabet, Substitution, _bfs_levels, _components,
                                    pf_bracket, pf_eigenvalue)
 from tmblocks.thue_morse import theta
 
@@ -84,10 +85,13 @@ def test_pf_eigenvalue_periodic_and_defective_inputs():
     # eigenvalues +-2: the iterate of M alternates, that of M + I settles
     lo, hi = pf_bracket(from_dense([[0, 1], [4, 0]]))
     assert lo <= 2 <= hi and hi - lo <= 1e-9
-    # a Jordan block: the upper bound comes down only as 1 + 1/n, so no
-    # bracket is 1e-9 wide within the cap
-    with pytest.raises(ArithmeticError):
-        pf_eigenvalue(from_dense([[1, 0], [1, 1]]), max_iter=500)
+    # a Jordan block: the power iterate of the whole matrix brackets ρ only
+    # as 1 + 1/n, but each of its two diagonal blocks is exactly [1, 1]
+    assert pf_bracket(from_dense([[1, 0], [1, 1]])) == (1, 1)
+    # the plastic number (a 5-cycle with one self-loop) needs more than 16
+    # steps of the iterate for a bracket 1e-9 wide
+    with pytest.raises(ArithmeticError, match="within 16 iterations"):
+        pf_eigenvalue(_numbered([[1, 0], [2], [3], [4], [0]]), max_iter=16)
     # no width is at most nan, so nan would run to the cap even on an
     # input whose first bracket is exact
     for tol in (0.0, float("nan")):
@@ -342,22 +346,60 @@ def test_bfs_levels_from_any_start_match_reachability(sub, data):
                for a, d in enumerate(level) if d > 0)
 
 
+def _reach_blocks(counts) -> set[tuple[int, ...]]:
+    """The letters of each irreducible diagonal block: the distinct rows of
+    reach ∧ reachᵀ, where reach is the transitive closure by squaring."""
+    a = np.asarray(counts)
+    reach = (a > 0) | np.eye(len(a), dtype=bool)
+    for _ in range(len(a).bit_length()):
+        f = reach.astype(np.int64)
+        reach = (f @ f) > 0
+    return {tuple(np.flatnonzero(row).tolist()) for row in reach & reach.T}
+
+
 def _spectral_radius(counts) -> float:
     """max |eigvals| over the irreducible diagonal blocks, which is the
     spectral radius of the whole matrix. On a block it is a simple eigenvalue,
     so numpy gets it to rounding error; on the whole matrix a repeated,
     defective eigenvalue can cost half of the digits or more."""
     a = np.asarray(counts)
-    k = len(a)
-    reach = (a > 0) | np.eye(k, dtype=bool)
-    for _ in range(k.bit_length()):
-        f = reach.astype(np.int64)
-        reach = (f @ f) > 0
     radius = 0.0
-    for letters in {tuple(np.flatnonzero(row)) for row in reach & reach.T}:
+    for letters in _reach_blocks(a):
         block = a[np.ix_(letters, letters)].astype(float)
         radius = max(radius, float(max(abs(np.linalg.eigvals(block)))))
     return radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SUBSTITUTIONS)
+def test_components_match_mutual_reachability(sub):
+    components = list(_components(sub.images))
+    assert sorted(a for c in components for a in c) == list(range(sub.size))
+    assert {tuple(sorted(c)) for c in components} == _reach_blocks(dense(sub))
+    # each component is listed after every component it reaches
+    place = {a: i for i, c in enumerate(components) for a in c}
+    assert all(place[a] <= place[b] for b, img in enumerate(sub.images) for a in img)
+
+
+def test_components_of_a_long_path_need_no_recursion():
+    # b -> b + 1, and the last letter to itself twice: k blocks of one
+    # letter, listed from the last, and row sums 0, 1, ..., 1, 3
+    k = 20_000
+    images = tuple((b + 1,) for b in range(k - 1)) + ((k - 1, k - 1),)
+    assert list(_components(images)) == [[a] for a in reversed(range(k))]
+    assert pf_bracket(Substitution(Alphabet.distinct(k, str), images)) == (2, 2)
+
+
+def test_pf_bracket_when_the_perron_vector_spans_many_orders():
+    # letter 0 maps to 001, then a chain 1 -> 2 -> ... -> 99 -> 0: ρ is the
+    # root of ρ = 2 + ρ^-99, just above 2, and entry i of the Perron vector
+    # is about 2^-i of entry 0. Every entry needs its own precision: kept at
+    # a common scale, the last letters would round away and stall the bound
+    k = 100
+    sub = _numbered([[0, 0, 1], *([b + 1] for b in range(1, k - 1)), [0]])
+    for tol in (1e-9, 1e-13):
+        lo, hi = pf_bracket(sub, tol)
+        assert lo <= 2 + Fraction(1, 2 ** 97) and 2 <= hi and hi - lo <= tol
 
 
 def _rayleigh_power_iteration(counts, tol=1e-9, max_iter=10_000) -> float:
@@ -463,12 +505,10 @@ def _zero_rows(draw):
 def test_every_pf_bracket_contains_the_spectral_radius(sub):
     rho = _spectral_radius(dense(sub))
     slack = 1e-12 * max(rho, 1)  # numpy's rounding; the bounds are exact
-    outer = None
-    for lo, hi in _pf_brackets(sub, 200):
+    for tol in (1, 1e-3, 1e-9, 1e-13):
+        lo, hi = pf_bracket(sub, tol)
         assert lo <= rho + slack and rho - slack <= hi, (lo, hi, rho)
-        if outer is not None:
-            assert outer[0] <= lo and hi <= outer[1]
-        outer = lo, hi
+        assert hi - lo <= tol
 
 
 def test_pf_eigenvalue_on_a_stalled_rayleigh_quotient():

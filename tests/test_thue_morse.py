@@ -190,20 +190,20 @@ def test_quarters_need_m_at_least_2():
 
 def test_factor_set_validation():
     fs = enumerate_by_scan(1)
-    prefix, bits, offsets = fs.prefix, fs.bits, fs.offsets
-    assert FactorSet(1, prefix, bits, offsets) == fs
-    with pytest.raises(ValueError, match="expected 6 factors"):
-        FactorSet(1, prefix, bits[:2], offsets[:2])
+    prefix, offsets = fs.prefix, fs.offsets
+    assert FactorSet(1, prefix, offsets) == fs
+    # the bits are the windows of the prefix at the offsets
+    assert fs.bits == tuple(int(str(prefix)[p:p + 3], 2) for p in offsets)
     with pytest.raises(ValueError, match="expected 6 offsets"):
-        FactorSet(1, prefix, bits, offsets[:5])
+        FactorSet(1, prefix, offsets[:5])
     with pytest.raises(ValueError, match="strictly increasing"):
-        FactorSet(1, prefix, (bits[1], bits[0], *bits[2:]), offsets)
-    with pytest.raises(ValueError, match="out of range for length 3"):
-        FactorSet(1, prefix, (*bits[:5], 0b1000), offsets)
+        FactorSet(1, prefix, (offsets[1], offsets[0], *offsets[2:]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FactorSet(1, prefix, (*offsets[:5], offsets[4]))
     with pytest.raises(ValueError, match="offset is out of range"):
-        FactorSet(1, prefix, bits, (*offsets[:5], prefix.length - 2))
-    with pytest.raises(ValueError, match="differ from its window"):
-        FactorSet(1, prefix, bits, (offsets[1], offsets[0], *offsets[2:]))
+        FactorSet(1, prefix, (*offsets[:5], prefix.length - 2))
+    with pytest.raises(ValueError, match="offset is out of range"):
+        FactorSet(1, prefix, (-1, *offsets[1:]))
 
 
 def test_verify_quarter_minima():
