@@ -90,9 +90,12 @@ def _map_power(chain: Sequence[int], n: int) -> list[int]:
 
 
 def verify_pair_images(m: int, theta_n: Substitution, eta: Substitution) -> VerificationReport:
-    """The refinement and the block substitution agree on every image pair."""
-    pairs = ("".join(map(chr, img)) for img in theta_n.images)
-    bad = [j + 1 for j, pair in enumerate(pairs) if eta.apply(pair) != theta_n.apply(pair)]
+    """The refinement and the block substitution agree on every image pair:
+    for the image (a, b) of each letter, η(a)η(b) = θ_N(a)θ_N(b), compared
+    as the texts of their translate tables."""
+    eta_of, theta_of = eta._text_table(), theta_n._text_table()
+    bad = [j + 1 for j, (a, b) in enumerate(theta_n.images)
+           if eta_of[a] + eta_of[b] != theta_of[a] + theta_of[b]]
     rb = ReportBuilder(m, "pairs")
     rb.check("images", not bad,
              f"all {theta_n.size} pairs agree" if not bad else f"mismatch at j={bad[:5]}")

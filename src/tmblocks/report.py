@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     m: int
     claim: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """An ordered list of check entries; overall success = no FAIL entry."""
 
-    entries: tuple[CheckEntry, ...] = field(default_factory=tuple)
+    entries: tuple[CheckEntry, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -2,27 +2,28 @@
 
 The factor set A_m (3·2^m words, lexicographically ordered) is one prefix P
 of the Thue-Morse fixed point plus, for each factor, the int of its bits and
-the offset of one of its occurrences in P. Every per-factor step reads
-windows by offset instead of handling the words one at a time: θ(P) is
+the offset of its occurrence in P. P = θ^(m+2)(0) has 4·2^m letters, and its
+3·2^m windows of width N at offsets 0 .. 3·2^m - 1 are pairwise distinct, so
+they are all the factors (Brlek 1989; de Luca & Varricchio 1989): the scan
+reads exactly those windows, with no deduplication. Every per-factor step
+reads windows by offset instead of handling the words one at a time: θ(P) is
 again a prefix of the fixed point, so the factor at offset p has θ_N image
 the two width-N windows of θ(P) at 2p and 2p + 1, and descendants δ and ε
 the width-(2N-1) windows there (the higher block presentation, Lind &
 Marcus, §1.4). A factor is printed as a slice of P's text.
 
-The factor set is enumerated two independent ways: by collecting the
-windows of P, and by the descendant recursion on ``BinaryWord``s, which maps
-each word u of A_m to the two length-(2N-1) windows of theta(u). On top of
-the ordered set sit the quarter partition Q_1..Q_4, its minima, the f_0/f_1
-fixed-point prefixes, and executable verifiers for the identities that tie
-them together.
+The factor set is enumerated two independent ways: by reading the windows
+of P, and by the descendant recursion, which maps each word u of A_m to the
+two length-(2N-1) windows of theta(u), on the ints of the words' bits. On
+top of the ordered set sit the quarter partition Q_1..Q_4, its minima, the
+f_0/f_1 fixed-point prefixes, and executable verifiers for the identities
+that tie them together.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 
 from .report import ReportBuilder, VerificationReport
 from .substitution import Alphabet, Substitution
@@ -34,16 +35,15 @@ MAX_M = 12
 A1_WORDS = ("001", "010", "011", "100", "101", "110")
 
 
-def _spread_nibble(x: int) -> int:
-    """Move bit i of a 4-bit value to bit 2i of a byte."""
-    return sum(((x >> i) & 1) << (2 * i) for i in range(4))
+def _theta_nibble(x: int) -> int:
+    """θ of the 4-letter word x as the 8 bits of its image: letter i from the
+    end goes to bits 2i + 1 and 2i, 0 as 01 and 1 as 10."""
+    return sum((2 if (x >> i) & 1 else 1) << (2 * i) for i in range(4))
 
 
-# byte -> the spread of its high / low nibble, for bytes.translate
-_SPREAD_HIGH = bytes(_spread_nibble(b >> 4) for b in range(256))
-_SPREAD_LOW = bytes(_spread_nibble(b & 15) for b in range(256))
-
-_bits = attrgetter("bits")
+# byte -> θ of its high / low nibble, for bytes.translate
+_THETA_HIGH = bytes(_theta_nibble(b >> 4) for b in range(256))
+_THETA_LOW = bytes(_theta_nibble(b & 15) for b in range(256))
 
 
 def theta() -> Substitution:
@@ -52,21 +52,22 @@ def theta() -> Substitution:
 
 
 def apply_theta(w: BinaryWord) -> BinaryWord:
-    """theta on a packed binary word (0 -> 01, 1 -> 10), on the bits alone.
+    """theta on a packed binary word (0 -> 01, 1 -> 10)."""
+    return BinaryWord(2 * w.length, _theta_bits(w.length, w.bits))
 
-    Letter i from the end goes to bit 2i + 1 of the image and its complement
-    to bit 2i. The spread s (bit i of w at bit 2i) is built byte-wise with two
-    256-entry tables; the complements are then s xor 0b0101...01, and theta(w)
-    is (s << 1) | that. Zero bytes padding ``bits`` to whole bytes spread to
-    zero bits above bit 2n, so no mask is needed.
+
+def _theta_bits(length: int, bits: int) -> int:
+    """The bits of theta(w) for the word w of ``length`` letters and ``bits``.
+
+    Each byte of ``bits``, padded to whole bytes, goes to the two bytes of
+    its image by two 256-entry tables. The padding zeros go to 01 pairs at
+    bit 2·length and above, which the mask drops.
     """
-    data = w.bits.to_bytes((w.length + 7) // 8, "big")
-    spread = bytearray(2 * len(data))
-    spread[0::2] = data.translate(_SPREAD_HIGH)
-    spread[1::2] = data.translate(_SPREAD_LOW)
-    s = int.from_bytes(spread, "big")
-    evens = ((1 << 2 * w.length) - 1) // 3
-    return BinaryWord(2 * w.length, (s << 1) | (s ^ evens))
+    data = bits.to_bytes((length + 7) // 8, "big")
+    image = bytearray(2 * len(data))
+    image[0::2] = data.translate(_THETA_HIGH)
+    image[1::2] = data.translate(_THETA_LOW)
+    return int.from_bytes(image, "big") & ((1 << 2 * length) - 1)
 
 
 def thue_morse_prefix(first_letter: int, n: int) -> BinaryWord:
@@ -89,10 +90,10 @@ def descendants(w: BinaryWord) -> tuple[BinaryWord, BinaryWord]:
     return t.prefix(t.length - 1), t.suffix(t.length - 1)
 
 
-@dataclass(frozen=True)
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
-    windows of one Thue-Morse prefix.
+    windows of one Thue-Morse prefix; equal to another factor set with the
+    same m, prefix and offsets.
 
     ``prefix`` is a prefix P of the fixed point in which every factor
     occurs. For the factor w_{i+1}, ``offsets[i]`` is the start of one of
@@ -103,24 +104,30 @@ class FactorSet:
     (``theta_windows``).
     """
 
-    m: int
-    prefix: BinaryWord
-    offsets: tuple[int, ...]
-    bits: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, prefix: BinaryWord, offsets: tuple[int, ...]) -> None:
+        self.m = m
+        self.prefix = prefix
+        self.offsets = offsets
         n = self.word_length
-        k = 3 * 2 ** self.m
-        if len(self.offsets) != k:
-            raise ValueError(f"expected {k} offsets for m={self.m}, got {len(self.offsets)}")
-        if min(self.offsets) < 0 or max(self.offsets) > self.prefix.length - n:
+        k = 3 * 2 ** m
+        if len(offsets) != k:
+            raise ValueError(f"expected {k} offsets for m={m}, got {len(offsets)}")
+        if min(offsets) < 0 or max(offsets) > prefix.length - n:
             raise ValueError(
-                f"an offset is out of range for a prefix of length {self.prefix.length}")
-        bits = tuple(_read_windows(self.prefix, n, self.offsets))
+                f"an offset is out of range for a prefix of length {prefix.length}")
+        bits = tuple(_read_windows(prefix, n, offsets))
         # equal lengths: integer order of the bits is lexicographic order
         if any(a >= b for a, b in zip(bits, bits[1:])):
             raise ValueError("factors must be strictly increasing")
-        object.__setattr__(self, "bits", bits)
+        self.bits = bits
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.prefix, self.offsets) == (other.m, other.prefix, other.offsets)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.prefix, self.offsets))
 
     @property
     def word_length(self) -> int:
@@ -190,21 +197,6 @@ def _shifted_copies(w: BinaryWord) -> list[bytes]:
     return [(w.bits >> r).to_bytes(size, "little") for r in range(8)]
 
 
-def _window_offsets(w: BinaryWord, n: int) -> dict[int, int]:
-    """The distinct width-n windows of w, as the ints of their bits, each
-    with the offset in w of one of its occurrences.
-
-    The byte slices of the shifted copies are deduplicated, with an offset
-    each, before the few distinct ones are converted.
-    """
-    span = (n + 7) // 8
-    shifted = _shifted_copies(w)
-    last = w.length - n  # the window at offset p ends last - p letters before the end
-    chunks = {shifted[s & 7][s >> 3:(s >> 3) + span]: s for s in range(last + 1)}
-    mask = (1 << n) - 1
-    return {int.from_bytes(c, "little") & mask: last - s for c, s in chunks.items()}
-
-
 def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]:
     """The width-n windows of w at the offsets ``starts``, as the ints of
     their bits, one at a time."""
@@ -219,38 +211,47 @@ def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
-    """Collect the distinct width-N windows of the fixed-point prefix
-    P = θ^(m+4)(0), one offset each. P of 16·2^m letters holds all 3·2^m
-    factors, so θ(P) is the prefix that level m + 1 scans; any other count
-    raises ``RuntimeError``."""
+    """Read the width-N windows at offsets 0 .. 3·2^m - 1 of the fixed-point
+    prefix P = θ^(m+2)(0) of 4·2^m letters. They are the 3·2^m factors, one
+    offset each, and θ(P) is the prefix that level m + 1 reads; a repeated
+    window raises ``RuntimeError``."""
     _check_m(m)
     n = 2 ** m + 1
     target = 3 * 2 ** m
-    prefix = thue_morse_prefix(0, 2 ** (m + 4))
-    windows = _window_offsets(prefix, n)
-    if len(windows) != target:
+    prefix = thue_morse_prefix(0, 2 ** (m + 2))
+    windows = list(_read_windows(prefix, n, range(target)))
+    found = len(set(windows))
+    if found != target:
         raise RuntimeError(
-            f"found {len(windows)} distinct factors of length {n}, expected {target}")
+            f"found {found} distinct factors of length {n}, expected {target}")
     # equal lengths: integer order is lexicographic order
-    return FactorSet(m, prefix, tuple(map(windows.__getitem__, sorted(windows))))
+    offsets = tuple(sorted(range(target), key=windows.__getitem__))
+    del windows  # FactorSet reads the bits back off the prefix
+    return FactorSet(m, prefix, offsets)
 
 
 def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:
     """The factors of length N in lexicographic order, as ``BinaryWord``s,
     grown from the hard-coded length-3 base by taking both descendants of
-    every word, level by level: a word-level oracle for the scan."""
+    every word, level by level: an oracle for the scan. The levels are the
+    ints of the words' bits; δ(u) drops the last letter of θ(u) and ε(u)
+    the first."""
     _check_m(m)
-    words = [word(t) for t in A1_WORDS]
+    n = 3
+    level = [int(t, 2) for t in A1_WORDS]
     for _ in range(m - 1):
+        width = 2 * n - 1
+        mask = (1 << width) - 1
         nxt = set()
-        for w in words:
-            d, e = descendants(w)
-            nxt.add(d)
-            nxt.add(e)
-        words = sorted(nxt, key=_bits)  # one length per level: int order is lex order
-    if len(words) != 3 * 2 ** m:
-        raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(words)}")
-    return tuple(words)
+        for b in level:
+            t = _theta_bits(n, b)
+            nxt.add(t >> 1)
+            nxt.add(t & mask)
+        level = sorted(nxt)  # one length per level: int order is lex order
+        n = width
+    if len(level) != 3 * 2 ** m:
+        raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(level)}")
+    return tuple(BinaryWord(n, b) for b in level)
 
 
 def verify_quarter_minima(fs: FactorSet) -> VerificationReport:

@@ -11,21 +11,40 @@ Display convention: contiguous '0'/'1' characters, no separators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class BinaryWord:
-    """An immutable word over {0,1}; ``bits`` holds the letters MSB-first."""
+    """An immutable word over {0,1}; ``bits`` holds the letters MSB-first.
+    Equal to another word with the same length and bits."""
+
+    __slots__ = ("length", "bits")
 
     length: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative word length {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.length}")
+    def __init__(self, length: int, bits: int) -> None:
+        if length < 0:
+            raise ValueError(f"negative word length {length}")
+        if not 0 <= bits < (1 << length):
+            raise ValueError(f"bits 0x{bits:x} out of range for length {length}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.length == other.length and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.bits))
+
+    def __repr__(self) -> str:
+        return f"BinaryWord(length={self.length!r}, bits={self.bits!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "BinaryWord":

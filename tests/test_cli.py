@@ -217,8 +217,9 @@ def test_no_theta_and_no_word_per_factor(capsys, monkeypatch, argv):
     per factor would make k = 768 of them at m = 8."""
     thetas = _count_calls(monkeypatch, "apply_theta", _is_thue_morse_prefix)
     made = []
-    post_init = BinaryWord.__post_init__
-    monkeypatch.setattr(BinaryWord, "__post_init__", lambda w: made.append(w) or post_init(w))
+    init = BinaryWord.__init__
+    monkeypatch.setattr(BinaryWord, "__init__",
+                        lambda w, *args: made.append(w) or init(w, *args))
     code, _, _ = _run(capsys, argv)
     assert code == 0
     assert set(thetas) == {True} and sum(thetas.values()) < 64
@@ -467,6 +468,22 @@ def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
     for name in ("dataclasses", "tmblocks.thue_morse", "tmblocks.nblock",
                  "tmblocks.injectivize", "tmblocks.words", "tmblocks.report"):
         assert name not in loaded, name
+
+
+def test_word_commands_load_neither_dataclasses_nor_inspect():
+    code = ("import sys\n"
+            "from tmblocks.cli import main\n"
+            "main(['verify', '--m', '2'])\n"
+            "main(['factors', '--m', '2'])\n"
+            "main(['build', 'theta', '--m', '2'])\n"
+            "print(*sorted(sys.modules), file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("PASS m=2 qandf\n")
+    loaded = set(result.stderr.split())
+    assert {"tmblocks.claims", "tmblocks.thue_morse", "tmblocks.nblock"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves():

@@ -74,18 +74,27 @@ def test_scan_golden_tables():
 
 
 def test_enumeration_methods_agree():
-    for m in range(1, 7):
+    for m in range(1, MAX_M + 1):
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
         assert factor_words(scan) == desc
         assert scan.size == 3 * 2 ** m
 
 
+def test_descendant_recursion_matches_the_per_word_reference():
+    """The recursion on ints against the same recursion on ``BinaryWord``s,
+    one ``descendants`` call per word."""
+    words = [word(t) for t in thue_morse.A1_WORDS]
+    for m in range(1, 9):
+        assert enumerate_by_descendants(m) == tuple(words)
+        words = sorted({d for w in words for d in descendants(w)}, key=lambda w: w.bits)
+
+
 def test_scan_names_both_counts_when_the_prefix_misses_factors(monkeypatch):
-    # a prefix of 8 letters, not 64, holds 4 of the 12 factors of length 5
-    prefix = thue_morse.thue_morse_prefix
-    monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: prefix(a, n // 8))
-    with pytest.raises(RuntimeError, match="found 4 distinct factors of length 5, expected 12"):
+    # an all-zero prefix of the same length: its 12 windows of length 5 are
+    # one word
+    monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: BinaryWord(n, 0))
+    with pytest.raises(RuntimeError, match="found 1 distinct factors of length 5, expected 12"):
         enumerate_by_scan(2)
 
 
@@ -98,7 +107,7 @@ def _parity_factors(n, prefix_len):
 
 
 def test_scan_matches_windows_of_the_parity_sequence():
-    for m in range(1, 8):
+    for m in range(1, 10):
         n = 2 ** m + 1
         assert factor_labels(enumerate_by_scan(m)) == _parity_factors(n, 32 * n)
 
@@ -236,8 +245,10 @@ def test_every_offset_reads_back_its_word(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
     text = _parity_text(fs.prefix.length)
-    # θ(P) is the prefix of level m + 1
-    assert fs.prefix.length == 2 ** (m + 4) and str(fs.prefix) == text
+    # P = θ^(m+2)(0), whose first 3·2^m windows are the factors; θ(P) is
+    # the prefix of level m + 1
+    assert fs.prefix.length == 2 ** (m + 2) and str(fs.prefix) == text
+    assert sorted(fs.offsets) == list(range(3 * 2 ** m))
     assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, fs.bits))
     assert factor_labels(fs) == [format(b, f"0{n}b") for b in fs.bits]
 
