@@ -5,8 +5,8 @@ each entry says whether the claim compares level m with level m + 1 and how
 it runs against a ``Level``. A ``Level`` builds each input on first use and
 at most once. Nothing is cached across levels except the factor set of level
 m + 1, which ``levels`` hands on to the next m, so each level is scanned once.
-Every check is exact; the one setting is the depth to which ``fixedpoint``
-and ``theorem`` iterate.
+Every check is exact and has no setting: ``fixedpoint`` holds for every n by
+induction from the ``pairs`` report, which a ``Level`` builds once.
 """
 
 from __future__ import annotations
@@ -23,19 +23,14 @@ from .substitution import Substitution
 from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
-# verify's --depth when it is not given
-DEFAULT_DEPTH = 12
-
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
     m + 1, the block substitution θ_N on the first, the refinement η, η's
-    primitivity verdict and its fixed-point report; plus the iteration
-    depth."""
+    primitivity verdict, and its pair-image and fixed-point reports."""
 
-    def __init__(self, m: int, depth: int = DEFAULT_DEPTH) -> None:
+    def __init__(self, m: int) -> None:
         self.m = m
-        self.depth = depth
 
     @cached_property
     def factors(self) -> FactorSet:
@@ -58,23 +53,26 @@ class Level:
         return self.eta.is_primitive()
 
     @cached_property
+    def pairs(self) -> VerificationReport:
+        return verify_pair_images(self.m, self.nblock, self.eta)
+
+    @cached_property
     def fixed_point(self) -> VerificationReport:
-        # the report only: the iterates it compares are gone when it returns
-        return verify_fixed_point(self.m, self.nblock, self.eta, self.depth)
+        return verify_fixed_point(self.m, self.nblock, self.eta, self.pairs)
 
 
 def eta_system(m: int) -> Level:
-    """The Level of m, with ``verify``'s default depth; its ``eta`` and
-    ``nblock`` are built from scratch on first use."""
+    """The Level of m; its ``eta`` and ``nblock`` are built from scratch on
+    first use."""
     return Level(m)
 
 
-def levels(lo: int, hi: int, depth: int) -> Iterator[Level]:
+def levels(lo: int, hi: int) -> Iterator[Level]:
     """One Level per m in lo..hi. The level-(m+1) factor set, if level m
     built it, becomes the level factor set of m + 1."""
     carried = None
     for m in range(lo, hi + 1):
-        level = Level(m, depth)
+        level = Level(m)
         if carried is not None:
             level.factors = carried
         yield level
@@ -92,10 +90,10 @@ CLAIMS = {
     "quarters": Claim(True, lambda lv: verify_quarter_descendants(lv.factors, lv.factors_next)),
     "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(lv.factors, lv.factors_next)),
     "nblock": Claim(False, lambda lv: verify_block_formula(lv.factors, lv.nblock)),
-    "pairs": Claim(False, lambda lv: verify_pair_images(lv.m, lv.nblock, lv.eta)),
+    "pairs": Claim(False, lambda lv: lv.pairs),
     "fixedpoint": Claim(False, lambda lv: lv.fixed_point),
     "primitivity": Claim(False, lambda lv: verify_primitivity_argument(
         lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
     "theorem": Claim(False, lambda lv: theorem_report(
-        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point, lv.depth)),
+        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point)),
 }

@@ -16,13 +16,6 @@ from collections.abc import Callable, Iterable, Iterator
 # command needs: `eigen` loads substitution.py alone.
 from .substitution import Substitution, pf_eigenvalue
 
-# iterates checked by fixedpoint and theorem have up to 2^(depth+1) letters,
-# held as text of 1 or 2 bytes a letter for m <= 12. At depth 20, `verify
-# --m 2..10 --depth 20 --claims fixedpoint,primitivity,theorem` peaks at about
-# 37 MB and `verify --m 12 --depth 20 --claims fixedpoint,primitivity,theorem`
-# at 47 MB (Python 3.11, x86-64); the iterates double with each further step
-MAX_DEPTH = 20
-
 
 def _m_range(text: str) -> tuple[int, int]:
     try:
@@ -49,16 +42,6 @@ def _claim_list(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError(f"no claim named in {text!r}")
     return names
-
-
-def _depth(text: str) -> int:
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = 0
-    if not 1 <= depth <= MAX_DEPTH:
-        raise argparse.ArgumentTypeError(f"expected an integer in 1..{MAX_DEPTH}, got {text!r}")
-    return depth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
     p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
     p_verify.add_argument("--claims", type=_claim_list)
-    # the default is claims.DEFAULT_DEPTH, read when the command runs, so
-    # that building the parser imports no claim module
-    p_verify.add_argument("--depth", type=_depth)
     p_verify.set_defaults(run=_cmd_verify)
 
     p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
@@ -226,7 +206,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .claims import CLAIMS, DEFAULT_DEPTH, levels
+    from .claims import CLAIMS, levels
     from .thue_morse import MAX_M
 
     lo, hi = args.m
@@ -241,8 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     failed = 0
     total = 0
-    depth = DEFAULT_DEPTH if args.depth is None else args.depth
-    for level in levels(lo, hi, depth):
+    for level in levels(lo, hi):
         for claim in claims:
             rep = CLAIMS[claim].run(level)
             total += 1
@@ -251,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             else:
                 failed += 1
                 print(f"FAIL m={level.m} {claim}")
-                for entry in rep:
+                for entry in rep.entries:
                     if not entry.passed:
                         print(f"  {entry.claim}: {entry.detail or 'failed'}")
     print(f"{total - failed}/{total} claims passed", file=sys.stderr)

@@ -21,9 +21,6 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 class ReportBuilder:
     """Collects entries for one verifier run."""

@@ -182,24 +182,6 @@ class Substitution:
                 g = math.gcd(g, level[b] + 1 - level[a])
         return g == 1
 
-    def image_length_sequence(self, letter: int, n_max: int) -> list[int]:
-        """Exact lengths of the n-th image words of ``letter`` for n = 1..n_max,
-        computed without building them: the letter's entry of 1^T M^n, by
-        u_b = sum of u_a over the letters a of images[b].
-
-        Uses Python integers, so arbitrarily deep powers stay exact.
-        """
-        k = self.size
-        if not 0 <= letter < k:
-            raise ValueError(f"letter {letter} out of range for size {k}")
-        u = [1] * k  # u[b] = length of the n-th image of letter b
-        out = []
-        for _ in range(n_max):
-            get = u.__getitem__
-            u = [sum(map(get, img)) for img in self.images]
-            out.append(u[letter])
-        return out
-
     def format_word(self, w: Sequence[int]) -> str:
         """Indexed rendering, e.g. 'w_4 w_10'."""
         return " ".join(f"w_{a + 1}" for a in w)

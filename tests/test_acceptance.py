@@ -143,9 +143,10 @@ def test_c08_injective_refinement(systems):
                 break
         if sum(len(img) for img in eta.images) != 2 * k:
             failures.append(f"m={m}: total image length is not 2|A_m|")
-        if not verify_pair_images(m, theta_n, eta).ok:
+        pairs = verify_pair_images(m, theta_n, eta)
+        if not pairs.ok:
             failures.append(f"m={m}: pair images differ")
-        if not verify_fixed_point(m, theta_n, eta, 12).ok:
+        if not verify_fixed_point(m, theta_n, eta, pairs).ok:
             failures.append(f"m={m}: fixed point orbits differ")
         w = chr(fixed_letters(k)[0])
         for n in range(1, 13):
@@ -170,9 +171,9 @@ def test_c09_primitivity_argument(systems):
     _verdict(9, "primitivity argument, m=3..8 (m=2 reported)", failures)
 
 
-def _theorem(m, theta_n, sub, n_max):
-    fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point, n_max)
+def _theorem(m, theta_n, sub):
+    fixed_point = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point)
 
 
 def test_c10_eigenvalue_and_full_suite(capsys, systems):
@@ -183,12 +184,13 @@ def test_c10_eigenvalue_and_full_suite(capsys, systems):
         if abs(value - 2.0) >= 1e-9:
             failures.append(f"m={m}: PF {value!r}")
         f0, _ = fixed_letters(sys_m.eta.size)
-        if sys_m.eta.image_length_sequence(f0, 12) != [2 ** n for n in range(1, 13)]:
-            failures.append(f"m={m}: integer doubling identity broken")
-        if not _theorem(m, sys_m.nblock, sys_m.eta, n_max=12).ok:
+        lengths = [len(w) for w in islice(sys_m.eta.iterates(f0), 1, 13)]
+        if lengths != [2 ** n for n in range(1, 13)]:
+            failures.append(f"m={m}: doubling of the f0 iterates broken")
+        if not _theorem(m, sys_m.nblock, sys_m.eta).ok:
             failures.append(f"m={m}: theorem aggregate failed")
-    rep = _theorem(2, systems[2].nblock, zeta5_fixture(), n_max=12)
-    wrong = {e.claim.split(".", 1)[1] for e in rep if not e.passed}
+    rep = _theorem(2, systems[2].nblock, zeta5_fixture())
+    wrong = {e.claim.split(".", 1)[1] for e in rep.entries if not e.passed}
     if wrong != {"primitive"}:
         failures.append(f"zeta_5 aggregate outcome {sorted(wrong)}")
 

@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tmblocks import claims, injectivize, nblock, thue_morse
-from tmblocks.cli import MAX_DEPTH, run
+from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import MAX_M, enumerate_by_descendants
@@ -181,7 +183,9 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
-    fixed_points = _count_calls(monkeypatch, "verify_fixed_point", lambda m, nb, eta, n: m)
+    pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
+    fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
+                                lambda m, nb, eta, pairs: m)
     primitivity = Counter()
     is_primitive = Substitution.is_primitive
 
@@ -194,7 +198,9 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     assert scans == {m: 1 for m in range(2, 8)}
     assert blocks == {m: 1 for m in range(2, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
-    # fixedpoint and theorem read one report
+    # pairs and fixedpoint read one pairs report, fixedpoint and theorem
+    # one fixed-point report
+    assert pairs == {m: 1 for m in range(2, 7)}
     assert fixed_points == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
 
@@ -234,10 +240,22 @@ def test_verify_reports_a_failed_claim(capsys, monkeypatch):
     monkeypatch.setattr(claims, "verify_pair_images", broken)
     code, out, err = _run(capsys, ["verify", "--m", "2", "--claims", "qandf,pairs,fixedpoint"])
     assert code == 1
+    # fixedpoint is proved by induction from the pairs report, so it fails
+    # with its premise
     assert out.splitlines() == ["PASS m=2 qandf", "FAIL m=2 pairs",
                                 "  pairs.images: mismatch at j=[1]", "  pairs.bare: failed",
-                                "PASS m=2 fixedpoint"]
-    assert err == "2/3 claims passed\n"
+                                "FAIL m=2 fixedpoint",
+                                "  fixedpoint.f0_orbit: premise pairs failed",
+                                "  fixedpoint.f1_common_fixed_point: premise pairs failed"]
+    assert err == "1/3 claims passed\n"
+
+
+def test_report_is_a_plain_named_tuple():
+    rep = VerificationReport((CheckEntry(2, "pairs.images", False, "mismatch at j=[1]"),
+                              CheckEntry(2, "pairs.kept", True)))
+    assert len(rep) == 1 and rep._asdict() == {"entries": rep.entries}
+    assert copy.copy(rep) == rep
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_verify_rejects_bad_input(capsys):
@@ -251,10 +269,7 @@ def test_verify_rejects_bad_input(capsys):
     assert code == 2 and "2 <= m" in err
 
 
-@pytest.mark.parametrize("option", [
-    ["--depth", "0"], ["--depth", "-3"], ["--claims", ","], ["--claims", " , ,"],
-    ["--depth", str(MAX_DEPTH + 1)], ["--depth", "100"],
-])
+@pytest.mark.parametrize("option", [["--claims", ","], ["--claims", " , ,"]])
 def test_verify_rejects_bad_options(capsys, option):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--m", "2", *option])
@@ -263,10 +278,11 @@ def test_verify_rejects_bad_options(capsys, option):
     assert f"error: argument {option[0]}" in captured.err
 
 
-def test_verify_has_no_tolerance_option():
-    # the eigenvalue check is exact, so there is no tolerance to set
-    result = subprocess.run([sys.executable, "-m", "tmblocks", "verify", "--m", "2",
-                             "--tol", "1e-9"],
+@pytest.mark.parametrize("option", [["--tol", "1e-9"], ["--depth", "12"]])
+def test_verify_has_no_tolerance_or_depth_option(option):
+    # the eigenvalue check is exact, so there is no tolerance to set, and
+    # fixedpoint holds for every n by induction, so there is no depth
+    result = subprocess.run([sys.executable, "-m", "tmblocks", "verify", "--m", "2", *option],
                             env=_src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 2 and result.stdout == ""
     assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -122,7 +124,7 @@ def test_pair_images_name_the_pairs_that_differ(m):
         bad = _pair_mismatches(theta_n, wrong)
         assert bad
         rep = verify_pair_images(m, theta_n, wrong)
-        assert [(e.claim, e.passed, e.detail) for e in rep] == [
+        assert [(e.claim, e.passed, e.detail) for e in rep.entries] == [
             ("pairs.images", False, f"mismatch at j={bad[:5]}")]
 
 
@@ -135,7 +137,7 @@ def test_pair_images_are_compared_pair_by_pair():
     assert eta.apply("\0\1\2\0\1\2") == theta_n.apply("\0\1\2\0\1\2")
     assert _pair_mismatches(theta_n, eta) == [2, 3]
     rep = verify_pair_images(2, theta_n, eta)
-    assert [(e.passed, e.detail) for e in rep] == [(False, "mismatch at j=[2, 3]")]
+    assert [(e.passed, e.detail) for e in rep.entries] == [(False, "mismatch at j=[2, 3]")]
 
 
 def test_fixed_point_orbits():
@@ -151,9 +153,102 @@ def test_fixed_point_orbits():
         assert len(e) == 3 * 2 ** (n - 1)
         assert e[:len(t)] == t
         assert nth_image(t5, f1, n + 1)[:len(e)] == e
-    for m in (2, 3, 4):
-        sys_m = eta_system(m)
-        assert verify_fixed_point(m, sys_m.nblock, sys_m.eta, 12).ok
+
+
+def _iterated_fixed_point(theta_n, sub, depth=10):
+    """Reference: the f0_orbit and f1_common_fixed_point verdicts as the
+    iterates of ``sub`` and ``theta_n`` compare them for n = 1..depth."""
+    f0, f1 = fixed_letters(theta_n.size)
+    e0, t0, e1, t1 = (list(islice(s.iterates(a), depth + 2))
+                      for s, a in ((sub, f0), (theta_n, f0), (sub, f1), (theta_n, f1)))
+    f0_ok = all(e0[n] == t0[n] and len(e0[n]) == 2 ** n for n in range(1, depth + 1))
+    f1_ok = all(e1[n].startswith(t1[n]) and t1[n + 1].startswith(e1[n])
+                for n in range(1, depth + 1))
+    return f0_ok, f1_ok
+
+
+def _induction(m, theta_n, sub):
+    """The f0_orbit and f1_common_fixed_point verdicts of the induction."""
+    rep = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
+    return tuple(e.passed for e in rep.entries)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_fixed_point_induction_and_iterates_pass_on_eta(m):
+    level = eta_system(m)
+    assert _induction(m, level.nblock, level.eta) == (True, True)
+    assert _iterated_fixed_point(level.nblock, level.eta) == (True, True)
+
+
+def test_fixed_point_induction_and_iterates_pass_on_zeta5():
+    t5 = eta_system(2).nblock
+    assert _induction(2, t5, zeta5_fixture()) == (True, True)
+    assert _iterated_fixed_point(t5, zeta5_fixture()) == (True, True)
+
+
+@st.composite
+def _mutated_etas(draw):
+    """(m, θ_N, η') for m = 2 or 3. Each distinct θ_N image pair (a, b) has
+    its four letters θ_N(a)θ_N(b) split anew between η'(a) and η'(b), which
+    keeps every pair image; then, sometimes, one image is drawn at random."""
+    m = draw(st.sampled_from((2, 3)))
+    level = eta_system(m)
+    theta_n = level.nblock
+    k = theta_n.size
+    images = list(level.eta.images)
+    for a, b in sorted(set(theta_n.images)):
+        word = theta_n.images[a] + theta_n.images[b]
+        cut = draw(st.integers(1, 3))
+        images[a], images[b] = word[:cut], word[cut:]
+    if draw(st.booleans()):
+        letter = draw(st.integers(0, k - 1))
+        images[letter] = tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
+    return m, theta_n, Substitution(theta_n.alphabet, tuple(images))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_etas())
+def test_fixed_point_induction_implies_the_iterated_check(case):
+    # only this direction holds in general: the iterates can agree up to any
+    # depth with a pair image that differs outside them
+    m, theta_n, sub = case
+    proved = _induction(m, theta_n, sub)
+    iterated = _iterated_fixed_point(theta_n, sub)
+    for entry_proved, entry_iterated in zip(proved, iterated):
+        assert entry_iterated or not entry_proved
+
+
+def test_fixed_point_fails_with_its_pairs_premise():
+    # the image of letter 1 cut to one letter breaks the one image pair
+    # that holds letter 1, and neither base case
+    level = eta_system(3)
+    theta_n, eta = level.nblock, level.eta
+    shorter = _with_images(eta, {1: eta.images[1][:1]})
+    pairs = verify_pair_images(3, theta_n, shorter)
+    assert not pairs.ok
+    rep = verify_fixed_point(3, theta_n, shorter, pairs)
+    assert [(e.claim, e.passed, e.detail) for e in rep.entries] == [
+        ("fixedpoint.f0_orbit", False, "premise pairs failed"),
+        ("fixedpoint.f1_common_fixed_point", False, "premise pairs failed")]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_fixed_point_base_cases_fail_alone(m):
+    # a wrong letter after η(f1), or η(f0) reversed: each breaks its pairs
+    # image too, so the base case is checked here under the premise of the
+    # true η, where it alone decides
+    level = eta_system(m)
+    theta_n, eta = level.nblock, level.eta
+    f0, f1 = fixed_letters(eta.size)
+    assert level.pairs.ok
+    after = nth_image(theta_n, f1, 2)[len(eta.images[f1])]
+    wrong = (ord(after) + 1) % eta.size
+    for letter, image, failed in ((f1, eta.images[f1] + (wrong,), "f1_common_fixed_point"),
+                                  (f0, eta.images[f0][::-1], "f0_orbit")):
+        sub = _with_images(eta, {letter: image})
+        assert not verify_pair_images(m, theta_n, sub).ok
+        rep = verify_fixed_point(m, theta_n, sub, level.pairs)
+        assert [e.claim for e in rep.entries if not e.passed] == [f"fixedpoint.{failed}"]
 
 
 def test_initials_maps():
@@ -178,8 +273,8 @@ def _primitivity_argument(m, theta_n, eta):
 def test_primitivity_argument(m):
     sys_m = eta_system(m)
     rep = _primitivity_argument(m, sys_m.nblock, sys_m.eta)
-    assert rep.ok, [e.claim for e in rep if not e.passed]
-    assert [e.claim.split(".", 1)[1] for e in rep] == [
+    assert rep.ok, [e.claim for e in rep.entries if not e.passed]
+    assert [e.claim.split(".", 1)[1] for e in rep.entries] == [
         "phi_reaches", "psi_reaches", "psi_phi_q2_q3", "psi_q4_increasing",
         "psi_q1_to_q4", "matrix", "forward"]
 
@@ -217,9 +312,7 @@ def test_growth_identity_matrix_vs_iteration():
     for m in (2, 3):
         eta = eta_system(m).eta
         f0, _ = fixed_letters(eta.size)
-        lengths = eta.image_length_sequence(f0, 12)
-        assert lengths == [2 ** n for n in range(1, 13)]
-        # independent route: dense integer matrix powers
+        # 1^T M^n at the f0 column from dense integer matrix powers
         counts = dense(eta)
         mn = np.eye(eta.size, dtype=np.int64)
         for n in range(1, 13):
@@ -240,28 +333,31 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         assert pairs == set(sub.images)
 
 
-def _theorem(m, theta_n, sub, n_max):
+def _theorem(m, theta_n, sub):
     """theorem_report on ``sub`` in the place of η, with its own primitivity
     verdict and fixed-point report against ``theta_n``."""
-    fixed_point = verify_fixed_point(m, theta_n, sub, n_max)
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point, n_max)
+    fixed_point = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
+    return theorem_report(m, sub, sub.is_primitive(), fixed_point)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_verify_theorem(m):
     sys_m = eta_system(m)
-    rep = _theorem(m, sys_m.nblock, sys_m.eta, n_max=12)
-    assert rep.ok, [e.claim for e in rep if not e.passed]
-    assert [e.detail for e in rep if e.claim == "theorem.pf_eigenvalue"] == ["PF in [2, 2]"]
+    rep = _theorem(m, sys_m.nblock, sys_m.eta)
+    assert rep.ok, [e.claim for e in rep.entries if not e.passed]
+    assert [e.detail for e in rep.entries if e.claim == "theorem.pf_eigenvalue"] == ["PF in [2, 2]"]
 
 
 def test_zeta5_through_theorem_aggregator():
     sys2 = eta_system(2)
-    rep = _theorem(2, sys2.nblock, zeta5_fixture(), n_max=12)
-    outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep}
+    rep = _theorem(2, sys2.nblock, zeta5_fixture())
+    outcomes = {e.claim.split(".", 1)[1]: e.passed for e in rep.entries}
     assert outcomes == {"injective": True, "primitive": False,
-                        "pf_eigenvalue": True, "lengths_matrix": True,
-                        "lengths_direct": True, "fixed_point": True}
+                        "pf_eigenvalue": True, "fixed_point": True}
+    # the passing fixed_point entry covers length doubling from f0
+    f0, _ = fixed_letters(12)
+    lengths = [len(w) for w in islice(zeta5_fixture().iterates(f0), 1, 13)]
+    assert lengths == [2 ** n for n in range(1, 13)]
 
 
 def test_pf_eigenvalue_needs_exactly_two():
@@ -272,9 +368,8 @@ def test_pf_eigenvalue_needs_exactly_two():
     assert probe.is_primitive()
     lo, hi = pf_bracket(probe)
     assert lo < 2 < hi and hi - lo <= 1e-9
-    rep = theorem_report(2, probe, probe.is_primitive(), ReportBuilder(2, "fixedpoint").build(),
-                         n_max=4)
-    assert [(e.passed, e.detail) for e in rep if e.claim == "theorem.pf_eigenvalue"] == [
+    rep = theorem_report(2, probe, probe.is_primitive(), ReportBuilder(2, "fixedpoint").build())
+    assert [(e.passed, e.detail) for e in rep.entries if e.claim == "theorem.pf_eigenvalue"] == [
         (False, f"PF in [{lo}, {hi}]")]
 
 
@@ -342,7 +437,7 @@ def test_psi_reaches_matches_step_by_step_walks(graph):
     sub = Substitution(Alphabet(tuple(map(str, range(k)))), tuple((a,) for a in psi))
     rep = verify_primitivity_argument(2, sub, sub, False)
     bad = sorted(rank[i] + 1 for i in range(k) if _first_hit_walk(chain, i, targets, k) < 0)
-    assert [(e.passed, e.detail) for e in rep if e.claim == "primitivity.psi_reaches"] == [
+    assert [(e.passed, e.detail) for e in rep.entries if e.claim == "primitivity.psi_reaches"] == [
         (not bad, "every letter reaches f0 or f1" if not bad else f"failures at w_{bad[:5]}")]
 
 
@@ -368,7 +463,7 @@ def _reachability_reference(theta_n, eta):
 def test_primitivity_argument_on_zeta5_matches_the_reference_walks():
     t5 = eta_system(2).nblock
     rep = _primitivity_argument(2, t5, zeta5_fixture())
-    entries = {e.claim.split(".", 1)[1]: (e.passed, e.detail) for e in rep}
+    entries = {e.claim.split(".", 1)[1]: (e.passed, e.detail) for e in rep.entries}
     assert [entries["phi_reaches"], entries["psi_reaches"]] == _reachability_reference(
         t5, zeta5_fixture())
     # the trapped pair {w3, w11} never reaches f0 or f1
@@ -385,7 +480,7 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     images[f0] = (f0,)
     probe = Substitution(sys2.eta.alphabet, tuple(images))
     rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
-    assert [e.claim for e in rep if not e.passed][-1] == "primitivity.forward"
+    assert [e.claim for e in rep.entries if not e.passed][-1] == "primitivity.forward"
 
 
 def test_forward_reachability_has_no_length_cap():
@@ -398,4 +493,4 @@ def test_forward_reachability_has_no_length_cap():
     images[f0] += (f0,) * (64 * k)
     probe = Substitution(sys2.eta.alphabet, tuple(images))
     rep = verify_primitivity_argument(2, sys2.nblock, probe, probe.is_primitive())
-    assert [e.passed for e in rep if e.claim == "primitivity.forward"] == [True]
+    assert [e.passed for e in rep.entries if e.claim == "primitivity.forward"] == [True]

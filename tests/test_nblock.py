@@ -63,7 +63,7 @@ def test_verify_block_formula():
         fs = enumerate_by_scan(m)
         rep = verify_block_formula(fs, thue_morse_block_system(fs))
         assert rep.ok
-        assert {e.claim for e in rep} == {"nblock.alphabet", "nblock.images",
+        assert {e.claim for e in rep.entries} == {"nblock.alphabet", "nblock.images",
                                           "nblock.first_range", "nblock.f0_image"}
 
 
@@ -73,9 +73,9 @@ def test_verify_block_formula_fails_on_a_wrong_size_or_image():
     images = list(theta5.images)
     images[0] = images[2]
     rep = verify_block_formula(fs, Substitution(theta5.alphabet, tuple(images)))
-    assert [e.claim for e in rep if not e.passed] == ["nblock.images", "nblock.first_range"]
+    assert [e.claim for e in rep.entries if not e.passed] == ["nblock.images", "nblock.first_range"]
     rep = verify_block_formula(fs, _theta_n(3))
-    assert not next(e for e in rep if e.claim == "nblock.alphabet").passed
+    assert not next(e for e in rep.entries if e.claim == "nblock.alphabet").passed
 
 
 def test_closure_violation_is_an_error():

@@ -148,10 +148,6 @@ def test_length_growth_check():
     assert [len(w) for w in islice(s.iterates(0), 1, 4)] != [2, 4, 8]
 
 
-def test_image_length_sequence_matches_direct_iteration():
-    assert theta().image_length_sequence(0, 10) == [2 ** n for n in range(1, 11)]
-
-
 def test_json_round_trip():
     t = theta()
     again = Substitution.from_json(t.to_json())
@@ -538,14 +534,6 @@ def test_pf_eigenvalue_on_a_closed_letter_that_outgrows_the_rest():
     sub = _numbered([[0, 1], [1, 0], [2, 2, 2]])
     assert pf_bracket(sub) == (3, 3)
     assert pf_eigenvalue(sub) == 3.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(_SUBSTITUTIONS, st.data())
-def test_image_length_sequence_matches_iteration(sub, data):
-    letter = data.draw(st.integers(0, sub.size - 1))
-    lengths = sub.image_length_sequence(letter, 6)
-    assert lengths == [len(w) for w in islice(sub.iterates(letter), 1, 7)]
 
 
 # ---- the codepoint-text word layer against tuple-by-tuple references

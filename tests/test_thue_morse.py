@@ -219,7 +219,7 @@ def test_verify_quarter_minima():
     for m in (2, 3, 4):
         rep = verify_quarter_minima(enumerate_by_scan(m))
         assert rep.ok
-        assert [e.claim for e in rep] == ["qandf.q1", "qandf.q2", "qandf.q3", "qandf.q4"]
+        assert [e.claim for e in rep.entries] == ["qandf.q1", "qandf.q2", "qandf.q3", "qandf.q4"]
 
 
 def test_verify_quarter_descendants_with_golden_cross_check():
@@ -266,7 +266,7 @@ def test_theta_windows_match_per_factor_descendants(m):
 
 
 def _entries(rep):
-    return [(e.claim, e.passed, e.detail) for e in rep]
+    return [(e.claim, e.passed, e.detail) for e in rep.entries]
 
 
 def _quarter_descendants_reference(fs, fs_next):
