@@ -22,8 +22,7 @@ _MODULE_OF = {
          "second_image_index", "thue_morse_block_system", "verify_block_formula"),
         "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
-    **dict.fromkeys(
-        ("Alphabet", "Substitution", "pf_eigenvalue"), "substitution"),
+    **dict.fromkeys(("Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
         ("FactorSet", "apply_theta", "descendants", "enumerate_by_descendants",
          "enumerate_by_scan", "theta", "thue_morse_prefix", "verify_prefix_pairs",

@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theta = build_kind.add_parser("theta", help="the N-block substitution")
     p_theta.add_argument("--m", type=int, required=True)
     mode = p_theta.add_mutually_exclusive_group()
-    mode.add_argument("--windows", action="store_true")
     mode.add_argument("--explicit", action="store_true")
     mode.add_argument("--both", action="store_true")
     p_theta.add_argument("--format", choices=("text", "json", "dot"), default="text")
@@ -174,7 +173,7 @@ def _cmd_build_theta(args: argparse.Namespace) -> int:
     n = 2 ** args.m + 1
     fs = enumerate_by_scan(args.m)
     if args.both:
-        # both are built on fs.alphabet(), so only the images can differ
+        # both label their letters with fs.label, so only the images can differ
         sub = thue_morse_block_system(fs)
         if sub.images != formula_block_substitution(fs).images:
             print("error: window construction and closed form disagree", file=sys.stderr)

@@ -34,7 +34,7 @@ def build_eta(m: int, theta_n: Substitution) -> Substitution:
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     k = theta_n.size
-    if theta_n.alphabet.label(fixed_letters(k)[0]) != str(thue_morse_prefix(0, 2 ** m + 1)):
+    if theta_n.label(fixed_letters(k)[0]) != str(thue_morse_prefix(0, 2 ** m + 1)):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []
     for idx0 in range(k):
@@ -53,7 +53,7 @@ def build_eta(m: int, theta_n: Substitution) -> Substitution:
             images.append(pair + (partner[0],))
         else:
             images.append((partner[1],) + pair)
-    return Substitution(theta_n.alphabet, tuple(images))
+    return Substitution(tuple(images), theta_n.label)
 
 
 # The m=2 negative example: an injective redistribution that keeps the odd
@@ -67,7 +67,7 @@ _ZETA5_IMAGES = (
 
 def zeta5_fixture() -> Substitution:
     """The injective but non-primitive redistribution on the m=2 alphabet."""
-    return Substitution(enumerate_by_scan(2).alphabet(), _ZETA5_IMAGES)
+    return Substitution(_ZETA5_IMAGES, enumerate_by_scan(2).label)
 
 
 def initials_map(s: Substitution) -> tuple[int, ...]:

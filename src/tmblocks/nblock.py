@@ -57,14 +57,14 @@ def thue_morse_block_system(fs: FactorSet) -> Substitution:
                 f"window {BinaryWord(n, window)} of the image of block {fs.label(j)} is not "
                 f"a factor (closure violation)")
         images.append(image)
-    return Substitution(fs.alphabet(), tuple(images))
+    return Substitution(tuple(images), fs.label)
 
 
 def formula_block_substitution(fs: FactorSet) -> Substitution:
     """The width-(2^m+1) Thue-Morse block substitution on the factors ``fs``
     of level m, assembled directly from the closed-form index map, without
     applying the base at all."""
-    return Substitution(fs.alphabet(), _formula_images(fs.m))
+    return Substitution(_formula_images(fs.m), fs.label)
 
 
 def _formula_images(m: int) -> tuple[Word, ...]:
@@ -85,8 +85,8 @@ def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationRe
     explicit = _formula_images(fs.m)
     k = fs.size
     rb = ReportBuilder(fs.m, "nblock")
-    # theta_n is built on the letters of fs, so its alphabet is fs's own: the
-    # check is on the size, and comparing labels would compare fs with itself
+    # theta_n labels its letters with fs.label, so the check is on the size:
+    # comparing labels would compare fs with itself
     rb.check("alphabet", theta_n.size == k, f"{theta_n.size} blocks vs {k} factors")
     rb.check("images", theta_n.images == explicit,
              f"all {k} two-letter images agree")

@@ -1,8 +1,9 @@
 """General substitutions on a finite ordered alphabet.
 
-Letters are opaque indices 0..k-1; display labels (e.g. the underlying
-binary words of a block alphabet) live on the Alphabet. Images may have
-different lengths, so non-constant-length substitutions are first-class.
+Letters are opaque indices 0..k-1; beside its images a substitution holds
+``label``, a function from a letter to its display label (e.g. the binary
+word a block letter stands for). Images may have different lengths, so
+non-constant-length substitutions are first-class.
 Words over the alphabet are codepoint text, letter a as ``chr(a)``, so that
 applying a substitution is one ``str.translate`` and windows and prefixes
 are C-level slices. The images themselves are tuples of letter indices.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 
@@ -28,81 +28,28 @@ from collections.abc import Callable, Iterator, Sequence
 Word = tuple[int, ...]
 
 
-class Alphabet:
-    """Ordered finite alphabet; position in ``labels`` is the letter index.
-
-    ``Alphabet(labels)`` holds the labels and checks that they are distinct.
-    ``Alphabet.distinct(size, label)`` holds only the function ``label`` from
-    letter to label, for large alphabets whose labels are distinct by
-    construction (block alphabets: k labels of N letters each). Either way
-    ``label(a)`` and ``iter_labels()`` give one label at a time, and
-    ``labels`` builds the whole tuple on each access.
-    """
-
-    __slots__ = ("size", "label")
-
-    def __init__(self, labels: Sequence[str]) -> None:
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("alphabet must contain at least one letter")
-        if len(set(labels)) != len(labels):
-            raise ValueError("alphabet labels must be distinct")
-        self.size = len(labels)
-        self.label: Callable[[int], str] = labels.__getitem__
-
-    @classmethod
-    def distinct(cls, size: int, label: Callable[[int], str]) -> "Alphabet":
-        """The alphabet whose letter a has label ``label(a)``; the caller
-        guarantees that the labels are distinct, so they are not checked."""
-        if size < 1:
-            raise ValueError("alphabet must contain at least one letter")
-        alphabet = cls.__new__(cls)
-        alphabet.size = size
-        alphabet.label = label
-        return alphabet
-
-    def iter_labels(self) -> Iterator[str]:
-        return map(self.label, range(self.size))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.iter_labels())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Alphabet):
-            return NotImplemented
-        return self is other or (self.size == other.size and all(
-            map(operator.eq, self.iter_labels(), other.iter_labels())))
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({self.labels!r})"
-
-
 class Substitution:
-    """The images of the letters of ``alphabet``, one tuple of letter
-    indices each; immutable, and equal to another substitution with the
-    same alphabet and images."""
+    """The images of the letters 0..k-1, one tuple of letter indices each,
+    and ``label``, the function from a letter to its display label;
+    immutable."""
 
-    __slots__ = ("alphabet", "images", "_table")
+    __slots__ = ("images", "label", "_table")
 
-    alphabet: Alphabet
     images: tuple[Word, ...]
+    label: Callable[[int], str]
 
-    def __init__(self, alphabet: Alphabet, images: tuple[Word, ...]) -> None:
-        k = alphabet.size
-        if len(images) != k:
-            raise ValueError(f"expected {k} images, got {len(images)}")
+    def __init__(self, images: tuple[Word, ...], label: Callable[[int], str]) -> None:
+        k = len(images)
+        if not k:
+            raise ValueError("alphabet must contain at least one letter")
         for b, img in enumerate(images):
             if not img:
                 raise ValueError(f"image of letter {b} is empty")
             for a in img:
                 if not 0 <= a < k:
                     raise ValueError(f"image of letter {b} uses unknown letter {a}")
-        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,20 +57,9 @@ class Substitution:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.images))
-
-    def __repr__(self) -> str:
-        return f"Substitution(alphabet={self.alphabet!r}, images={self.images!r})"
-
     @property
     def size(self) -> int:
-        return self.alphabet.size
+        return len(self.images)
 
     def _text_table(self) -> tuple[str, ...]:
         """``str.translate`` table: entry a is the image of letter a as
@@ -194,7 +130,7 @@ class Substitution:
         block alphabet is written without a copy of all its labels. A list
         of ints prints as its JSON."""
         yield '{"alphabet": ['
-        for a, label in enumerate(self.alphabet.iter_labels()):
+        for a, label in enumerate(map(self.label, range(self.size))):
             yield f", {json.dumps(label)}" if a else json.dumps(label)
         yield '], "images": ['
         for b, img in enumerate(self.images):
@@ -216,14 +152,18 @@ class Substitution:
                 # bool is a subclass of int, but true/false are not letters
                 if not isinstance(a, int) or isinstance(a, bool):
                     raise ValueError(f"image of letter {b} has non-integer letter {a!r}")
-        return cls(Alphabet(tuple(str(x) for x in alphabet)),
-                   tuple(tuple(img) for img in images))
+        labels = tuple(map(str, alphabet))
+        if len(set(labels)) != len(labels):
+            raise ValueError("alphabet labels must be distinct")
+        if len(labels) != len(images):
+            raise ValueError(f"expected {len(labels)} images, got {len(images)}")
+        return cls(tuple(map(tuple, images)), labels.__getitem__)
 
     def iter_dot(self, name: str = "substitution") -> Iterator[str]:
         """Graphviz digraph, one line at a time: node per letter, edge b->a
         labeled with the number of occurrences of a in the image of b."""
         yield f"digraph {name} {{\n"
-        for i, label in enumerate(self.alphabet.iter_labels()):
+        for i, label in enumerate(map(self.label, range(self.size))):
             yield f'  w{i + 1} [label="w{i + 1}:{label}"];\n'
         for b, img in enumerate(self.images):
             for a, count in sorted(Counter(img).items()):

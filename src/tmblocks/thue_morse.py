@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .report import ReportBuilder, VerificationReport
-from .substitution import Alphabet, Substitution
+from .substitution import Substitution
 from .words import BinaryWord, word
 
 MAX_M = 12
@@ -48,7 +48,7 @@ _THETA_LOW = bytes(_theta_nibble(b & 15) for b in range(256))
 
 def theta() -> Substitution:
     """The Thue-Morse substitution 0 -> 01, 1 -> 10 on the binary alphabet."""
-    return Substitution(Alphabet(("0", "1")), ((0, 1), (1, 0)))
+    return Substitution(((0, 1), (1, 0)), "01".__getitem__)
 
 
 def apply_theta(w: BinaryWord) -> BinaryWord:
@@ -92,42 +92,23 @@ def descendants(w: BinaryWord) -> tuple[BinaryWord, BinaryWord]:
 
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
-    windows of one Thue-Morse prefix; equal to another factor set with the
-    same m, prefix and offsets.
+    windows of one Thue-Morse prefix, as ``enumerate_by_scan`` reads them.
 
     ``prefix`` is a prefix P of the fixed point in which every factor
     occurs. For the factor w_{i+1}, ``offsets[i]`` is the start of one of
-    its occurrences in P, and ``bits[i]``, read off P at construction, is
-    the int of its bits (so ``bits`` is strictly increasing). No factor is
+    its occurrences in P, and ``bits[i]`` is the int of its bits, the
+    window of P there (so ``bits`` is strictly increasing). No factor is
     held as a word of its own: its label is a slice of P's text, and its θ
     image and descendants are windows of θ(P) at twice its offset
     (``theta_windows``).
     """
 
-    def __init__(self, m: int, prefix: BinaryWord, offsets: tuple[int, ...]) -> None:
+    def __init__(self, m: int, prefix: BinaryWord, offsets: tuple[int, ...],
+                 bits: tuple[int, ...]) -> None:
         self.m = m
         self.prefix = prefix
         self.offsets = offsets
-        n = self.word_length
-        k = 3 * 2 ** m
-        if len(offsets) != k:
-            raise ValueError(f"expected {k} offsets for m={m}, got {len(offsets)}")
-        if min(offsets) < 0 or max(offsets) > prefix.length - n:
-            raise ValueError(
-                f"an offset is out of range for a prefix of length {prefix.length}")
-        bits = tuple(_read_windows(prefix, n, offsets))
-        # equal lengths: integer order of the bits is lexicographic order
-        if any(a >= b for a, b in zip(bits, bits[1:])):
-            raise ValueError("factors must be strictly increasing")
         self.bits = bits
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.prefix, self.offsets) == (other.m, other.prefix, other.offsets)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.prefix, self.offsets))
 
     @property
     def word_length(self) -> int:
@@ -165,10 +146,6 @@ class FactorSet:
         """The factor w_{i+1} as 0/1 text: a slice of the prefix text."""
         start = self.offsets[i]
         return self._text[start:start + self.word_length]
-
-    def alphabet(self) -> Alphabet:
-        """The words as labels; they are strictly increasing, hence distinct."""
-        return Alphabet.distinct(self.size, self.label)
 
     def theta_windows(self, width: int) -> Iterator[tuple[int, int]]:
         """For each factor, in order, the width-``width`` windows of θ(P) at
@@ -213,12 +190,16 @@ def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]
 def enumerate_by_scan(m: int) -> FactorSet:
     """Read the width-N windows at offsets 0 .. 3·2^m - 1 of the fixed-point
     prefix P = θ^(m+2)(0) of 4·2^m letters. They are the 3·2^m factors, one
-    offset each, and θ(P) is the prefix that level m + 1 reads; a repeated
-    window raises ``RuntimeError``."""
+    offset each, and θ(P) is the prefix that level m + 1 reads."""
     _check_m(m)
+    return _scan(m, thue_morse_prefix(0, 2 ** (m + 2)))
+
+
+def _scan(m: int, prefix: BinaryWord) -> FactorSet:
+    """The width-(2^m + 1) windows at offsets 0 .. 3·2^m - 1 of ``prefix``,
+    sorted, as a factor set; a repeated window raises ``RuntimeError``."""
     n = 2 ** m + 1
     target = 3 * 2 ** m
-    prefix = thue_morse_prefix(0, 2 ** (m + 2))
     windows = list(_read_windows(prefix, n, range(target)))
     found = len(set(windows))
     if found != target:
@@ -226,8 +207,7 @@ def enumerate_by_scan(m: int) -> FactorSet:
             f"found {found} distinct factors of length {n}, expected {target}")
     # equal lengths: integer order is lexicographic order
     offsets = tuple(sorted(range(target), key=windows.__getitem__))
-    del windows  # FactorSet reads the bits back off the prefix
-    return FactorSet(m, prefix, offsets)
+    return FactorSet(m, prefix, offsets, tuple(map(windows.__getitem__, offsets)))
 
 
 def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:

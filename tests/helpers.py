@@ -1,13 +1,14 @@
 """Test-side views of a substitution: its dense incidence matrix, the
-substitution of a dense matrix, and the n-th image of one letter; and of a
-factor set: its words, and a factor set read off a corrupted prefix."""
+substitution of a dense matrix, its labels, and the n-th image of one letter;
+and of a factor set: its words, and a factor set read off a corrupted
+prefix."""
 
 from itertools import islice
 
 import numpy as np
 
-from tmblocks.substitution import Alphabet, Substitution
-from tmblocks.thue_morse import FactorSet
+from tmblocks.substitution import Substitution
+from tmblocks.thue_morse import FactorSet, _scan
 from tmblocks.words import BinaryWord, word
 
 
@@ -27,7 +28,12 @@ def from_dense(counts) -> Substitution:
     k = len(counts)
     images = tuple(tuple(a for a in range(k) for _ in range(int(counts[a][b])))
                    for b in range(k))
-    return Substitution(Alphabet(tuple(map(str, range(k)))), images)
+    return Substitution(images, str)
+
+
+def labels(sub: Substitution) -> tuple[str, ...]:
+    """The labels of the letters of ``sub``, in order."""
+    return tuple(map(sub.label, range(sub.size)))
 
 
 def nth_image(sub: Substitution, letter: int, n: int) -> str:
@@ -46,14 +52,16 @@ def factor_labels(fs: FactorSet) -> list[str]:
 
 
 def off_prefix(fs: FactorSet) -> FactorSet:
-    """A factor set like ``fs`` but read off its prefix with one letter
-    flipped: the windows at the same offsets, sorted, for the first letter
-    whose flip changes them and keeps them distinct. The prefix is then no
-    Thue-Morse prefix, and the set is not the factor set."""
-    n, text = fs.word_length, str(fs.prefix)
+    """A factor set like ``fs`` but scanned off its prefix with one letter
+    flipped, for the first letter whose flip changes the windows and keeps
+    them distinct. The prefix is then no Thue-Morse prefix, and the set is
+    not the factor set."""
+    text = str(fs.prefix)
     for j, letter in enumerate(text):
-        flipped = text[:j] + "10"[int(letter)] + text[j + 1:]
-        windows = {int(flipped[p:p + n], 2): p for p in fs.offsets}
-        if len(windows) == fs.size and windows.keys() != set(fs.bits):
-            return FactorSet(fs.m, word(flipped), tuple(map(windows.__getitem__, sorted(windows))))
+        try:
+            broken = _scan(fs.m, word(text[:j] + "10"[int(letter)] + text[j + 1:]))
+        except RuntimeError:  # the flip repeats a window
+            continue
+        if broken.bits != fs.bits:
+            return broken
     raise AssertionError("no single flip keeps the windows distinct")

@@ -288,6 +288,15 @@ def test_verify_has_no_tolerance_or_depth_option(option):
     assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr
 
 
+def test_build_theta_has_no_windows_option():
+    # the window construction is the default, so there is nothing to select
+    result = subprocess.run([sys.executable, "-m", "tmblocks", "build", "theta", "--m", "3",
+                             "--windows"],
+                            env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--m", str(MAX_M), "--claims", "quarters"],
     ["verify", "--m", f"{MAX_M - 1}..{MAX_M}", "--claims", "qandf,firsthalf"],
@@ -365,6 +374,10 @@ def test_eigen_error_paths(capsys, tmp_path):
     '{"alphabet": ["a"], "images": 5}',
     '{"alphabet": "ab", "images": [[0], [1]]}',
     '{"alphabet": ["a"], "images": [0]}',
+    '{"alphabet": ["a", "a"], "images": [[0], [1]]}',
+    '{"alphabet": [1, "1"], "images": [[0], [1]]}',
+    '{"alphabet": ["a", "b"], "images": [[0]]}',
+    '{"alphabet": [], "images": []}',
     "[" * 100_000,
 ])
 def test_eigen_rejects_malformed_substitution(capsys, tmp_path, payload):

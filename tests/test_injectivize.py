@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, factor_labels, nth_image
+from helpers import dense, factor_labels, labels, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
                                   verify_primitivity_argument, zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
 from tmblocks.report import ReportBuilder
-from tmblocks.substitution import Alphabet, Substitution, pf_bracket, pf_eigenvalue
+from tmblocks.substitution import Substitution, pf_bracket, pf_eigenvalue
 from tmblocks.thue_morse import enumerate_by_scan
 
 ETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5,), (5, 11),
@@ -24,7 +24,7 @@ ZETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5, 11, 8), (5, 11),
 def test_build_eta_m2_golden():
     sys2 = eta_system(2)
     assert sys2.eta.images == ETA5_IMAGES
-    assert sys2.eta.alphabet.labels == tuple(factor_labels(enumerate_by_scan(2)))
+    assert labels(sys2.eta) == tuple(factor_labels(enumerate_by_scan(2)))
     assert fixed_letters(sys2.eta.size) == (5, 6)
     with pytest.raises(ValueError):
         build_eta(1, thue_morse_block_system(enumerate_by_scan(1)))
@@ -81,7 +81,8 @@ def test_eta_is_injective(m):
 
 def test_eta_system_keeps_theta_n():
     for m in (2, 3, 4):
-        assert eta_system(m).nblock == thue_morse_block_system(enumerate_by_scan(m))
+        kept, built = eta_system(m).nblock, thue_morse_block_system(enumerate_by_scan(m))
+        assert kept.images == built.images and labels(kept) == labels(built)
 
 
 def test_pair_images_golden_and_verifier():
@@ -106,7 +107,7 @@ def _with_images(sub, changes):
     images = list(sub.images)
     for letter, image in changes.items():
         images[letter] = image
-    return Substitution(sub.alphabet, tuple(images))
+    return Substitution(tuple(images), sub.label)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -131,9 +132,8 @@ def test_pair_images_name_the_pairs_that_differ(m):
 def test_pair_images_are_compared_pair_by_pair():
     # θ: 0 -> 01, 1 -> 20, 2 -> 12 and η: 0 -> 012, 1 -> 0, 2 -> 12 agree on
     # the concatenation 012012 of the pairs 01, 20, 12, but not on 20 or 12
-    alphabet = Alphabet(("a", "b", "c"))
-    theta_n = Substitution(alphabet, ((0, 1), (2, 0), (1, 2)))
-    eta = Substitution(alphabet, ((0, 1, 2), (0,), (1, 2)))
+    theta_n = Substitution(((0, 1), (2, 0), (1, 2)), "abc".__getitem__)
+    eta = Substitution(((0, 1, 2), (0,), (1, 2)), "abc".__getitem__)
     assert eta.apply("\0\1\2\0\1\2") == theta_n.apply("\0\1\2\0\1\2")
     assert _pair_mismatches(theta_n, eta) == [2, 3]
     rep = verify_pair_images(2, theta_n, eta)
@@ -203,7 +203,7 @@ def _mutated_etas(draw):
     if draw(st.booleans()):
         letter = draw(st.integers(0, k - 1))
         images[letter] = tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
-    return m, theta_n, Substitution(theta_n.alphabet, tuple(images))
+    return m, theta_n, Substitution(tuple(images), theta_n.label)
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,7 +364,7 @@ def test_pf_eigenvalue_needs_exactly_two():
     # primitive with ρ = 2 (x^3 - 2x^2 + x - 2 = (x - 2)(x^2 + 1)), but
     # the row and column sums are not constant, so the bracket comes from
     # the iterate and holds 2 only up to its width
-    probe = Substitution(Alphabet(("a", "b", "c")), ((0, 1, 1), (1, 2), (0,)))
+    probe = Substitution(((0, 1, 1), (1, 2), (0,)), "abc".__getitem__)
     assert probe.is_primitive()
     lo, hi = pf_bracket(probe)
     assert lo < 2 < hi and hi - lo <= 1e-9
@@ -434,7 +434,7 @@ def test_psi_reaches_matches_step_by_step_walks(graph):
     assume(len(targets) == 2)
     k = len(chain)
     psi, rank = _relabelled(chain, targets)
-    sub = Substitution(Alphabet(tuple(map(str, range(k)))), tuple((a,) for a in psi))
+    sub = Substitution(tuple((a,) for a in psi), str)
     rep = verify_primitivity_argument(2, sub, sub, False)
     bad = sorted(rank[i] + 1 for i in range(k) if _first_hit_walk(chain, i, targets, k) < 0)
     assert [(e.passed, e.detail) for e in rep.entries if e.claim == "primitivity.psi_reaches"] == [
@@ -478,7 +478,7 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     f0, _ = fixed_letters(sys2.eta.size)
     images = list(sys2.eta.images)
     images[f0] = (f0,)
-    probe = Substitution(sys2.eta.alphabet, tuple(images))
+    probe = Substitution(tuple(images), sys2.eta.label)
     rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
     assert [e.claim for e in rep.entries if not e.passed][-1] == "primitivity.forward"
 
@@ -491,6 +491,6 @@ def test_forward_reachability_has_no_length_cap():
     f0, _ = fixed_letters(k)
     images = list(sys2.eta.images)
     images[f0] += (f0,) * (64 * k)
-    probe = Substitution(sys2.eta.alphabet, tuple(images))
+    probe = Substitution(tuple(images), sys2.eta.label)
     rep = verify_primitivity_argument(2, sys2.nblock, probe, probe.is_primitive())
     assert [e.passed for e in rep.entries if e.claim == "primitivity.forward"] == [True]

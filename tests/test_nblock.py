@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import factor_words, nth_image, off_prefix
+from helpers import factor_words, labels, nth_image, off_prefix
 from tmblocks.nblock import (first_image_index, formula_block_substitution, half_shift,
                              second_image_index, thue_morse_block_system,
                              verify_block_formula)
@@ -40,20 +40,21 @@ def _theta_n(m):
 
 def test_build_width_3_table():
     theta3 = _theta_n(1)
-    assert theta3.alphabet.labels == ("001", "010", "011", "100", "101", "110")
+    assert labels(theta3) == ("001", "010", "011", "100", "101", "110")
     assert theta3.images == THETA3_IMAGES
 
 
 def test_build_width_5_table():
     theta5 = _theta_n(2)
-    assert theta5.alphabet.labels == tuple(map(str, enumerate_by_descendants(2)))
+    assert labels(theta5) == tuple(map(str, enumerate_by_descendants(2)))
     assert theta5.images == THETA5_IMAGES
 
 
 def test_formula_matches_windows():
     for m in (2, 3, 4):
         fs = enumerate_by_scan(m)
-        assert formula_block_substitution(fs) == thue_morse_block_system(fs)
+        formula, windows = formula_block_substitution(fs), thue_morse_block_system(fs)
+        assert formula.images == windows.images and labels(formula) == labels(windows)
     with pytest.raises(ValueError):
         formula_block_substitution(enumerate_by_scan(1))
 
@@ -72,7 +73,7 @@ def test_verify_block_formula_fails_on_a_wrong_size_or_image():
     theta5 = thue_morse_block_system(fs)
     images = list(theta5.images)
     images[0] = images[2]
-    rep = verify_block_formula(fs, Substitution(theta5.alphabet, tuple(images)))
+    rep = verify_block_formula(fs, Substitution(tuple(images), theta5.label))
     assert [e.claim for e in rep.entries if not e.passed] == ["nblock.images", "nblock.first_range"]
     rep = verify_block_formula(fs, _theta_n(3))
     assert not next(e for e in rep.entries if e.claim == "nblock.alphabet").passed
@@ -121,7 +122,7 @@ def test_first_letter_always_followed_by_its_half_shift():
         n = 2 ** m + 1
         sub = _theta_n(m)
         k = sub.size
-        position = {label: a for a, label in enumerate(sub.alphabet.iter_labels())}
+        position = {label: a for a, label in enumerate(labels(sub))}
         text = _parity_text(64 * n)
         letters = [position[text[i:i + n]] for i in range(len(text) - n + 1)]
         firsts_seen = set()
@@ -163,22 +164,22 @@ def _nblock_reference(base, block_len):
         if prev is not None and found == prev and len(w) > 2 * block_len:
             break
         prev = found
-    labels = base.alphabet.labels
-    blocks = sorted(found, key=lambda f: tuple(labels[a] for a in f))
+    names = labels(base)
+    blocks = sorted(found, key=lambda f: tuple(names[a] for a in f))
     position = {b: i for i, b in enumerate(blocks)}
     L = len(base.images[0])  # the base has constant length
     images = []
     for b in blocks:
         v = _apply_tuple(base, b)
         images.append(tuple(position[v[off:off + block_len]] for off in range(L)))
-    return tuple("".join(labels[a] for a in b) for b in blocks), tuple(images)
+    return tuple("".join(names[a] for a in b) for b in blocks), tuple(images)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_theta_n_matches_the_per_letter_reference(m):
-    labels, images = _nblock_reference(theta(), 2 ** m + 1)
+    names, images = _nblock_reference(theta(), 2 ** m + 1)
     sub = _theta_n(m)
-    assert sub.alphabet.labels == labels
+    assert labels(sub) == names
     assert sub.images == images
 
 

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from helpers import factor_labels, factor_words, off_prefix
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (MAX_M, FactorSet, apply_theta, descendants,
-                                 enumerate_by_descendants, enumerate_by_scan,
-                                 theta,
-                                 thue_morse_prefix, verify_prefix_pairs,
+from tmblocks.thue_morse import (MAX_M, apply_theta, descendants, enumerate_by_descendants,
+                                 enumerate_by_scan, theta, thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
 from tmblocks.words import BinaryWord, word
 
@@ -78,6 +76,8 @@ def test_enumeration_methods_agree():
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
         assert factor_words(scan) == desc
+        # each factor's bits are the window of the prefix at its offset
+        assert factor_labels(scan) == list(map(str, desc))
         assert scan.size == 3 * 2 ** m
 
 
@@ -195,24 +195,6 @@ def test_quarters_need_m_at_least_2():
         fs.quarter_size
     with pytest.raises(ValueError):
         verify_quarter_minima(fs)
-
-
-def test_factor_set_validation():
-    fs = enumerate_by_scan(1)
-    prefix, offsets = fs.prefix, fs.offsets
-    assert FactorSet(1, prefix, offsets) == fs
-    # the bits are the windows of the prefix at the offsets
-    assert fs.bits == tuple(int(str(prefix)[p:p + 3], 2) for p in offsets)
-    with pytest.raises(ValueError, match="expected 6 offsets"):
-        FactorSet(1, prefix, offsets[:5])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        FactorSet(1, prefix, (offsets[1], offsets[0], *offsets[2:]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        FactorSet(1, prefix, (*offsets[:5], offsets[4]))
-    with pytest.raises(ValueError, match="offset is out of range"):
-        FactorSet(1, prefix, (*offsets[:5], prefix.length - 2))
-    with pytest.raises(ValueError, match="offset is out of range"):
-        FactorSet(1, prefix, (-1, *offsets[1:]))
 
 
 def test_verify_quarter_minima():
