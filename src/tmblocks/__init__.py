@@ -24,10 +24,9 @@ _MODULE_OF = {
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(("Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
-        ("FactorSet", "apply_theta", "descendants", "enumerate_by_descendants",
-         "enumerate_by_scan", "theta", "thue_morse_prefix", "verify_prefix_pairs",
-         "verify_quarter_descendants", "verify_quarter_minima"), "thue_morse"),
-    **dict.fromkeys(("BinaryWord", "word"), "words"),
+        ("FactorSet", "enumerate_by_descendants", "enumerate_by_scan", "thue_morse_prefix",
+         "verify_prefix_pairs", "verify_quarter_descendants", "verify_quarter_minima"),
+        "thue_morse"),
 }
 
 __all__ = sorted(_MODULE_OF)

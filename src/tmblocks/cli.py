@@ -134,13 +134,12 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         return 2
     if args.method == "descend":
         # the word-level oracle prints each word from its own bits
-        words = enumerate_by_descendants(args.m)
-        size, label = len(words), lambda i: str(words[i])
+        words, n = enumerate_by_descendants(args.m), 2 ** args.m + 1
+        size, label = len(words), lambda i: f"{words[i]:0{n}b}"
     else:
         # the oracle runs before the scan, so that its last two levels are
         # never held next to the scan's bits
-        oracle = (tuple(w.bits for w in enumerate_by_descendants(args.m))
-                  if args.method == "both" else None)
+        oracle = enumerate_by_descendants(args.m) if args.method == "both" else None
         fs = enumerate_by_scan(args.m)
         if oracle is not None and fs.bits != oracle:
             print("error: enumeration methods disagree", file=sys.stderr)

@@ -34,7 +34,7 @@ def build_eta(m: int, theta_n: Substitution) -> Substitution:
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     k = theta_n.size
-    if theta_n.label(fixed_letters(k)[0]) != str(thue_morse_prefix(0, 2 ** m + 1)):
+    if theta_n.label(fixed_letters(k)[0]) != thue_morse_prefix(0, 2 ** m + 1):
         raise RuntimeError("block alphabet does not place the f0 block at midpoint")
     images: list[Word] = []
     for idx0 in range(k):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from .report import ReportBuilder, VerificationReport
 from .substitution import Substitution, Word
 from .thue_morse import FactorSet, thue_morse_prefix
-from .words import BinaryWord
 
 
 def half_shift(i: int, size: int) -> int:
@@ -54,7 +53,7 @@ def thue_morse_block_system(fs: FactorSet) -> Substitution:
         if None in image:
             window = windows[image.index(None)]
             raise RuntimeError(
-                f"window {BinaryWord(n, window)} of the image of block {fs.label(j)} is not "
+                f"window {window:0{n}b} of the image of block {fs.label(j)} is not "
                 f"a factor (closure violation)")
         images.append(image)
     return Substitution(tuple(images), fs.label)
@@ -100,7 +99,7 @@ def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationRe
              "first letters fill Q2 and Q3 twice each")
 
     f0_idx = k // 2 - 1
-    f0_ok = (fs.word(f0_idx) == thue_morse_prefix(0, fs.word_length)
+    f0_ok = (fs.label(f0_idx) == thue_morse_prefix(0, fs.word_length)
              and theta_n.images[f0_idx] == (f0_idx, half_shift(f0_idx + 1, k) - 1))
     rb.check("f0_image", f0_ok,
              f"image of w_{f0_idx + 1} is w_{f0_idx + 1} w_{half_shift(f0_idx + 1, k)}")

@@ -152,7 +152,9 @@ class Substitution:
                 # bool is a subclass of int, but true/false are not letters
                 if not isinstance(a, int) or isinstance(a, bool):
                     raise ValueError(f"image of letter {b} has non-integer letter {a!r}")
-        labels = tuple(map(str, alphabet))
+        if not all(isinstance(label, str) for label in alphabet):
+            raise ValueError("alphabet labels must be strings")
+        labels = tuple(alphabet)
         if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be distinct")
         if len(labels) != len(images):

@@ -10,7 +10,9 @@ reads windows by offset instead of handling the words one at a time: θ(P) is
 again a prefix of the fixed point, so the factor at offset p has θ_N image
 the two width-N windows of θ(P) at 2p and 2p + 1, and descendants δ and ε
 the width-(2N-1) windows there (the higher block presentation, Lind &
-Marcus, §1.4). A factor is printed as a slice of P's text.
+Marcus, §1.4). A binary word is the int of its bits where it is compared
+or read from (``words``), and its 0/1 text where it is printed: P is held
+as its text, and a factor is printed as a slice of it.
 
 The factor set is enumerated two independent ways: by reading the windows
 of P, and by the descendant recursion, which maps each word u of A_m to the
@@ -22,12 +24,11 @@ that tie them together.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 
 from .report import ReportBuilder, VerificationReport
-from .substitution import Substitution
-from .words import BinaryWord, word
+from .words import read_windows, theta_bits
 
 MAX_M = 12
 
@@ -35,75 +36,33 @@ MAX_M = 12
 A1_WORDS = ("001", "010", "011", "100", "101", "110")
 
 
-def _theta_nibble(x: int) -> int:
-    """θ of the 4-letter word x as the 8 bits of its image: letter i from the
-    end goes to bits 2i + 1 and 2i, 0 as 01 and 1 as 10."""
-    return sum((2 if (x >> i) & 1 else 1) << (2 * i) for i in range(4))
-
-
-# byte -> θ of its high / low nibble, for bytes.translate
-_THETA_HIGH = bytes(_theta_nibble(b >> 4) for b in range(256))
-_THETA_LOW = bytes(_theta_nibble(b & 15) for b in range(256))
-
-
-def theta() -> Substitution:
-    """The Thue-Morse substitution 0 -> 01, 1 -> 10 on the binary alphabet."""
-    return Substitution(((0, 1), (1, 0)), "01".__getitem__)
-
-
-def apply_theta(w: BinaryWord) -> BinaryWord:
-    """theta on a packed binary word (0 -> 01, 1 -> 10)."""
-    return BinaryWord(2 * w.length, _theta_bits(w.length, w.bits))
-
-
-def _theta_bits(length: int, bits: int) -> int:
-    """The bits of theta(w) for the word w of ``length`` letters and ``bits``.
-
-    Each byte of ``bits``, padded to whole bytes, goes to the two bytes of
-    its image by two 256-entry tables. The padding zeros go to 01 pairs at
-    bit 2·length and above, which the mask drops.
-    """
-    data = bits.to_bytes((length + 7) // 8, "big")
-    image = bytearray(2 * len(data))
-    image[0::2] = data.translate(_THETA_HIGH)
-    image[1::2] = data.translate(_THETA_LOW)
-    return int.from_bytes(image, "big") & ((1 << 2 * length) - 1)
-
-
-def thue_morse_prefix(first_letter: int, n: int) -> BinaryWord:
+def thue_morse_prefix(first_letter: int, n: int) -> str:
     """The length-n prefix of the Thue-Morse fixed point starting with
-    ``first_letter`` (0 gives 0110..., 1 gives 1001...)."""
+    ``first_letter`` (0 gives 0110..., 1 gives 1001...), as 0/1 text."""
     if first_letter not in (0, 1):
         raise ValueError(f"first letter must be 0 or 1, got {first_letter!r}")
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got {n}")
-    w = BinaryWord(1, first_letter)
-    while len(w) < n:
-        w = apply_theta(w)
-    return w.prefix(n)
-
-
-def descendants(w: BinaryWord) -> tuple[BinaryWord, BinaryWord]:
-    """The two windows of theta(w) one letter shorter than the whole image:
-    (prefix, suffix), each of length 2*len(w) - 1."""
-    t = apply_theta(w)
-    return t.prefix(t.length - 1), t.suffix(t.length - 1)
+    length, bits = 1, first_letter
+    while length < n:
+        length, bits = 2 * length, theta_bits(length, bits)
+    return f"{bits:0{length}b}"[:n]
 
 
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
     windows of one Thue-Morse prefix, as ``enumerate_by_scan`` reads them.
 
-    ``prefix`` is a prefix P of the fixed point in which every factor
-    occurs. For the factor w_{i+1}, ``offsets[i]`` is the start of one of
-    its occurrences in P, and ``bits[i]`` is the int of its bits, the
-    window of P there (so ``bits`` is strictly increasing). No factor is
+    ``prefix`` is the 0/1 text of a prefix P of the fixed point in which
+    every factor occurs. For the factor w_{i+1}, ``offsets[i]`` is the start
+    of one of its occurrences in P, and ``bits[i]`` is the int of its bits,
+    the window of P there (so ``bits`` is strictly increasing). No factor is
     held as a word of its own: its label is a slice of P's text, and its θ
     image and descendants are windows of θ(P) at twice its offset
     (``theta_windows``).
     """
 
-    def __init__(self, m: int, prefix: BinaryWord, offsets: tuple[int, ...],
+    def __init__(self, m: int, prefix: str, offsets: tuple[int, ...],
                  bits: tuple[int, ...]) -> None:
         self.m = m
         self.prefix = prefix
@@ -123,10 +82,6 @@ class FactorSet:
         """The ``bits`` of each factor -> its 0-based position."""
         return {b: i for i, b in enumerate(self.bits)}
 
-    @cached_property
-    def _text(self) -> str:
-        return str(self.prefix)
-
     @property
     def quarter_size(self) -> int:
         if self.size % 4:
@@ -138,14 +93,10 @@ class FactorSet:
         q = self.quarter_size
         return tuple(self.bits[i * q:(i + 1) * q] for i in range(4))
 
-    def word(self, i: int) -> BinaryWord:
-        """The factor w_{i+1}."""
-        return BinaryWord(self.word_length, self.bits[i])
-
     def label(self, i: int) -> str:
         """The factor w_{i+1} as 0/1 text: a slice of the prefix text."""
         start = self.offsets[i]
-        return self._text[start:start + self.word_length]
+        return self.prefix[start:start + self.word_length]
 
     def theta_windows(self, width: int) -> Iterator[tuple[int, int]]:
         """For each factor, in order, the width-``width`` windows of θ(P) at
@@ -154,37 +105,14 @@ class FactorSet:
         gives the two letters of w's θ_N image and width 2N - 1 its
         descendants (δ(w), ε(w))."""
         starts = (q for p in self.offsets for q in (2 * p, 2 * p + 1))
-        windows = _read_windows(apply_theta(self.prefix), width, starts)
+        length = len(self.prefix)
+        windows = read_windows(2 * length, theta_bits(length, int(self.prefix, 2)), width, starts)
         return zip(windows, windows)  # consecutive windows of the one iterator
 
 
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
-
-
-def _shifted_copies(w: BinaryWord) -> list[bytes]:
-    """bits >> r for r = 0..7, each as little-endian bytes of w's size.
-
-    The window of width n that ends s letters before the end of w is
-    (bits >> s) masked to n bits. It is read as the bytes of copy s % 8 from
-    byte s // 8 on, (n + 7) // 8 of them, which carry up to 7 more bits.
-    """
-    size = (w.length + 7) // 8
-    return [(w.bits >> r).to_bytes(size, "little") for r in range(8)]
-
-
-def _read_windows(w: BinaryWord, n: int, starts: Iterable[int]) -> Iterator[int]:
-    """The width-n windows of w at the offsets ``starts``, as the ints of
-    their bits, one at a time."""
-    span = (n + 7) // 8
-    shifted = _shifted_copies(w)
-    last = w.length - n
-    mask = (1 << n) - 1
-    for p in starts:
-        s = last - p
-        i = s >> 3
-        yield int.from_bytes(shifted[s & 7][i:i + span], "little") & mask
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
@@ -195,12 +123,13 @@ def enumerate_by_scan(m: int) -> FactorSet:
     return _scan(m, thue_morse_prefix(0, 2 ** (m + 2)))
 
 
-def _scan(m: int, prefix: BinaryWord) -> FactorSet:
-    """The width-(2^m + 1) windows at offsets 0 .. 3·2^m - 1 of ``prefix``,
-    sorted, as a factor set; a repeated window raises ``RuntimeError``."""
+def _scan(m: int, prefix: str) -> FactorSet:
+    """The width-(2^m + 1) windows at offsets 0 .. 3·2^m - 1 of the 0/1 text
+    ``prefix``, sorted, as a factor set; a repeated window raises
+    ``RuntimeError``."""
     n = 2 ** m + 1
     target = 3 * 2 ** m
-    windows = list(_read_windows(prefix, n, range(target)))
+    windows = list(read_windows(len(prefix), int(prefix, 2), n, range(target)))
     found = len(set(windows))
     if found != target:
         raise RuntimeError(
@@ -210,12 +139,11 @@ def _scan(m: int, prefix: BinaryWord) -> FactorSet:
     return FactorSet(m, prefix, offsets, tuple(map(windows.__getitem__, offsets)))
 
 
-def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:
-    """The factors of length N in lexicographic order, as ``BinaryWord``s,
-    grown from the hard-coded length-3 base by taking both descendants of
-    every word, level by level: an oracle for the scan. The levels are the
-    ints of the words' bits; δ(u) drops the last letter of θ(u) and ε(u)
-    the first."""
+def enumerate_by_descendants(m: int) -> tuple[int, ...]:
+    """The factors of length N in lexicographic order, as the ints of their
+    bits, grown from the hard-coded length-3 base by taking both descendants
+    of every word, level by level: an oracle for the scan. δ(u) drops the
+    last letter of θ(u) and ε(u) the first."""
     _check_m(m)
     n = 3
     level = [int(t, 2) for t in A1_WORDS]
@@ -224,14 +152,14 @@ def enumerate_by_descendants(m: int) -> tuple[BinaryWord, ...]:
         mask = (1 << width) - 1
         nxt = set()
         for b in level:
-            t = _theta_bits(n, b)
+            t = theta_bits(n, b)
             nxt.add(t >> 1)
             nxt.add(t & mask)
         level = sorted(nxt)  # one length per level: int order is lex order
         n = width
     if len(level) != 3 * 2 ** m:
         raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(level)}")
-    return tuple(BinaryWord(n, b) for b in level)
+    return tuple(level)
 
 
 def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
@@ -240,15 +168,12 @@ def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
     q = fs.quarter_size
     f1 = thue_morse_prefix(1, fs.word_length)
     rb = ReportBuilder(fs.m, "qandf")
-    expected = {
-        "q1": f1.strip_prefix(word("1")) + word("1"),
-        "q2": f1.strip_prefix(word("10")) + word("11"),
-        "q3": f1,
-        "q4": f1.strip_prefix(word("100")) + word("110"),
-    }
-    for i, (name, want) in enumerate(expected.items()):
-        got = fs.word(i * q)  # the minimum of quarter i + 1
-        rb.check(name, got == want, f"{name}={got}, from f1={f1}")
+    # name -> (p, s) of the rewrite p^{-1} f1 · s
+    rewrites = {"q1": ("1", "1"), "q2": ("10", "11"), "q3": ("", ""), "q4": ("100", "110")}
+    for i, (name, (p, s)) in enumerate(rewrites.items()):
+        got = fs.label(i * q)  # the minimum of quarter i + 1
+        rb.check(name, f1.startswith(p) and got == f1[len(p):] + s,
+                 f"{name}={got}, from f1={f1}")
     return rb.build()
 
 

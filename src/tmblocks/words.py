@@ -1,91 +1,58 @@
-"""Finite binary words, bit-packed into Python integers.
+"""The bit layer of finite binary words.
 
-A word is stored as (length, bits) with the first letter in the most
-significant bit, so comparing the ``bits`` fields of two equal-length words
-is exactly lexicographic comparison. Words are immutable and hashable;
-lengths of several thousand letters are routine since Python integers are
-arbitrary precision.
-
-Display convention: contiguous '0'/'1' characters, no separators.
+A word of n letters is the int of its bits, the first letter in the most
+significant bit, so that on words of one length int order is lexicographic
+order; its 0/1 text is ``f"{bits:0{n}b}"``. Lengths of several thousand
+letters are routine since Python ints are arbitrary precision. Two
+operations act on the ints without going through text: θ (0 -> 01,
+1 -> 10), and the windows of one width read at many offsets.
 """
 
 from __future__ import annotations
 
-
-class BinaryWord:
-    """An immutable word over {0,1}; ``bits`` holds the letters MSB-first.
-    Equal to another word with the same length and bits."""
-
-    __slots__ = ("length", "bits")
-
-    length: int
-    bits: int
-
-    def __init__(self, length: int, bits: int) -> None:
-        if length < 0:
-            raise ValueError(f"negative word length {length}")
-        if not 0 <= bits < (1 << length):
-            raise ValueError(f"bits 0x{bits:x} out of range for length {length}")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.length == other.length and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
-
-    def __repr__(self) -> str:
-        return f"BinaryWord(length={self.length!r}, bits={self.bits!r})"
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinaryWord":
-        if text and text.strip("01"):
-            raise ValueError(f"word must consist of '0'/'1' characters, got {text!r}")
-        return cls(len(text), int(text, 2) if text else 0)
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.length}b") if self.length else ""
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __add__(self, other: "BinaryWord") -> "BinaryWord":
-        return BinaryWord(self.length + other.length,
-                          (self.bits << other.length) | other.bits)
-
-    def prefix(self, n: int) -> "BinaryWord":
-        """The first n letters."""
-        if not 0 <= n <= self.length:
-            raise ValueError(f"prefix length {n} out of range for word of length {self.length}")
-        return BinaryWord(n, self.bits >> (self.length - n))
-
-    def suffix(self, n: int) -> "BinaryWord":
-        """The last n letters."""
-        if not 0 <= n <= self.length:
-            raise ValueError(f"suffix length {n} out of range for word of length {self.length}")
-        return BinaryWord(n, self.bits & ((1 << n) - 1))
-
-    def strip_prefix(self, p: "BinaryWord") -> "BinaryWord":
-        """Remove the leading copy of p, i.e. the group-notation p^{-1}·self.
-
-        Raises ValueError when p is not actually a prefix (a misapplied
-        identity, worth failing loudly on).
-        """
-        if p.length > self.length or self.prefix(p.length) != p:
-            raise ValueError(f"{p} is not a prefix of {self}")
-        return self.suffix(self.length - p.length)
+from collections.abc import Iterable, Iterator
 
 
-def word(text: str) -> BinaryWord:
-    """Shorthand constructor from '0'/'1' text."""
-    return BinaryWord.from_string(text)
+def _theta_nibble(x: int) -> int:
+    """θ of the 4-letter word x as the 8 bits of its image: letter i from the
+    end goes to bits 2i + 1 and 2i, 0 as 01 and 1 as 10."""
+    return sum((2 if (x >> i) & 1 else 1) << (2 * i) for i in range(4))
 
+
+# byte -> θ of its high / low nibble, for bytes.translate
+_THETA_HIGH = bytes(_theta_nibble(b >> 4) for b in range(256))
+_THETA_LOW = bytes(_theta_nibble(b & 15) for b in range(256))
+
+
+def theta_bits(length: int, bits: int) -> int:
+    """The bits of θ(w) for the word w of ``length`` letters and ``bits``.
+
+    Each byte of ``bits``, padded to whole bytes, goes to the two bytes of
+    its image by two 256-entry tables. The padding zeros go to 01 pairs at
+    bit 2·length and above, which the mask drops.
+    """
+    data = bits.to_bytes((length + 7) // 8, "big")
+    image = bytearray(2 * len(data))
+    image[0::2] = data.translate(_THETA_HIGH)
+    image[1::2] = data.translate(_THETA_LOW)
+    return int.from_bytes(image, "big") & ((1 << 2 * length) - 1)
+
+
+def read_windows(length: int, bits: int, n: int, starts: Iterable[int]) -> Iterator[int]:
+    """The width-n windows at the offsets ``starts`` of the word of
+    ``length`` letters and ``bits``, as the ints of their bits, one at a time.
+
+    The window that ends s letters before the end of the word is
+    (bits >> s) masked to n bits. It is read from the little-endian bytes of
+    bits >> (s % 8), from byte s // 8 on, (n + 7) // 8 of them, which carry
+    up to 7 more bits.
+    """
+    size = (length + 7) // 8
+    shifted = [(bits >> r).to_bytes(size, "little") for r in range(8)]
+    span = (n + 7) // 8
+    last = length - n
+    mask = (1 << n) - 1
+    for p in starts:
+        s = last - p
+        i = s >> 3
+        yield int.from_bytes(shifted[s & 7][i:i + span], "little") & mask

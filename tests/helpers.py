@@ -1,7 +1,8 @@
 """Test-side views of a substitution: its dense incidence matrix, the
 substitution of a dense matrix, its labels, and the n-th image of one letter;
-and of a factor set: its words, and a factor set read off a corrupted
-prefix."""
+of a factor set: its labels, and a factor set read off a corrupted prefix;
+and text references for θ: the Thue-Morse substitution, and θ and the
+descendants of one word of 0/1 text."""
 
 from itertools import islice
 
@@ -9,7 +10,6 @@ import numpy as np
 
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import FactorSet, _scan
-from tmblocks.words import BinaryWord, word
 
 
 def dense(sub: Substitution) -> np.ndarray:
@@ -41,11 +41,6 @@ def nth_image(sub: Substitution, letter: int, n: int) -> str:
     return next(islice(sub.iterates(letter), n, None))
 
 
-def factor_words(fs: FactorSet) -> tuple[BinaryWord, ...]:
-    """The factors of ``fs`` in order, as words read from their bits."""
-    return tuple(map(fs.word, range(fs.size)))
-
-
 def factor_labels(fs: FactorSet) -> list[str]:
     """The factors of ``fs`` in order, as the prefix slices it prints."""
     return list(map(fs.label, range(fs.size)))
@@ -56,12 +51,32 @@ def off_prefix(fs: FactorSet) -> FactorSet:
     flipped, for the first letter whose flip changes the windows and keeps
     them distinct. The prefix is then no Thue-Morse prefix, and the set is
     not the factor set."""
-    text = str(fs.prefix)
+    text = fs.prefix
     for j, letter in enumerate(text):
         try:
-            broken = _scan(fs.m, word(text[:j] + "10"[int(letter)] + text[j + 1:]))
+            broken = _scan(fs.m, text[:j] + "10"[int(letter)] + text[j + 1:])
         except RuntimeError:  # the flip repeats a window
             continue
         if broken.bits != fs.bits:
             return broken
     raise AssertionError("no single flip keeps the windows distinct")
+
+
+def theta() -> Substitution:
+    """The Thue-Morse substitution 0 -> 01, 1 -> 10 on the binary alphabet."""
+    return Substitution(((0, 1), (1, 0)), "01".__getitem__)
+
+
+_THETA_TEXT = str.maketrans({"0": "01", "1": "10"})
+
+
+def theta_text(w: str) -> str:
+    """θ of the 0/1 text w."""
+    return w.translate(_THETA_TEXT)
+
+
+def descendants_text(w: str) -> tuple[str, str]:
+    """(δ(w), ε(w)) of the 0/1 text w: θ(w) without its last letter, and
+    without its first."""
+    t = theta_text(w)
+    return t[:-1], t[1:]

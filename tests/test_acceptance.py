@@ -17,10 +17,10 @@ from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_po
                                   zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
-from tmblocks.thue_morse import (apply_theta, descendants, enumerate_by_descendants,
-                                 enumerate_by_scan, thue_morse_prefix,
+from tmblocks.thue_morse import (enumerate_by_descendants, enumerate_by_scan, thue_morse_prefix,
                                  verify_prefix_pairs, verify_quarter_descendants,
                                  verify_quarter_minima)
+from tmblocks.words import theta_bits
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -61,7 +61,7 @@ def test_c01_cardinality_and_method_agreement():
         desc = enumerate_by_descendants(m)
         if scan.size != 3 * 2 ** m:
             failures.append(f"m={m}: size {scan.size}")
-        if scan.bits != tuple(w.bits for w in desc):
+        if scan.bits != desc:
             failures.append(f"m={m}: methods disagree")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -78,7 +78,7 @@ def test_c02_golden_tables(factors):
     fs3 = factors[3]
     q1, q2, q3, q4 = (quarter[0] for quarter in fs3.quarters())
     markers = {"q1": q1, "q2": q2, "q3": q3, "q4": q4,
-               "f0": thue_morse_prefix(0, 9).bits, "f1": thue_morse_prefix(1, 9).bits}
+               "f0": int(thue_morse_prefix(0, 9), 2), "f1": int(thue_morse_prefix(1, 9), 2)}
     expected = {"q1": 0, "q2": 6, "q3": 12, "q4": 18, "f0": 11, "f1": 12}
     for name, idx0 in expected.items():
         if fs3.bits.index(markers[name]) != idx0:
@@ -214,16 +214,17 @@ def test_c11_property_suites(factors):
     violations = 0
     for _ in range(10_000):
         fs = factors[rng.randrange(2, 9)]
-        u, v = map(fs.word, rng.sample(range(fs.size), 2))
-        # u, v and their images each share one length: bits order is lex order
-        if v.bits < u.bits:
-            u, v = v, u
-        if not apply_theta(u).bits < apply_theta(v).bits:
+        n = fs.word_length
+        u, v = sorted(rng.sample(fs.bits, 2))
+        # u, v and their images each share one length: int order is lex order
+        tu, tv = theta_bits(n, u), theta_bits(n, v)
+        if not tu < tv:
             violations += 1
-        du, dv = descendants(u), descendants(v)
-        if not du[0].bits < dv[0].bits:
+        # δ drops the last letter of θ, ε the first
+        if not tu >> 1 < tv >> 1:
             violations += 1
-        if str(u)[0] == str(v)[0] and not du[1].bits < dv[1].bits:
+        eps = (1 << 2 * n - 1) - 1
+        if u >> n - 1 == v >> n - 1 and not tu & eps < tv & eps:
             violations += 1
     if violations:
         failures.append(f"{violations} order-preservation violations")

@@ -2,13 +2,12 @@ from collections import Counter
 
 import pytest
 
-from helpers import factor_words, labels, nth_image, off_prefix
+from helpers import factor_labels, labels, nth_image, off_prefix, theta, theta_text
 from tmblocks.nblock import (first_image_index, formula_block_substitution, half_shift,
                              second_image_index, thue_morse_block_system,
                              verify_block_formula)
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import (apply_theta, enumerate_by_descendants,
-                                 enumerate_by_scan, theta)
+from tmblocks.thue_morse import enumerate_by_descendants, enumerate_by_scan
 
 # the 2-letter-image tables at widths 3 and 5, 0-based letter indices
 THETA3_IMAGES = ((1, 4), (2, 5), (2, 5), (3, 0), (3, 0), (4, 1))
@@ -46,7 +45,7 @@ def test_build_width_3_table():
 
 def test_build_width_5_table():
     theta5 = _theta_n(2)
-    assert labels(theta5) == tuple(map(str, enumerate_by_descendants(2)))
+    assert labels(theta5) == tuple(f"{b:05b}" for b in enumerate_by_descendants(2))
     assert theta5.images == THETA5_IMAGES
 
 
@@ -84,7 +83,7 @@ def test_closure_violation_is_an_error():
     # 11101..., so the factor 01101 at offset 0 is replaced by 11101, and
     # 01101, the first letter of θ_5(01100), is missing
     broken = off_prefix(enumerate_by_scan(2))
-    assert str(broken.prefix).startswith("11101")
+    assert broken.prefix.startswith("11101")
     message = "window 01101 of the image of block 01100 is not a factor"
     with pytest.raises(RuntimeError, match=message):
         thue_morse_block_system(broken)
@@ -94,12 +93,12 @@ def test_closure_violation_is_an_error():
 def test_theta_n_on_offsets_matches_per_factor_theta(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
-    words = factor_words(fs)
+    words = factor_labels(fs)
     position = {w: i for i, w in enumerate(words)}
     images = []
     for w in words:
-        image = apply_theta(w)
-        images.append((position[image.prefix(n)], position[image.suffix(2 * n - 1).prefix(n)]))
+        image = theta_text(w)
+        images.append((position[image[:n]], position[image[1:n + 1]]))
     assert thue_morse_block_system(fs).images == tuple(images)
 
 

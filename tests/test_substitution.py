@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, from_dense, labels, nth_image
+from helpers import dense, from_dense, labels, nth_image, theta
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import zeta5_fixture
 from tmblocks.substitution import (Substitution, _bfs_levels, _components, pf_bracket,
                                    pf_eigenvalue)
-from tmblocks.thue_morse import theta
 
 
 def _word_text(s, w):
@@ -157,8 +156,10 @@ def test_json_round_trip():
         Substitution.from_json("[1, 2]")
     with pytest.raises(ValueError):
         Substitution.from_json('{"alphabet": ["0"], "images": [[]]}')
-    with pytest.raises(ValueError, match="labels must be distinct"):
+    with pytest.raises(ValueError, match="labels must be strings"):
         Substitution.from_json('{"alphabet": [1, "1"], "images": [[0], [1]]}')
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        Substitution.from_json('{"alphabet": ["a", "a"], "images": [[0], [1]]}')
     with pytest.raises(ValueError, match="expected 2 images, got 1"):
         Substitution.from_json('{"alphabet": ["a", "b"], "images": [[0]]}')
     with pytest.raises(ValueError, match="at least one letter"):

@@ -1,15 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import factor_labels, factor_words, off_prefix
+from helpers import descendants_text, factor_labels, off_prefix, theta_text
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (MAX_M, apply_theta, descendants, enumerate_by_descendants,
-                                 enumerate_by_scan, theta, thue_morse_prefix, verify_prefix_pairs,
+from tmblocks.thue_morse import (MAX_M, enumerate_by_descendants, enumerate_by_scan,
+                                 thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
-from tmblocks.words import BinaryWord, word
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -22,47 +19,25 @@ A3_GOLDEN = [
 ]
 
 
-def test_apply_theta_examples():
-    assert apply_theta(word("00101")) == word("0101100110")
-    assert apply_theta(word("")) == word("")
-
-
-@st.composite
-def _binary_words(draw):
-    n = draw(st.integers(0, 70))
-    return BinaryWord(n, draw(st.integers(0, (1 << n) - 1)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_binary_words())
-def test_apply_theta_agrees_with_generic_substitution(w):
-    # lengths 0..70 cover partial bytes on both sides of the byte tables
-    image = apply_theta(w)
-    assert image.length == 2 * w.length
-    # theta's letter a is code point a in the text form: "0" -> "\x00"
-    letters = str.maketrans("01", "\x00\x01")
-    assert str(image).translate(letters) == theta().apply(str(w).translate(letters))
-
-
 def test_thue_morse_prefix():
-    assert str(thue_morse_prefix(0, 16)) == "0110100110010110"
-    assert str(thue_morse_prefix(1, 8)) == "10010110"
-    assert str(thue_morse_prefix(0, 0)) == ""
+    assert thue_morse_prefix(0, 16) == "0110100110010110"
+    assert thue_morse_prefix(1, 8) == "10010110"
+    assert thue_morse_prefix(1, 5) == "10010"
+    assert thue_morse_prefix(0, 0) == ""
     with pytest.raises(ValueError):
         thue_morse_prefix(2, 4)
 
 
 def test_descendants_examples():
-    d, e = descendants(word("00101"))
-    assert d == word("010110011") and e == word("101100110")
+    d, e = descendants_text("00101")
+    assert d == "010110011" and e == "101100110"
     # the f1 marker maps to the next f1 marker under the prefix descendant
-    d, _ = descendants(word("10010"))
-    assert d == word("100101100")
+    d, _ = descendants_text("10010")
+    assert d == "100101100" == thue_morse_prefix(1, 9)
     # and the f0 marker to the next f0 marker
-    d, _ = descendants(word("01101"))
-    assert d == word("011010011")
-    assert d == thue_morse_prefix(0, 9)
-    assert d.bits in enumerate_by_scan(3).bits
+    d, _ = descendants_text("01101")
+    assert d == "011010011" == thue_morse_prefix(0, 9)
+    assert int(d, 2) in enumerate_by_scan(3).bits
 
 
 def test_scan_golden_tables():
@@ -75,25 +50,27 @@ def test_enumeration_methods_agree():
     for m in range(1, MAX_M + 1):
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
-        assert factor_words(scan) == desc
-        # each factor's bits are the window of the prefix at its offset
-        assert factor_labels(scan) == list(map(str, desc))
+        assert scan.bits == desc
+        # each factor's label is the window of the prefix at its offset
+        n = scan.word_length
+        assert factor_labels(scan) == [f"{b:0{n}b}" for b in desc]
         assert scan.size == 3 * 2 ** m
 
 
 def test_descendant_recursion_matches_the_per_word_reference():
-    """The recursion on ints against the same recursion on ``BinaryWord``s,
-    one ``descendants`` call per word."""
-    words = [word(t) for t in thue_morse.A1_WORDS]
+    """The recursion on ints against the same recursion on 0/1 text, θ of
+    each word by the text reference."""
+    words = thue_morse.A1_WORDS
     for m in range(1, 9):
-        assert enumerate_by_descendants(m) == tuple(words)
-        words = sorted({d for w in words for d in descendants(w)}, key=lambda w: w.bits)
+        assert enumerate_by_descendants(m) == tuple(int(w, 2) for w in words)
+        # one length per level: text order is lexicographic order
+        words = sorted({d for w in words for d in descendants_text(w)})
 
 
 def test_scan_names_both_counts_when_the_prefix_misses_factors(monkeypatch):
     # an all-zero prefix of the same length: its 12 windows of length 5 are
     # one word
-    monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: BinaryWord(n, 0))
+    monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: "0" * n)
     with pytest.raises(RuntimeError, match="found 1 distinct factors of length 5, expected 12"):
         enumerate_by_scan(2)
 
@@ -149,19 +126,19 @@ def test_enumerators_reject_m_out_of_range():
 
 
 def _quarter_minima(fs):
-    return tuple(fs.word(i * fs.quarter_size) for i in range(4))
+    return tuple(fs.label(i * fs.quarter_size) for i in range(4))
 
 
 def test_quarter_markers_m2():
     q1, q2, q3, q4 = _quarter_minima(enumerate_by_scan(2))
-    assert (str(q1), str(q2), str(q3), str(q4)) == ("00101", "01011", "10010", "10110")
-    assert str(thue_morse_prefix(0, 5)) == "01101" and str(thue_morse_prefix(1, 5)) == "10010"
+    assert (q1, q2, q3, q4) == ("00101", "01011", "10010", "10110")
+    assert thue_morse_prefix(0, 5) == "01101" and thue_morse_prefix(1, 5) == "10010"
 
 
 def test_quarter_markers_m3_indices():
     fs = enumerate_by_scan(3)
     q1, q2, q3, q4 = _quarter_minima(fs)
-    index = factor_words(fs).index
+    index = factor_labels(fs).index
     assert index(q1) == 0
     assert index(q2) == 6
     assert index(q3) == 12
@@ -179,14 +156,13 @@ def test_q3_equals_f1():
 def test_factor_set_structure():
     for m in range(2, 6):
         fs = enumerate_by_scan(m)
-        words = factor_words(fs)
+        words = factor_labels(fs)
         # mirror closure with index reversal: the mirror complements every bit
         for i, w in enumerate(words):
-            mirror = BinaryWord(w.length, w.bits ^ ((1 << w.length) - 1))
-            assert words.index(mirror) == fs.size - 1 - i
+            assert words.index(w.translate(str.maketrans("01", "10"))) == fs.size - 1 - i
         # exactly half the words start with 0
-        assert sum(1 for w in words if str(w)[0] == "0") == fs.size // 2
-        assert "000" not in str(words[0])
+        assert sum(1 for w in words if w[0] == "0") == fs.size // 2
+        assert "000" not in words[0]
 
 
 def test_quarters_need_m_at_least_2():
@@ -204,15 +180,29 @@ def test_verify_quarter_minima():
         assert [e.claim for e in rep.entries] == ["qandf.q1", "qandf.q2", "qandf.q3", "qandf.q4"]
 
 
+def test_verify_quarter_minima_fails_off_the_fixed_point():
+    """Negative control: scanned off a prefix with one letter flipped, the
+    set at m = 3 has other minima in Q3 and Q4, and qandf names each one it
+    got next to f1."""
+    fs = off_prefix(enumerate_by_scan(3))
+    q, f1 = fs.quarter_size, "100101100"
+    rep = verify_quarter_minima(fs)
+    assert [(e.claim, e.passed) for e in rep.entries] == [
+        ("qandf.q1", True), ("qandf.q2", True), ("qandf.q3", False), ("qandf.q4", False)]
+    for i in (2, 3):
+        got = fs.label(i * q)
+        assert got != f1 and rep.entries[i].detail == f"q{i + 1}={got}, from f1={f1}"
+
+
 def test_verify_quarter_descendants_with_golden_cross_check():
     fs2 = enumerate_by_scan(2)
     rep = verify_quarter_descendants(fs2, enumerate_by_scan(3))
     assert rep.ok
-    words = factor_words(fs2)
+    words = factor_labels(fs2)
     q1, q2 = words[:3], words[3:6]
-    deltas = {str(descendants(w)[0]) for w in q1 + q2}
+    deltas = {descendants_text(w)[0] for w in q1 + q2}
     assert deltas == set(A3_GOLDEN[6:12])
-    eps = {str(descendants(w)[1]) for w in q1 + q2}
+    eps = {descendants_text(w)[1] for w in q1 + q2}
     assert eps == set(A3_GOLDEN[18:24])
 
 
@@ -226,10 +216,10 @@ def _parity_text(n):
 def test_every_offset_reads_back_its_word(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
-    text = _parity_text(fs.prefix.length)
+    text = _parity_text(len(fs.prefix))
     # P = θ^(m+2)(0), whose first 3·2^m windows are the factors; θ(P) is
     # the prefix of level m + 1
-    assert fs.prefix.length == 2 ** (m + 2) and str(fs.prefix) == text
+    assert len(fs.prefix) == 2 ** (m + 2) and fs.prefix == text
     assert sorted(fs.offsets) == list(range(3 * 2 ** m))
     assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, fs.bits))
     assert factor_labels(fs) == [format(b, f"0{n}b") for b in fs.bits]
@@ -239,12 +229,11 @@ def test_every_offset_reads_back_its_word(m):
 def test_theta_windows_match_per_factor_descendants(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
-    words = factor_words(fs)
-    pairs = [descendants(w) for w in words]
-    assert list(fs.theta_windows(2 * n - 1)) == [(d.bits, e.bits) for d, e in pairs]
-    images = [apply_theta(w) for w in words]
-    assert list(fs.theta_windows(n)) == [(t.prefix(n).bits, t.suffix(2 * n - 1).prefix(n).bits)
-                                         for t in images]
+    words = factor_labels(fs)
+    pairs = [descendants_text(w) for w in words]
+    assert list(fs.theta_windows(2 * n - 1)) == [(int(d, 2), int(e, 2)) for d, e in pairs]
+    images = [theta_text(w) for w in words]
+    assert list(fs.theta_windows(n)) == [(int(t[:n], 2), int(t[1:n + 1], 2)) for t in images]
 
 
 def _entries(rep):
@@ -252,11 +241,11 @@ def _entries(rep):
 
 
 def _quarter_descendants_reference(fs, fs_next):
-    """The quarters claim per factor, on words: the descendants of each."""
-    words, q = factor_words(fs), fs.quarter_size
-    upper = factor_words(fs_next)
+    """The quarters claim per factor, on text: the descendants of each."""
+    words, q = factor_labels(fs), fs.quarter_size
+    upper = factor_labels(fs_next)
     p1, p2, p3, p4 = (set(upper[i * 2 * q:(i + 1) * 2 * q]) for i in range(4))
-    pairs = [descendants(w) for w in words]
+    pairs = [descendants_text(w) for w in words]
     low, high = pairs[:2 * q], pairs[2 * q:]
     checks = [("Q1", {e for _, e in high}, p1), ("Q2", {d for d, _ in low}, p2),
               ("Q3", {d for d, _ in high}, p3), ("Q4", {e for _, e in low}, p4)]
@@ -265,10 +254,10 @@ def _quarter_descendants_reference(fs, fs_next):
 
 
 def _prefix_pairs_reference(fs, fs_next):
-    """The firsthalf claim per factor, on words: the N-prefixes of each pair."""
-    n, upper = fs.word_length, factor_words(fs_next)
-    bad = [i + 1 for i, w in enumerate(factor_words(fs))
-           if upper[2 * i].prefix(n) != w or upper[2 * i + 1].prefix(n) != w]
+    """The firsthalf claim per factor, on text: the N-prefixes of each pair."""
+    n, upper = fs.word_length, factor_labels(fs_next)
+    bad = [i + 1 for i, w in enumerate(factor_labels(fs))
+           if upper[2 * i][:n] != w or upper[2 * i + 1][:n] != w]
     return [("firsthalf.pairs", not bad,
              f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")]
 
@@ -296,7 +285,7 @@ def test_verify_prefix_pairs():
 def test_descendant_maps_are_injective_on_factors():
     for m in (2, 3, 4):
         fs = enumerate_by_scan(m)
-        ds = [descendants(w) for w in factor_words(fs)]
+        ds = [descendants_text(w) for w in factor_labels(fs)]
         assert len({d for d, _ in ds}) == fs.size
         assert len({e for _, e in ds}) == fs.size
 
@@ -306,12 +295,10 @@ def test_order_preservation_small_sample():
     for _ in range(200):
         m = rng.randrange(2, 6)
         fs = enumerate_by_scan(m)
-        u, v = rng.sample(factor_words(fs), 2)
-        if v.bits < u.bits:
-            u, v = v, u
-        # all words compared have one length, so bits order is lexicographic
-        assert apply_theta(u).bits < apply_theta(v).bits
-        du, dv = descendants(u), descendants(v)
-        assert du[0].bits < dv[0].bits
-        if str(u)[0] == str(v)[0]:
-            assert du[1].bits < dv[1].bits
+        u, v = sorted(rng.sample(factor_labels(fs), 2))
+        # all words compared have one length, so text order is lexicographic
+        assert theta_text(u) < theta_text(v)
+        du, dv = descendants_text(u), descendants_text(v)
+        assert du[0] < dv[0]
+        if u[0] == v[0]:
+            assert du[1] < dv[1]
