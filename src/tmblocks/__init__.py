@@ -14,13 +14,10 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     "eta_system": "claims",
     **dict.fromkeys(
-        ("build_eta", "initials_map", "theorem_report", "verify_fixed_point",
-         "verify_pair_images", "verify_primitivity_argument", "zeta5_fixture"),
+        ("build_eta", "theorem_report", "verify_fixed_point", "verify_pair_images",
+         "verify_primitivity_argument", "zeta5_fixture"),
         "injectivize"),
-    **dict.fromkeys(
-        ("first_image_index", "formula_block_substitution", "half_shift",
-         "second_image_index", "thue_morse_block_system", "verify_block_formula"),
-        "nblock"),
+    **dict.fromkeys(("half_shift", "thue_morse_block_system", "verify_block_formula"), "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(("Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(

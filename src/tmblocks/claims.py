@@ -6,7 +6,11 @@ it runs against a ``Level``. A ``Level`` builds each input on first use and
 at most once. Nothing is cached across levels except the factor set of level
 m + 1, which ``levels`` hands on to the next m, so each level is scanned once.
 Every check is exact and has no setting: ``fixedpoint`` holds for every n by
-induction from the ``pairs`` report, which a ``Level`` builds once.
+induction from the ``pairs`` report, which a ``Level`` builds once. θ_N is
+the closed form, and the ``nblock`` report checks it window by window; it
+is the premise of ``pairs`` and ``primitivity``, and through them of
+``fixedpoint`` and ``theorem``, so no claim passes on an unchecked θ_N,
+even when ``nblock`` is not selected.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
-    m + 1, the block substitution θ_N on the first, the refinement η, η's
-    primitivity verdict, and its pair-image and fixed-point reports."""
+    m + 1, the block substitution θ_N on the first and its window check, the
+    refinement η, η's primitivity verdict, and its pair-image and
+    fixed-point reports."""
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -45,6 +50,10 @@ class Level:
         return thue_morse_block_system(self.factors)
 
     @cached_property
+    def nblock_report(self) -> VerificationReport:
+        return verify_block_formula(self.factors, self.nblock)
+
+    @cached_property
     def eta(self) -> Substitution:
         return build_eta(self.m, self.nblock)
 
@@ -54,7 +63,8 @@ class Level:
 
     @cached_property
     def pairs(self) -> VerificationReport:
-        return verify_pair_images(self.m, self.nblock, self.eta)
+        report = verify_pair_images(self.m, self.nblock, self.eta)
+        return report.given("nblock", self.nblock_report)
 
     @cached_property
     def fixed_point(self) -> VerificationReport:
@@ -89,11 +99,11 @@ CLAIMS = {
     "qandf": Claim(False, lambda lv: verify_quarter_minima(lv.factors)),
     "quarters": Claim(True, lambda lv: verify_quarter_descendants(lv.factors, lv.factors_next)),
     "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(lv.factors, lv.factors_next)),
-    "nblock": Claim(False, lambda lv: verify_block_formula(lv.factors, lv.nblock)),
+    "nblock": Claim(False, lambda lv: lv.nblock_report),
     "pairs": Claim(False, lambda lv: lv.pairs),
     "fixedpoint": Claim(False, lambda lv: lv.fixed_point),
     "primitivity": Claim(False, lambda lv: verify_primitivity_argument(
-        lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
+        lv.m, lv.nblock, lv.eta, lv.eta_primitive).given("nblock", lv.nblock_report)),
     "theorem": Claim(False, lambda lv: theorem_report(
         lv.m, lv.eta, lv.eta_primitive, lv.fixed_point)),
 }

@@ -59,17 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = commands.add_parser("build", help="construct a substitution")
     build_kind = p_build.add_subparsers(dest="kind", required=True)
-    p_theta = build_kind.add_parser("theta", help="the N-block substitution")
-    p_theta.add_argument("--m", type=int, required=True)
-    mode = p_theta.add_mutually_exclusive_group()
-    mode.add_argument("--explicit", action="store_true")
-    mode.add_argument("--both", action="store_true")
-    p_theta.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_theta.set_defaults(run=_cmd_build_theta)
-    p_eta = build_kind.add_parser("eta", help="the injective refinement")
-    p_eta.add_argument("--m", type=int, required=True)
-    p_eta.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_eta.set_defaults(run=_cmd_build_eta)
+    for kind, what in (("theta", "the N-block substitution"), ("eta", "the injective refinement")):
+        p_kind = build_kind.add_parser(kind, help=what)
+        p_kind.add_argument("--m", type=int, required=True)
+        p_kind.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        p_kind.set_defaults(run=_cmd_build)
 
     p_fixture = commands.add_parser("fixture", help="dump a hard-coded fixture")
     p_fixture.add_argument("name", choices=("zeta5",))
@@ -160,39 +154,22 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_theta(args: argparse.Namespace) -> int:
-    from .nblock import formula_block_substitution, thue_morse_block_system
-    from .thue_morse import MAX_M, enumerate_by_scan
-
-    explicit = args.explicit or args.both
-    if not (2 if explicit else 1) <= args.m <= MAX_M:
-        print(f"error: build theta requires m in "
-              f"{'2' if explicit else '1'}..{MAX_M}, got {args.m}", file=sys.stderr)
-        return 2
-    n = 2 ** args.m + 1
-    fs = enumerate_by_scan(args.m)
-    if args.both:
-        # both label their letters with fs.label, so only the images can differ
-        sub = thue_morse_block_system(fs)
-        if sub.images != formula_block_substitution(fs).images:
-            print("error: window construction and closed form disagree", file=sys.stderr)
-            return 1
-    elif args.explicit:
-        sub = formula_block_substitution(fs)
-    else:
-        sub = thue_morse_block_system(fs)
-    _emit_substitution(sub, f"theta_{n}", args.format)
-    return 0
-
-
-def _cmd_build_eta(args: argparse.Namespace) -> int:
-    from .claims import eta_system
+def _cmd_build(args: argparse.Namespace) -> int:
+    from .claims import Level
     from .thue_morse import MAX_M
 
     if not 2 <= args.m <= MAX_M:
-        print(f"error: build eta requires 2 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
+        print(f"error: build {args.kind} requires 2 <= m <= {MAX_M}, got {args.m}",
+              file=sys.stderr)
         return 2
-    _emit_substitution(eta_system(args.m).eta, f"eta_{2 ** args.m + 1}", args.format)
+    level = Level(args.m)
+    # both are built on θ_N, the closed form, which must pass its window check
+    failed = [f"{e.claim}: {e.detail}" for e in level.nblock_report.entries if not e.passed]
+    if failed:
+        print(f"error: {'; '.join(failed)}", file=sys.stderr)
+        return 1
+    sub = level.nblock if args.kind == "theta" else level.eta
+    _emit_substitution(sub, f"{args.kind}_{2 ** args.m + 1}", args.format)
     return 0
 
 

@@ -21,6 +21,14 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
+    def given(self, name: str, premise: VerificationReport) -> VerificationReport:
+        """This report if the report ``premise`` of the claim ``name``
+        passed; otherwise every entry FAILs, naming the premise."""
+        if premise.ok:
+            return self
+        return VerificationReport(tuple(e._replace(passed=False, detail=f"premise {name} failed")
+                                        for e in self.entries))
+
 
 class ReportBuilder:
     """Collects entries for one verifier run."""

@@ -80,18 +80,6 @@ class Substitution:
                 raise ValueError(f"letter {top} not in alphabet of size {self.size}")
         return w.translate(self._text_table())
 
-    def iterates(self, letter: int) -> Iterator[str]:
-        """The n-th image words of a single letter for n = 0, 1, 2, ...,
-        without end. Only the letter is range-checked: images use letters
-        of the alphabet alone, so every later step is one ``translate``."""
-        if not 0 <= letter < self.size:
-            raise ValueError(f"letter {letter} not in alphabet of size {self.size}")
-        table = self._text_table()
-        w = chr(letter)
-        while True:
-            yield w
-            w = w.translate(table)
-
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""
         return len(set(self.images)) == len(self.images)

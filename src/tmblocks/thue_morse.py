@@ -7,10 +7,11 @@ the offset of its occurrence in P. P = θ^(m+2)(0) has 4·2^m letters, and its
 they are all the factors (Brlek 1989; de Luca & Varricchio 1989): the scan
 reads exactly those windows, with no deduplication. Every per-factor step
 reads windows by offset instead of handling the words one at a time: θ(P) is
-again a prefix of the fixed point, so the factor at offset p has θ_N image
-the two width-N windows of θ(P) at 2p and 2p + 1, and descendants δ and ε
-the width-(2N-1) windows there (the higher block presentation, Lind &
-Marcus, §1.4). A binary word is the int of its bits where it is compared
+again a prefix of the fixed point, so the θ_N image of the factor at offset
+p is the pair of width-N windows of θ(P) at 2p and 2p + 1, which is how the
+closed form of θ_N is checked, and its descendants δ and ε are the
+width-(2N-1) windows there (the higher block presentation, Lind & Marcus,
+§1.4). A binary word is the int of its bits where it is compared
 or read from (``words``), and its 0/1 text where it is printed: P is held
 as its text, and a factor is printed as a slice of it.
 
@@ -25,7 +26,6 @@ that tie them together.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
 
 from .report import ReportBuilder, VerificationReport
 from .words import read_windows, theta_bits
@@ -76,11 +76,6 @@ class FactorSet:
     @property
     def size(self) -> int:
         return len(self.bits)
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        """The ``bits`` of each factor -> its 0-based position."""
-        return {b: i for i, b in enumerate(self.bits)}
 
     @property
     def quarter_size(self) -> int:

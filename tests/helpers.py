@@ -1,9 +1,11 @@
 """Test-side views of a substitution: its dense incidence matrix, the
-substitution of a dense matrix, its labels, and the n-th image of one letter;
+substitution of a dense matrix, its labels, and the image words of one
+letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
 and text references for θ: the Thue-Morse substitution, and θ and the
 descendants of one word of 0/1 text."""
 
+from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
@@ -36,9 +38,19 @@ def labels(sub: Substitution) -> tuple[str, ...]:
     return tuple(map(sub.label, range(sub.size)))
 
 
+def iterates(sub: Substitution, letter: int) -> Iterator[str]:
+    """The n-th image words of ``letter`` for n = 0, 1, 2, ..., without
+    end, each one ``translate`` of the one before."""
+    table = sub._text_table()
+    w = chr(letter)
+    while True:
+        yield w
+        w = w.translate(table)
+
+
 def nth_image(sub: Substitution, letter: int, n: int) -> str:
     """The n-th image word of ``letter``; n = 0 gives chr(letter)."""
-    return next(islice(sub.iterates(letter), n, None))
+    return next(islice(iterates(sub, letter), n, None))
 
 
 def factor_labels(fs: FactorSet) -> list[str]:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import off_prefix
 from tmblocks import claims, injectivize, nblock, thue_morse
 from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
@@ -97,27 +98,27 @@ def test_build_theta_text(capsys):
     assert lines[6] == "theta_5(w_7) = w_7 w_1"
 
 
-def test_build_theta_both_scans_once(capsys, monkeypatch):
+def test_build_theta_scans_once(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
-    code, _, _ = _run(capsys, ["build", "theta", "--m", "4", "--both"])
+    code, _, _ = _run(capsys, ["build", "theta", "--m", "4"])
     assert code == 0
     assert scans == {4: 1}
 
 
-def test_build_theta_explicit_matches_windows(capsys):
-    _, windows, _ = _run(capsys, ["build", "theta", "--m", "3"])
-    _, explicit, _ = _run(capsys, ["build", "theta", "--m", "3", "--explicit"])
-    assert windows == explicit
-    code, _, _ = _run(capsys, ["build", "theta", "--m", "3", "--both"])
-    assert code == 0
+@pytest.mark.parametrize("kind", ["theta", "eta"])
+def test_build_refuses_width_three(capsys, kind):
+    # the closed form of θ_N needs the quarter partition, so m >= 2
+    code, out, err = _run(capsys, ["build", kind, "--m", "1"])
+    assert code == 2 and out == "" and f"2 <= m <= {MAX_M}" in err
 
 
-def test_build_theta_width_three(capsys):
-    code, out, _ = _run(capsys, ["build", "theta", "--m", "1"])
-    assert code == 0
-    assert out.splitlines()[0] == "theta_3(w_1) = w_2 w_5"
-    code, _, err = _run(capsys, ["build", "theta", "--m", "1", "--explicit"])
-    assert code == 2 and f"2..{MAX_M}" in err
+@pytest.mark.parametrize("kind", ["theta", "eta"])
+def test_build_fails_when_theta_n_fails_its_window_check(capsys, monkeypatch, kind):
+    scan = claims.enumerate_by_scan
+    monkeypatch.setattr(claims, "enumerate_by_scan", lambda m: off_prefix(scan(m)))
+    code, out, err = _run(capsys, ["build", kind, "--m", "3"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: nblock.images: mismatch at j=[1, 2, 3, 4, 5]")
 
 
 def test_build_eta_text_and_json(capsys):
@@ -178,9 +179,24 @@ def _count_calls(monkeypatch, name, key):
     return seen
 
 
+def _count_theta_windows(monkeypatch):
+    """Count the reads of the windows of θ(P) by (m, width): width N is the
+    window check of θ_N, width 2N - 1 the descendants."""
+    seen = Counter()
+    theta_windows = thue_morse.FactorSet.theta_windows
+
+    def counting(fs, width):
+        seen[fs.m, width] += 1
+        return theta_windows(fs, width)
+    monkeypatch.setattr(thue_morse.FactorSet, "theta_windows", counting)
+    return seen
+
+
 def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
+    checks = _count_calls(monkeypatch, "verify_block_formula", lambda fs, nb: fs.m)
+    windows = _count_theta_windows(monkeypatch)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
     pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
     fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
@@ -196,12 +212,26 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 40
     assert scans == {m: 1 for m in range(2, 8)}
     assert blocks == {m: 1 for m in range(2, 7)}
+    # nblock, pairs and primitivity read one window check of θ_N
+    assert checks == {m: 1 for m in range(2, 7)}
+    assert windows == {(m, 2 ** m + 1): 1 for m in range(2, 7)} | {
+        (m, 2 ** (m + 1) + 1): 1 for m in range(2, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
     # pairs and fixedpoint read one pairs report, fixedpoint and theorem
     # one fixed-point report
     assert pairs == {m: 1 for m in range(2, 7)}
     assert fixed_points == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
+
+
+def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
+    # the window check of θ_N is the premise of pairs, so it runs although
+    # the nblock claim is not selected
+    checks = _count_calls(monkeypatch, "verify_block_formula", lambda fs, nb: fs.m)
+    windows = _count_theta_windows(monkeypatch)
+    code, out, _ = _run(capsys, ["verify", "--m", "4", "--claims", "pairs"])
+    assert code == 0 and out == "PASS m=4 pairs\n"
+    assert checks == {4: 1} and windows == {(4, 17): 1}
 
 
 def _is_thue_morse_prefix(length, bits):
@@ -213,7 +243,7 @@ def _is_thue_morse_prefix(length, bits):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--m", "8"], ["build", "theta", "--m", "8", "--both"],
+    ["verify", "--m", "8"], ["build", "theta", "--m", "8"],
     ["build", "eta", "--m", "8"], ["factors", "--m", "8"],
     ["factors", "--m", "8", "--format", "json"],
 ])
@@ -283,10 +313,12 @@ def test_verify_has_no_tolerance_or_depth_option(option):
     assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr
 
 
-def test_build_theta_has_no_windows_option():
-    # the window construction is the default, so there is nothing to select
+@pytest.mark.parametrize("option", ["--windows", "--explicit", "--both"])
+def test_build_theta_has_no_construction_option(option):
+    # θ_N has one construction, the closed form checked against the windows,
+    # so there is nothing to select
     result = subprocess.run([sys.executable, "-m", "tmblocks", "build", "theta", "--m", "3",
-                             "--windows"],
+                             option],
                             env=_src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 2 and result.stdout == ""
     assert "unrecognized arguments" in result.stderr and "Traceback" not in result.stderr
@@ -414,8 +446,6 @@ STDOUT_SHA256 = {
     "factors --m 5 --method descend --format json":
         "aae60885096e12e630ce7d5c5fd7a891419c0c4aa46579724d98b1d60c9ca261",
     "verify --m 2..6": "f5fe71144acc0cac429dd8a526e537c3bf7fb9a290c0237f45fd0a3d55b4e3f3",
-    # m = 1 has no closed form, so only the window construction prints it
-    "build theta --m 1": "47737d7a72335ee508db57dff98bbbc30f5573c2c25347acc6a9c8b2775e3d57",
     "build theta --m 9 --format json":
         "9e70ca2511cfe9a850d61d5c496cdf20b7cf4f28486bd4dbc705264b9b12308f",
     "build eta --m 9 --format dot":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, factor_labels, labels, nth_image
+from helpers import dense, factor_labels, iterates, labels, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
@@ -27,7 +27,7 @@ def test_build_eta_m2_golden():
     assert labels(sys2.eta) == tuple(factor_labels(enumerate_by_scan(2)))
     assert fixed_letters(sys2.eta.size) == (5, 6)
     with pytest.raises(ValueError):
-        build_eta(1, thue_morse_block_system(enumerate_by_scan(1)))
+        build_eta(1, sys2.nblock)
 
 
 def test_zeta5_fixture_golden():
@@ -159,7 +159,7 @@ def _iterated_fixed_point(theta_n, sub, depth=10):
     """Reference: the f0_orbit and f1_common_fixed_point verdicts as the
     iterates of ``sub`` and ``theta_n`` compare them for n = 1..depth."""
     f0, f1 = fixed_letters(theta_n.size)
-    e0, t0, e1, t1 = (list(islice(s.iterates(a), depth + 2))
+    e0, t0, e1, t1 = (list(islice(iterates(s, a), depth + 2))
                       for s, a in ((sub, f0), (theta_n, f0), (sub, f1), (theta_n, f1)))
     f0_ok = all(e0[n] == t0[n] and len(e0[n]) == 2 ** n for n in range(1, depth + 1))
     f1_ok = all(e1[n].startswith(t1[n]) and t1[n + 1].startswith(e1[n])
@@ -356,7 +356,7 @@ def test_zeta5_through_theorem_aggregator():
                         "pf_eigenvalue": True, "fixed_point": True}
     # the passing fixed_point entry covers length doubling from f0
     f0, _ = fixed_letters(12)
-    lengths = [len(w) for w in islice(zeta5_fixture().iterates(f0), 1, 13)]
+    lengths = [len(w) for w in islice(iterates(zeta5_fixture(), f0), 1, 13)]
     assert lengths == [2 ** n for n in range(1, 13)]
 
 

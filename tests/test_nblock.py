@@ -3,14 +3,13 @@ from collections import Counter
 import pytest
 
 from helpers import factor_labels, labels, nth_image, off_prefix, theta, theta_text
-from tmblocks.nblock import (first_image_index, formula_block_substitution, half_shift,
-                             second_image_index, thue_morse_block_system,
-                             verify_block_formula)
+from tmblocks.claims import CLAIMS, Level
+from tmblocks.nblock import (first_image_index, half_shift, second_image_index,
+                             thue_morse_block_system, verify_block_formula)
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import enumerate_by_descendants, enumerate_by_scan
 
-# the 2-letter-image tables at widths 3 and 5, 0-based letter indices
-THETA3_IMAGES = ((1, 4), (2, 5), (2, 5), (3, 0), (3, 0), (4, 1))
+# the 2-letter-image table at width 5, 0-based letter indices
 THETA5_IMAGES = ((3, 9), (3, 9), (4, 10), (4, 10), (5, 11), (5, 11),
                  (6, 0), (6, 0), (7, 1), (7, 1), (8, 2), (8, 2))
 
@@ -37,25 +36,15 @@ def _theta_n(m):
     return thue_morse_block_system(enumerate_by_scan(m))
 
 
-def test_build_width_3_table():
-    theta3 = _theta_n(1)
-    assert labels(theta3) == ("001", "010", "011", "100", "101", "110")
-    assert theta3.images == THETA3_IMAGES
-
-
 def test_build_width_5_table():
     theta5 = _theta_n(2)
     assert labels(theta5) == tuple(f"{b:05b}" for b in enumerate_by_descendants(2))
     assert theta5.images == THETA5_IMAGES
 
 
-def test_formula_matches_windows():
-    for m in (2, 3, 4):
-        fs = enumerate_by_scan(m)
-        formula, windows = formula_block_substitution(fs), thue_morse_block_system(fs)
-        assert formula.images == windows.images and labels(formula) == labels(windows)
-    with pytest.raises(ValueError):
-        formula_block_substitution(enumerate_by_scan(1))
+def test_closed_form_needs_a_quarter_partition():
+    with pytest.raises(ValueError, match="quarter partition"):
+        _theta_n(1)
 
 
 def test_verify_block_formula():
@@ -63,33 +52,56 @@ def test_verify_block_formula():
         fs = enumerate_by_scan(m)
         rep = verify_block_formula(fs, thue_morse_block_system(fs))
         assert rep.ok
-        assert {e.claim for e in rep.entries} == {"nblock.alphabet", "nblock.images",
-                                          "nblock.first_range", "nblock.f0_image"}
+        assert [e.claim for e in rep.entries] == ["nblock.images", "nblock.first_range",
+                                                  "nblock.f0_image"]
 
 
-def test_verify_block_formula_fails_on_a_wrong_size_or_image():
+def test_verify_block_formula_names_a_wrong_image():
     fs = enumerate_by_scan(2)
     theta5 = thue_morse_block_system(fs)
-    images = list(theta5.images)
-    images[0] = images[2]
-    rep = verify_block_formula(fs, Substitution(tuple(images), theta5.label))
-    assert [e.claim for e in rep.entries if not e.passed] == ["nblock.images", "nblock.first_range"]
-    rep = verify_block_formula(fs, _theta_n(3))
-    assert not next(e for e in rep.entries if e.claim == "nblock.alphabet").passed
+
+    def failed(letter, image):
+        images = list(theta5.images)
+        images[letter] = image
+        rep = verify_block_formula(fs, Substitution(tuple(images), theta5.label))
+        return [(e.claim, e.detail) for e in rep.entries if not e.passed]
+
+    assert failed(0, theta5.images[2]) == [
+        ("nblock.images", "mismatch at j=[1]"),
+        ("nblock.first_range", "first letters fill Q2 and Q3 twice each")]
+    # a wrong second letter alone breaks only the window check
+    a, b = theta5.images[6]
+    assert failed(6, (a, b + 1)) == [("nblock.images", "mismatch at j=[7]")]
 
 
-def test_closure_violation_is_an_error():
-    # a factor set that is not factor-closed: the prefix 01101... becomes
-    # 11101..., so the factor 01101 at offset 0 is replaced by 11101, and
-    # 01101, the first letter of θ_5(01100), is missing
-    broken = off_prefix(enumerate_by_scan(2))
-    assert broken.prefix.startswith("11101")
-    message = "window 01101 of the image of block 01100 is not a factor"
-    with pytest.raises(RuntimeError, match=message):
-        thue_morse_block_system(broken)
+def _off_prefix_level(m):
+    level = Level(m)
+    level.factors = off_prefix(enumerate_by_scan(m))
+    return level
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_off_prefix_factor_set_fails_the_window_check(m):
+    # the flip moves the factors' order, so from the first letter on the
+    # closed-form images are not the windows of θ(P)
+    entries = {e.claim: e for e in CLAIMS["nblock"].run(_off_prefix_level(m)).entries}
+    assert not entries["nblock.images"].passed
+    assert entries["nblock.images"].detail == "mismatch at j=[1, 2, 3, 4, 5]"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_claims_on_theta_n_fail_with_the_nblock_premise(m):
+    def outcomes(claim):
+        # a level of its own, so that the claim meets the failed window
+        # check without the nblock claim having run before it
+        return {(e.passed, e.detail) for e in CLAIMS[claim].run(_off_prefix_level(m)).entries}
+
+    assert outcomes("pairs") == outcomes("primitivity") == {(False, "premise nblock failed")}
+    assert outcomes("fixedpoint") == {(False, "premise pairs failed")}
+    assert (False, "orbit agreement with the block substitution") in outcomes("theorem")
+
+
+@pytest.mark.parametrize("m", range(2, 11))
 def test_theta_n_on_offsets_matches_per_factor_theta(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
@@ -174,7 +186,7 @@ def _nblock_reference(base, block_len):
     return tuple("".join(names[a] for a in b) for b in blocks), tuple(images)
 
 
-@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("m", range(2, 10))
 def test_theta_n_matches_the_per_letter_reference(m):
     names, images = _nblock_reference(theta(), 2 ** m + 1)
     sub = _theta_n(m)
@@ -184,23 +196,29 @@ def test_theta_n_matches_the_per_letter_reference(m):
 
 def test_theta_n_memory_is_a_fraction_of_the_blocks():
     """At width N = 2^10 + 1 the k = 3·2^10 blocks as text would be k·N
-    bytes. Built from the factor set, theta_N holds no block text and no
-    block word: it adds the factor set's bits-to-position map and the image
-    pairs, and reads one pair of windows at a time. That peaks at about 150
-    bytes a block at every width (tracemalloc, m = 8, 10 and 12, Python
-    3.11), so the bound does not grow with N."""
+    bytes. theta_N holds no block text and no block word: the closed form is
+    the image pairs alone, about 125 bytes a block, and the window check
+    reads one pair of windows at a time on top of it, about 75 bytes a
+    block (tracemalloc, m = 8, 10 and 12, Python 3.10). Neither bound grows
+    with N."""
     import tracemalloc
 
     m = 10
     k = 3 * 2 ** m
     fs = enumerate_by_scan(m)
-    tracemalloc.start()
-    try:
+
+    def peak_of(build):
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        sub = thue_morse_block_system(fs)
+        result = build()
         _, peak = tracemalloc.get_traced_memory()
+        return result, peak - before
+
+    tracemalloc.start()
+    try:
+        sub, build_peak = peak_of(lambda: thue_morse_block_system(fs))
+        rep, check_peak = peak_of(lambda: verify_block_formula(fs, sub))
     finally:
         tracemalloc.stop()
-    assert sub.size == k
-    assert peak - before < 200 * k
+    assert sub.size == k and rep.ok
+    assert build_peak < 200 * k and check_peak < 100 * k
