@@ -4,7 +4,8 @@
 each entry says whether the claim compares level m with level m + 1 and how
 it runs against a ``Level``. A ``Level`` builds each input on first use and
 at most once. Nothing is cached across levels except the factor set of level
-m + 1, which ``levels`` hands on to the next m, so each level is scanned once.
+m + 1, grown from level m, which ``levels`` hands on to the next m once its
+order pass (``quarters``, the premise of ``firsthalf``) has passed.
 Every check is exact and has no setting: ``fixedpoint`` holds for every n by
 induction from the ``pairs`` report, which a ``Level`` builds once. θ_N is
 the closed form, and the ``nblock`` report checks it window by window; it
@@ -24,15 +25,15 @@ from .injectivize import (build_eta, theorem_report, verify_fixed_point, verify_
 from .nblock import thue_morse_block_system, verify_block_formula
 from .report import VerificationReport
 from .substitution import Substitution
-from .thue_morse import (FactorSet, enumerate_by_scan, verify_prefix_pairs,
+from .thue_morse import (FactorSet, enumerate_by_scan, grow, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
-    m + 1, the block substitution θ_N on the first and its window check, the
-    refinement η, η's primitivity verdict, and its pair-image and
-    fixed-point reports."""
+    m + 1 and the order pass of the second, the block substitution θ_N on
+    the first and its window check, the refinement η, η's primitivity
+    verdict, and its pair-image and fixed-point reports."""
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -43,7 +44,11 @@ class Level:
 
     @cached_property
     def factors_next(self) -> FactorSet:
-        return enumerate_by_scan(self.m + 1)
+        return grow(self.factors)
+
+    @cached_property
+    def quarters(self) -> VerificationReport:
+        return verify_quarter_descendants(self.factors_next)
 
     @cached_property
     def nblock(self) -> Substitution:
@@ -79,7 +84,7 @@ def eta_system(m: int) -> Level:
 
 def levels(lo: int, hi: int) -> Iterator[Level]:
     """One Level per m in lo..hi. The level-(m+1) factor set, if level m
-    built it, becomes the level factor set of m + 1."""
+    built it and it passed its order pass, becomes the factor set of m + 1."""
     carried = None
     for m in range(lo, hi + 1):
         level = Level(m)
@@ -87,7 +92,8 @@ def levels(lo: int, hi: int) -> Iterator[Level]:
             level.factors = carried
         yield level
         # a cached_property keeps what it built in the instance dict
-        carried = vars(level).get("factors_next")
+        quarters = vars(level).get("quarters")
+        carried = level.factors_next if quarters is not None and quarters.ok else None
 
 
 class Claim(NamedTuple):
@@ -97,8 +103,9 @@ class Claim(NamedTuple):
 
 CLAIMS = {
     "qandf": Claim(False, lambda lv: verify_quarter_minima(lv.factors)),
-    "quarters": Claim(True, lambda lv: verify_quarter_descendants(lv.factors, lv.factors_next)),
-    "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(lv.factors, lv.factors_next)),
+    "quarters": Claim(True, lambda lv: lv.quarters),
+    "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(
+        lv.factors, lv.factors_next).given("quarters", lv.quarters)),
     "nblock": Claim(False, lambda lv: lv.nblock_report),
     "pairs": Claim(False, lambda lv: lv.pairs),
     "fixedpoint": Claim(False, lambda lv: lv.fixed_point),

@@ -131,11 +131,12 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         words, n = enumerate_by_descendants(args.m), 2 ** args.m + 1
         size, label = len(words), lambda i: f"{words[i]:0{n}b}"
     else:
-        # the oracle runs before the scan, so that its last two levels are
-        # never held next to the scan's bits
+        # the oracle runs first, so that its last two levels are never held
+        # next to the factor set; it is then compared window by window
         oracle = enumerate_by_descendants(args.m) if args.method == "both" else None
         fs = enumerate_by_scan(args.m)
-        if oracle is not None and fs.bits != oracle:
+        if oracle is not None and (len(oracle) != fs.size
+                                   or any(map(int.__ne__, oracle, fs.windows()))):
             print("error: enumeration methods disagree", file=sys.stderr)
             return 1
         size, label = fs.size, fs.label

@@ -31,7 +31,7 @@ def fixed_letters(k: int) -> tuple[int, int]:
 def build_eta(m: int, theta_n: Substitution) -> Substitution:
     """The injective refinement of the Thue-Morse block substitution
     ``theta_n`` of width 2^m + 1. It reads the images alone: that the f0
-    block sits at the midpoint is the ``nblock`` report's f0_image entry."""
+    block sits at the midpoint is the ``nblock`` report's f0 entry."""
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     k = theta_n.size

@@ -12,8 +12,8 @@ size. The closed form is checked letter by letter against the factor set,
 without applying theta to any block: the factor set is a prefix P of the
 fixed point with one offset p per factor, theta(P) is again a prefix of the
 fixed point, and theta(w_j) is its window of width 2N at 2p, so the two
-image letters of w_j must be the width-N windows of theta(P) at 2p and
-2p + 1.
+image letters of w_j, the windows of P at their own offsets, must be the
+width-N windows of theta(P) at 2p and 2p + 1.
 """
 
 from __future__ import annotations
@@ -52,33 +52,18 @@ def thue_morse_block_system(fs: FactorSet) -> Substitution:
 
 def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationReport:
     """Check ``theta_n`` on the factors ``fs`` of level m window by window:
-    the image (a, b) of each letter j must be the width-N windows of θ(P)
-    at 2p_j and 2p_j + 1, compared with ``bits[a]`` and ``bits[b]``. Also
-    check the structural facts the injective refinement relies on:
-    first-letter indices cover Q2 (from the first half) and Q3 (from the
-    second half) twice each, and the f0 block maps to itself followed by its
-    half-shift."""
+    for each letter j with image (a, b), the windows of P at p_a and p_b
+    must be those of θ(P) at 2p_j and 2p_j + 1. Also check that w_{k/2},
+    the block the injective refinement fixes, is the f0 prefix."""
     k = fs.size
-    bits = fs.bits
-    windows = fs.theta_windows(fs.word_length)
-    bad = [j + 1 for j, ((a, b), (x, y)) in enumerate(zip(theta_n.images, windows))
-           if bits[a] != x or bits[b] != y]
+    want = fs.windows(fs.offsets[c] for image in theta_n.images for c in image)
+    got = fs.theta_windows()
+    bad = [j + 1 for j, (a, b, (x, y)) in enumerate(zip(want, want, got)) if a != x or b != y]
     rb = ReportBuilder(fs.m, "nblock")
     rb.check("images", not bad,
              f"all {k} two-letter images are windows of θ(P)" if not bad
              else f"mismatch at j={bad[:5]}")
-
-    q = k // 4
-    firsts_lo = sorted(img[0] + 1 for img in theta_n.images[:k // 2])
-    firsts_hi = sorted(img[0] + 1 for img in theta_n.images[k // 2:])
-    want_lo = sorted(list(range(q + 1, 2 * q + 1)) * 2)
-    want_hi = sorted(list(range(2 * q + 1, 3 * q + 1)) * 2)
-    rb.check("first_range", firsts_lo == want_lo and firsts_hi == want_hi,
-             "first letters fill Q2 and Q3 twice each")
-
-    f0_idx = k // 2 - 1
-    f0_ok = (fs.label(f0_idx) == thue_morse_prefix(0, fs.word_length)
-             and theta_n.images[f0_idx] == (f0_idx, half_shift(f0_idx + 1, k) - 1))
-    rb.check("f0_image", f0_ok,
-             f"image of w_{f0_idx + 1} is w_{f0_idx + 1} w_{half_shift(f0_idx + 1, k)}")
+    f0_idx, f0 = k // 2 - 1, thue_morse_prefix(0, fs.word_length)
+    label = fs.label(f0_idx)
+    rb.check("f0", label == f0, f"w_{f0_idx + 1}={label}, f0={f0}")
     return rb.build()

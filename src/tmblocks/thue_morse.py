@@ -1,31 +1,29 @@
 """Thue-Morse factors of length N = 2^m + 1 and their lexicographic structure.
 
-The factor set A_m (3·2^m words, lexicographically ordered) is one prefix P
-of the Thue-Morse fixed point plus, for each factor, the int of its bits and
-the offset of its occurrence in P. P = θ^(m+2)(0) has 4·2^m letters, and its
-3·2^m windows of width N at offsets 0 .. 3·2^m - 1 are pairwise distinct, so
-they are all the factors (Brlek 1989; de Luca & Varricchio 1989): the scan
-reads exactly those windows, with no deduplication. Every per-factor step
-reads windows by offset instead of handling the words one at a time: θ(P) is
-again a prefix of the fixed point, so the θ_N image of the factor at offset
-p is the pair of width-N windows of θ(P) at 2p and 2p + 1, which is how the
-closed form of θ_N is checked, and its descendants δ and ε are the
-width-(2N-1) windows there (the higher block presentation, Lind & Marcus,
-§1.4). A binary word is the int of its bits where it is compared
-or read from (``words``), and its 0/1 text where it is printed: P is held
-as its text, and a factor is printed as a slice of it.
+The factor set A_m (3·2^m words, lexicographically ordered) is one prefix
+P = θ^(m+2)(0) of the fixed point u plus, for each factor, the offset of one
+of its occurrences in P. A factor is its offset: it is printed as a slice of
+P's text and compared as the int of its bits, the window of P there, read
+one at a time (``words``).
 
-The factor set is enumerated two independent ways: by reading the windows
-of P, and by the descendant recursion, which maps each word u of A_m to the
-two length-(2N-1) windows of theta(u), on the ints of the words' bits. On
-top of the ordered set sit the quarter partition Q_1..Q_4, its minima, the
-f_0/f_1 fixed-point prefixes, and executable verifiers for the identities
-that tie them together.
+Each level is grown from the one below. θ(P) is again a prefix of u = θ(u),
+so the window of length 2N - 1 at 2t is δ of the width-N window at t (θ of
+it without the last letter) and the one at 2t + 1 is ε of it (without the
+first): A_{m+1} = {δ(w), ε(w) : w in A_m}. ``grow`` lays these windows out
+as ε(Q3 u Q4), δ(Q1 u Q2), δ(Q3 u Q4), ε(Q1 u Q2) of level m, and one
+streamed pass checks that each exceeds the one before it (the ``quarters``
+claim). By induction from level 1, which is checked from both sides, that
+proves each level sorted, distinct and complete, with no cited count.
+
+The descendant recursion on the ints of the words, sorted level by level,
+is an independent oracle. On top of the ordered set sit the quarter
+partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes, and
+executable verifiers for the identities that tie them together.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .report import ReportBuilder, VerificationReport
 from .words import read_windows, theta_bits
@@ -51,23 +49,15 @@ def thue_morse_prefix(first_letter: int, n: int) -> str:
 
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
-    windows of one Thue-Morse prefix, as ``enumerate_by_scan`` reads them.
+    windows of one Thue-Morse prefix: ``prefix`` is the 0/1 text of a prefix
+    P of the fixed point, and ``offsets[i]`` the start of an occurrence of
+    w_{i+1} in P. Its label is a slice of P's text, its bits the window of P
+    there, and its θ image a window of θ(P) at twice its offset."""
 
-    ``prefix`` is the 0/1 text of a prefix P of the fixed point in which
-    every factor occurs. For the factor w_{i+1}, ``offsets[i]`` is the start
-    of one of its occurrences in P, and ``bits[i]`` is the int of its bits,
-    the window of P there (so ``bits`` is strictly increasing). No factor is
-    held as a word of its own: its label is a slice of P's text, and its θ
-    image and descendants are windows of θ(P) at twice its offset
-    (``theta_windows``).
-    """
-
-    def __init__(self, m: int, prefix: str, offsets: tuple[int, ...],
-                 bits: tuple[int, ...]) -> None:
+    def __init__(self, m: int, prefix: str, offsets: tuple[int, ...]) -> None:
         self.m = m
         self.prefix = prefix
         self.offsets = offsets
-        self.bits = bits
 
     @property
     def word_length(self) -> int:
@@ -75,7 +65,7 @@ class FactorSet:
 
     @property
     def size(self) -> int:
-        return len(self.bits)
+        return len(self.offsets)
 
     @property
     def quarter_size(self) -> int:
@@ -83,25 +73,25 @@ class FactorSet:
             raise ValueError(f"|A_{self.m}| = {self.size} has no quarter partition (need m >= 2)")
         return self.size // 4
 
-    def quarters(self) -> tuple[tuple[int, ...], ...]:
-        """The ``bits`` of the factors of Q_1..Q_4."""
-        q = self.quarter_size
-        return tuple(self.bits[i * q:(i + 1) * q] for i in range(4))
-
     def label(self, i: int) -> str:
         """The factor w_{i+1} as 0/1 text: a slice of the prefix text."""
         start = self.offsets[i]
         return self.prefix[start:start + self.word_length]
 
-    def theta_windows(self, width: int) -> Iterator[tuple[int, int]]:
-        """For each factor, in order, the width-``width`` windows of θ(P) at
-        2p and 2p + 1, where p is the factor's offset in P, as the ints of
-        their bits. θ(w) is the window of θ(P) of width 2N at 2p, so width N
-        gives the two letters of w's θ_N image and width 2N - 1 its
-        descendants (δ(w), ε(w))."""
+    def windows(self, starts: Iterable[int] | None = None) -> Iterator[int]:
+        """The width-N windows of P at ``starts``, by default the factors'
+        offsets in order, as the ints of their bits, one at a time."""
+        return read_windows(len(self.prefix), int(self.prefix, 2), self.word_length,
+                            self.offsets if starts is None else starts)
+
+    def theta_windows(self) -> Iterator[tuple[int, int]]:
+        """For each factor, in order, the width-N windows of θ(P) at 2p and
+        2p + 1, where p is its offset in P: θ(w) is the width-2N window at
+        2p, so these are the two letters of w's θ_N image."""
         starts = (q for p in self.offsets for q in (2 * p, 2 * p + 1))
         length = len(self.prefix)
-        windows = read_windows(2 * length, theta_bits(length, int(self.prefix, 2)), width, starts)
+        windows = read_windows(2 * length, theta_bits(length, int(self.prefix, 2)),
+                               self.word_length, starts)
         return zip(windows, windows)  # consecutive windows of the one iterator
 
 
@@ -110,28 +100,42 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
 
 
+def _base() -> FactorSet:
+    """Level 1: the width-3 windows at offsets 0 .. 5 of θ^3(0), sorted."""
+    prefix = thue_morse_prefix(0, 8)
+    return FactorSet(1, prefix, tuple(sorted(range(6), key=lambda p: prefix[p:p + 3])))
+
+
+def grow(fs: FactorSet) -> FactorSet:
+    """Level m + 1 from level m, unchecked: over θ(P), ε of the second half
+    of ``fs``, δ of the first half, δ of the second and ε of the first."""
+    h = fs.size // 2
+    low, high = fs.offsets[:h], fs.offsets[h:]
+    length = len(fs.prefix)
+    prefix = f"{theta_bits(length, int(fs.prefix, 2)):0{2 * length}b}"
+    return FactorSet(fs.m + 1, prefix, (*(2 * p + 1 for p in high), *(2 * p for p in low),
+                                        *(2 * p for p in high), *(2 * p + 1 for p in low)))
+
+
 def enumerate_by_scan(m: int) -> FactorSet:
-    """Read the width-N windows at offsets 0 .. 3·2^m - 1 of the fixed-point
-    prefix P = θ^(m+2)(0) of 4·2^m letters. They are the 3·2^m factors, one
-    offset each, and θ(P) is the prefix that level m + 1 reads."""
+    """The factor set of level m: level 1 from θ^3(0), grown m - 1 times,
+    each level checked; a failed check raises ``RuntimeError``. P is
+    θ^(m+2)(0), and the offsets are a permutation of 0 .. 3·2^m - 1."""
     _check_m(m)
-    return _scan(m, thue_morse_prefix(0, 2 ** (m + 2)))
-
-
-def _scan(m: int, prefix: str) -> FactorSet:
-    """The width-(2^m + 1) windows at offsets 0 .. 3·2^m - 1 of the 0/1 text
-    ``prefix``, sorted, as a factor set; a repeated window raises
-    ``RuntimeError``."""
-    n = 2 ** m + 1
-    target = 3 * 2 ** m
-    windows = list(read_windows(len(prefix), int(prefix, 2), n, range(target)))
-    found = len(set(windows))
-    if found != target:
-        raise RuntimeError(
-            f"found {found} distinct factors of length {n}, expected {target}")
-    # equal lengths: integer order is lexicographic order
-    offsets = tuple(sorted(range(target), key=windows.__getitem__))
-    return FactorSet(m, prefix, offsets, tuple(map(windows.__getitem__, offsets)))
+    fs = _base()
+    # from both sides: the windows are distinct, and they include every
+    # width-3 window of θ^4(0), which are all the factors, since one of
+    # u = θ(u) lies in θ(ab) for a factor ab, and all four occur in θ^3(0)
+    words, text = list(map(fs.label, range(fs.size))), thue_morse_prefix(0, 16)
+    if words != sorted({text[p:p + 3] for p in range(14)}):
+        raise RuntimeError(f"level 1 reads {words}, not the width-3 windows of θ^4(0)")
+    for _ in range(m - 1):
+        fs = grow(fs)
+        failed = [f"{e.claim}: {e.detail}" for e in verify_quarter_descendants(fs).entries
+                  if not e.passed]
+        if failed:
+            raise RuntimeError(f"level {fs.m} is out of order: {'; '.join(failed)}")
+    return fs
 
 
 def enumerate_by_descendants(m: int) -> tuple[int, ...]:
@@ -172,37 +176,37 @@ def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
     return rb.build()
 
 
-def verify_quarter_descendants(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
-    """Check the four quarter image identities one level up, from the factor
-    sets of levels m and m + 1:
+def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
+    """Check the four quarter image identities one level up, on the level
+    ``fs_next`` that ``grow`` built from level m:
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2).
-
-    delta and eps of every factor are the width-(2N-1) windows of θ(P) at
-    twice its offset; they are compared as ints with the quarters' bits."""
-    p1, p2, p3, p4 = fs_next.quarters()
-    # (delta, eps) of each word; Q1 u Q2 is the first half
-    pairs = list(fs.theta_windows(2 * fs.word_length - 1))
-    low, high = pairs[:2 * fs.quarter_size], pairs[2 * fs.quarter_size:]
-    checks = [
-        ("Q1", {e for _, e in high}, p1),
-        ("Q2", {d for d, _ in low}, p2),
-        ("Q3", {d for d, _ in high}, p3),
-        ("Q4", {e for _, e in low}, p4),
-    ]
-    rb = ReportBuilder(fs.m, "quarters")
-    for name, got, want in checks:
-        rb.check(name, got == set(want), f"{len(got)} images vs quarter of size {len(want)}")
+    Its quarters are these images, so they hold if each window exceeds the
+    one before it: one streamed pass, whose entry for each quarter names the
+    first index there that does not."""
+    q = fs_next.quarter_size
+    bad = [0] * 4
+    previous = -1
+    for i, window in enumerate(fs_next.windows()):
+        if window <= previous and not bad[i // q]:
+            bad[i // q] = i + 1
+        previous = window
+    rb = ReportBuilder(fs_next.m - 1, "quarters")
+    images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
+    for n, i in enumerate(bad):
+        rb.check(f"Q{n + 1}", not i,
+                 f"{images[n]} out of order at i={i}" if i else f"{images[n]} increases")
     return rb.build()
 
 
 def verify_prefix_pairs(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
     """Check that consecutive pairs of the next level (``fs_next``) share
     their length-N prefix with the corresponding word one level down:
-    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i."""
-    shift = fs_next.word_length - fs.word_length  # Pref_N drops the other letters
-    nxt = fs_next.bits
-    bad = [i + 1 for i, b in enumerate(fs.bits)
-           if nxt[2 * i] >> shift != b or nxt[2 * i + 1] >> shift != b]
+    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i: the width-N
+    windows at the offsets of the next level against the windows below."""
+    upper = read_windows(len(fs_next.prefix), int(fs_next.prefix, 2), fs.word_length,
+                         fs_next.offsets)
+    bad = [i + 1 for i, (w, a, b) in enumerate(zip(fs.windows(), upper, upper))
+           if a != w or b != w]
     rb = ReportBuilder(fs.m, "firsthalf")
     rb.check("pairs", not bad,
              f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")

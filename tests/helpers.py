@@ -11,7 +11,7 @@ from itertools import islice
 import numpy as np
 
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import FactorSet, _scan
+from tmblocks.thue_morse import FactorSet
 
 
 def dense(sub: Substitution) -> np.ndarray:
@@ -59,19 +59,12 @@ def factor_labels(fs: FactorSet) -> list[str]:
 
 
 def off_prefix(fs: FactorSet) -> FactorSet:
-    """A factor set like ``fs`` but scanned off its prefix with one letter
-    flipped, for the first letter whose flip changes the windows and keeps
-    them distinct. The prefix is then no Thue-Morse prefix, and the set is
-    not the factor set."""
-    text = fs.prefix
-    for j, letter in enumerate(text):
-        try:
-            broken = _scan(fs.m, text[:j] + "10"[int(letter)] + text[j + 1:])
-        except RuntimeError:  # the flip repeats a window
-            continue
-        if broken.bits != fs.bits:
-            return broken
-    raise AssertionError("no single flip keeps the windows distinct")
+    """A factor set like ``fs``, with the same offsets, over its prefix with
+    the first letter of w_1's occurrence flipped. The prefix is then no
+    Thue-Morse prefix: w_1 reads as a word that starts with 1, above w_2,
+    which starts with 0, so the windows are out of order."""
+    text, p = fs.prefix, fs.offsets[0]
+    return FactorSet(fs.m, text[:p] + "10"[int(text[p])] + text[p + 1:], fs.offsets)
 
 
 def theta() -> Substitution:

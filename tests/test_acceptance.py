@@ -18,8 +18,8 @@ from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_po
                                   zeta5_fixture)
 from tmblocks.nblock import verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
-from tmblocks.thue_morse import (enumerate_by_descendants, enumerate_by_scan, thue_morse_prefix,
-                                 verify_prefix_pairs, verify_quarter_descendants,
+from tmblocks.thue_morse import (enumerate_by_descendants, enumerate_by_scan, grow,
+                                 thue_morse_prefix, verify_prefix_pairs, verify_quarter_descendants,
                                  verify_quarter_minima)
 from tmblocks.words import theta_bits
 
@@ -61,7 +61,7 @@ def test_c01_cardinality_and_method_agreement():
         desc = enumerate_by_descendants(m)
         if scan.size != 3 * 2 ** m:
             failures.append(f"m={m}: size {scan.size}")
-        if scan.bits != desc:
+        if tuple(scan.windows()) != desc:
             failures.append(f"m={m}: methods disagree")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -76,12 +76,13 @@ def test_c02_golden_tables(factors):
         if [fs.label(i) for i in range(fs.size)] != golden:
             failures.append(f"A_{m} table mismatch")
     fs3 = factors[3]
-    q1, q2, q3, q4 = (quarter[0] for quarter in fs3.quarters())
+    words = [fs3.label(i) for i in range(fs3.size)]
+    q1, q2, q3, q4 = words[::fs3.quarter_size]
     markers = {"q1": q1, "q2": q2, "q3": q3, "q4": q4,
-               "f0": int(thue_morse_prefix(0, 9), 2), "f1": int(thue_morse_prefix(1, 9), 2)}
+               "f0": thue_morse_prefix(0, 9), "f1": thue_morse_prefix(1, 9)}
     expected = {"q1": 0, "q2": 6, "q3": 12, "q4": 18, "f0": 11, "f1": 12}
     for name, idx0 in expected.items():
-        if fs3.bits.index(markers[name]) != idx0:
+        if words.index(markers[name]) != idx0:
             failures.append(f"{name} is not w_{idx0 + 1}")
     _verdict(2, "golden tables A_2, A_3, markers", failures)
 
@@ -93,7 +94,7 @@ def test_c03_quarter_minima_identities(factors):
 
 def test_c04_quarter_descendant_identities(factors):
     failures = [f"m={m}" for m in range(2, 9)
-                if not verify_quarter_descendants(factors[m], factors[m + 1]).ok]
+                if not verify_quarter_descendants(grow(factors[m])).ok]
     _verdict(4, "quarter image identities, m=2..8", failures)
 
 
@@ -209,11 +210,12 @@ def test_c10_eigenvalue_and_full_suite(capsys, systems):
 def test_c11_property_suites(factors):
     failures = []
     rng = random.Random(20260810)
+    windows = {m: list(factors[m].windows()) for m in range(1, 9)}
     violations = 0
     for _ in range(10_000):
-        fs = factors[rng.randrange(2, 9)]
-        n = fs.word_length
-        u, v = sorted(rng.sample(fs.bits, 2))
+        m = rng.randrange(2, 9)
+        n = factors[m].word_length
+        u, v = sorted(rng.sample(windows[m], 2))
         # u, v and their images each share one length: int order is lex order
         tu, tv = theta_bits(n, u), theta_bits(n, v)
         if not tu < tv:
@@ -228,9 +230,9 @@ def test_c11_property_suites(factors):
         failures.append(f"{violations} order-preservation violations")
     for m in range(1, 9):
         fs = factors[m]
-        for i, bits in enumerate(fs.bits):
+        for i, bits in enumerate(windows[m]):
             mirror = bits ^ ((1 << fs.word_length) - 1)
-            if fs.bits.index(mirror) != fs.size - 1 - i:
+            if windows[m].index(mirror) != fs.size - 1 - i:
                 failures.append(f"m={m}: mirror reversal broken at w_{i + 1}")
                 break
             text = fs.label(i)

@@ -118,7 +118,7 @@ def test_build_fails_when_theta_n_fails_its_window_check(capsys, monkeypatch, ki
     monkeypatch.setattr(claims, "enumerate_by_scan", lambda m: off_prefix(scan(m)))
     code, out, err = _run(capsys, ["build", kind, "--m", "3"])
     assert code == 1 and out == ""
-    assert err.startswith("error: nblock.images: mismatch at j=[1, 2, 3, 4, 5]")
+    assert err.startswith("error: nblock.images: mismatch at j=[1, 3, 4, 5, 9]")
 
 
 def test_build_eta_text_and_json(capsys):
@@ -180,20 +180,21 @@ def _count_calls(monkeypatch, name, key):
 
 
 def _count_theta_windows(monkeypatch):
-    """Count the reads of the windows of θ(P) by (m, width): width N is the
-    window check of θ_N, width 2N - 1 the descendants."""
+    """Count the reads of the windows of θ(P), the window check of θ_N, by m."""
     seen = Counter()
     theta_windows = thue_morse.FactorSet.theta_windows
 
-    def counting(fs, width):
-        seen[fs.m, width] += 1
-        return theta_windows(fs, width)
+    def counting(fs):
+        seen[fs.m] += 1
+        return theta_windows(fs)
     monkeypatch.setattr(thue_morse.FactorSet, "theta_windows", counting)
     return seen
 
 
 def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
+    grown = _count_calls(monkeypatch, "grow", lambda fs: fs.m)
+    orders = _count_calls(monkeypatch, "verify_quarter_descendants", lambda fs: fs.m)
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     checks = _count_calls(monkeypatch, "verify_block_formula", lambda fs, nb: fs.m)
     windows = _count_theta_windows(monkeypatch)
@@ -210,18 +211,40 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     monkeypatch.setattr(Substitution, "is_primitive", counting_is_primitive)
     code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
     assert code == 0 and len(out.splitlines()) == 40
-    assert scans == {m: 1 for m in range(2, 8)}
+    # level 2 is grown from the base; each level above from the one below,
+    # and each is order-checked once
+    assert scans == {2: 1}
+    assert grown == {m: 1 for m in range(1, 7)}
+    assert orders == {m: 1 for m in range(2, 8)}
     assert blocks == {m: 1 for m in range(2, 7)}
     # nblock, pairs and primitivity read one window check of θ_N
     assert checks == {m: 1 for m in range(2, 7)}
-    assert windows == {(m, 2 ** m + 1): 1 for m in range(2, 7)} | {
-        (m, 2 ** (m + 1) + 1): 1 for m in range(2, 7)}
+    assert windows == {m: 1 for m in range(2, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
     # pairs and fixedpoint read one pairs report, fixedpoint and theorem
     # one fixed-point report
     assert pairs == {m: 1 for m in range(2, 7)}
     assert fixed_points == {m: 1 for m in range(2, 7)}
     assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
+
+
+def test_a_level_out_of_order_fails_quarters_and_is_not_handed_on(capsys, monkeypatch):
+    # each level m + 1 is grown over a prefix with one letter flipped
+    grow = claims.grow
+    monkeypatch.setattr(claims, "grow", lambda fs: off_prefix(grow(fs)))
+    scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
+    code, out, _ = _run(capsys, ["verify", "--m", "2..3", "--claims", "quarters,firsthalf"])
+    assert code == 1
+    assert out.splitlines()[:6] == [
+        "FAIL m=2 quarters",
+        "  quarters.Q1: eps(Q3 u Q4) out of order at i=2",
+        "  quarters.Q2: delta(Q1 u Q2) out of order at i=12",
+        "  quarters.Q3: delta(Q3 u Q4) out of order at i=14",
+        "  quarters.Q4: eps(Q1 u Q2) out of order at i=24",
+        "FAIL m=2 firsthalf"]
+    assert out.count("  firsthalf.pairs: premise quarters failed\n") == 2
+    # the failed level 3 is not handed on: m = 3 enumerates its own
+    assert scans == {2: 1, 3: 1}
 
 
 def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
@@ -231,7 +254,7 @@ def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
     windows = _count_theta_windows(monkeypatch)
     code, out, _ = _run(capsys, ["verify", "--m", "4", "--claims", "pairs"])
     assert code == 0 and out == "PASS m=4 pairs\n"
-    assert checks == {4: 1} and windows == {(4, 17): 1}
+    assert checks == {4: 1} and windows == {4: 1}
 
 
 def _is_thue_morse_prefix(length, bits):

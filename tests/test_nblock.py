@@ -7,7 +7,7 @@ from tmblocks.claims import CLAIMS, Level
 from tmblocks.nblock import (first_image_index, half_shift, second_image_index,
                              thue_morse_block_system, verify_block_formula)
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import enumerate_by_descendants, enumerate_by_scan
+from tmblocks.thue_morse import MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan
 
 # the 2-letter-image table at width 5, 0-based letter indices
 THETA5_IMAGES = ((3, 9), (3, 9), (4, 10), (4, 10), (5, 11), (5, 11),
@@ -32,6 +32,21 @@ def test_index_formula_values():
     assert second_image_index(1, 24) == 19
 
 
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_image_indices_follow_the_quarter_statement(m):
+    """The first letters of the images of w_{2i-1} and w_{2i} are both the
+    i-th letter of Q2 (first half) or of Q3 (second half), the quarters
+    into which δ sends each half; the second letters are the same run of Q4
+    or Q1, half the alphabet on."""
+    k = 3 * 2 ** m
+    q = k // 4
+    q1, q2, q3, q4 = (range(i * q + 1, (i + 1) * q + 1) for i in range(4))
+    firsts = [first_image_index(j, k) for j in range(1, k + 1)]
+    seconds = [second_image_index(j, k) for j in range(1, k + 1)]
+    assert firsts == [a for a in (*q2, *q3) for _ in range(2)]
+    assert seconds == [b for b in (*q4, *q1) for _ in range(2)]
+
+
 def _theta_n(m):
     return thue_morse_block_system(enumerate_by_scan(m))
 
@@ -52,8 +67,7 @@ def test_verify_block_formula():
         fs = enumerate_by_scan(m)
         rep = verify_block_formula(fs, thue_morse_block_system(fs))
         assert rep.ok
-        assert [e.claim for e in rep.entries] == ["nblock.images", "nblock.first_range",
-                                                  "nblock.f0_image"]
+        assert [e.claim for e in rep.entries] == ["nblock.images", "nblock.f0"]
 
 
 def test_verify_block_formula_names_a_wrong_image():
@@ -66,12 +80,19 @@ def test_verify_block_formula_names_a_wrong_image():
         rep = verify_block_formula(fs, Substitution(tuple(images), theta5.label))
         return [(e.claim, e.detail) for e in rep.entries if not e.passed]
 
-    assert failed(0, theta5.images[2]) == [
-        ("nblock.images", "mismatch at j=[1]"),
-        ("nblock.first_range", "first letters fill Q2 and Q3 twice each")]
+    assert failed(0, theta5.images[2]) == [("nblock.images", "mismatch at j=[1]")]
     # a wrong second letter alone breaks only the window check
     a, b = theta5.images[6]
     assert failed(6, (a, b + 1)) == [("nblock.images", "mismatch at j=[7]")]
+
+
+def test_verify_block_formula_names_a_block_that_is_not_f0():
+    fs = enumerate_by_scan(3)
+    p = fs.offsets[11]  # w_12, the f0 block 011010011
+    broken = FactorSet(3, fs.prefix[:p] + "1" + fs.prefix[p + 1:], fs.offsets)
+    entries = {e.claim: e for e in verify_block_formula(broken, _theta_n(3)).entries}
+    assert not entries["nblock.f0"].passed
+    assert entries["nblock.f0"].detail == "w_12=111010011, f0=011010011"
 
 
 def _off_prefix_level(m):
@@ -80,13 +101,14 @@ def _off_prefix_level(m):
     return level
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6])
-def test_off_prefix_factor_set_fails_the_window_check(m):
-    # the flip moves the factors' order, so from the first letter on the
-    # closed-form images are not the windows of θ(P)
+@pytest.mark.parametrize("m, bad", [(2, "1, 3, 4, 7, 8"), (3, "1, 3, 4, 5, 9"),
+                                    (4, "1, 3, 4, 5, 9"), (6, "1, 3, 4, 5, 9")])
+def test_off_prefix_factor_set_fails_the_window_check(m, bad):
+    # the flip is in the window of w_1 and of the factors that overlap it,
+    # so their closed-form images are not the windows of θ(P)
     entries = {e.claim: e for e in CLAIMS["nblock"].run(_off_prefix_level(m)).entries}
     assert not entries["nblock.images"].passed
-    assert entries["nblock.images"].detail == "mismatch at j=[1, 2, 3, 4, 5]"
+    assert entries["nblock.images"].detail == f"mismatch at j=[{bad}]"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])

@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
 from helpers import descendants_text, factor_labels, off_prefix, theta_text
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (MAX_M, enumerate_by_descendants, enumerate_by_scan,
-                                 thue_morse_prefix, verify_prefix_pairs,
+from tmblocks.thue_morse import (MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan,
+                                 grow, thue_morse_prefix, verify_prefix_pairs,
                                  verify_quarter_descendants, verify_quarter_minima)
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
@@ -37,7 +38,7 @@ def test_descendants_examples():
     # and the f0 marker to the next f0 marker
     d, _ = descendants_text("01101")
     assert d == "011010011" == thue_morse_prefix(0, 9)
-    assert int(d, 2) in enumerate_by_scan(3).bits
+    assert d in factor_labels(enumerate_by_scan(3))
 
 
 def test_scan_golden_tables():
@@ -47,10 +48,11 @@ def test_scan_golden_tables():
 
 
 def test_enumeration_methods_agree():
+    """The grown level against the int oracle, at every m."""
     for m in range(1, MAX_M + 1):
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
-        assert scan.bits == desc
+        assert tuple(scan.windows()) == desc
         # each factor's label is the window of the prefix at its offset
         n = scan.word_length
         assert factor_labels(scan) == [f"{b:0{n}b}" for b in desc]
@@ -67,12 +69,51 @@ def test_descendant_recursion_matches_the_per_word_reference():
         words = sorted({d for w in words for d in descendants_text(w)})
 
 
-def test_scan_names_both_counts_when_the_prefix_misses_factors(monkeypatch):
-    # an all-zero prefix of the same length: its 12 windows of length 5 are
-    # one word
+def test_scan_raises_when_the_base_repeats_a_window(monkeypatch):
+    # an all-zero prefix of the same length: the six windows of length 3 of
+    # the base are one word
     monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: "0" * n)
-    with pytest.raises(RuntimeError, match="found 1 distinct factors of length 5, expected 12"):
+    with pytest.raises(RuntimeError, match=r"level 1 reads \['000', '000', '000', '000', '000', "
+                                           r"'000'\], not the width-3 windows of θ\^4\(0\)"):
         enumerate_by_scan(2)
+
+
+@pytest.mark.parametrize("dropped", range(6))
+def test_scan_raises_when_the_base_drops_a_factor(monkeypatch, dropped):
+    """Negative control: the five windows left are distinct and sorted, and
+    the windows of θ^4(0) find the one missing."""
+    base = thue_morse._base()
+    offsets = base.offsets[:dropped] + base.offsets[dropped + 1:]
+    monkeypatch.setattr(thue_morse, "_base", lambda: FactorSet(1, base.prefix, offsets))
+    words = [w for w in thue_morse.A1_WORDS if w != base.label(dropped)]
+    for m in (1, 4):
+        with pytest.raises(RuntimeError, match=re.escape(f"level 1 reads {words}, not")):
+            enumerate_by_scan(m)
+
+
+def test_scan_raises_when_a_grown_level_is_out_of_order(monkeypatch):
+    """Negative control: level 3 grown over a prefix with one letter flipped
+    fails its order pass, and the enumeration stops there."""
+    monkeypatch.setattr(thue_morse, "grow",
+                        lambda fs, grow=grow: off_prefix(grow(fs)) if fs.m == 2 else grow(fs))
+    enumerate_by_scan(2)
+    with pytest.raises(RuntimeError, match=r"level 3 is out of order: quarters\.Q1: eps\(Q3 u Q4\) "
+                                           r"out of order at i=2"):
+        enumerate_by_scan(5)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_grow_lays_out_the_descendants_by_quarter(m):
+    """The construction against the descendants of each word, on text:
+    ε(Q3 u Q4), δ(Q1 u Q2), δ(Q3 u Q4), ε(Q1 u Q2)."""
+    fs = enumerate_by_scan(m)
+    words = factor_labels(fs)
+    low, high = words[:fs.size // 2], words[fs.size // 2:]
+    want = ([descendants_text(w)[1] for w in high] + [descendants_text(w)[0] for w in low]
+            + [descendants_text(w)[0] for w in high] + [descendants_text(w)[1] for w in low])
+    grown = grow(fs)
+    assert (grown.m, grown.prefix) == (m + 1, theta_text(fs.prefix))
+    assert factor_labels(grown) == want == sorted(want)
 
 
 def _parity_factors(n, prefix_len):
@@ -181,23 +222,26 @@ def test_verify_quarter_minima():
 
 
 def test_verify_quarter_minima_fails_off_the_fixed_point():
-    """Negative control: scanned off a prefix with one letter flipped, the
-    set at m = 3 has other minima in Q3 and Q4, and qandf names each one it
-    got next to f1."""
+    """Negative control: over a prefix with the first letter of w_1 flipped,
+    the minima of Q1 and Q3 at m = 3 read other words, and qandf names each
+    one it got next to f1."""
     fs = off_prefix(enumerate_by_scan(3))
     q, f1 = fs.quarter_size, "100101100"
     rep = verify_quarter_minima(fs)
     assert [(e.claim, e.passed) for e in rep.entries] == [
-        ("qandf.q1", True), ("qandf.q2", True), ("qandf.q3", False), ("qandf.q4", False)]
-    for i in (2, 3):
+        ("qandf.q1", False), ("qandf.q2", True), ("qandf.q3", False), ("qandf.q4", True)]
+    for i in (0, 2):
         got = fs.label(i * q)
         assert got != f1 and rep.entries[i].detail == f"q{i + 1}={got}, from f1={f1}"
 
 
 def test_verify_quarter_descendants_with_golden_cross_check():
     fs2 = enumerate_by_scan(2)
-    rep = verify_quarter_descendants(fs2, enumerate_by_scan(3))
-    assert rep.ok
+    fs3 = grow(fs2)
+    rep = verify_quarter_descendants(fs3)
+    assert rep.ok and factor_labels(fs3) == A3_GOLDEN
+    assert [e.claim for e in rep.entries] == ["quarters.Q1", "quarters.Q2", "quarters.Q3",
+                                              "quarters.Q4"]
     words = factor_labels(fs2)
     q1, q2 = words[:3], words[3:6]
     deltas = {descendants_text(w)[0] for w in q1 + q2}
@@ -221,36 +265,35 @@ def test_every_offset_reads_back_its_word(m):
     # the prefix of level m + 1
     assert len(fs.prefix) == 2 ** (m + 2) and fs.prefix == text
     assert sorted(fs.offsets) == list(range(3 * 2 ** m))
-    assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, fs.bits))
-    assert factor_labels(fs) == [format(b, f"0{n}b") for b in fs.bits]
+    windows = list(fs.windows())
+    assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, windows))
+    assert factor_labels(fs) == [format(b, f"0{n}b") for b in windows]
 
 
 @pytest.mark.parametrize("m", range(1, 11))
-def test_theta_windows_match_per_factor_descendants(m):
+def test_theta_windows_match_per_factor_theta(m):
     fs = enumerate_by_scan(m)
     n = fs.word_length
-    words = factor_labels(fs)
-    pairs = [descendants_text(w) for w in words]
-    assert list(fs.theta_windows(2 * n - 1)) == [(int(d, 2), int(e, 2)) for d, e in pairs]
-    images = [theta_text(w) for w in words]
-    assert list(fs.theta_windows(n)) == [(int(t[:n], 2), int(t[1:n + 1], 2)) for t in images]
+    images = [theta_text(w) for w in factor_labels(fs)]
+    assert list(fs.theta_windows()) == [(int(t[:n], 2), int(t[1:n + 1], 2)) for t in images]
 
 
 def _entries(rep):
     return [(e.claim, e.passed, e.detail) for e in rep.entries]
 
 
-def _quarter_descendants_reference(fs, fs_next):
-    """The quarters claim per factor, on text: the descendants of each."""
-    words, q = factor_labels(fs), fs.quarter_size
-    upper = factor_labels(fs_next)
-    p1, p2, p3, p4 = (set(upper[i * 2 * q:(i + 1) * 2 * q]) for i in range(4))
-    pairs = [descendants_text(w) for w in words]
-    low, high = pairs[:2 * q], pairs[2 * q:]
-    checks = [("Q1", {e for _, e in high}, p1), ("Q2", {d for d, _ in low}, p2),
-              ("Q3", {d for d, _ in high}, p3), ("Q4", {e for _, e in low}, p4)]
-    return [(f"quarters.{name}", got == want, f"{len(got)} images vs quarter of size {len(want)}")
-            for name, got, want in checks]
+def _quarter_descendants_reference(fs_next):
+    """The quarters claim on text: in each quarter, the first label that
+    does not exceed the one before it."""
+    words, q = factor_labels(fs_next), fs_next.quarter_size
+    images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
+    entries = []
+    for quarter, what in enumerate(images):
+        bad = [i + 1 for i in range(max(quarter * q, 1), (quarter + 1) * q)
+               if words[i] <= words[i - 1]]
+        entries.append((f"quarters.Q{quarter + 1}", not bad,
+                        f"{what} out of order at i={bad[0]}" if bad else f"{what} increases"))
+    return entries
 
 
 def _prefix_pairs_reference(fs, fs_next):
@@ -269,11 +312,9 @@ def test_level_claims_on_offsets_match_the_per_factor_reference(m):
         rep = verify_prefix_pairs(lower, upper)
         assert _entries(rep) == _prefix_pairs_reference(lower, upper)
         assert rep.ok == (lower is fs)
-    if m < 2:
-        return
-    for upper in (fs_next, off_prefix(fs_next)):
-        rep = verify_quarter_descendants(fs, upper)
-        assert _entries(rep) == _quarter_descendants_reference(fs, upper)
+    for upper in (fs_next, off_prefix(fs_next), grow(off_prefix(fs))):
+        rep = verify_quarter_descendants(upper)
+        assert _entries(rep) == _quarter_descendants_reference(upper)
         assert rep.ok == (upper is fs_next)
 
 
