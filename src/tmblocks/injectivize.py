@@ -14,10 +14,13 @@ dominant eigenvalue 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import chain
+from operator import add, eq, itemgetter
 from typing import Sequence
 
 from .nblock import half_shift
-from .report import ReportBuilder, VerificationReport
+from .report import ReportBuilder, VerificationReport, first_failures
 from .substitution import Substitution, Word, _bfs_levels, pf_bracket
 from .thue_morse import enumerate_by_scan
 
@@ -90,13 +93,17 @@ def _map_power(chain: Sequence[int], n: int) -> list[int]:
 def verify_pair_images(m: int, theta_n: Substitution, eta: Substitution) -> VerificationReport:
     """The refinement and the block substitution agree on every image pair:
     for the image (a, b) of each letter, η(a)η(b) = θ_N(a)θ_N(b), compared
-    as the texts of their translate tables."""
-    eta_of, theta_of = eta._text_table(), theta_n._text_table()
-    bad = [j + 1 for j, (a, b) in enumerate(theta_n.images)
-           if eta_of[a] + eta_of[b] != theta_of[a] + theta_of[b]]
+    as concatenated image tuples."""
+
+    def concatenated(images: tuple[Word, ...]) -> Iterator[Word]:
+        """images[a] + images[b] for the image (a, b) of each letter."""
+        return map(add, map(images.__getitem__, map(itemgetter(0), theta_n.images)),
+                   map(images.__getitem__, map(itemgetter(1), theta_n.images)))
+
+    bad = first_failures(map(eq, concatenated(eta.images), concatenated(theta_n.images)))
     rb = ReportBuilder(m, "pairs")
     rb.check("images", not bad,
-             f"all {theta_n.size} pairs agree" if not bad else f"mismatch at j={bad[:5]}")
+             f"all {theta_n.size} pairs agree" if not bad else f"mismatch at j={bad}")
     return rb.build()
 
 
@@ -115,13 +122,14 @@ def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
     (3·2^(n-1) letters vs 2^n). Without ``pairs`` neither entry passes.
     """
     f0, f1 = fixed_letters(theta_n.size)
-    eta_of, theta_of = eta._text_table(), theta_n._text_table()
+    eta_of, theta_of = eta.images, theta_n.images
     rb = ReportBuilder(m, "fixedpoint")
-    base = all(len(img) == 2 for img in theta_n.images) and eta_of[f0] == theta_of[f0]
+    base = set(map(len, theta_of)) == {2} and eta_of[f0] == theta_of[f0]
     rb.check("f0_orbit", base, "orbits equal with length 2^n for every n" if base
              else "θ_N is not 2-uniform or η(f0) != θ_N(f0)")
     eta_f1, theta_f1 = eta_of[f1], theta_of[f1]
-    base = eta_f1.startswith(theta_f1) and theta_n.apply(theta_f1).startswith(eta_f1)
+    theta2_f1 = tuple(chain.from_iterable(map(theta_of.__getitem__, theta_f1)))
+    base = eta_f1[:len(theta_f1)] == theta_f1 and theta2_f1[:len(eta_f1)] == eta_f1
     rb.check("f1_common_fixed_point", base,
              "the f1 iterates of both substitutions are nested prefixes of one fixed point"
              if base else "θ_N(f1) ≤ η(f1) ≤ θ_N²(f1) fails in the prefix order")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import compress, count, islice
+from operator import not_
 from typing import NamedTuple
 
 
@@ -45,3 +48,9 @@ class ReportBuilder:
 
     def build(self) -> VerificationReport:
         return VerificationReport(tuple(self._entries))
+
+
+def first_failures(passed: Iterable[bool], limit: int = 5) -> list[int]:
+    """The 1-based positions of the first ``limit`` false values of
+    ``passed``, read only as far as the last of them."""
+    return list(islice(compress(count(1), map(not_, passed)), limit))

@@ -2,18 +2,19 @@
 
 The factor set A_m (3·2^m words, lexicographically ordered) is one prefix
 P = θ^(m+2)(0) of the fixed point u plus, for each factor, the offset of one
-of its occurrences in P. A factor is its offset: it is printed as a slice of
-P's text and compared as the int of its bits, the window of P there, read
-one at a time (``words``).
+of its occurrences in P. A factor is its offset: its label is the slice of
+P's text there, and labels are compared as text, which on words of one
+length is lexicographic order, streamed one slice at a time.
 
 Each level is grown from the one below. θ(P) is again a prefix of u = θ(u),
 so the window of length 2N - 1 at 2t is δ of the width-N window at t (θ of
 it without the last letter) and the one at 2t + 1 is ε of it (without the
 first): A_{m+1} = {δ(w), ε(w) : w in A_m}. ``grow`` lays these windows out
 as ε(Q3 u Q4), δ(Q1 u Q2), δ(Q3 u Q4), ε(Q1 u Q2) of level m, and one
-streamed pass checks that each exceeds the one before it (the ``quarters``
-claim). By induction from level 1, which is checked from both sides, that
-proves each level sorted, distinct and complete, with no cited count.
+streamed pass checks that each label exceeds the one before it (the
+``quarters`` claim). By induction from level 1, which is checked from both
+sides, that proves each level sorted, distinct and complete, with no cited
+count.
 
 The descendant recursion on the ints of the words, sorted level by level,
 is an independent oracle. On top of the ordered set sit the quarter
@@ -24,8 +25,10 @@ executable verifiers for the identities that tie them together.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import pairwise, starmap, tee
+from operator import and_, lt
 
-from .report import ReportBuilder, VerificationReport
+from .report import ReportBuilder, VerificationReport, first_failures
 from .words import read_windows, theta_bits
 
 MAX_M = 12
@@ -52,7 +55,8 @@ class FactorSet:
     windows of one Thue-Morse prefix: ``prefix`` is the 0/1 text of a prefix
     P of the fixed point, and ``offsets[i]`` the start of an occurrence of
     w_{i+1} in P. Its label is a slice of P's text, its bits the window of P
-    there, and its θ image a window of θ(P) at twice its offset."""
+    there, and its θ image the width-2N slice of θ(P) at twice its
+    offset."""
 
     def __init__(self, m: int, prefix: str, offsets: tuple[int, ...]) -> None:
         self.m = m
@@ -78,21 +82,23 @@ class FactorSet:
         start = self.offsets[i]
         return self.prefix[start:start + self.word_length]
 
-    def windows(self, starts: Iterable[int] | None = None) -> Iterator[int]:
-        """The width-N windows of P at ``starts``, by default the factors'
-        offsets in order, as the ints of their bits, one at a time."""
-        return read_windows(len(self.prefix), int(self.prefix, 2), self.word_length,
-                            self.offsets if starts is None else starts)
+    def labels(self, starts: Iterable[int] | None = None) -> Iterator[str]:
+        """The width-N slices of P's text at ``starts``, by default the
+        factors' offsets in order, one at a time."""
+        starts, ends = tee(self.offsets if starts is None else starts)
+        return map(self.prefix.__getitem__,
+                   map(slice, starts, map(self.word_length.__add__, ends)))
 
-    def theta_windows(self) -> Iterator[tuple[int, int]]:
-        """For each factor, in order, the width-N windows of θ(P) at 2p and
-        2p + 1, where p is its offset in P: θ(w) is the width-2N window at
-        2p, so these are the two letters of w's θ_N image."""
-        starts = (q for p in self.offsets for q in (2 * p, 2 * p + 1))
+    def windows(self) -> Iterator[int]:
+        """The factors in order as the ints of their bits, one at a time:
+        the width-N windows of P at the offsets."""
+        return read_windows(len(self.prefix), int(self.prefix, 2), self.word_length,
+                            self.offsets)
+
+    def theta_prefix(self) -> str:
+        """θ(P) as 0/1 text, the prefix of the next level."""
         length = len(self.prefix)
-        windows = read_windows(2 * length, theta_bits(length, int(self.prefix, 2)),
-                               self.word_length, starts)
-        return zip(windows, windows)  # consecutive windows of the one iterator
+        return f"{theta_bits(length, int(self.prefix, 2)):0{2 * length}b}"
 
 
 def _check_m(m: int) -> None:
@@ -111,10 +117,9 @@ def grow(fs: FactorSet) -> FactorSet:
     of ``fs``, δ of the first half, δ of the second and ε of the first."""
     h = fs.size // 2
     low, high = fs.offsets[:h], fs.offsets[h:]
-    length = len(fs.prefix)
-    prefix = f"{theta_bits(length, int(fs.prefix, 2)):0{2 * length}b}"
-    return FactorSet(fs.m + 1, prefix, (*(2 * p + 1 for p in high), *(2 * p for p in low),
-                                        *(2 * p for p in high), *(2 * p + 1 for p in low)))
+    return FactorSet(fs.m + 1, fs.theta_prefix(),
+                     (*(2 * p + 1 for p in high), *(2 * p for p in low),
+                      *(2 * p for p in high), *(2 * p + 1 for p in low)))
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
@@ -180,34 +185,35 @@ def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
     """Check the four quarter image identities one level up, on the level
     ``fs_next`` that ``grow`` built from level m:
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2).
-    Its quarters are these images, so they hold if each window exceeds the
-    one before it: one streamed pass, whose entry for each quarter names the
-    first index there that does not."""
+    Its quarters are these images, so they hold if each label exceeds the
+    one before it: one streamed pass over consecutive labels per quarter,
+    whose entry names the first index there that does not."""
     q = fs_next.quarter_size
-    bad = [0] * 4
-    previous = -1
-    for i, window in enumerate(fs_next.windows()):
-        if window <= previous and not bad[i // q]:
-            bad[i // q] = i + 1
-        previous = window
     rb = ReportBuilder(fs_next.m - 1, "quarters")
     images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
-    for n, i in enumerate(bad):
+    for n, image in enumerate(images):
+        # the pairs of consecutive labels from the one before the quarter on;
+        # i is the 1-based upper index of the first that does not increase
+        lo = max(n * q - 1, 0)
+        labels = fs_next.labels(fs_next.offsets[lo:(n + 1) * q])
+        bad = first_failures(starmap(lt, pairwise(labels)), 1)
+        i = lo + 1 + bad[0] if bad else 0
         rb.check(f"Q{n + 1}", not i,
-                 f"{images[n]} out of order at i={i}" if i else f"{images[n]} increases")
+                 f"{image} out of order at i={i}" if i else f"{image} increases")
     return rb.build()
 
 
 def verify_prefix_pairs(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
     """Check that consecutive pairs of the next level (``fs_next``) share
     their length-N prefix with the corresponding word one level down:
-    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i: the width-N
-    windows at the offsets of the next level against the windows below."""
-    upper = read_windows(len(fs_next.prefix), int(fs_next.prefix, 2), fs.word_length,
-                         fs_next.offsets)
-    bad = [i + 1 for i, (w, a, b) in enumerate(zip(fs.windows(), upper, upper))
-           if a != w or b != w]
+    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i: the label of w_i
+    must start the next level's prefix at the offsets of w'_{2i-1} and
+    w'_{2i}."""
+    upper, starts_with = fs_next.offsets, fs_next.prefix.startswith
+    first, second = tee(fs.labels())
+    bad = first_failures(map(and_, map(starts_with, first, upper[0::2]),
+                             map(starts_with, second, upper[1::2])))
     rb = ReportBuilder(fs.m, "firsthalf")
     rb.check("pairs", not bad,
-             f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")
+             f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad}")
     return rb.build()

@@ -2,16 +2,20 @@
 substitution of a dense matrix, its labels, and the image words of one
 letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
-and text references for θ: the Thue-Morse substitution, and θ and the
-descendants of one word of 0/1 text."""
+the closed form of θ_N one letter at a time; the entries of the quarters,
+firsthalf and nblock passes computed on the ints of the windows, one window
+at a time; and text references for θ: the Thue-Morse substitution, and θ
+and the descendants of one word of 0/1 text."""
 
 from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
 
+from tmblocks.nblock import half_shift
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import FactorSet
+from tmblocks.words import read_windows, theta_bits
 
 
 def dense(sub: Substitution) -> np.ndarray:
@@ -40,12 +44,11 @@ def labels(sub: Substitution) -> tuple[str, ...]:
 
 def iterates(sub: Substitution, letter: int) -> Iterator[str]:
     """The n-th image words of ``letter`` for n = 0, 1, 2, ..., without
-    end, each one ``translate`` of the one before."""
-    table = sub._text_table()
+    end, each one the image of the one before."""
     w = chr(letter)
     while True:
         yield w
-        w = w.translate(table)
+        w = sub.apply(w)
 
 
 def nth_image(sub: Substitution, letter: int, n: int) -> str:
@@ -67,6 +70,16 @@ def off_prefix(fs: FactorSet) -> FactorSet:
     return FactorSet(fs.m, text[:p] + "10"[int(text[p])] + text[p + 1:], fs.offsets)
 
 
+def first_image_index(j: int, size: int) -> int:
+    """1-based index of the first letter of the 2-letter block image of w_j."""
+    return size // 4 + (j + 1) // 2
+
+
+def second_image_index(j: int, size: int) -> int:
+    """1-based index of the second letter: the first one, shifted half-way."""
+    return half_shift(first_image_index(j, size), size)
+
+
 def theta() -> Substitution:
     """The Thue-Morse substitution 0 -> 01, 1 -> 10 on the binary alphabet."""
     return Substitution(((0, 1), (1, 0)), "01".__getitem__)
@@ -85,3 +98,57 @@ def descendants_text(w: str) -> tuple[str, str]:
     without its first."""
     t = theta_text(w)
     return t[:-1], t[1:]
+
+
+Entry = tuple[str, bool, str]
+
+
+def _windows(text: str, n: int, starts) -> Iterator[int]:
+    """The width-n windows of the 0/1 text at ``starts``, as ints."""
+    return read_windows(len(text), int(text, 2), n, starts)
+
+
+def quarters_by_windows(fs_next: FactorSet) -> list[Entry]:
+    """The quarters entries of the level ``fs_next``: in each quarter, the
+    first window that does not exceed the one before it."""
+    q = fs_next.quarter_size
+    bad = [0] * 4
+    previous = -1
+    for i, window in enumerate(_windows(fs_next.prefix, fs_next.word_length, fs_next.offsets)):
+        if window <= previous and not bad[i // q]:
+            bad[i // q] = i + 1
+        previous = window
+    images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
+    return [(f"quarters.Q{n + 1}", not i,
+             f"{images[n]} out of order at i={i}" if i else f"{images[n]} increases")
+            for n, i in enumerate(bad)]
+
+
+def prefix_pairs_by_windows(fs: FactorSet, fs_next: FactorSet) -> list[Entry]:
+    """The firsthalf entry: the width-N windows of the next level's prefix at
+    its offsets against the windows of level m."""
+    n = fs.word_length
+    upper = _windows(fs_next.prefix, n, fs_next.offsets)
+    bad = [i + 1 for i, (w, a, b) in enumerate(zip(_windows(fs.prefix, n, fs.offsets),
+                                                    upper, upper))
+           if a != w or b != w]
+    return [("firsthalf.pairs", not bad,
+             f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad[:5]}")]
+
+
+def block_formula_by_windows(fs: FactorSet, theta_n: Substitution) -> list[Entry]:
+    """The nblock entries: for each letter j with image (a, b), the windows
+    of P at p_a and p_b against those of θ(P) at 2p_j and 2p_j + 1; and the
+    label of w_{k/2} against the f0 prefix."""
+    k, n, text = fs.size, fs.word_length, fs.prefix
+    want = _windows(text, n, (fs.offsets[c] for image in theta_n.images for c in image))
+    got = read_windows(2 * len(text), theta_bits(len(text), int(text, 2)), n,
+                       (q for p in fs.offsets for q in (2 * p, 2 * p + 1)))
+    bad = [j + 1 for j, (a, b, x, y) in enumerate(zip(want, want, got, got))
+           if a != x or b != y]
+    f0 = "".join(str(i.bit_count() & 1) for i in range(n))  # letter i: parity of popcount(i)
+    label = fs.label(k // 2 - 1)
+    return [("nblock.images", not bad,
+             f"all {k} two-letter images are windows of θ(P)" if not bad
+             else f"mismatch at j={bad[:5]}"),
+            ("nblock.f0", label == f0, f"w_{k // 2}={label}, f0={f0}")]

@@ -179,15 +179,16 @@ def _count_calls(monkeypatch, name, key):
     return seen
 
 
-def _count_theta_windows(monkeypatch):
-    """Count the reads of the windows of θ(P), the window check of θ_N, by m."""
+def _count_theta_prefixes(monkeypatch):
+    """Count the reads of θ(P), by the level m of P: ``grow`` reads it to
+    build level m + 1, and the window check of θ_N to check level m."""
     seen = Counter()
-    theta_windows = thue_morse.FactorSet.theta_windows
+    theta_prefix = thue_morse.FactorSet.theta_prefix
 
     def counting(fs):
         seen[fs.m] += 1
-        return theta_windows(fs)
-    monkeypatch.setattr(thue_morse.FactorSet, "theta_windows", counting)
+        return theta_prefix(fs)
+    monkeypatch.setattr(thue_morse.FactorSet, "theta_prefix", counting)
     return seen
 
 
@@ -197,7 +198,7 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     orders = _count_calls(monkeypatch, "verify_quarter_descendants", lambda fs: fs.m)
     blocks = _count_calls(monkeypatch, "thue_morse_block_system", lambda fs: fs.m)
     checks = _count_calls(monkeypatch, "verify_block_formula", lambda fs, nb: fs.m)
-    windows = _count_theta_windows(monkeypatch)
+    theta_prefixes = _count_theta_prefixes(monkeypatch)
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
     pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
     fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
@@ -219,7 +220,9 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     assert blocks == {m: 1 for m in range(2, 7)}
     # nblock, pairs and primitivity read one window check of θ_N
     assert checks == {m: 1 for m in range(2, 7)}
-    assert windows == {m: 1 for m in range(2, 7)}
+    # θ(P) of level 1 is read by grow alone, of levels 2..6 by grow and by
+    # the window check
+    assert theta_prefixes == {1: 1, **{m: 2 for m in range(2, 7)}}
     assert etas == {m: 1 for m in range(2, 7)}
     # pairs and fixedpoint read one pairs report, fixedpoint and theorem
     # one fixed-point report
@@ -251,10 +254,11 @@ def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
     # the window check of θ_N is the premise of pairs, so it runs although
     # the nblock claim is not selected
     checks = _count_calls(monkeypatch, "verify_block_formula", lambda fs, nb: fs.m)
-    windows = _count_theta_windows(monkeypatch)
+    theta_prefixes = _count_theta_prefixes(monkeypatch)
     code, out, _ = _run(capsys, ["verify", "--m", "4", "--claims", "pairs"])
     assert code == 0 and out == "PASS m=4 pairs\n"
-    assert checks == {4: 1} and windows == {4: 1}
+    # the scan grows levels 1..3, and the window check reads θ(P) of level 4
+    assert checks == {4: 1} and theta_prefixes == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def _is_thue_morse_prefix(length, bits):

@@ -2,10 +2,10 @@ from collections import Counter
 
 import pytest
 
-from helpers import factor_labels, labels, nth_image, off_prefix, theta, theta_text
+from helpers import (factor_labels, first_image_index, labels, nth_image, off_prefix,
+                     second_image_index, theta, theta_text)
 from tmblocks.claims import CLAIMS, Level
-from tmblocks.nblock import (first_image_index, half_shift, second_image_index,
-                             thue_morse_block_system, verify_block_formula)
+from tmblocks.nblock import half_shift, thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan
 
@@ -37,14 +37,17 @@ def test_image_indices_follow_the_quarter_statement(m):
     """The first letters of the images of w_{2i-1} and w_{2i} are both the
     i-th letter of Q2 (first half) or of Q3 (second half), the quarters
     into which δ sends each half; the second letters are the same run of Q4
-    or Q1, half the alphabet on."""
+    or Q1, half the alphabet on. The images of the closed form follow it,
+    and so does the per-letter formula."""
     k = 3 * 2 ** m
     q = k // 4
     q1, q2, q3, q4 = (range(i * q + 1, (i + 1) * q + 1) for i in range(4))
-    firsts = [first_image_index(j, k) for j in range(1, k + 1)]
-    seconds = [second_image_index(j, k) for j in range(1, k + 1)]
-    assert firsts == [a for a in (*q2, *q3) for _ in range(2)]
-    assert seconds == [b for b in (*q4, *q1) for _ in range(2)]
+    want = [(a, b) for a, b in zip((*q2, *q3), (*q4, *q1)) for _ in range(2)]
+    # the closed form reads only m and the number of factors
+    built = thue_morse_block_system(FactorSet(m, "", tuple(range(k))))
+    assert [(a + 1, b + 1) for a, b in built.images] == want
+    assert [(first_image_index(j, k), second_image_index(j, k))
+            for j in range(1, k + 1)] == want
 
 
 def _theta_n(m):

@@ -271,11 +271,13 @@ def test_every_offset_reads_back_its_word(m):
 
 
 @pytest.mark.parametrize("m", range(1, 11))
-def test_theta_windows_match_per_factor_theta(m):
+def test_theta_prefix_holds_per_factor_theta(m):
+    # θ(w) is the width-2N slice of θ(P) at twice w's offset
     fs = enumerate_by_scan(m)
-    n = fs.word_length
-    images = [theta_text(w) for w in factor_labels(fs)]
-    assert list(fs.theta_windows()) == [(int(t[:n], 2), int(t[1:n + 1], 2)) for t in images]
+    n, text = fs.word_length, fs.theta_prefix()
+    assert text == theta_text(fs.prefix)
+    assert [text[2 * p:2 * p + 2 * n] for p in fs.offsets] == list(map(theta_text,
+                                                                       factor_labels(fs)))
 
 
 def _entries(rep):
