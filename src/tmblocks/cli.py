@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 # Each command imports the modules it uses, so that start-up costs what the
 # command needs: `eigen` loads substitution.py alone.
@@ -82,46 +83,70 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# stdout is written in strings of about this many characters: fewer system
+# calls than one write per line, and each string stays below glibc's 128 KiB
+# mmap threshold
+_WRITE_BATCH = 1 << 16
+
+
+def _write_batched(pieces: Iterable[str]) -> None:
+    """Write the concatenation of ``pieces`` to stdout, joined into strings
+    of about ``_WRITE_BATCH`` characters, each written once."""
+    write = sys.stdout.write
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _WRITE_BATCH:
+            write("".join(batch))
+            batch.clear()
+            size = 0
+    write("".join(batch))
+
+
 def _factor_table(size: int, label: Callable[[int], str], header: str) -> Iterator[str]:
-    """The factor table of the words ``label(0..size-1)`` line by line,
-    without line ends: at m = 12 it is 50 MB of text, so it is written as it
-    is formatted."""
+    """The factor table of the words ``label(0..size-1)`` line by line: at
+    m = 12 it is 50 MB of text, so it is written as it is formatted."""
     ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
     rows = size // ncols
     width = len(str(size))
-    yield header
+    yield f"{header}\n"
     for r in range(rows):
         cells = []
         for c in range(ncols):
             i = c * rows + r
             cells.append(f"w_{i + 1:<{width}} = {label(i)}")
-        yield "   ".join(cells).rstrip()
+        yield "   ".join(cells).rstrip() + "\n"
+
+
+def _factor_json(m: int, size: int, label: Callable[[int], str]) -> Iterator[str]:
+    """The bytes of json.dump({"m": m, "words": [...]}) one word at a time:
+    a word is 0/1 text, so it needs quotes and no escapes."""
+    yield f'{{"m": {m}, "words": ["'
+    for i in range(size):
+        if i:
+            yield '", "'
+        yield label(i)
+    yield '"]}\n'
 
 
 def _sub_table(sub: Substitution, name: str) -> Iterator[str]:
     for j, img in enumerate(sub.images):
-        yield f"{name}(w_{j + 1}) = {sub.format_word(img)}"
-
-
-def _write_lines(lines: Iterable[str]) -> None:
-    write = sys.stdout.write
-    for line in lines:
-        write(line)
-        write("\n")
+        yield f"{name}(w_{j + 1}) = {sub.format_word(img)}\n"
 
 
 def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.writelines(sub.iter_json())
-        print()
+        _write_batched(chain(sub.iter_json(), ("\n",)))
     elif fmt == "dot":
-        sys.stdout.writelines(sub.iter_dot(name))
+        _write_batched(sub.iter_dot(name))
     else:
-        _write_lines(_sub_table(sub, name))
+        _write_batched(_sub_table(sub, name))
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
-    from .thue_morse import MAX_M, enumerate_by_descendants, enumerate_by_scan
+    from .thue_morse import MAX_M, enumerate_by_descendants, enumerate_by_scan, matches_descendants
 
     if not 1 <= args.m <= MAX_M:
         print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
@@ -131,27 +156,17 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         words, n = enumerate_by_descendants(args.m), 2 ** args.m + 1
         size, label = len(words), lambda i: f"{words[i]:0{n}b}"
     else:
-        # the oracle runs first, so that its last two levels are never held
-        # next to the factor set; it is then compared window by window
-        oracle = enumerate_by_descendants(args.m) if args.method == "both" else None
         fs = enumerate_by_scan(args.m)
-        if oracle is not None and (len(oracle) != fs.size
-                                   or any(map(int.__ne__, oracle, fs.windows()))):
+        # the oracle's words are streamed and joined with the windows of the
+        # grown level by their hashes, so neither is held as words
+        if args.method == "both" and not matches_descendants(fs):
             print("error: enumeration methods disagree", file=sys.stderr)
             return 1
         size, label = fs.size, fs.label
     if args.format == "json":
-        # the bytes of json.dump({"m": m, "words": [...]}), written one word
-        # at a time: a word is 0/1 text, so it needs quotes and no escapes
-        write = sys.stdout.write
-        write(f'{{"m": {args.m}, "words": ["')
-        for i in range(size):
-            if i:
-                write('", "')
-            write(label(i))
-        write('"]}\n')
+        _write_batched(_factor_json(args.m, size, label))
     else:
-        _write_lines(_factor_table(size, label, f"m={args.m} N={2 ** args.m + 1} count={size}"))
+        _write_batched(_factor_table(size, label, f"m={args.m} N={2 ** args.m + 1} count={size}"))
     return 0
 
 

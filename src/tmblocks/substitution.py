@@ -4,16 +4,14 @@ Letters are opaque indices 0..k-1; beside its images a substitution holds
 ``label``, a function from a letter to its display label (e.g. the binary
 word a block letter stands for). Images may have different lengths, so
 non-constant-length substitutions are first-class.
-Words over the alphabet are codepoint text, letter a as ``chr(a)``, so that
-applying a substitution is one ``str.translate`` and windows and prefixes
-are C-level slices. The images themselves are tuples of letter indices.
 
-The images are the only representation of a substitution. Its incidence
-matrix M[a][b] = number of occurrences of letter a in the image of letter b
-is read off them: column b is the multiset images[b], column sums are the
-image lengths, and the graph with an edge b -> a per letter a of images[b]
-is the graph of M, whose strongly connected components give the irreducible
-diagonal blocks on which ``pf_bracket`` certifies ρ.
+The images, tuples of letter indices, are the only representation of a
+substitution. Its incidence matrix M[a][b] = number of occurrences of
+letter a in the image of letter b is read off them: column b is the
+multiset images[b], column sums are the image lengths, and the graph with
+an edge b -> a per letter a of images[b] is the graph of M, whose strongly
+connected components give the irreducible diagonal blocks on which
+``pf_bracket`` certifies ρ.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ class Substitution:
     and ``label``, the function from a letter to its display label;
     immutable."""
 
-    __slots__ = ("images", "label", "_table")
+    __slots__ = ("images", "label")
 
     images: tuple[Word, ...]
     label: Callable[[int], str]
@@ -60,25 +58,6 @@ class Substitution:
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def _text_table(self) -> tuple[str, ...]:
-        """``str.translate`` table: entry a is the image of letter a as
-        text. Built on first use; a code point >= k is not in it, and
-        ``translate`` would leave such a letter unchanged."""
-        try:
-            return self._table
-        except AttributeError:
-            table = tuple("".join(map(chr, img)) for img in self.images)
-            object.__setattr__(self, "_table", table)
-            return table
-
-    def apply(self, w: str) -> str:
-        """Letter-wise image concatenation (monoid morphism) on text."""
-        if w:
-            top = ord(max(w))
-            if top >= self.size:
-                raise ValueError(f"letter {top} not in alphabet of size {self.size}")
-        return w.translate(self._text_table())
 
     def is_injective(self) -> bool:
         """True iff the letter images are pairwise distinct words."""

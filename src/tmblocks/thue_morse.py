@@ -16,9 +16,12 @@ streamed pass checks that each label exceeds the one before it (the
 sides, that proves each level sorted, distinct and complete, with no cited
 count.
 
-The descendant recursion on the ints of the words, sorted level by level,
-is an independent oracle. On top of the ordered set sit the quarter
-partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes, and
+The descendant recursion on the ints of the words is an independent
+oracle. It runs depth first and holds one path of the recursion, so it
+yields the words of a level in no order; ``matches_descendants`` joins that
+stream with the grown level by the hashes of its windows, and
+``enumerate_by_descendants`` sorts it. On top of the ordered set sit the
+quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes, and
 executable verifiers for the identities that tie them together.
 """
 
@@ -89,11 +92,11 @@ class FactorSet:
         return map(self.prefix.__getitem__,
                    map(slice, starts, map(self.word_length.__add__, ends)))
 
-    def windows(self) -> Iterator[int]:
-        """The factors in order as the ints of their bits, one at a time:
-        the width-N windows of P at the offsets."""
+    def windows(self, starts: Iterable[int] | None = None) -> Iterator[int]:
+        """The width-N windows of P at ``starts`` as the ints of their bits,
+        by default the factors in order, one at a time."""
         return read_windows(len(self.prefix), int(self.prefix, 2), self.word_length,
-                            self.offsets)
+                            self.offsets if starts is None else starts)
 
     def theta_prefix(self) -> str:
         """θ(P) as 0/1 text, the prefix of the next level."""
@@ -143,27 +146,63 @@ def enumerate_by_scan(m: int) -> FactorSet:
     return fs
 
 
+def descendant_words(m: int) -> Iterator[int]:
+    """The factors of length N as the ints of their bits, in no order: the
+    descendant recursion from the hard-coded length-3 base, depth first,
+    holding one path of it. δ(u) drops the last letter of θ(u) and ε(u)
+    the first."""
+    _check_m(m)
+    # (level, word) of the words still to expand: the six of level 1, then
+    # at most two per level below them, O(N) bits in all
+    stack = [(1, int(t, 2)) for t in A1_WORDS]
+    while stack:
+        j, b = stack.pop()
+        if j == m:
+            yield b
+        else:
+            n = 2 ** j + 1
+            t = theta_bits(n, b)
+            stack.append((j + 1, t >> 1))
+            stack.append((j + 1, t & ((1 << 2 * n - 1) - 1)))
+
+
 def enumerate_by_descendants(m: int) -> tuple[int, ...]:
     """The factors of length N in lexicographic order, as the ints of their
-    bits, grown from the hard-coded length-3 base by taking both descendants
-    of every word, level by level: an oracle for the scan. δ(u) drops the
-    last letter of θ(u) and ε(u) the first."""
-    _check_m(m)
-    n = 3
-    level = [int(t, 2) for t in A1_WORDS]
-    for _ in range(m - 1):
-        width = 2 * n - 1
-        mask = (1 << width) - 1
-        nxt = set()
-        for b in level:
-            t = theta_bits(n, b)
-            nxt.add(t >> 1)
-            nxt.add(t & mask)
-        level = sorted(nxt)  # one length per level: int order is lex order
-        n = width
-    if len(level) != 3 * 2 ** m:
-        raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(level)}")
-    return tuple(level)
+    bits: the distinct words of ``descendant_words(m)``, sorted, an oracle
+    for the scan. One length per level, so int order is lex order."""
+    words = sorted(set(descendant_words(m)))
+    if len(words) != 3 * 2 ** m:
+        raise RuntimeError(f"expected {3 * 2 ** m} factors for m={m}, got {len(words)}")
+    return tuple(words)
+
+
+def matches_descendants(fs: FactorSet) -> bool:
+    """True iff the windows of ``fs`` increase and are, as a set, the words
+    of ``descendant_words(fs.m)``, each yielded once: what comparing them
+    with ``enumerate_by_descendants(fs.m)`` one by one proves, with k small
+    ints held in place of k words.
+
+    One pass over the windows checks their order and maps the hash of each
+    to its offset; a collision leaves fewer offsets than windows and fails.
+    The stream then names an offset by the hash of each word, which must
+    read exactly that word, and each offset must be named once. A
+    collision can only fail the check, and ``hash`` of an int is
+    deterministic."""
+    start = {}
+    previous = -1
+    for p, w in zip(fs.offsets, fs.windows()):
+        if w <= previous:
+            return False
+        start[hash(w)] = p
+        previous = w
+    if len(start) != fs.size:
+        return False
+    words, keys = tee(descendant_words(fs.m))
+    try:
+        same = all(map(int.__eq__, words, fs.windows(map(start.pop, map(hash, keys)))))
+    except KeyError:  # a word with no window, or one named twice
+        return False
+    return same and not start
 
 
 def verify_quarter_minima(fs: FactorSet) -> VerificationReport:

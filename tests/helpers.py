@@ -1,20 +1,22 @@
 """Test-side views of a substitution: its dense incidence matrix, the
-substitution of a dense matrix, its labels, and the image words of one
-letter;
+substitution of a dense matrix, its labels, its image of a word of
+codepoint text, and the image words of one letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
 the closed form of θ_N one letter at a time; the entries of the quarters,
 firsthalf and nblock passes computed on the ints of the windows, one window
-at a time; and text references for θ: the Thue-Morse substitution, and θ
-and the descendants of one word of 0/1 text."""
+at a time; the breadth-first descendant oracle; and text references for
+θ: the Thue-Morse substitution, and θ and the descendants of one word of
+0/1 text."""
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from tmblocks.nblock import half_shift
 from tmblocks.substitution import Substitution
-from tmblocks.thue_morse import FactorSet
+from tmblocks.thue_morse import A1_WORDS, FactorSet
 from tmblocks.words import read_windows, theta_bits
 
 
@@ -42,13 +44,32 @@ def labels(sub: Substitution) -> tuple[str, ...]:
     return tuple(map(sub.label, range(sub.size)))
 
 
+@lru_cache(maxsize=8)
+def _translate_table(sub: Substitution) -> tuple[str, ...]:
+    """``str.translate`` table of ``sub``: entry a is the image of letter a
+    as codepoint text. A code point >= k is not in it, and ``translate``
+    would leave such a letter unchanged."""
+    return tuple("".join(map(chr, img)) for img in sub.images)
+
+
+def apply(sub: Substitution, w: str) -> str:
+    """The image of the word ``w`` under ``sub``, letter-wise image
+    concatenation on codepoint text (letter a as ``chr(a)``); ValueError on a
+    letter outside the alphabet."""
+    if w:
+        top = ord(max(w))
+        if top >= sub.size:
+            raise ValueError(f"letter {top} not in alphabet of size {sub.size}")
+    return w.translate(_translate_table(sub))
+
+
 def iterates(sub: Substitution, letter: int) -> Iterator[str]:
     """The n-th image words of ``letter`` for n = 0, 1, 2, ..., without
     end, each one the image of the one before."""
     w = chr(letter)
     while True:
         yield w
-        w = sub.apply(w)
+        w = apply(sub, w)
 
 
 def nth_image(sub: Substitution, letter: int, n: int) -> str:
@@ -91,6 +112,25 @@ _THETA_TEXT = str.maketrans({"0": "01", "1": "10"})
 def theta_text(w: str) -> str:
     """θ of the 0/1 text w."""
     return w.translate(_THETA_TEXT)
+
+
+def descendants_by_level(m: int) -> tuple[int, ...]:
+    """Reference oracle: the factors of length 2^m + 1 as the sorted ints of
+    their bits, by the descendant recursion breadth first from the six words
+    of length 3, each level held whole and sorted."""
+    n = 3
+    level = [int(t, 2) for t in A1_WORDS]
+    for _ in range(m - 1):
+        width = 2 * n - 1
+        mask = (1 << width) - 1
+        nxt = set()
+        for b in level:
+            t = theta_bits(n, b)
+            nxt.add(t >> 1)
+            nxt.add(t & mask)
+        level = sorted(nxt)  # one length per level: int order is lex order
+        n = width
+    return tuple(level)
 
 
 def descendants_text(w: str) -> tuple[str, str]:

@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import iterates
+from helpers import apply, iterates
 from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
 from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_point,
@@ -149,7 +149,7 @@ def test_c08_injective_refinement(systems):
             failures.append(f"m={m}: fixed point orbits differ")
         w = chr(fixed_letters(k)[0])
         for n in range(1, 13):
-            w = eta.apply(w)
+            w = apply(eta, w)
             if len(w) != 2 ** n:
                 failures.append(f"m={m}: orbit length is not 2^{n}")
                 break

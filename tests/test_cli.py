@@ -9,11 +9,12 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import off_prefix
-from tmblocks import claims, injectivize, nblock, thue_morse
+from tmblocks import claims, cli, injectivize, nblock, thue_morse
 from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
 from tmblocks.substitution import Substitution
@@ -48,6 +49,33 @@ def test_factors_method_both(capsys):
     code, out, _ = _run(capsys, ["factors", "--m", "3", "--method", "both"])
     assert code == 0
     assert "count=24" in out
+
+
+def _refuses_both(capsys, m):
+    for fmt in ("text", "json"):
+        code, out, err = _run(capsys, ["factors", "--m", str(m), "--method", "both",
+                                       "--format", fmt])
+        assert (code, out, err) == (1, "", "error: enumeration methods disagree\n")
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_factors_both_refuses_a_level_off_the_prefix(capsys, monkeypatch, m):
+    scan = thue_morse.enumerate_by_scan
+    monkeypatch.setattr(thue_morse, "enumerate_by_scan", lambda m: off_prefix(scan(m)))
+    _refuses_both(capsys, m)
+
+
+@pytest.mark.parametrize("m, i", [(1, 0), (2, 5), (6, 100)])
+def test_factors_both_refuses_two_swapped_offsets(capsys, monkeypatch, m, i):
+    scan = thue_morse.enumerate_by_scan
+
+    def swapped(m):
+        fs = scan(m)
+        off = fs.offsets
+        return thue_morse.FactorSet(m, fs.prefix, off[:i] + (off[i + 1], off[i]) + off[i + 2:])
+
+    monkeypatch.setattr(thue_morse, "enumerate_by_scan", swapped)
+    _refuses_both(capsys, m)
 
 
 def test_factors_bad_m(capsys):
@@ -88,6 +116,18 @@ def test_streamed_factors_match_whole_document_output(capsys, m):
         code, out, _ = _run(capsys, ["factors", "--m", str(m), "--method", method])
         assert code == 0
         assert out == _whole_factor_table(m, words)
+
+
+@pytest.mark.parametrize("argv", ["factors --m 10 --method both --format json", "factors --m 9",
+                                  "build eta --m 9 --format dot"])
+def test_output_is_written_in_batches(monkeypatch, argv):
+    """Each write but the last carries at least one batch and less than two."""
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert run(argv.split()) == 0
+    batch = cli._WRITE_BATCH
+    assert len(writes) > 2 and all(batch <= len(w) < 2 * batch for w in writes[:-1])
+    assert len(writes[-1]) < 2 * batch
 
 
 def test_build_theta_text(capsys):

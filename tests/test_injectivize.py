@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, factor_labels, iterates, labels, nth_image
+from helpers import apply, dense, factor_labels, iterates, labels, nth_image
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
@@ -89,7 +89,7 @@ def test_pair_images_golden_and_verifier():
     sys2 = eta_system(2)
     t5 = sys2.nblock
     # the pair starting the f1 orbit: image of (w7, w1)
-    assert sys2.eta.apply("\x06\x00") == "\x06\x00\x03\x09" == t5.apply("\x06\x00")
+    assert apply(sys2.eta, "\x06\x00") == "\x06\x00\x03\x09" == apply(t5, "\x06\x00")
     for m in (2, 3, 4):
         sys_m = eta_system(m)
         assert verify_pair_images(m, sys_m.nblock, sys_m.eta).ok
@@ -134,7 +134,7 @@ def test_pair_images_are_compared_pair_by_pair():
     # the concatenation 012012 of the pairs 01, 20, 12, but not on 20 or 12
     theta_n = Substitution(((0, 1), (2, 0), (1, 2)), "abc".__getitem__)
     eta = Substitution(((0, 1, 2), (0,), (1, 2)), "abc".__getitem__)
-    assert eta.apply("\0\1\2\0\1\2") == theta_n.apply("\0\1\2\0\1\2")
+    assert apply(eta, "\0\1\2\0\1\2") == apply(theta_n, "\0\1\2\0\1\2")
     assert _pair_mismatches(theta_n, eta) == [2, 3]
     rep = verify_pair_images(2, theta_n, eta)
     assert [(e.passed, e.detail) for e in rep.entries] == [(False, "mismatch at j=[2, 3]")]
@@ -320,7 +320,7 @@ def test_growth_identity_matrix_vs_iteration():
             assert int(mn.sum(axis=0)[f0]) == 2 ** n
         w = chr(f0)
         for n in range(1, 13):
-            w = eta.apply(w)
+            w = apply(eta, w)
             assert len(w) == 2 ** n
 
 

@@ -1,13 +1,18 @@
 import random
 import re
+import tracemalloc
+from itertools import chain, islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import descendants_text, factor_labels, off_prefix, theta_text
+from helpers import descendants_by_level, descendants_text, factor_labels, off_prefix, theta_text
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan,
-                                 grow, thue_morse_prefix, verify_prefix_pairs,
-                                 verify_quarter_descendants, verify_quarter_minima)
+from tmblocks.thue_morse import (MAX_M, FactorSet, descendant_words, enumerate_by_descendants,
+                                 enumerate_by_scan, grow, matches_descendants, thue_morse_prefix,
+                                 verify_prefix_pairs, verify_quarter_descendants,
+                                 verify_quarter_minima)
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -67,6 +72,89 @@ def test_descendant_recursion_matches_the_per_word_reference():
         assert enumerate_by_descendants(m) == tuple(int(w, 2) for w in words)
         # one length per level: text order is lexicographic order
         words = sorted({d for w in words for d in descendants_text(w)})
+
+
+def test_descendant_stream_against_the_breadth_first_oracle():
+    """The depth-first stream yields each word of the level once: as many
+    words as factors, whose sorted set is the level-by-level recursion."""
+    for m in range(1, MAX_M + 1):
+        words = list(descendant_words(m))
+        assert len(words) == 3 * 2 ** m
+        assert tuple(sorted(set(words))) == descendants_by_level(m) == enumerate_by_descendants(m)
+
+
+def test_join_passes_on_the_grown_levels():
+    for m in range(1, MAX_M + 1):
+        assert matches_descendants(enumerate_by_scan(m))
+
+
+def _with_offsets(fs, offsets):
+    return FactorSet(fs.m, fs.prefix, tuple(offsets))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_join_fails_on_corrupted_levels(m):
+    """Negative controls: a level read off a corrupted prefix, and levels
+    whose offsets are reversed, short of one, or with one repeated."""
+    fs = enumerate_by_scan(m)
+    off = fs.offsets
+    assert not matches_descendants(off_prefix(fs))
+    assert not matches_descendants(_with_offsets(fs, reversed(off)))
+    for i in (0, fs.size // 2, fs.size - 1):
+        assert not matches_descendants(_with_offsets(fs, off[:i] + off[i + 1:]))
+        assert not matches_descendants(_with_offsets(fs, off[:i + 1] + off[i:]))
+        # w_{i+1} in place of its neighbour, so the level keeps its size
+        j = i + 1 if i + 1 < fs.size else i - 1
+        assert not matches_descendants(_with_offsets(fs, off[:j] + (off[i],) + off[j + 1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.permutations(range(3 * 2 ** m)))))
+def test_join_fails_on_permuted_offsets(case):
+    m, order = case
+    assume(order != sorted(order))
+    fs = enumerate_by_scan(m)
+    assert not matches_descendants(_with_offsets(fs, (fs.offsets[i] for i in order)))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_join_fails_when_the_stream_repeats_or_drops_a_word(monkeypatch, m):
+    fs = enumerate_by_scan(m)
+    stream = thue_morse.descendant_words
+    monkeypatch.setattr(thue_morse, "descendant_words",
+                        lambda m: chain(stream(m), islice(stream(m), 1)))
+    assert not matches_descendants(fs)
+    monkeypatch.setattr(thue_morse, "descendant_words", lambda m: islice(stream(m), 1, None))
+    assert not matches_descendants(fs)
+
+
+def test_join_fails_under_a_constant_hash(monkeypatch):
+    """A hash collision can only fail the check: with every window on one
+    hash, one offset is left for all of them."""
+    fs = enumerate_by_scan(4)
+    monkeypatch.setattr(thue_morse, "hash", lambda x: 0, raising=False)
+    assert not matches_descendants(fs)
+    # and a stream of the one word whose offset is left names every offset
+    # the map holds, but not every offset of the level
+    last = list(fs.windows())[-1]
+    monkeypatch.setattr(thue_morse, "descendant_words", lambda m: iter((last,)))
+    assert not matches_descendants(fs)
+
+
+def test_join_holds_less_than_the_sorted_oracle():
+    """The join holds k small ints, the sorted oracle k words of N bits."""
+    fs = enumerate_by_scan(MAX_M)
+    tracemalloc.start()
+    try:
+        assert matches_descendants(fs)
+        join_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        enumerate_by_descendants(MAX_M)
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert join_peak < oracle_peak / 2
 
 
 def test_scan_raises_when_the_base_repeats_a_window(monkeypatch):

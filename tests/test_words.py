@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import theta, theta_text
+from helpers import apply, theta, theta_text
 from tmblocks.words import read_windows, theta_bits
 
 
@@ -57,7 +57,7 @@ def test_theta_bits_matches_the_text_reference(w):
     assert theta_bits(len(w), _bits(w)) == _bits(image)
     # and the generic substitution, whose letter a is code point a
     letters = str.maketrans("01", "\x00\x01")
-    assert image.translate(letters) == theta().apply(w.translate(letters))
+    assert image.translate(letters) == apply(theta(), w.translate(letters))
 
 
 @settings(max_examples=300, deadline=None)
