@@ -132,7 +132,7 @@ def _factor_json(m: int, size: int, label: Callable[[int], str]) -> Iterator[str
 
 
 def _sub_table(sub: Substitution, name: str) -> Iterator[str]:
-    for j, img in enumerate(sub.images):
+    for j, img in enumerate(sub.iter_images()):
         yield f"{name}(w_{j + 1}) = {sub.format_word(img)}\n"
 
 

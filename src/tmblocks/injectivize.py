@@ -14,14 +14,13 @@ dominant eigenvalue 2.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import chain
-from operator import add, eq, itemgetter
-from typing import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, contains, eq, getitem, gt
 
-from .nblock import half_shift
 from .report import ReportBuilder, VerificationReport, first_failures
-from .substitution import Substitution, Word, _bfs_levels, pf_bracket
+from .substitution import Substitution, _bfs_levels, pf_bracket
 from .thue_morse import enumerate_by_scan
 
 
@@ -33,75 +32,92 @@ def fixed_letters(k: int) -> tuple[int, int]:
 
 def build_eta(m: int, theta_n: Substitution) -> Substitution:
     """The injective refinement of the Thue-Morse block substitution
-    ``theta_n`` of width 2^m + 1. It reads the images alone: that the f0
-    block sits at the midpoint is the ``nblock`` report's f0 entry."""
+    ``theta_n`` of width 2^m + 1, four quarters of letters whose images
+    have two letters each. It reads the images alone: that the f0 block sits
+    at the midpoint is the ``nblock`` report's f0 entry."""
     if m < 2:
         raise ValueError(f"the construction needs a quarter partition (m >= 2), got m={m}")
     k = theta_n.size
-    images: list[Word] = []
-    for idx0 in range(k):
-        pair = theta_n.images[idx0]
-        i = idx0 + 1
-        if i % 2 == 0:
-            images.append(pair)
-            continue
-        quarter = (4 * idx0) // k + 1
-        partner = theta_n.images[half_shift(i, k) - 1]
-        if quarter == 1:
-            images.append((pair[1],))
-        elif quarter == 2:
-            images.append((pair[0],))
-        elif quarter == 3:
-            images.append(pair + (partner[0],))
-        else:
-            images.append((partner[1],) + pair)
-    return Substitution(tuple(images), theta_n.label)
+    if k % 4 or set(theta_n.lengths()) != {2}:
+        raise ValueError(f"the block substitution must have four quarters of letters with "
+                         f"two-letter images, got {k} letters")
+    q, h = k // 4, k // 2
+    first, second = theta_n.letters[0::2], theta_n.letters[1::2]
+    # the 0-based letters j = cut[n], cut[n] + 2, ... below (n + 1)·q are the
+    # odd-indexed ones of quarter n + 1; half the alphabet away from those of
+    # Q3 and Q4 lie those of Q1 and Q2
+    cut = [n * q + n * q % 2 for n in range(4)]
+
+    def odd(column: array, n: int, shift: int = 0) -> array:
+        """Letter ``column`` of the images of the odd-indexed letters of
+        quarter n + 1, or, with ``shift`` = h, of their partners."""
+        return column[cut[n] - shift:(n + 1) * q - shift:2]
+
+    # each odd-indexed letter and the even one after it take 1 + 2 letters
+    # in the first half, q pairs, and 3 + 2 in the second; the even ones
+    # keep their images
+    low, high = array("I", [0]) * (3 * q), array("I", [0]) * (5 * q)
+    low[0::3] = odd(second, 0) + odd(first, 1)
+    low[1::3], low[2::3] = first[1:h:2], second[1:h:2]
+    high[0::5] = odd(first, 2) + odd(second, 3, h)
+    high[1::5] = odd(second, 2) + odd(first, 3)
+    high[2::5] = odd(first, 2, h) + odd(second, 3)
+    high[3::5], high[4::5] = first[h + 1::2], second[h + 1::2]
+    lengths = chain.from_iterable(chain(repeat((1, 2), q), repeat((3, 2), q)))
+    return Substitution(low + high, array("I", accumulate(lengths, initial=0)), theta_n.label)
 
 
 # The m=2 negative example: an injective redistribution that keeps the odd
 # Q2 letter long and cuts the odd Q4 letter down to one letter, trapping the
-# pair {w3, w11} in a 2-cycle. 0-based images on the 12-letter alphabet.
-_ZETA5_IMAGES = (
-    (9,), (3, 9), (10,), (4, 10), (5, 11, 8), (5, 11),
-    (6, 0, 3), (6, 0), (7, 1, 4), (7, 1), (2,), (8, 2),
-)
+# pair {w3, w11} in a 2-cycle. 0-based images on the 12-letter alphabet,
+# (9), (3, 9), (10), (4, 10), (5, 11, 8), (5, 11), (6, 0, 3), (6, 0),
+# (7, 1, 4), (7, 1), (2), (8, 2): their letters in a row, and their lengths.
+_ZETA5_LETTERS = (9, 3, 9, 10, 4, 10, 5, 11, 8, 5, 11, 6, 0, 3, 6, 0, 7, 1, 4, 7, 1, 2, 8, 2)
+_ZETA5_LENGTHS = (1, 2, 1, 2, 3, 2, 3, 2, 3, 2, 1, 2)
 
 
 def zeta5_fixture() -> Substitution:
     """The injective but non-primitive redistribution on the m=2 alphabet."""
-    return Substitution(_ZETA5_IMAGES, enumerate_by_scan(2).label)
+    return Substitution(array("I", _ZETA5_LETTERS),
+                        array("I", accumulate(_ZETA5_LENGTHS, initial=0)),
+                        enumerate_by_scan(2).label)
 
 
-def initials_map(s: Substitution) -> tuple[int, ...]:
+def initials_map(s: Substitution) -> array:
     """letter -> first letter of its image (0-based)."""
-    return tuple(img[0] for img in s.images)
+    return array("I", map(getitem, repeat(s.letters), islice(s.starts, s.size)))
 
 
 def _map_power(chain: Sequence[int], n: int) -> list[int]:
-    """chain^n for all letters at once, by repeated squaring."""
-    result = list(range(len(chain)))
-    square = list(chain)
+    """chain^n for all letters at once, by repeated squaring. The result
+    starts as the first power it takes, not as the identity, which would be
+    one more list of k ints at the peak."""
+    result, square = None, list(chain)
     while n:
         if n & 1:
-            result = [square[x] for x in result]
+            result = square if result is None else [square[x] for x in result]
         n >>= 1
         if n:
             square = [square[x] for x in square]
-    return result
+    return list(range(len(square))) if result is None else result
 
 
 def verify_pair_images(m: int, theta_n: Substitution, eta: Substitution) -> VerificationReport:
     """The refinement and the block substitution agree on every image pair:
-    for the image (a, b) of each letter, η(a)η(b) = θ_N(a)θ_N(b), compared
-    as concatenated image tuples."""
-
-    def concatenated(images: tuple[Word, ...]) -> Iterator[Word]:
-        """images[a] + images[b] for the image (a, b) of each letter."""
-        return map(add, map(images.__getitem__, map(itemgetter(0), theta_n.images)),
-                   map(images.__getitem__, map(itemgetter(1), theta_n.images)))
-
-    bad = first_failures(map(eq, concatenated(eta.images), concatenated(theta_n.images)))
+    for the image (a, b) of each letter under ``theta_n``, whose images must
+    have two letters each, η(a)η(b) = θ_N(a)θ_N(b), pair by pair."""
     rb = ReportBuilder(m, "pairs")
+    if set(theta_n.lengths()) != {2}:
+        bad = first_failures(map((2).__eq__, theta_n.lengths()))
+        rb.check("images", False, f"images of θ_N with other than two letters at j={bad}")
+        return rb.build()
+
+    def concatenated(s: Substitution) -> Iterator[array]:
+        """s(a) s(b) for the image (a, b) of each letter."""
+        two = s.iter_images(theta_n.letters)
+        return starmap(add, zip(two, two))
+
+    bad = first_failures(map(eq, concatenated(eta), concatenated(theta_n)))
     rb.check("images", not bad,
              f"all {theta_n.size} pairs agree" if not bad else f"mismatch at j={bad}")
     return rb.build()
@@ -122,13 +138,12 @@ def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
     (3·2^(n-1) letters vs 2^n). Without ``pairs`` neither entry passes.
     """
     f0, f1 = fixed_letters(theta_n.size)
-    eta_of, theta_of = eta.images, theta_n.images
     rb = ReportBuilder(m, "fixedpoint")
-    base = set(map(len, theta_of)) == {2} and eta_of[f0] == theta_of[f0]
+    base = set(theta_n.lengths()) == {2} and eta.image(f0) == theta_n.image(f0)
     rb.check("f0_orbit", base, "orbits equal with length 2^n for every n" if base
              else "θ_N is not 2-uniform or η(f0) != θ_N(f0)")
-    eta_f1, theta_f1 = eta_of[f1], theta_of[f1]
-    theta2_f1 = tuple(chain.from_iterable(map(theta_of.__getitem__, theta_f1)))
+    eta_f1, theta_f1 = eta.image(f1), theta_n.image(f1)
+    theta2_f1 = array("I", chain.from_iterable(map(theta_n.image, theta_f1)))
     base = eta_f1[:len(theta_f1)] == theta_f1 and theta2_f1[:len(eta_f1)] == eta_f1
     rb.check("f1_common_fixed_point", base,
              "the f1 iterates of both substitutions are nested prefixes of one fixed point"
@@ -149,39 +164,38 @@ def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution
     rb = ReportBuilder(m, "primitivity")
 
     # phi^(k/2) landing on the fixed letter means the walk met it by then
-    landed = _map_power(phi, k // 2)
-    bad = [i + 1 for i in range(k) if landed[i] != (f0 if i < k // 2 else f1)]
+    bad = first_failures(map(eq, _map_power(phi, k // 2),
+                             chain(repeat(f0, k // 2), repeat(f1, k - k // 2))))
     rb.check("phi_reaches", not bad,
              f"every letter hits its fixed letter within {k // 2} steps"
-             if not bad else f"failures at w_{bad[:5]}")
+             if not bad else f"failures at w_{bad}")
 
     # with f0 and f1 absorbing, psi^n(i) meets one of them for some n in
     # 1..k iff the walk from psi(i) rests on one after k - 1 steps
-    absorbing = list(psi)
+    absorbing = array("I", psi)
     absorbing[f0], absorbing[f1] = f0, f1
     landed = _map_power(absorbing, k - 1)
-    bad = [i + 1 for i in range(k) if landed[psi[i]] not in (f0, f1)]
+    bad = first_failures(map(contains, repeat((f0, f1)), map(landed.__getitem__, psi)))
     rb.check("psi_reaches", not bad,
-             "every letter reaches f0 or f1" if not bad else f"failures at w_{bad[:5]}")
+             "every letter reaches f0 or f1" if not bad else f"failures at w_{bad}")
 
-    mid = (k // 4, 3 * k // 4)  # 0-based span of Q2 u Q3
-    agree = all(psi[i] == phi[i] for i in range(*mid))
-    rb.check("psi_phi_q2_q3", agree, "initials maps agree on Q2 u Q3")
+    mid = slice(k // 4, 3 * k // 4)  # 0-based span of Q2 u Q3
+    rb.check("psi_phi_q2_q3", psi[mid] == phi[mid], "initials maps agree on Q2 u Q3")
 
-    odd_q4 = [i for i in range(3 * k // 4, k) if (i + 1) % 2 == 1]
-    rb.check("psi_q4_increasing", all(psi[i] > i for i in odd_q4),
+    q4 = 3 * k // 4 + 3 * k // 4 % 2  # the first odd letter of Q4, 0-based
+    rb.check("psi_q4_increasing", all(map(gt, psi[q4::2], range(q4, k, 2))),
              "strictly index-increasing on odd letters of Q4")
 
-    q1 = range(0, k // 4)
-    odd_ok = all(3 * k // 4 <= psi[i] < k for i in q1 if (i + 1) % 2 == 1)
-    even_ok = all(k // 4 <= psi[i] < k // 2 for i in q1 if (i + 1) % 2 == 0)
+    odd_ok = all(3 * k // 4 <= a < k for a in psi[0:k // 4:2])
+    even_ok = all(k // 4 <= a < k // 2 for a in psi[1:k // 4:2])
     rb.check("psi_q1_to_q4", odd_ok and even_ok,
              "odd letters of Q1 map into Q4; even ones follow phi into Q2")
 
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
     rb.check("matrix", primitive, note)
 
-    rb.check("forward", all(min(_bfs_levels(eta.images, seed)) >= 0 for seed in (f0, f1)),
+    rb.check("forward", all(min(_bfs_levels(eta.letters, eta.starts, seed)[0]) >= 0
+                            for seed in (f0, f1)),
              "every letter occurs in iterates of both fixed-point letters")
     return rb.build()
 

@@ -18,9 +18,10 @@ theta(P) at 2p and 2p + 1.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
-from operator import add, and_, eq, itemgetter
+from operator import add, and_, eq, getitem
 
 from .report import ReportBuilder, VerificationReport, first_failures
 from .substitution import Substitution
@@ -49,36 +50,46 @@ def thue_morse_block_system(fs: FactorSet) -> Substitution:
         raise ValueError(f"the closed form needs a quarter partition (m >= 2), got m={fs.m}")
     k = fs.size
     q = k // 4
-    return Substitution(tuple(zip(_twice(range(q, 3 * q)),
-                                  _twice(chain(range(3 * q, k), range(q))))), fs.label)
+    letters = array("I", [0]) * (2 * k)
+    # the images are 2 letters each, those of w_{2i-1} and w_{2i} 4 in a row
+    letters[0::4] = letters[2::4] = array("I", range(q, 3 * q))
+    letters[1::4] = letters[3::4] = array("I", chain(range(3 * q, k), range(q)))
+    return Substitution(letters, array("I", range(0, 2 * k + 1, 2)), fs.label)
 
 
 def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationReport:
     """Check ``theta_n`` on the factors ``fs`` of level m window by window:
-    for each letter j with image (a, b), the labels of a and b must start
-    θ(P) at 2p_j and 2p_j + 1. Also check that w_{k/2}, the block the
-    injective refinement fixes, is the f0 prefix.
+    each of its k letters has a two-letter image (a, b), and the labels of a
+    and b must start θ(P) at 2p_j and 2p_j + 1. Also check that w_{k/2}, the
+    block the injective refinement fixes, is the f0 prefix.
 
     θ_N maps w_{2i-1} and w_{2i} alike, since both windows of θ(w) lie in
     θ of its first 2^(m-1) + 1 letters, which the two share. So the labels
     are sliced once per pair, from the image of w_{2i}, and w_{2i-1} passes
     only if its image is that one too."""
-    k, off, images = fs.size, fs.offsets, theta_n.images
-    starts_with, evens = fs.theta_prefix().startswith, images[1::2]
-
-    def labels(n: int) -> Iterator[str]:
-        """The label of letter n of the image of each w_{2i}, twice."""
-        return _twice(fs.labels(map(off.__getitem__, map(itemgetter(n), evens))))
-
-    firsts = map(starts_with, labels(0), map(add, off, off))  # at 2p_j
-    seconds = map(starts_with, labels(1), map(add, off, map((1).__add__, off)))  # 2p_j + 1
-    # w_{2i-1} must have the image of w_{2i}, which w_{2i} has
-    same = chain.from_iterable(zip(map(eq, images[0::2], evens), repeat(True)))
-    bad = first_failures(map(and_, map(and_, firsts, seconds), same))
+    k, off, letters = fs.size, fs.offsets, theta_n.letters
     rb = ReportBuilder(fs.m, "nblock")
-    rb.check("images", not bad,
-             f"all {k} two-letter images are windows of θ(P)" if not bad
-             else f"mismatch at j={bad}")
+    if theta_n.size != k or set(theta_n.lengths()) != {2}:
+        bad = first_failures(map((2).__eq__, theta_n.lengths()))
+        rb.check("images", False, f"mismatch at j={bad}" if bad
+                 else f"{theta_n.size} letters, not the {k} factors")
+    else:
+        starts_with = fs.theta_prefix().startswith
+
+        def labels(n: int) -> Iterator[str]:
+            """The label of letter n of the image of each w_{2i}, twice."""
+            return _twice(fs.labels(map(getitem, repeat(off), letters[2 + n::4])))
+
+        firsts = map(starts_with, labels(0), map(add, off, off))  # at 2p_j
+        seconds = map(starts_with, labels(1), map(add, map(add, off, off), repeat(1)))  # 2p_j + 1
+        # w_{2i-1} must have the image of w_{2i}, which w_{2i} has
+        same = chain.from_iterable(zip(map(and_, map(eq, letters[0::4], letters[2::4]),
+                                           map(eq, letters[1::4], letters[3::4])),
+                                       repeat(True)))
+        bad = first_failures(map(and_, map(and_, firsts, seconds), same))
+        rb.check("images", not bad,
+                 f"all {k} two-letter images are windows of θ(P)" if not bad
+                 else f"mismatch at j={bad}")
     f0_idx, f0 = k // 2 - 1, thue_morse_prefix(0, fs.word_length)
     label = fs.label(f0_idx)
     rb.check("f0", label == f0, f"w_{f0_idx + 1}={label}, f0={f0}")

@@ -5,12 +5,16 @@ Letters are opaque indices 0..k-1; beside its images a substitution holds
 word a block letter stands for). Images may have different lengths, so
 non-constant-length substitutions are first-class.
 
-The images, tuples of letter indices, are the only representation of a
-substitution. Its incidence matrix M[a][b] = number of occurrences of
-letter a in the image of letter b is read off them: column b is the
-multiset images[b], column sums are the image lengths, and the graph with
-an edge b -> a per letter a of images[b] is the graph of M, whose strongly
-connected components give the irreducible diagonal blocks on which
+The images are the only representation of a substitution, held flat:
+``letters`` is all of them one after another and ``starts`` the k + 1
+offsets where they start, both ``array('I')``, so the image of letter b is
+the slice letters[starts[b]:starts[b + 1]], 4 bytes a letter. Its incidence
+matrix M[a][b] = number of occurrences of letter a in the image of letter b
+is read off them: column b is the multiset of the image of b, column sums
+are the image lengths, and the graph with an edge b -> a per letter a of
+the image of b is the graph of M. The same pair for the transpose holds its
+rows: the letters b whose images contain a. The strongly connected
+components of the graph give the irreducible diagonal blocks on which
 ``pf_bracket`` certifies ρ.
 """
 
@@ -19,35 +23,59 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-
-# the image of a letter: a tuple of letter indices
-Word = tuple[int, ...]
+from itertools import accumulate, chain, islice, repeat
+from operator import getitem, lt, ne, sub
 
 
 class Substitution:
-    """The images of the letters 0..k-1, one tuple of letter indices each,
-    and ``label``, the function from a letter to its display label;
-    immutable."""
+    """The images of the letters 0..k-1, concatenated in ``letters`` and
+    delimited by the k + 1 offsets ``starts``, and ``label``, the function
+    from a letter to its display label. The fields cannot be reassigned,
+    but the two arrays are the caller's, held and not copied, and stay
+    mutable: the constructor checks them once, so a letter changed in
+    place afterwards is never checked. ``from_images`` and ``from_json``
+    build arrays that no one else holds."""
 
-    __slots__ = ("images", "label")
+    __slots__ = ("letters", "starts", "label")
 
-    images: tuple[Word, ...]
+    letters: array
+    starts: array
     label: Callable[[int], str]
 
-    def __init__(self, images: tuple[Word, ...], label: Callable[[int], str]) -> None:
-        k = len(images)
-        if not k:
+    def __init__(self, letters: array, starts: array, label: Callable[[int], str]) -> None:
+        if not all(isinstance(a, array) and a.typecode == "I" for a in (letters, starts)):
+            raise TypeError("letters and starts must be array('I')")
+        k = len(starts) - 1
+        if k < 1:
             raise ValueError("alphabet must contain at least one letter")
-        for b, img in enumerate(images):
-            if not img:
-                raise ValueError(f"image of letter {b} is empty")
-            for a in img:
-                if not 0 <= a < k:
-                    raise ValueError(f"image of letter {b} uses unknown letter {a}")
-        object.__setattr__(self, "images", images)
+        if starts[0] != 0 or starts[-1] != len(letters):
+            raise ValueError(f"image offsets must run from 0 to {len(letters)}")
+        if not all(map(lt, starts, islice(starts, 1, None))):
+            b = next(b for b in range(k) if starts[b] >= starts[b + 1])
+            raise ValueError(f"image of letter {b} is empty")
+        if max(letters) >= k:
+            i = next(i for i, a in enumerate(letters) if a >= k)
+            raise ValueError(f"image of letter {bisect_right(starts, i) - 1} "
+                             f"uses unknown letter {letters[i]}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "label", label)
+
+    @classmethod
+    def from_images(cls, images: Sequence[Sequence[int]],
+                    label: Callable[[int], str]) -> "Substitution":
+        """The substitution with the image ``images[b]`` for each letter b."""
+        try:
+            letters = array("I", chain.from_iterable(images))
+        except OverflowError:  # a negative letter, or one of 2^32 or more
+            b, a = next((b, a) for b, img in enumerate(images) for a in img
+                        if not 0 <= a < len(images))
+            raise ValueError(f"image of letter {b} uses unknown letter {a}") from None
+        return cls(letters, array("I", accumulate(map(len, images), initial=0)), label)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,33 +85,49 @@ class Substitution:
 
     @property
     def size(self) -> int:
-        return len(self.images)
+        return len(self.starts) - 1
+
+    def image(self, b: int) -> array:
+        """The image of letter b, a slice of ``letters``."""
+        return self.letters[self.starts[b]:self.starts[b + 1]]
+
+    def iter_images(self, word: Sequence[int] | None = None) -> Iterator[array]:
+        """The images of the letters of ``word``, a sequence that is read
+        twice, by default of all letters in order, one slice at a time."""
+        starts = self.starts
+        if word is None:
+            firsts, ends = starts, islice(starts, 1, None)
+        else:
+            firsts = map(getitem, repeat(starts), word)
+            ends = map(getitem, repeat(starts[1:]), word)
+        return map(getitem, repeat(self.letters), map(slice, firsts, ends))
+
+    def lengths(self) -> Iterator[int]:
+        """The lengths of the images in order: the column sums of M."""
+        return _lengths(self.starts)
 
     def is_injective(self) -> bool:
-        """True iff the letter images are pairwise distinct words."""
-        return len(set(self.images)) == len(self.images)
+        """True iff the letter images are pairwise distinct words: no two
+        are equal next to each other once sorted as bytes."""
+        words = sorted(map(array.tobytes, self.iter_images()))
+        return all(map(ne, words, islice(words, 1, None)))
 
     def is_primitive(self) -> bool:
         """True iff some power of the incidence matrix is entrywise positive.
 
-        That holds iff the graph with an edge b -> a for each letter a of
-        images[b] is strongly connected and aperiodic (Seneta, Non-negative
+        That holds iff the graph with an edge b -> a for each letter a of the
+        image of b is strongly connected and aperiodic (Seneta, Non-negative
         Matrices and Markov Chains, ch. 1). Both are read off breadth-first
         search from letter 0 in O(k + E): every letter must be reached along
         the edges and against them, and the period, the gcd over all edges
-        b -> a of level(b) + 1 - level(a), must be 1 (Denardo 1977). A letter
-        repeated in an image repeats an edge, which changes neither search
-        nor gcd. With no edges the gcd is 0 and the matrix is not primitive.
+        b -> a of level(b) + 1 - level(a), must be 1 (Denardo 1977); the
+        search forward reads it as it goes. A letter repeated in an image
+        repeats an edge, which changes neither search nor gcd.
         """
-        forward = self.images
-        level = _bfs_levels(forward)
-        if min(level) < 0 or min(_bfs_levels(_transpose(forward))) < 0:
-            return False
-        g = 0
-        for b, img in enumerate(forward):
-            for a in img:
-                g = math.gcd(g, level[b] + 1 - level[a])
-        return g == 1
+        letters, starts = self.letters, self.starts
+        level, period = _bfs_levels(letters, starts)
+        return (period == 1 and min(level) >= 0
+                and min(_bfs_levels(*_transpose(letters, starts))[0]) >= 0)
 
     def format_word(self, w: Sequence[int]) -> str:
         """Indexed rendering, e.g. 'w_4 w_10'."""
@@ -100,8 +144,8 @@ class Substitution:
         for a, label in enumerate(map(self.label, range(self.size))):
             yield f", {json.dumps(label)}" if a else json.dumps(label)
         yield '], "images": ['
-        for b, img in enumerate(self.images):
-            yield f", {list(img)}" if b else str(list(img))
+        for b, img in enumerate(map(array.tolist, self.iter_images())):
+            yield f", {img}" if b else str(img)
         yield "]}"
 
     @classmethod
@@ -126,7 +170,7 @@ class Substitution:
             raise ValueError("alphabet labels must be distinct")
         if len(labels) != len(images):
             raise ValueError(f"expected {len(labels)} images, got {len(images)}")
-        return cls(tuple(map(tuple, images)), labels.__getitem__)
+        return cls.from_images(images, labels.__getitem__)
 
     def iter_dot(self, name: str = "substitution") -> Iterator[str]:
         """Graphviz digraph, one line at a time: node per letter, edge b->a
@@ -134,64 +178,93 @@ class Substitution:
         yield f"digraph {name} {{\n"
         for i, label in enumerate(map(self.label, range(self.size))):
             yield f'  w{i + 1} [label="w{i + 1}:{label}"];\n'
-        for b, img in enumerate(self.images):
+        for b, img in enumerate(self.iter_images()):
             for a, count in sorted(Counter(img).items()):
                 yield f'  w{b + 1} -> w{a + 1} [label="{count}"];\n'
         yield "}\n"
 
 
-def _transpose(images: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row a of the incidence matrix: the letters b whose image contains a,
-    in ascending order and once per occurrence."""
-    rows: list[list[int]] = [[] for _ in images]
-    for b, img in enumerate(images):
-        for a in img:
-            rows[a].append(b)
-    return rows
+def _lengths(starts: array) -> Iterator[int]:
+    """The lengths of the slices between consecutive ``starts``."""
+    return map(sub, islice(starts, 1, None), starts)
 
 
-def _bfs_levels(adjacency: Sequence[Sequence[int]], start: int = 0) -> list[int]:
-    """Breadth-first distance of every node from node ``start``; -1 if
-    unreached."""
-    level = [-1] * len(adjacency)
+def _row_lengths(letters: array, k: int) -> list[int]:
+    """The number of occurrences of each of the k letters in ``letters``:
+    the row sums of M when ``letters`` are a substitution's."""
+    count = [0] * k
+    for a in letters:
+        count[a] += 1
+    return count
+
+
+def _transpose(letters: array, starts: array) -> tuple[array, array]:
+    """The rows of the incidence matrix as a (letters, starts) pair: row a
+    lists the letters b whose image contains a, in ascending order and once
+    per occurrence. A counting sort of the edges by target, stable in their
+    source, which holds 4 bytes an edge and at most 16 a letter, where a
+    sort of the edge indices would box an int for each edge and its key."""
+    row_starts = array("I", accumulate(_row_lengths(letters, len(starts) - 1), initial=0))
+    free = array("I", row_starts)  # the next free slot of each row
+    rows = array("I", [0]) * len(letters)
+    for b, a in zip(chain.from_iterable(map(repeat, itertools.count(), _lengths(starts))),
+                    letters):
+        i = free[a]
+        rows[i] = b
+        free[a] = i + 1
+    return rows, row_starts
+
+
+def _bfs_levels(letters: array, starts: array, start: int = 0) -> tuple[list[int], int]:
+    """Breadth-first distance of every node from node ``start`` along the
+    edges u -> letters[starts[u]:starts[u + 1]], -1 if unreached; and the
+    gcd over the edges u -> v out of the reached nodes of level(u) + 1 -
+    level(v), 0 if all are 0."""
+    level = [-1] * (len(starts) - 1)
     level[start] = 0
     frontier = [start]
-    depth = 0
+    depth = period = 0
     while frontier:
         depth += 1
         reached = []
         for u in frontier:
-            for v in adjacency[u]:
+            for v in letters[starts[u]:starts[u + 1]]:
                 if level[v] < 0:
                     level[v] = depth
                     reached.append(v)
+                elif period != 1:
+                    period = math.gcd(period, depth - level[v])
         frontier = reached
-    return level
+    return level, period
 
 
-def _components(images: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+def _components(letters: array, starts: array) -> Iterator[list[int]]:
     """The strongly connected components of the graph with an edge b -> a
-    per letter a of images[b], each yielded after every component it
+    per letter a of the image of b, each yielded after every component it
     reaches: Tarjan's algorithm (1972), one pass in O(k + E), with a stack
     of (letter, edges left) pairs in place of recursion."""
-    k = len(images)
+    k = len(starts) - 1
     order = itertools.count()
-    index = [-1] * k  # visit order; k once the letter's component is yielded
-    low = [0] * k
-    stack: list[int] = []
+    index = array("i", [-1]) * k  # visit order; k once the letter's component is yielded
+    low = array("I", [0]) * k
+    stack = array("I")
+
+    def edges(b: int) -> Iterator[int]:
+        return iter(letters[starts[b]:starts[b + 1]])
+
     for root in range(k):
         if index[root] >= 0:
             continue
         index[root] = low[root] = next(order)
         stack.append(root)
-        path = [(root, iter(images[root]))]
+        path = [(root, edges(root))]
         while path:
-            b, edges = path[-1]
-            for a in edges:
+            b, out = path[-1]
+            for a in out:
                 if index[a] < 0:
                     index[a] = low[a] = next(order)
                     stack.append(a)
-                    path.append((a, iter(images[a])))
+                    path.append((a, edges(a)))
                     break
                 low[b] = min(low[b], index[a])
             else:
@@ -242,18 +315,20 @@ def pf_bracket(sub: Substitution, tol: float = 1e-9, max_iter: int = 10_000
     """
     if not tol > 0:  # also refuses nan
         raise ValueError(f"tolerance must be positive, got {tol}")
-    images = sub.images
+    letters, starts = sub.letters, sub.starts
     # with one entry per occurrence, (Mx)[a] is a plain sum of entries of x
     # and the row sum is the length of the row
-    rows = _transpose(images)
-    lo = max(min(map(len, rows)), min(map(len, images)))
-    hi = min(max(map(len, rows)), max(map(len, images)))
+    row_sums, column_sums = _row_lengths(letters, sub.size), list(_lengths(starts))
+    lo = max(min(row_sums), min(column_sums))
+    hi = min(max(row_sums), max(column_sums))
     if hi - lo <= tol:
         return lo, hi
+    rows, row_starts = _transpose(letters, starts)
     lo = hi = 0
-    for letters in _components(images):
-        local = {a: i for i, a in enumerate(letters)}
-        block = [[local[b] for b in rows[a] if b in local] for a in letters]
+    for component in _components(letters, starts):
+        local = {a: i for i, a in enumerate(component)}
+        block = [[local[b] for b in rows[row_starts[a]:row_starts[a + 1]] if b in local]
+                 for a in component]
         block_lo, block_hi = _block_bracket(block, tol, max_iter, lo)
         lo, hi = max(lo, block_lo), max(hi, block_hi)
     return lo, hi

@@ -17,19 +17,21 @@ sides, that proves each level sorted, distinct and complete, with no cited
 count.
 
 The descendant recursion on the ints of the words is an independent
-oracle. It runs depth first and holds one path of the recursion, so it
-yields the words of a level in no order; ``matches_descendants`` joins that
-stream with the grown level by the hashes of its windows, and
+oracle. The descendants of a word u at depth d are the windows of θ^d(u) at
+its first 2^d offsets, so it yields the words of a level as windows of θ^d
+of the six words of level 1, in no order; ``matches_descendants`` joins
+that stream with the grown level by the hashes of its windows, and
 ``enumerate_by_descendants`` sorts it. On top of the ordered set sit the
-quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes, and
-executable verifiers for the identities that tie them together.
+quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes,
+and executable verifiers for the identities that tie them together.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
-from itertools import pairwise, starmap, tee
-from operator import and_, lt
+from itertools import chain, pairwise, repeat, starmap, tee
+from operator import add, and_, getitem, lt
 
 from .report import ReportBuilder, VerificationReport, first_failures
 from .words import read_windows, theta_bits
@@ -56,12 +58,12 @@ def thue_morse_prefix(first_letter: int, n: int) -> str:
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
     windows of one Thue-Morse prefix: ``prefix`` is the 0/1 text of a prefix
-    P of the fixed point, and ``offsets[i]`` the start of an occurrence of
-    w_{i+1} in P. Its label is a slice of P's text, its bits the window of P
+    P of the fixed point, and ``offsets[i]``, an ``array('I')``, the start
+    of an occurrence of w_{i+1} in P. Its label is a slice of P's text, its bits the window of P
     there, and its θ image the width-2N slice of θ(P) at twice its
     offset."""
 
-    def __init__(self, m: int, prefix: str, offsets: tuple[int, ...]) -> None:
+    def __init__(self, m: int, prefix: str, offsets: array) -> None:
         self.m = m
         self.prefix = prefix
         self.offsets = offsets
@@ -89,8 +91,8 @@ class FactorSet:
         """The width-N slices of P's text at ``starts``, by default the
         factors' offsets in order, one at a time."""
         starts, ends = tee(self.offsets if starts is None else starts)
-        return map(self.prefix.__getitem__,
-                   map(slice, starts, map(self.word_length.__add__, ends)))
+        return map(getitem, repeat(self.prefix),
+                   map(slice, starts, map(add, ends, repeat(self.word_length))))
 
     def windows(self, starts: Iterable[int] | None = None) -> Iterator[int]:
         """The width-N windows of P at ``starts`` as the ints of their bits,
@@ -112,17 +114,17 @@ def _check_m(m: int) -> None:
 def _base() -> FactorSet:
     """Level 1: the width-3 windows at offsets 0 .. 5 of θ^3(0), sorted."""
     prefix = thue_morse_prefix(0, 8)
-    return FactorSet(1, prefix, tuple(sorted(range(6), key=lambda p: prefix[p:p + 3])))
+    return FactorSet(1, prefix, array("I", sorted(range(6), key=lambda p: prefix[p:p + 3])))
 
 
 def grow(fs: FactorSet) -> FactorSet:
     """Level m + 1 from level m, unchecked: over θ(P), ε of the second half
     of ``fs``, δ of the first half, δ of the second and ε of the first."""
     h = fs.size // 2
-    low, high = fs.offsets[:h], fs.offsets[h:]
-    return FactorSet(fs.m + 1, fs.theta_prefix(),
-                     (*(2 * p + 1 for p in high), *(2 * p for p in low),
-                      *(2 * p for p in high), *(2 * p + 1 for p in low)))
+    twice = array("I", map(add, fs.offsets, fs.offsets))  # δ of each word starts at 2p
+    low, high = twice[:h], twice[h:]
+    offsets = array("I", chain(map(add, high, repeat(1)), low, high, map(add, low, repeat(1))))
+    return FactorSet(fs.m + 1, fs.theta_prefix(), offsets)
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
@@ -148,22 +150,20 @@ def enumerate_by_scan(m: int) -> FactorSet:
 
 def descendant_words(m: int) -> Iterator[int]:
     """The factors of length N as the ints of their bits, in no order: the
-    descendant recursion from the hard-coded length-3 base, depth first,
-    holding one path of it. δ(u) drops the last letter of θ(u) and ε(u)
-    the first."""
+    descendant recursion from the hard-coded length-3 base, in blocks.
+
+    δ(u) drops the last letter of θ(u) and ε(u) the first, so they are the
+    windows of θ(u) at offsets 0 and 1, one letter narrower than it. θ maps
+    the window at t of a word to the one of twice the width at 2t of its
+    image, so by induction the descendants of u at depth d are the width-N
+    windows of θ^d(u) at offsets 0 .. 2^d - 1, each read once."""
     _check_m(m)
-    # (level, word) of the words still to expand: the six of level 1, then
-    # at most two per level below them, O(N) bits in all
-    stack = [(1, int(t, 2)) for t in A1_WORDS]
-    while stack:
-        j, b = stack.pop()
-        if j == m:
-            yield b
-        else:
-            n = 2 ** j + 1
-            t = theta_bits(n, b)
-            stack.append((j + 1, t >> 1))
-            stack.append((j + 1, t & ((1 << 2 * n - 1) - 1)))
+    d = m - 1
+    for text in A1_WORDS:
+        length, bits = 3, int(text, 2)
+        for _ in range(d):
+            length, bits = 2 * length, theta_bits(length, bits)
+        yield from read_windows(length, bits, 2 ** m + 1, range(2 ** d))
 
 
 def enumerate_by_descendants(m: int) -> tuple[int, ...]:

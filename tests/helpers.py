@@ -1,4 +1,5 @@
-"""Test-side views of a substitution: its dense incidence matrix, the
+"""Test-side views of a substitution: its images as tuples, its dense
+incidence matrix, the
 substitution of a dense matrix, its labels, its image of a word of
 codepoint text, and the image words of one letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
@@ -6,8 +7,11 @@ the closed form of θ_N one letter at a time; the entries of the quarters,
 firsthalf and nblock passes computed on the ints of the windows, one window
 at a time; the breadth-first descendant oracle; and text references for
 θ: the Thue-Morse substitution, and θ and the descendants of one word of
-0/1 text."""
+0/1 text; and the graph code of substitutions on tuples of letters, the
+reference for the flat arrays."""
 
+import itertools
+import math
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
@@ -15,16 +19,21 @@ from itertools import islice
 import numpy as np
 
 from tmblocks.nblock import half_shift
-from tmblocks.substitution import Substitution
+from tmblocks.substitution import Substitution, _block_bracket
 from tmblocks.thue_morse import A1_WORDS, FactorSet
 from tmblocks.words import read_windows, theta_bits
+
+
+def image_tuples(sub: Substitution) -> tuple[tuple[int, ...], ...]:
+    """The images of the letters of ``sub``, one tuple of letters each."""
+    return tuple(map(tuple, sub.iter_images()))
 
 
 def dense(sub: Substitution) -> np.ndarray:
     """The k*k int64 incidence matrix: M[a][b] is the number of occurrences
     of letter a in the image of letter b."""
     counts = np.zeros((sub.size, sub.size), dtype=np.int64)
-    for b, img in enumerate(sub.images):
+    for b, img in enumerate(image_tuples(sub)):
         for a in img:
             counts[a, b] += 1
     return counts
@@ -36,7 +45,7 @@ def from_dense(counts) -> Substitution:
     k = len(counts)
     images = tuple(tuple(a for a in range(k) for _ in range(int(counts[a][b])))
                    for b in range(k))
-    return Substitution(images, str)
+    return Substitution.from_images(images, str)
 
 
 def labels(sub: Substitution) -> tuple[str, ...]:
@@ -49,7 +58,7 @@ def _translate_table(sub: Substitution) -> tuple[str, ...]:
     """``str.translate`` table of ``sub``: entry a is the image of letter a
     as codepoint text. A code point >= k is not in it, and ``translate``
     would leave such a letter unchanged."""
-    return tuple("".join(map(chr, img)) for img in sub.images)
+    return tuple("".join(map(chr, img)) for img in sub.iter_images())
 
 
 def apply(sub: Substitution, w: str) -> str:
@@ -103,7 +112,7 @@ def second_image_index(j: int, size: int) -> int:
 
 def theta() -> Substitution:
     """The Thue-Morse substitution 0 -> 01, 1 -> 10 on the binary alphabet."""
-    return Substitution(((0, 1), (1, 0)), "01".__getitem__)
+    return Substitution.from_images(((0, 1), (1, 0)), "01".__getitem__)
 
 
 _THETA_TEXT = str.maketrans({"0": "01", "1": "10"})
@@ -181,7 +190,7 @@ def block_formula_by_windows(fs: FactorSet, theta_n: Substitution) -> list[Entry
     of P at p_a and p_b against those of θ(P) at 2p_j and 2p_j + 1; and the
     label of w_{k/2} against the f0 prefix."""
     k, n, text = fs.size, fs.word_length, fs.prefix
-    want = _windows(text, n, (fs.offsets[c] for image in theta_n.images for c in image))
+    want = _windows(text, n, (fs.offsets[c] for image in image_tuples(theta_n) for c in image))
     got = read_windows(2 * len(text), theta_bits(len(text), int(text, 2)), n,
                        (q for p in fs.offsets for q in (2 * p, 2 * p + 1)))
     bad = [j + 1 for j, (a, b, x, y) in enumerate(zip(want, want, got, got))
@@ -192,3 +201,105 @@ def block_formula_by_windows(fs: FactorSet, theta_n: Substitution) -> list[Entry
              f"all {k} two-letter images are windows of θ(P)" if not bad
              else f"mismatch at j={bad[:5]}"),
             ("nblock.f0", label == f0, f"w_{k // 2}={label}, f0={f0}")]
+
+
+# ---- the tuple-of-tuples graph code that the flat arrays replaced, kept as
+# the reference for them: images[b] is the image of letter b as a tuple
+
+Images = tuple[tuple[int, ...], ...]
+
+
+def transpose_reference(images: Images) -> list[list[int]]:
+    """Row a of the incidence matrix: the letters b whose image contains a,
+    in ascending order and once per occurrence."""
+    rows: list[list[int]] = [[] for _ in images]
+    for b, img in enumerate(images):
+        for a in img:
+            rows[a].append(b)
+    return rows
+
+
+def bfs_levels_reference(adjacency, start: int = 0) -> list[int]:
+    """Breadth-first distance of every node from node ``start``; -1 if
+    unreached."""
+    level = [-1] * len(adjacency)
+    level[start] = 0
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if level[v] < 0:
+                    level[v] = depth
+                    reached.append(v)
+        frontier = reached
+    return level
+
+
+def components_reference(images: Images) -> Iterator[list[int]]:
+    """Tarjan's strongly connected components of the graph b -> images[b],
+    each yielded after every component it reaches."""
+    k = len(images)
+    order = itertools.count()
+    index = [-1] * k
+    low = [0] * k
+    stack: list[int] = []
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        path = [(root, iter(images[root]))]
+        while path:
+            b, edges = path[-1]
+            for a in edges:
+                if index[a] < 0:
+                    index[a] = low[a] = next(order)
+                    stack.append(a)
+                    path.append((a, iter(images[a])))
+                    break
+                low[b] = min(low[b], index[a])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[b])
+                if low[b] == index[b]:
+                    component = []
+                    while b not in component[-1:]:
+                        component.append(stack.pop())
+                        index[component[-1]] = k
+                    yield component
+
+
+def is_primitive_reference(images: Images) -> bool:
+    """Strongly connected (reached from letter 0 along the edges and against
+    them) and aperiodic (gcd of level(b) + 1 - level(a) over all edges)."""
+    level = bfs_levels_reference(images)
+    if min(level) < 0 or min(bfs_levels_reference(transpose_reference(images))) < 0:
+        return False
+    g = 0
+    for b, img in enumerate(images):
+        for a in img:
+            g = math.gcd(g, level[b] + 1 - level[a])
+    return g == 1
+
+
+def pf_bracket_reference(images: Images, tol: float = 1e-9, max_iter: int = 10_000):
+    """The Collatz-Wielandt bracket on ρ: by the row and column sums when
+    that is tight enough, else the largest over the diagonal blocks of the
+    strongly connected components, each by ``_block_bracket``."""
+    rows = transpose_reference(images)
+    lo = max(min(map(len, rows)), min(map(len, images)))
+    hi = min(max(map(len, rows)), max(map(len, images)))
+    if hi - lo <= tol:
+        return lo, hi
+    lo = hi = 0
+    for letters in components_reference(images):
+        local = {a: i for i, a in enumerate(letters)}
+        block = [[local[b] for b in rows[a] if b in local] for a in letters]
+        block_lo, block_hi = _block_bracket(block, tol, max_iter, lo)
+        lo, hi = max(lo, block_lo), max(hi, block_hi)
+    return lo, hi

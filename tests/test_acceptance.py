@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import apply, iterates
+from helpers import apply, image_tuples, iterates
 from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
 from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_point,
@@ -107,7 +107,7 @@ def test_c05_prefix_pairing(factors):
 def test_c06_block_formula(factors, systems):
     failures = [f"m={m}" for m in range(2, 9)
                 if not verify_block_formula(factors[m], systems[m].nblock).ok]
-    if systems[2].nblock.images != THETA5_IMAGES:
+    if image_tuples(systems[2].nblock) != THETA5_IMAGES:
         failures.append("width-5 table mismatch")
     _verdict(6, "closed form checked against the windows, m=2..8", failures)
 
@@ -134,13 +134,13 @@ def test_c08_injective_refinement(systems):
         theta_n, eta, k = sys_m.nblock, sys_m.eta, sys_m.eta.size
         if not eta.is_injective():
             failures.append(f"m={m}: images not distinct")
-        for idx0, img in enumerate(eta.images):
+        for idx0, img in enumerate(image_tuples(eta)):
             odd = (idx0 + 1) % 2 == 1
             want = 2 if not odd else (1 if idx0 < k // 2 else 3)  # Q1 u Q2: first half
             if len(img) != want:
                 failures.append(f"m={m}: length profile broken at w_{idx0 + 1}")
                 break
-        if sum(len(img) for img in eta.images) != 2 * k:
+        if sum(len(img) for img in image_tuples(eta)) != 2 * k:
             failures.append(f"m={m}: total image length is not 2|A_m|")
         pairs = verify_pair_images(m, theta_n, eta)
         if not pairs.ok:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -71,8 +72,9 @@ def test_factors_both_refuses_two_swapped_offsets(capsys, monkeypatch, m, i):
 
     def swapped(m):
         fs = scan(m)
-        off = fs.offsets
-        return thue_morse.FactorSet(m, fs.prefix, off[:i] + (off[i + 1], off[i]) + off[i + 2:])
+        off = array("I", fs.offsets)
+        off[i], off[i + 1] = off[i + 1], off[i]
+        return thue_morse.FactorSet(m, fs.prefix, off)
 
     monkeypatch.setattr(thue_morse, "enumerate_by_scan", swapped)
     _refuses_both(capsys, m)
@@ -526,6 +528,42 @@ def test_stdout_bytes_are_pinned(command):
                             env=_src_env(), capture_output=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[command]
+
+
+# sha256 prefixes of `build KIND --m M --format FORMAT` for m = 2..8, recorded
+# when a substitution's images were tuples of letters: the flat arrays must
+# print the same bytes
+BUILD_SHA256 = {
+    ("theta", "text"): ("0e050614d60fb716", "6755c56c20a7f628", "15841bc3bf52b636",
+                        "dadcfa8b0248e2f9", "15d751972311e0ca", "02b2362948f186de",
+                        "5df6a2c754c2bd94"),
+    ("theta", "json"): ("d1cf7a0b6f098301", "346684bedf8844d7", "387ba956430121a9",
+                        "cb94a584ea91ae09", "6fe34b63acce5cd6", "dca845b9a3ef6b9d",
+                        "d7ebe697d81f81c4"),
+    ("theta", "dot"): ("f7eff8a86f8dab68", "30258068438f0cf7", "03db039eb8c952f3",
+                       "30427cea57d06c28", "2a706a290d4509da", "7b43eb1a08b3cf86",
+                       "a350e61f210151a1"),
+    ("eta", "text"): ("0f34e2ed773a5112", "149f7db659523277", "fdccc79317802e41",
+                      "4fce4a0bc37f7853", "a7839ab4cb498b4b", "fbb8e64c592bdf99",
+                      "d31f38f389e80b51"),
+    ("eta", "json"): ("b06372c16eb203ae", "46a3dcd9efba0a6f", "2152e01cc91f946c",
+                      "89a374610c560d2c", "a5237b6e5c1dde26", "fb3d337017f536c8",
+                      "372e9ccedf315f34"),
+    ("eta", "dot"): ("57ad0fe0a0775b0c", "e4ae5de4f7d877fa", "ed843bdcd3efca8c",
+                     "ee1261905ec6b000", "ee6719b2bff497d0", "92b1a8297f4bda3f",
+                     "f88fea8766b99a84"),
+}
+
+
+@pytest.mark.parametrize("kind, fmt", BUILD_SHA256)
+def test_build_output_is_unchanged_for_m_2_to_8(capsys, kind, fmt):
+    for m, want in zip(range(2, 9), BUILD_SHA256[kind, fmt]):
+        code, out, _ = _run(capsys, ["build", kind, "--m", str(m), "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, f"m={m}"
+        if fmt == "json":
+            again = Substitution.from_json(out)
+            assert "".join(again.iter_json()) + "\n" == out
 
 
 def test_benchmark_library_inputs(capsys, tmp_path):

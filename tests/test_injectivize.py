@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply, dense, factor_labels, iterates, labels, nth_image
-from tmblocks.claims import eta_system
+from helpers import apply, dense, factor_labels, image_tuples, iterates, labels, nth_image
+from tmblocks.claims import CLAIMS, Level, eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
                                   verify_primitivity_argument, zeta5_fixture)
@@ -23,16 +23,25 @@ ZETA5_IMAGES = ((9,), (3, 9), (10,), (4, 10), (5, 11, 8), (5, 11),
 
 def test_build_eta_m2_golden():
     sys2 = eta_system(2)
-    assert sys2.eta.images == ETA5_IMAGES
+    assert image_tuples(sys2.eta) == ETA5_IMAGES
     assert labels(sys2.eta) == tuple(factor_labels(enumerate_by_scan(2)))
     assert fixed_letters(sys2.eta.size) == (5, 6)
     with pytest.raises(ValueError):
         build_eta(1, sys2.nblock)
 
 
+@pytest.mark.parametrize("images", [
+    ((1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1)),  # six letters: no quarters
+    ((1, 0), (0, 1), (1,), (0, 0)),                     # an image of one letter
+])
+def test_build_eta_refuses_a_block_substitution_of_another_shape(images):
+    with pytest.raises(ValueError, match="four quarters of letters with two-letter images"):
+        build_eta(2, Substitution.from_images(images, str))
+
+
 def test_zeta5_fixture_golden():
     z = zeta5_fixture()
-    assert z.images == ZETA5_IMAGES
+    assert image_tuples(z) == ZETA5_IMAGES
     assert z.is_injective()
     assert not z.is_primitive()
     # the trapped 2-cycle: the third letter returns to itself in two steps
@@ -50,7 +59,7 @@ def test_zeta5_orbit_agrees_with_block_substitution():
 def test_eta_and_zeta_differ_exactly_at_two_letters():
     eta = eta_system(2).eta
     z = zeta5_fixture()
-    diff = [i + 1 for i in range(12) if eta.images[i] != z.images[i]]
+    diff = [i + 1 for i in range(12) if eta.image(i) != z.image(i)]
     assert diff == [5, 11]
 
 
@@ -58,7 +67,7 @@ def test_eta_and_zeta_differ_exactly_at_two_letters():
 def test_image_length_profile(m):
     sys_m = eta_system(m)
     eta, k = sys_m.eta, sys_m.eta.size
-    for idx0, img in enumerate(eta.images):
+    for idx0, img in enumerate(image_tuples(eta)):
         i = idx0 + 1
         quarter = 4 * idx0 // k + 1
         if i % 2 == 0:
@@ -67,11 +76,11 @@ def test_image_length_profile(m):
             assert len(img) == 1
         else:
             assert len(img) == 3
-    assert sum(len(img) for img in eta.images) == 2 * k
+    assert sum(len(img) for img in image_tuples(eta)) == 2 * k
     # even letters keep the block images verbatim
     theta_n = sys_m.nblock
     for idx0 in range(1, k, 2):  # 1-based index even
-        assert eta.images[idx0] == theta_n.images[idx0]
+        assert eta.image(idx0) == theta_n.image(idx0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -82,7 +91,7 @@ def test_eta_is_injective(m):
 def test_eta_system_keeps_theta_n():
     for m in (2, 3, 4):
         kept, built = eta_system(m).nblock, thue_morse_block_system(enumerate_by_scan(m))
-        assert kept.images == built.images and labels(kept) == labels(built)
+        assert image_tuples(kept) == image_tuples(built) and labels(kept) == labels(built)
 
 
 def test_pair_images_golden_and_verifier():
@@ -98,16 +107,16 @@ def test_pair_images_golden_and_verifier():
 def _pair_mismatches(theta_n, eta):
     """Reference: the 1-based j whose θ_N image pair η and θ_N map
     differently, one word of θ_N's images at a time."""
-    return [j + 1 for j, img in enumerate(theta_n.images)
+    return [j + 1 for j, img in enumerate(image_tuples(theta_n))
             if nth_image(eta, img[0], 1) + nth_image(eta, img[1], 1)
             != nth_image(theta_n, img[0], 1) + nth_image(theta_n, img[1], 1)]
 
 
 def _with_images(sub, changes):
-    images = list(sub.images)
+    images = list(image_tuples(sub))
     for letter, image in changes.items():
         images[letter] = image
-    return Substitution(tuple(images), sub.label)
+    return Substitution.from_images(tuple(images), sub.label)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -118,9 +127,9 @@ def test_pair_images_name_the_pairs_that_differ(m):
     assert _pair_mismatches(theta_n, eta) == []
     # 0-based letters 1 and 3 have two-letter images under η; swapped, every
     # pair keeps its length
-    swapped = _with_images(eta, {1: eta.images[3], 3: eta.images[1]})
+    swapped = _with_images(eta, {1: tuple(eta.image(3)), 3: tuple(eta.image(1))})
     # cut down to one letter, the image of letter 1 changes the lengths
-    shorter = _with_images(eta, {1: eta.images[1][:1]})
+    shorter = _with_images(eta, {1: tuple(eta.image(1))[:1]})
     for wrong in (swapped, shorter):
         bad = _pair_mismatches(theta_n, wrong)
         assert bad
@@ -132,12 +141,21 @@ def test_pair_images_name_the_pairs_that_differ(m):
 def test_pair_images_are_compared_pair_by_pair():
     # θ: 0 -> 01, 1 -> 20, 2 -> 12 and η: 0 -> 012, 1 -> 0, 2 -> 12 agree on
     # the concatenation 012012 of the pairs 01, 20, 12, but not on 20 or 12
-    theta_n = Substitution(((0, 1), (2, 0), (1, 2)), "abc".__getitem__)
-    eta = Substitution(((0, 1, 2), (0,), (1, 2)), "abc".__getitem__)
+    theta_n = Substitution.from_images(((0, 1), (2, 0), (1, 2)), "abc".__getitem__)
+    eta = Substitution.from_images(((0, 1, 2), (0,), (1, 2)), "abc".__getitem__)
     assert apply(eta, "\0\1\2\0\1\2") == apply(theta_n, "\0\1\2\0\1\2")
     assert _pair_mismatches(theta_n, eta) == [2, 3]
     rep = verify_pair_images(2, theta_n, eta)
     assert [(e.passed, e.detail) for e in rep.entries] == [(False, "mismatch at j=[2, 3]")]
+
+
+def test_pair_images_need_two_letter_images():
+    # images of 3 and 1 letters hold as many letters as two pairs; compared
+    # with itself, such a θ_N agrees on every "pair" it is not made of
+    theta_n = Substitution.from_images(((0, 1, 2), (2,), (1, 0)), "abc".__getitem__)
+    rep = verify_pair_images(2, theta_n, theta_n)
+    assert [(e.claim, e.passed, e.detail) for e in rep.entries] == [
+        ("pairs.images", False, "images of θ_N with other than two letters at j=[1, 2]")]
 
 
 def test_fixed_point_orbits():
@@ -195,15 +213,15 @@ def _mutated_etas(draw):
     level = eta_system(m)
     theta_n = level.nblock
     k = theta_n.size
-    images = list(level.eta.images)
-    for a, b in sorted(set(theta_n.images)):
-        word = theta_n.images[a] + theta_n.images[b]
+    images = list(image_tuples(level.eta))
+    for a, b in sorted(set(image_tuples(theta_n))):
+        word = tuple(theta_n.image(a) + theta_n.image(b))
         cut = draw(st.integers(1, 3))
         images[a], images[b] = word[:cut], word[cut:]
     if draw(st.booleans()):
         letter = draw(st.integers(0, k - 1))
         images[letter] = tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
-    return m, theta_n, Substitution(tuple(images), theta_n.label)
+    return m, theta_n, Substitution.from_images(tuple(images), theta_n.label)
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,7 +241,7 @@ def test_fixed_point_fails_with_its_pairs_premise():
     # that holds letter 1, and neither base case
     level = eta_system(3)
     theta_n, eta = level.nblock, level.eta
-    shorter = _with_images(eta, {1: eta.images[1][:1]})
+    shorter = _with_images(eta, {1: tuple(eta.image(1))[:1]})
     pairs = verify_pair_images(3, theta_n, shorter)
     assert not pairs.ok
     rep = verify_fixed_point(3, theta_n, shorter, pairs)
@@ -241,10 +259,10 @@ def test_fixed_point_base_cases_fail_alone(m):
     theta_n, eta = level.nblock, level.eta
     f0, f1 = fixed_letters(eta.size)
     assert level.pairs.ok
-    after = nth_image(theta_n, f1, 2)[len(eta.images[f1])]
+    after = nth_image(theta_n, f1, 2)[len(eta.image(f1))]
     wrong = (ord(after) + 1) % eta.size
-    for letter, image, failed in ((f1, eta.images[f1] + (wrong,), "f1_common_fixed_point"),
-                                  (f0, eta.images[f0][::-1], "f0_orbit")):
+    for letter, image, failed in ((f1, tuple(eta.image(f1)) + (wrong,), "f1_common_fixed_point"),
+                                  (f0, tuple(eta.image(f0))[::-1], "f0_orbit")):
         sub = _with_images(eta, {letter: image})
         assert not verify_pair_images(m, theta_n, sub).ok
         rep = verify_fixed_point(m, theta_n, sub, level.pairs)
@@ -287,7 +305,7 @@ def test_eta_incidence_column_sums_m2():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_column_sums_equal_image_lengths(m):
     eta = eta_system(m).eta
-    assert dense(eta).sum(axis=0).tolist() == list(map(len, eta.images))
+    assert dense(eta).sum(axis=0).tolist() == list(map(len, image_tuples(eta)))
 
 
 def test_zeta5_incidence_column_of_the_trapped_letter():
@@ -330,7 +348,7 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
         f0 = sub.size // 2 - 1
         w = nth_image(sub, f0, 12 if m == 2 else 13)
         pairs = {(ord(w[i]), ord(w[i + 1])) for i in range(0, len(w) - 1, 2)}
-        assert pairs == set(sub.images)
+        assert pairs == set(image_tuples(sub))
 
 
 def _theorem(m, theta_n, sub):
@@ -364,7 +382,7 @@ def test_pf_eigenvalue_needs_exactly_two():
     # primitive with ρ = 2 (x^3 - 2x^2 + x - 2 = (x - 2)(x^2 + 1)), but
     # the row and column sums are not constant, so the bracket comes from
     # the iterate and holds 2 only up to its width
-    probe = Substitution(((0, 1, 1), (1, 2), (0,)), "abc".__getitem__)
+    probe = Substitution.from_images(((0, 1, 1), (1, 2), (0,)), "abc".__getitem__)
     assert probe.is_primitive()
     lo, hi = pf_bracket(probe)
     assert lo < 2 < hi and hi - lo <= 1e-9
@@ -434,7 +452,7 @@ def test_psi_reaches_matches_step_by_step_walks(graph):
     assume(len(targets) == 2)
     k = len(chain)
     psi, rank = _relabelled(chain, targets)
-    sub = Substitution(tuple((a,) for a in psi), str)
+    sub = Substitution.from_images(tuple((a,) for a in psi), str)
     rep = verify_primitivity_argument(2, sub, sub, False)
     bad = sorted(rank[i] + 1 for i in range(k) if _first_hit_walk(chain, i, targets, k) < 0)
     assert [(e.passed, e.detail) for e in rep.entries if e.claim == "primitivity.psi_reaches"] == [
@@ -476,9 +494,9 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     # f0 maps to itself alone: nothing else is reachable from it
     sys2 = eta_system(2)
     f0, _ = fixed_letters(sys2.eta.size)
-    images = list(sys2.eta.images)
+    images = list(image_tuples(sys2.eta))
     images[f0] = (f0,)
-    probe = Substitution(tuple(images), sys2.eta.label)
+    probe = Substitution.from_images(tuple(images), sys2.eta.label)
     rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
     assert [e.claim for e in rep.entries if not e.passed][-1] == "primitivity.forward"
 
@@ -489,8 +507,30 @@ def test_forward_reachability_has_no_length_cap():
     sys2 = eta_system(2)
     k = sys2.eta.size
     f0, _ = fixed_letters(k)
-    images = list(sys2.eta.images)
+    images = list(image_tuples(sys2.eta))
     images[f0] += (f0,) * (64 * k)
-    probe = Substitution(tuple(images), sys2.eta.label)
+    probe = Substitution.from_images(tuple(images), sys2.eta.label)
     rep = verify_primitivity_argument(2, sys2.nblock, probe, probe.is_primitive())
     assert [e.passed for e in rep.entries if e.claim == "primitivity.forward"] == [True]
+
+
+def test_index_claims_hold_and_peak_under_100_bytes_a_letter():
+    """A fresh level at m = 12 runs the claims on the index tables: the
+    factor set, θ_N and η it holds, and the peak of the largest claim on top
+    of them, stay under 100 bytes a letter, k = 3·2^12. It holds about 31
+    and peaks at about 97 in ``primitivity``, whose powers of ψ are lists
+    of ints (tracemalloc, Python 3.11), where the images as tuples of ints
+    held 173 and peaked at 317."""
+    import tracemalloc
+
+    m = 12
+    k = 3 * 2 ** m
+    tracemalloc.start()
+    try:
+        level = Level(m)
+        for claim in ("nblock", "pairs", "fixedpoint", "primitivity", "theorem"):
+            assert CLAIMS[claim].run(level).ok
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 40 * k and peak < 100 * k

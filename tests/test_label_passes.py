@@ -4,6 +4,8 @@ windows, one at a time. Both must give the same entries, detail for detail,
 on grown levels, on every level read off a corrupted prefix, and on levels
 whose offsets are permuted."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +59,7 @@ def _permuted(data, fs):
             offsets[i], offsets[j] = offsets[j], offsets[i]
     else:
         offsets = data.draw(st.permutations(offsets), label="permutation")
-    return FactorSet(fs.m, fs.prefix, tuple(offsets))
+    return FactorSet(fs.m, fs.prefix, array("I", offsets))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,10 @@
+from array import array
 from collections import Counter
 
 import pytest
 
-from helpers import (factor_labels, first_image_index, labels, nth_image, off_prefix,
-                     second_image_index, theta, theta_text)
+from helpers import (factor_labels, first_image_index, image_tuples, labels, nth_image,
+                     off_prefix, second_image_index, theta, theta_text)
 from tmblocks.claims import CLAIMS, Level
 from tmblocks.nblock import half_shift, thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import Substitution
@@ -44,8 +45,8 @@ def test_image_indices_follow_the_quarter_statement(m):
     q1, q2, q3, q4 = (range(i * q + 1, (i + 1) * q + 1) for i in range(4))
     want = [(a, b) for a, b in zip((*q2, *q3), (*q4, *q1)) for _ in range(2)]
     # the closed form reads only m and the number of factors
-    built = thue_morse_block_system(FactorSet(m, "", tuple(range(k))))
-    assert [(a + 1, b + 1) for a, b in built.images] == want
+    built = thue_morse_block_system(FactorSet(m, "", array("I", range(k))))
+    assert [(a + 1, b + 1) for a, b in image_tuples(built)] == want
     assert [(first_image_index(j, k), second_image_index(j, k))
             for j in range(1, k + 1)] == want
 
@@ -57,7 +58,7 @@ def _theta_n(m):
 def test_build_width_5_table():
     theta5 = _theta_n(2)
     assert labels(theta5) == tuple(f"{b:05b}" for b in enumerate_by_descendants(2))
-    assert theta5.images == THETA5_IMAGES
+    assert image_tuples(theta5) == THETA5_IMAGES
 
 
 def test_closed_form_needs_a_quarter_partition():
@@ -78,14 +79,14 @@ def test_verify_block_formula_names_a_wrong_image():
     theta5 = thue_morse_block_system(fs)
 
     def failed(letter, image):
-        images = list(theta5.images)
+        images = list(image_tuples(theta5))
         images[letter] = image
-        rep = verify_block_formula(fs, Substitution(tuple(images), theta5.label))
+        rep = verify_block_formula(fs, Substitution.from_images(tuple(images), theta5.label))
         return [(e.claim, e.detail) for e in rep.entries if not e.passed]
 
-    assert failed(0, theta5.images[2]) == [("nblock.images", "mismatch at j=[1]")]
+    assert failed(0, tuple(theta5.image(2))) == [("nblock.images", "mismatch at j=[1]")]
     # a wrong second letter alone breaks only the window check
-    a, b = theta5.images[6]
+    a, b = theta5.image(6)
     assert failed(6, (a, b + 1)) == [("nblock.images", "mismatch at j=[7]")]
 
 
@@ -136,12 +137,12 @@ def test_theta_n_on_offsets_matches_per_factor_theta(m):
     for w in words:
         image = theta_text(w)
         images.append((position[image[:n]], position[image[1:n + 1]]))
-    assert thue_morse_block_system(fs).images == tuple(images)
+    assert image_tuples(thue_morse_block_system(fs)) == tuple(images)
 
 
 def test_block_substitution_is_two_to_one():
     for m in (2, 3, 4):
-        assert set(Counter(_theta_n(m).images).values()) == {2}
+        assert set(Counter(image_tuples(_theta_n(m))).values()) == {2}
 
 
 def _parity_text(n):
@@ -185,13 +186,13 @@ def test_block_substitution_eigenvalue_is_two():
 
 
 def _apply_tuple(base, w):
-    return tuple(a for b in w for a in base.images[b])
+    return tuple(a for b in w for a in base.image(b))
 
 
 def _nblock_reference(base, block_len):
     """Tuple blocks from a tuple-iterate language; each image window is a
     tuple slice of the image of the whole block."""
-    seed = next(a for a, img in enumerate(base.images) if img[0] == a and len(img) >= 2)
+    seed = next(a for a, img in enumerate(image_tuples(base)) if img[0] == a and len(img) >= 2)
     w = (seed,)
     prev = None
     while True:
@@ -203,7 +204,7 @@ def _nblock_reference(base, block_len):
     names = labels(base)
     blocks = sorted(found, key=lambda f: tuple(names[a] for a in f))
     position = {b: i for i, b in enumerate(blocks)}
-    L = len(base.images[0])  # the base has constant length
+    L = len(base.image(0))  # the base has constant length
     images = []
     for b in blocks:
         v = _apply_tuple(base, b)
@@ -216,16 +217,16 @@ def test_theta_n_matches_the_per_letter_reference(m):
     names, images = _nblock_reference(theta(), 2 ** m + 1)
     sub = _theta_n(m)
     assert labels(sub) == names
-    assert sub.images == images
+    assert image_tuples(sub) == images
 
 
 def test_theta_n_memory_is_a_fraction_of_the_blocks():
     """At width N = 2^10 + 1 the k = 3·2^10 blocks as text would be k·N
     bytes. theta_N holds no block text and no block word: the closed form is
-    the image pairs alone, about 125 bytes a block, and the window check
-    reads one pair of windows at a time on top of it, about 75 bytes a
-    block (tracemalloc, m = 8, 10 and 12, Python 3.10). Neither bound grows
-    with N."""
+    two flat arrays, 12 bytes a block (4 for each letter of its image and 4
+    for its offset), and the window check reads one pair of windows at a
+    time on top of it, 16 to 25 bytes a block (tracemalloc, m = 8, 10 and
+    12, Python 3.11). Neither bound grows with N."""
     import tracemalloc
 
     m = 10
@@ -246,4 +247,4 @@ def test_theta_n_memory_is_a_fraction_of_the_blocks():
     finally:
         tracemalloc.stop()
     assert sub.size == k and rep.ok
-    assert build_peak < 200 * k and check_peak < 100 * k
+    assert build_peak < 16 * k and check_peak < 32 * k

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply, dense, from_dense, iterates, labels, nth_image, theta
+from helpers import (apply, bfs_levels_reference, components_reference, dense, from_dense,
+                     image_tuples, is_primitive_reference, iterates, labels, nth_image,
+                     pf_bracket_reference, theta, transpose_reference)
 from tmblocks.claims import eta_system
 from tmblocks.injectivize import zeta5_fixture
-from tmblocks.substitution import (Substitution, _bfs_levels, _components, pf_bracket,
+from tmblocks.substitution import (Substitution, _bfs_levels, _components, _transpose, pf_bracket,
                                    pf_eigenvalue)
 
 
@@ -56,16 +60,16 @@ def test_incidence_matrix_of_theta():
 
 def test_is_injective():
     assert theta().is_injective()
-    s = Substitution(((0, 1), (0, 1)), "ab".__getitem__)
+    s = Substitution.from_images(((0, 1), (0, 1)), "ab".__getitem__)
     assert not s.is_injective()
 
 
 def test_is_primitive():
     assert theta().is_primitive()
-    identity = Substitution(((0,), (1,)), "ab".__getitem__)
+    identity = Substitution.from_images(((0,), (1,)), "ab".__getitem__)
     assert not identity.is_primitive()
     # letter b never occurs in any image: zero row
-    sink = Substitution(((0, 0), (0, 0)), "ab".__getitem__)
+    sink = Substitution.from_images(((0, 0), (0, 0)), "ab".__getitem__)
     assert not sink.is_primitive()
 
 
@@ -109,7 +113,7 @@ def _random_substitution(rng, k, max_image=3):
     images = tuple(
         tuple(rng.randrange(k) for _ in range(rng.randrange(1, max_image + 1)))
         for _ in range(k))
-    return Substitution(images, lambda a: chr(ord("a") + a))
+    return Substitution.from_images(images, lambda a: chr(ord("a") + a))
 
 
 def test_incidence_of_composition_is_matrix_product():
@@ -118,8 +122,8 @@ def test_incidence_of_composition_is_matrix_product():
         k = rng.randrange(2, 6)
         s, t = _random_substitution(rng, k), _random_substitution(rng, k)
         # s∘t maps a to the images under s of the letters of t(a), in order
-        s_after_t = Substitution(tuple(
-            tuple(c for b in img for c in s.images[b]) for img in t.images), s.label)
+        s_after_t = Substitution.from_images(tuple(
+            tuple(c for b in img for c in s.image(b)) for img in t.iter_images()), s.label)
         assert np.array_equal(dense(s_after_t), dense(s) @ dense(t))
 
 
@@ -130,7 +134,7 @@ def test_pf_eigenvalue_equals_length_for_constant_length():
         k = rng.randrange(2, 5)
         L = rng.randrange(2, 4)
         images = tuple(tuple(rng.randrange(k) for _ in range(L)) for _ in range(k))
-        s = Substitution(images, lambda a: chr(ord("a") + a))
+        s = Substitution.from_images(images, lambda a: chr(ord("a") + a))
         if not s.is_primitive():
             continue
         assert pf_eigenvalue(s) == L
@@ -140,14 +144,14 @@ def test_pf_eigenvalue_equals_length_for_constant_length():
 def test_length_growth_check():
     lengths = [len(w) for w in islice(iterates(theta(), 0), 1, 11)]
     assert lengths == [2 ** n for n in range(1, 11)]
-    s = Substitution(((0, 1, 1), (1, 0)), "ab".__getitem__)
+    s = Substitution.from_images(((0, 1, 1), (1, 0)), "ab".__getitem__)
     assert [len(w) for w in islice(iterates(s, 0), 1, 4)] != [2, 4, 8]
 
 
 def test_json_round_trip():
     t = theta()
     again = Substitution.from_json(t.to_json())
-    assert again.images == t.images and labels(again) == labels(t) == ("0", "1")
+    assert image_tuples(again) == image_tuples(t) and labels(again) == labels(t) == ("0", "1")
     data = json.loads(t.to_json())
     assert data == {"alphabet": ["0", "1"], "images": [[0, 1], [1, 0]]}
     with pytest.raises(ValueError):
@@ -164,6 +168,60 @@ def test_json_round_trip():
         Substitution.from_json('{"alphabet": [], "images": []}')
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.deferred(lambda: _SUBSTITUTIONS),
+                 st.integers(2, 8).map(lambda m: eta_system(m).eta),
+                 st.integers(2, 8).map(lambda m: eta_system(m).nblock)))
+def test_json_round_trip_keeps_the_arrays_and_labels(sub):
+    again = Substitution.from_json(sub.to_json())
+    assert again.letters == sub.letters and again.starts == sub.starts
+    assert again.letters.typecode == again.starts.typecode == "I"
+    assert labels(again) == labels(sub)
+
+
+def test_from_images_and_the_arrays_describe_one_substitution():
+    sub = Substitution.from_images(((1, 1, 0), (0,), (2, 0)), "abc".__getitem__)
+    assert sub.letters == array("I", (1, 1, 0, 0, 2, 0))
+    assert sub.starts == array("I", (0, 3, 4, 6))
+    assert sub.size == 3 and list(sub.lengths()) == [3, 1, 2]
+    assert sub.image(2) == array("I", (2, 0))
+    assert list(sub.iter_images((2, 2, 1))) == [array("I", (2, 0))] * 2 + [array("I", (0,))]
+    assert image_tuples(sub) == ((1, 1, 0), (0,), (2, 0))
+
+
+@pytest.mark.parametrize("letters, starts, message", [
+    ((), (0,), "at least one letter"),
+    ((0, 1), (0, 1), "offsets must run from 0 to 2"),
+    ((0, 1), (1, 2), "offsets must run from 0 to 2"),
+    ((0, 1), (0, 0, 2), "image of letter 0 is empty"),
+    ((0, 1, 1), (0, 2, 1, 3), "image of letter 1 is empty"),
+    ((0, 1, 2), (0, 1, 3), "image of letter 1 uses unknown letter 2"),
+])
+def test_constructor_checks_the_arrays(letters, starts, message):
+    with pytest.raises(ValueError, match=message):
+        Substitution(array("I", letters), array("I", starts), str)
+
+
+@pytest.mark.parametrize("letters, starts", [
+    ((0, 1), (0, 1, 2)),
+    (array("I", (0, 1)), (0, 1, 2)),
+    (array("L", (0, 1)), array("I", (0, 1, 2))),
+])
+def test_constructor_takes_only_unsigned_int_arrays(letters, starts):
+    with pytest.raises(TypeError, match=r"must be array\('I'\)"):
+        Substitution(letters, starts, str)
+
+
+@pytest.mark.parametrize("images, message", [
+    (((0,), (-1,)), "image of letter 1 uses unknown letter -1"),
+    (((2 ** 40,), (0,)), f"image of letter 0 uses unknown letter {2 ** 40}"),
+    (((0,), (0, 5)), "image of letter 1 uses unknown letter 5"),
+])
+def test_from_images_names_a_letter_outside_the_alphabet(images, message):
+    with pytest.raises(ValueError, match=message):
+        Substitution.from_images(images, str)
+
+
 def test_dot_export():
     dot = "".join(theta().iter_dot("theta"))
     assert dot.startswith("digraph theta {")
@@ -174,7 +232,7 @@ def test_dot_export():
 def test_substitution_is_an_immutable_value():
     sub = theta()
     with pytest.raises(AttributeError):
-        sub.images = ((0,), (1,))
+        sub.letters = array("I", (0, 1))
     with pytest.raises(AttributeError):
         del sub.label
     with pytest.raises(AttributeError):
@@ -183,11 +241,11 @@ def test_substitution_is_an_immutable_value():
 
 def test_substitution_validation():
     with pytest.raises(ValueError):
-        Substitution((), str)
+        Substitution.from_images((), str)
     with pytest.raises(ValueError):
-        Substitution(((0,), ()), str)
+        Substitution.from_images(((0,), ()), str)
     with pytest.raises(ValueError):
-        Substitution(((0,), (2,)), str)
+        Substitution.from_images(((0,), (2,)), str)
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,7 +257,7 @@ def test_streamed_json_and_dot_match_whole_document_builders(labels, data):
     k = len(labels)
     images = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3),
                                 min_size=k, max_size=k))
-    sub = Substitution(tuple(map(tuple, images)), labels.__getitem__)
+    sub = Substitution.from_images(tuple(map(tuple, images)), labels.__getitem__)
     assert sub.to_json() == json.dumps({"alphabet": labels, "images": images})
     lines = ["digraph s {"]
     lines += [f'  w{i + 1} [label="w{i + 1}:{label}"];' for i, label in enumerate(labels)]
@@ -209,11 +267,11 @@ def test_streamed_json_and_dot_match_whole_document_builders(labels, data):
 
 
 def test_dense_helper_round_trip():
-    sub = Substitution(((0, 0, 2), (1,), (2, 0)), "abc".__getitem__)
+    sub = Substitution.from_images(((0, 0, 2), (1,), (2, 0)), "abc".__getitem__)
     counts = dense(sub)
     assert counts.tolist() == [[2, 0, 1], [0, 1, 0], [1, 0, 1]]
-    assert from_dense(counts).images == ((0, 0, 2), (1,), (0, 2))
-    assert from_dense(counts.tolist()).images == from_dense(counts).images
+    assert image_tuples(from_dense(counts)) == ((0, 0, 2), (1,), (0, 2))
+    assert image_tuples(from_dense(counts.tolist())) == image_tuples(from_dense(counts))
 
 
 # ---- differential tests against a dense reference
@@ -237,7 +295,7 @@ def _wielandt_primitive(counts) -> bool:
 
 
 def _numbered(images) -> Substitution:
-    return Substitution(tuple(tuple(img) for img in images), str)
+    return Substitution.from_images(tuple(tuple(img) for img in images), str)
 
 
 @st.composite
@@ -303,18 +361,21 @@ def test_is_primitive_matches_wielandt_squaring(sub):
 @given(_SUBSTITUTIONS, st.data())
 def test_bfs_levels_from_any_start_match_reachability(sub, data):
     start = data.draw(st.integers(0, sub.size - 1))
-    level = _bfs_levels(sub.images, start)
+    level, period = _bfs_levels(sub.letters, sub.starts, start)
+    images = image_tuples(sub)
     reached = {start}  # reference: grow the set by its images until it stops
-    while (grown := reached.union(*(sub.images[b] for b in reached))) != reached:
+    while (grown := reached.union(*(images[b] for b in reached))) != reached:
         reached = grown
     assert {a for a, d in enumerate(level) if d >= 0} == reached
     # and the levels are distances: no edge skips one, and every reached
     # letter but the start has an edge in from the level before
     assert level[start] == 0
-    for b, img in enumerate(sub.images):
+    for b, img in enumerate(images):
         assert level[b] < 0 or all(level[a] <= level[b] + 1 for a in img)
-    assert all(any(level[b] == d - 1 and a in img for b, img in enumerate(sub.images))
+    assert all(any(level[b] == d - 1 and a in img for b, img in enumerate(images))
                for a, d in enumerate(level) if d > 0)
+    # the period is read off the edges out of the reached letters
+    assert period == math.gcd(*(level[b] + 1 - level[a] for b in reached for a in images[b]))
 
 
 def _reach_blocks(counts) -> set[tuple[int, ...]]:
@@ -344,21 +405,89 @@ def _spectral_radius(counts) -> float:
 @settings(max_examples=300, deadline=None)
 @given(_SUBSTITUTIONS)
 def test_components_match_mutual_reachability(sub):
-    components = list(_components(sub.images))
+    components = list(_components(sub.letters, sub.starts))
     assert sorted(a for c in components for a in c) == list(range(sub.size))
     assert {tuple(sorted(c)) for c in components} == _reach_blocks(dense(sub))
     # each component is listed after every component it reaches
     place = {a: i for i, c in enumerate(components) for a in c}
-    assert all(place[a] <= place[b] for b, img in enumerate(sub.images) for a in img)
+    assert all(place[a] <= place[b] for b, img in enumerate(image_tuples(sub)) for a in img)
 
 
 def test_components_of_a_long_path_need_no_recursion():
     # b -> b + 1, and the last letter to itself twice: k blocks of one
     # letter, listed from the last, and row sums 0, 1, ..., 1, 3
     k = 20_000
-    images = tuple((b + 1,) for b in range(k - 1)) + ((k - 1, k - 1),)
-    assert list(_components(images)) == [[a] for a in reversed(range(k))]
-    assert pf_bracket(Substitution(images, str)) == (2, 2)
+    sub = Substitution.from_images(tuple((b + 1,) for b in range(k - 1)) + ((k - 1, k - 1),), str)
+    assert list(_components(sub.letters, sub.starts)) == [[a] for a in reversed(range(k))]
+    assert pf_bracket(sub) == (2, 2)
+
+
+# ---- the graph code on the flat arrays against the tuple-of-tuples code it
+# replaced (tests/helpers), on random substitutions: one letter, self-loops,
+# repeated letters, permutations, reducible and periodic inputs
+
+@st.composite
+def _graphs(draw):
+    return draw(st.one_of(_SUBSTITUTIONS, _periodic(), _zero_rows(),
+                          st.integers(1, 3).map(lambda k: _numbered([[a] for a in range(k)]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_transpose_matches_the_tuple_reference(sub):
+    rows, row_starts = _transpose(sub.letters, sub.starts)
+    assert rows.typecode == row_starts.typecode == "I"
+    assert len(row_starts) == sub.size + 1 and row_starts[-1] == len(rows) == len(sub.letters)
+    assert [list(rows[row_starts[a]:row_starts[a + 1]]) for a in range(sub.size)] == \
+        transpose_reference(image_tuples(sub))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(), st.data())
+def test_bfs_levels_match_the_tuple_reference(sub, data):
+    start = data.draw(st.integers(0, sub.size - 1))
+    images = image_tuples(sub)
+    assert _bfs_levels(sub.letters, sub.starts, start)[0] == bfs_levels_reference(images, start)
+    rows, row_starts = _transpose(sub.letters, sub.starts)
+    assert _bfs_levels(rows, row_starts, start)[0] == \
+        bfs_levels_reference(transpose_reference(images), start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_components_match_the_tuple_reference(sub):
+    assert list(_components(sub.letters, sub.starts)) == \
+        list(components_reference(image_tuples(sub)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_is_primitive_and_injective_match_the_tuple_reference(sub):
+    images = image_tuples(sub)
+    assert sub.is_primitive() == is_primitive_reference(images)
+    assert sub.is_injective() == (len(set(images)) == len(images))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs())
+def test_pf_bracket_matches_the_tuple_reference(sub):
+    try:
+        want = pf_bracket_reference(image_tuples(sub), max_iter=300)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            pf_bracket(sub, max_iter=300)
+        return
+    assert pf_bracket(sub, max_iter=300) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_graph_code_matches_the_tuple_reference_on_eta_and_theta_n(m):
+    level = eta_system(m)
+    for sub in (level.nblock, level.eta):
+        images = image_tuples(sub)
+        assert sub.is_primitive() == is_primitive_reference(images) is True
+        assert pf_bracket(sub) == pf_bracket_reference(images) == (2, 2)
+        assert list(_components(sub.letters, sub.starts)) == list(components_reference(images))
 
 
 def test_pf_bracket_when_the_perron_vector_spans_many_orders():
@@ -515,13 +644,12 @@ def test_pf_eigenvalue_on_a_closed_letter_that_outgrows_the_rest():
 
 def _apply_reference(sub, w):
     """The per-letter loop that applied a substitution to a tuple word."""
-    images = sub.images
     k = sub.size
     out = []
     for a in w:
         if not 0 <= a < k:
             raise ValueError(f"letter {a} not in alphabet of size {k}")
-        out.extend(images[a])
+        out.extend(sub.image(a))
     return tuple(out)
 
 
@@ -534,7 +662,7 @@ def _wide_substitution(k):
     images = tuple((a ^ 1 if a ^ 1 < k else a,)
                    + tuple(rng.randrange(k) for _ in range(rng.randrange(3)))
                    for a in range(k))
-    return Substitution(images, str)
+    return Substitution.from_images(images, str)
 
 
 # 1-byte, 2-byte and 4-byte str, the last with the surrogates

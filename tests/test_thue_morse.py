@@ -1,6 +1,8 @@
 import random
 import re
 import tracemalloc
+from array import array
+from collections import Counter
 from itertools import chain, islice
 
 import pytest
@@ -75,12 +77,23 @@ def test_descendant_recursion_matches_the_per_word_reference():
 
 
 def test_descendant_stream_against_the_breadth_first_oracle():
-    """The depth-first stream yields each word of the level once: as many
-    words as factors, whose sorted set is the level-by-level recursion."""
+    """The stream yields each word of the level once: as many words as
+    factors, whose sorted set is the level-by-level recursion."""
     for m in range(1, MAX_M + 1):
         words = list(descendant_words(m))
         assert len(words) == 3 * 2 ** m
         assert tuple(sorted(set(words))) == descendants_by_level(m) == enumerate_by_descendants(m)
+
+
+def test_descendant_stream_yields_each_word_once():
+    """The stream against the one-level recursion on 0/1 text, kept as a
+    multiset: for m = 1..8 both hold every factor exactly once."""
+    words = list(thue_morse.A1_WORDS)
+    for m in range(1, 9):
+        stream = Counter(f"{w:0{2 ** m + 1}b}" for w in descendant_words(m))
+        assert stream == Counter(words) and set(stream.values()) == {1}
+        assert len(stream) == 3 * 2 ** m
+        words = [d for w in words for d in descendants_text(w)]
 
 
 def test_join_passes_on_the_grown_levels():
@@ -89,7 +102,7 @@ def test_join_passes_on_the_grown_levels():
 
 
 def _with_offsets(fs, offsets):
-    return FactorSet(fs.m, fs.prefix, tuple(offsets))
+    return FactorSet(fs.m, fs.prefix, array("I", offsets))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
@@ -105,7 +118,7 @@ def test_join_fails_on_corrupted_levels(m):
         assert not matches_descendants(_with_offsets(fs, off[:i + 1] + off[i:]))
         # w_{i+1} in place of its neighbour, so the level keeps its size
         j = i + 1 if i + 1 < fs.size else i - 1
-        assert not matches_descendants(_with_offsets(fs, off[:j] + (off[i],) + off[j + 1:]))
+        assert not matches_descendants(_with_offsets(fs, off[:j] + off[i:i + 1] + off[j + 1:]))
 
 
 @settings(max_examples=150, deadline=None)
