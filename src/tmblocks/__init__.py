@@ -17,7 +17,7 @@ _MODULE_OF = {
         ("build_eta", "theorem_report", "verify_fixed_point", "verify_pair_images",
          "verify_primitivity_argument", "zeta5_fixture"),
         "injectivize"),
-    **dict.fromkeys(("half_shift", "thue_morse_block_system", "verify_block_formula"), "nblock"),
+    **dict.fromkeys(("thue_morse_block_system", "verify_block_formula"), "nblock"),
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(("Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(

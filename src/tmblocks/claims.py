@@ -1,17 +1,17 @@
 """The claims ``verify`` checks at each m, and the per-m level they run on.
 
 ``CLAIMS`` is the one table of claims. Its order is the output order, and
-each entry says whether the claim compares level m with level m + 1 and how
-it runs against a ``Level``. A ``Level`` builds each input on first use and
-at most once. Nothing is cached across levels except the factor set of level
-m + 1, grown from level m, which ``levels`` hands on to the next m once its
-order pass (``quarters``, the premise of ``firsthalf``) has passed.
-Every check is exact and has no setting: ``fixedpoint`` holds for every n by
-induction from the ``pairs`` report, which a ``Level`` builds once. θ_N is
-the closed form, and the ``nblock`` report checks it window by window; it
-is the premise of ``pairs`` and ``primitivity``, and through them of
-``fixedpoint`` and ``theorem``, so no claim passes on an unchecked θ_N,
-even when ``nblock`` is not selected.
+each entry says whether the claim reads level m + 1, which claims are its
+premises (firsthalf <- quarters, pairs <- nblock, fixedpoint <- pairs,
+primitivity <- nblock) and how it checks a ``Level``. ``Level.report`` runs
+a claim at most once per level, its premises first, which ``verify`` does
+not print unless they are selected. If a premise failed, each entry of the
+claim FAILs with ``premise … failed``, so no claim passes on a level m + 1
+out of order or on a θ_N that failed its window check: ``fixedpoint``
+fails through ``pairs``. ``theorem`` reads the ``fixedpoint`` report as an
+entry, not as a premise. Nothing is cached across levels except the factor
+set of level m + 1, which ``levels`` hands on to the next m once
+``quarters`` has passed on it.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from .thue_morse import (FactorSet, enumerate_by_scan, grow, verify_prefix_pairs
 
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
-    m + 1 and the order pass of the second, the block substitution θ_N on
-    the first and its window check, the refinement η, η's primitivity
-    verdict, and its pair-image and fixed-point reports."""
+    m + 1, the block substitution θ_N on the first, the refinement η and
+    η's primitivity verdict; and, in ``reports``, the report of each claim
+    run so far."""
 
     def __init__(self, m: int) -> None:
         self.m = m
+        self.reports: dict[str, VerificationReport] = {}
 
     @cached_property
     def factors(self) -> FactorSet:
@@ -47,16 +48,8 @@ class Level:
         return grow(self.factors)
 
     @cached_property
-    def quarters(self) -> VerificationReport:
-        return verify_quarter_descendants(self.factors_next)
-
-    @cached_property
     def nblock(self) -> Substitution:
         return thue_morse_block_system(self.factors)
-
-    @cached_property
-    def nblock_report(self) -> VerificationReport:
-        return verify_block_formula(self.factors, self.nblock)
 
     @cached_property
     def eta(self) -> Substitution:
@@ -66,14 +59,14 @@ class Level:
     def eta_primitive(self) -> bool:
         return self.eta.is_primitive()
 
-    @cached_property
-    def pairs(self) -> VerificationReport:
-        report = verify_pair_images(self.m, self.nblock, self.eta)
-        return report.given("nblock", self.nblock_report)
-
-    @cached_property
-    def fixed_point(self) -> VerificationReport:
-        return verify_fixed_point(self.m, self.nblock, self.eta, self.pairs)
+    def report(self, name: str) -> VerificationReport:
+        """The report of the claim ``name`` on this level, run at most once,
+        after its premises; each entry FAILs if a premise failed."""
+        if name not in self.reports:
+            claim = CLAIMS[name]
+            premises = {premise: self.report(premise) for premise in claim.premises}
+            self.reports[name] = claim.check(self).given(premises)
+        return self.reports[name]
 
 
 def eta_system(m: int) -> Level:
@@ -91,26 +84,27 @@ def levels(lo: int, hi: int) -> Iterator[Level]:
         if carried is not None:
             level.factors = carried
         yield level
-        # a cached_property keeps what it built in the instance dict
-        quarters = vars(level).get("quarters")
+        quarters = level.reports.get("quarters")
         carried = level.factors_next if quarters is not None and quarters.ok else None
 
 
 class Claim(NamedTuple):
     needs_next_level: bool  # reads the factor set of level m + 1
-    run: Callable[[Level], VerificationReport]
+    premises: tuple[str, ...]  # claims, listed before it, whose failure fails it
+    check: Callable[[Level], VerificationReport]  # the claim alone, without its premises
 
 
 CLAIMS = {
-    "qandf": Claim(False, lambda lv: verify_quarter_minima(lv.factors)),
-    "quarters": Claim(True, lambda lv: lv.quarters),
-    "firsthalf": Claim(True, lambda lv: verify_prefix_pairs(
-        lv.factors, lv.factors_next).given("quarters", lv.quarters)),
-    "nblock": Claim(False, lambda lv: lv.nblock_report),
-    "pairs": Claim(False, lambda lv: lv.pairs),
-    "fixedpoint": Claim(False, lambda lv: lv.fixed_point),
-    "primitivity": Claim(False, lambda lv: verify_primitivity_argument(
-        lv.m, lv.nblock, lv.eta, lv.eta_primitive).given("nblock", lv.nblock_report)),
-    "theorem": Claim(False, lambda lv: theorem_report(
-        lv.m, lv.eta, lv.eta_primitive, lv.fixed_point)),
+    "qandf": Claim(False, (), lambda lv: verify_quarter_minima(lv.factors, lv.m)),
+    "quarters": Claim(True, (), lambda lv: verify_quarter_descendants(lv.factors_next)),
+    "firsthalf": Claim(True, ("quarters",),
+                       lambda lv: verify_prefix_pairs(lv.factors, lv.factors_next)),
+    "nblock": Claim(False, (), lambda lv: verify_block_formula(lv.factors, lv.nblock)),
+    "pairs": Claim(False, ("nblock",), lambda lv: verify_pair_images(lv.m, lv.nblock, lv.eta)),
+    "fixedpoint": Claim(False, ("pairs",),
+                        lambda lv: verify_fixed_point(lv.m, lv.nblock, lv.eta)),
+    "primitivity": Claim(False, ("nblock",), lambda lv: verify_primitivity_argument(
+        lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
+    "theorem": Claim(False, (), lambda lv: theorem_report(
+        lv.m, lv.eta, lv.eta_primitive, lv.report("fixedpoint"))),
 }

@@ -180,7 +180,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         return 2
     level = Level(args.m)
     # both are built on θ_N, the closed form, which must pass its window check
-    failed = [f"{e.claim}: {e.detail}" for e in level.nblock_report.entries if not e.passed]
+    failed = [f"{e.claim}: {e.detail}" for e in level.report("nblock").entries if not e.passed]
     if failed:
         print(f"error: {'; '.join(failed)}", file=sys.stderr)
         return 1
@@ -214,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     total = 0
     for level in levels(lo, hi):
         for claim in claims:
-            rep = CLAIMS[claim].run(level)
+            rep = level.report(claim)
             total += 1
             if rep.ok:
                 print(f"PASS m={level.m} {claim}")

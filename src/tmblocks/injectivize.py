@@ -123,11 +123,10 @@ def verify_pair_images(m: int, theta_n: Substitution, eta: Substitution) -> Veri
     return rb.build()
 
 
-def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
-                       pairs: VerificationReport) -> VerificationReport:
+def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution) -> VerificationReport:
     """Orbit equality from the f0 letter, and common-fixed-point agreement
-    from the f1 letter, for every n >= 1: two base cases and the ``pairs``
-    report of the same θ_N and η.
+    from the f1 letter, for every n >= 1: two base cases, under the premise
+    that the ``pairs`` report of the same θ_N and η passed.
 
     A passing ``pairs`` report says η(θ_N(b)) = θ_N²(b) for every letter b,
     so η∘θ_N = θ_N∘θ_N as morphisms, and a morphism keeps the prefix order
@@ -135,7 +134,7 @@ def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
     of length 2^n when every θ_N image has 2 letters; and θ_N(f1) ≤ η(f1)
     ≤ θ_N²(f1) gives θ_N^n(f1) ≤ η^n(f1) ≤ θ_N^(n+1)(f1), so both f1
     iterates expand one fixed point, although η's grows strictly faster
-    (3·2^(n-1) letters vs 2^n). Without ``pairs`` neither entry passes.
+    (3·2^(n-1) letters vs 2^n).
     """
     f0, f1 = fixed_letters(theta_n.size)
     rb = ReportBuilder(m, "fixedpoint")
@@ -148,7 +147,7 @@ def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution,
     rb.check("f1_common_fixed_point", base,
              "the f1 iterates of both substitutions are nested prefixes of one fixed point"
              if base else "θ_N(f1) ≤ η(f1) ≤ θ_N²(f1) fails in the prefix order")
-    return rb.build().given("pairs", pairs)
+    return rb.build()
 
 
 def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution,

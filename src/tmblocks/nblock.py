@@ -28,13 +28,6 @@ from .substitution import Substitution
 from .thue_morse import FactorSet, thue_morse_prefix
 
 
-def half_shift(i: int, size: int) -> int:
-    """Translate a 1-based index by half the alphabet size (an involution)."""
-    if size % 2:
-        raise ValueError(f"alphabet size must be even, got {size}")
-    return (i - 1 + size // 2) % size + 1
-
-
 def _twice(items: Iterable) -> Iterator:
     """Each item of ``items`` twice in a row."""
     return chain.from_iterable(map(repeat, items, repeat(2)))

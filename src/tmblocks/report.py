@@ -24,10 +24,11 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def given(self, name: str, premise: VerificationReport) -> VerificationReport:
-        """This report if the report ``premise`` of the claim ``name``
-        passed; otherwise every entry FAILs, naming the premise."""
-        if premise.ok:
+    def given(self, premises: dict[str, VerificationReport]) -> VerificationReport:
+        """This report if each report of ``premises``, by claim name, passed;
+        otherwise every entry FAILs, naming the first premise that failed."""
+        name = next((name for name, premise in premises.items() if not premise.ok), None)
+        if name is None:
             return self
         return VerificationReport(tuple(e._replace(passed=False, detail=f"premise {name} failed")
                                         for e in self.entries))

@@ -205,12 +205,19 @@ def matches_descendants(fs: FactorSet) -> bool:
     return same and not start
 
 
-def verify_quarter_minima(fs: FactorSet) -> VerificationReport:
-    """Check that each quarter minimum is the stated rewrite of f_1:
+def verify_quarter_minima(fs: FactorSet, m: int) -> VerificationReport:
+    """Check that ``fs`` is level m, 3·2^m labels of 2^m + 1 letters, and
+    that each quarter minimum is the stated rewrite of f_1:
     q1 = 1^{-1} f1 · 1, q2 = (10)^{-1} f1 · 11, q3 = f1, q4 = (100)^{-1} f1 · 110."""
+    k, n = 3 * 2 ** m, 2 ** m + 1
+    rb = ReportBuilder(m, "qandf")
+    # a label is cut short where its slice runs past the end of P
+    shortest = min(fs.word_length, len(fs.prefix) - max(fs.offsets, default=0))
+    rb.check("count", fs.m == m and fs.size == k and shortest == n,
+             f"level {fs.m}: {fs.size} factors, the shortest label {shortest} letters long; "
+             f"|A_{m}| = {k} of {n} letters")
     q = fs.quarter_size
     f1 = thue_morse_prefix(1, fs.word_length)
-    rb = ReportBuilder(fs.m, "qandf")
     # name -> (p, s) of the rewrite p^{-1} f1 · s
     rewrites = {"q1": ("1", "1"), "q2": ("10", "11"), "q3": ("", ""), "q4": ("100", "110")}
     for i, (name, (p, s)) in enumerate(rewrites.items()):
@@ -226,7 +233,9 @@ def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2).
     Its quarters are these images, so they hold if each label exceeds the
     one before it: one streamed pass over consecutive labels per quarter,
-    whose entry names the first index there that does not."""
+    whose entry names the first index there that does not, and fails unless
+    it read k/4 labels, one more after Q1: so the three pairs where quarters
+    meet, the only ones not ordered by level m, are compared."""
     q = fs_next.quarter_size
     rb = ReportBuilder(fs_next.m - 1, "quarters")
     images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
@@ -234,11 +243,14 @@ def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
         # the pairs of consecutive labels from the one before the quarter on;
         # i is the 1-based upper index of the first that does not increase
         lo = max(n * q - 1, 0)
-        labels = fs_next.labels(fs_next.offsets[lo:(n + 1) * q])
-        bad = first_failures(starmap(lt, pairwise(labels)), 1)
+        window = fs_next.offsets[lo:(n + 1) * q]
+        bad = first_failures(starmap(lt, pairwise(fs_next.labels(window))), 1)
         i = lo + 1 + bad[0] if bad else 0
-        rb.check(f"Q{n + 1}", not i,
-                 f"{image} out of order at i={i}" if i else f"{image} increases")
+        read, want = len(window), fs_next.size // 4 + (n > 0)
+        rb.check(f"Q{n + 1}", not i and read == want,
+                 f"{image} out of order at i={i}" if i
+                 else f"{image} increases over {read} labels" if read == want
+                 else f"{image} read {read} labels, not {want}")
     return rb.build()
 
 

@@ -3,6 +3,7 @@ incidence matrix, the
 substitution of a dense matrix, its labels, its image of a word of
 codepoint text, and the image words of one letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
+a Level that runs its claims on given inputs;
 the closed form of θ_N one letter at a time; the entries of the quarters,
 firsthalf and nblock passes computed on the ints of the windows, one window
 at a time; the breadth-first descendant oracle; and text references for
@@ -18,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from tmblocks.nblock import half_shift
+from tmblocks.claims import Level
 from tmblocks.substitution import Substitution, _block_bracket
 from tmblocks.thue_morse import A1_WORDS, FactorSet
 from tmblocks.words import read_windows, theta_bits
@@ -100,6 +101,13 @@ def off_prefix(fs: FactorSet) -> FactorSet:
     return FactorSet(fs.m, text[:p] + "10"[int(text[p])] + text[p + 1:], fs.offsets)
 
 
+def half_shift(i: int, size: int) -> int:
+    """Translate a 1-based index by half the alphabet size (an involution)."""
+    if size % 2:
+        raise ValueError(f"alphabet size must be even, got {size}")
+    return (i - 1 + size // 2) % size + 1
+
+
 def first_image_index(j: int, size: int) -> int:
     """1-based index of the first letter of the 2-letter block image of w_j."""
     return size // 4 + (j + 1) // 2
@@ -108,6 +116,16 @@ def first_image_index(j: int, size: int) -> int:
 def second_image_index(j: int, size: int) -> int:
     """1-based index of the second letter: the first one, shifted half-way."""
     return half_shift(first_image_index(j, size), size)
+
+
+def level_with(m: int, **inputs) -> Level:
+    """The Level of m with ``inputs``, for example ``eta=...``, in the places
+    of the inputs it would build: its claims then run on them through
+    ``Level.report``, premises included."""
+    level = Level(m)
+    for name, value in inputs.items():
+        setattr(level, name, value)
+    return level
 
 
 def theta() -> Substitution:
@@ -168,8 +186,11 @@ def quarters_by_windows(fs_next: FactorSet) -> list[Entry]:
             bad[i // q] = i + 1
         previous = window
     images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
+    # the pass over Q1 reads its q windows; each later one reads the window
+    # before its quarter too
     return [(f"quarters.Q{n + 1}", not i,
-             f"{images[n]} out of order at i={i}" if i else f"{images[n]} increases")
+             f"{images[n]} out of order at i={i}" if i
+             else f"{images[n]} increases over {q + (n > 0)} labels")
             for n, i in enumerate(bad)]
 
 

@@ -10,12 +10,10 @@ from itertools import islice
 
 import pytest
 
-from helpers import apply, image_tuples, iterates
+from helpers import apply, image_tuples, iterates, level_with
 from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
-from tmblocks.injectivize import (fixed_letters, theorem_report, verify_fixed_point,
-                                  verify_pair_images, verify_primitivity_argument,
-                                  zeta5_fixture)
+from tmblocks.injectivize import fixed_letters, verify_primitivity_argument, zeta5_fixture
 from tmblocks.nblock import verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import (enumerate_by_descendants, enumerate_by_scan, grow,
@@ -88,7 +86,7 @@ def test_c02_golden_tables(factors):
 
 
 def test_c03_quarter_minima_identities(factors):
-    failures = [f"m={m}" for m in range(2, 9) if not verify_quarter_minima(factors[m]).ok]
+    failures = [f"m={m}" for m in range(2, 9) if not verify_quarter_minima(factors[m], m).ok]
     _verdict(3, "quarter minima from f1, m=2..8", failures)
 
 
@@ -131,7 +129,7 @@ def test_c08_injective_refinement(systems):
     failures = []
     for m in range(2, 9):
         sys_m = systems[m]
-        theta_n, eta, k = sys_m.nblock, sys_m.eta, sys_m.eta.size
+        eta, k = sys_m.eta, sys_m.eta.size
         if not eta.is_injective():
             failures.append(f"m={m}: images not distinct")
         for idx0, img in enumerate(image_tuples(eta)):
@@ -142,10 +140,9 @@ def test_c08_injective_refinement(systems):
                 break
         if sum(len(img) for img in image_tuples(eta)) != 2 * k:
             failures.append(f"m={m}: total image length is not 2|A_m|")
-        pairs = verify_pair_images(m, theta_n, eta)
-        if not pairs.ok:
+        if not sys_m.report("pairs").ok:
             failures.append(f"m={m}: pair images differ")
-        if not verify_fixed_point(m, theta_n, eta, pairs).ok:
+        if not sys_m.report("fixedpoint").ok:
             failures.append(f"m={m}: fixed point orbits differ")
         w = chr(fixed_letters(k)[0])
         for n in range(1, 13):
@@ -171,8 +168,7 @@ def test_c09_primitivity_argument(systems):
 
 
 def _theorem(m, theta_n, sub):
-    fixed_point = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point)
+    return level_with(m, nblock=theta_n, eta=sub).report("theorem")
 
 
 def test_c10_eigenvalue_and_full_suite(capsys, systems):

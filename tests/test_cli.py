@@ -244,7 +244,7 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     etas = _count_calls(monkeypatch, "build_eta", lambda m, nb: m)
     pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
     fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
-                                lambda m, nb, eta, pairs: m)
+                                lambda m, nb, eta: m)
     primitivity = Counter()
     is_primitive = Substitution.is_primitive
 

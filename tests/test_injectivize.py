@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply, dense, factor_labels, image_tuples, iterates, labels, nth_image
-from tmblocks.claims import CLAIMS, Level, eta_system
+from helpers import (apply, dense, factor_labels, image_tuples, iterates, labels, level_with,
+                     nth_image)
+from tmblocks.claims import Level, eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
                                   verify_primitivity_argument, zeta5_fixture)
@@ -186,8 +187,10 @@ def _iterated_fixed_point(theta_n, sub, depth=10):
 
 
 def _induction(m, theta_n, sub):
-    """The f0_orbit and f1_common_fixed_point verdicts of the induction."""
-    rep = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
+    """The f0_orbit and f1_common_fixed_point verdicts of the induction:
+    the fixedpoint report with ``sub`` in the place of η, under its pairs
+    premise."""
+    rep = level_with(m, nblock=theta_n, eta=sub).report("fixedpoint")
     return tuple(e.passed for e in rep.entries)
 
 
@@ -240,11 +243,9 @@ def test_fixed_point_fails_with_its_pairs_premise():
     # the image of letter 1 cut to one letter breaks the one image pair
     # that holds letter 1, and neither base case
     level = eta_system(3)
-    theta_n, eta = level.nblock, level.eta
-    shorter = _with_images(eta, {1: tuple(eta.image(1))[:1]})
-    pairs = verify_pair_images(3, theta_n, shorter)
-    assert not pairs.ok
-    rep = verify_fixed_point(3, theta_n, shorter, pairs)
+    level.eta = _with_images(level.eta, {1: tuple(level.eta.image(1))[:1]})
+    rep = level.report("fixedpoint")
+    assert not level.report("pairs").ok
     assert [(e.claim, e.passed, e.detail) for e in rep.entries] == [
         ("fixedpoint.f0_orbit", False, "premise pairs failed"),
         ("fixedpoint.f1_common_fixed_point", False, "premise pairs failed")]
@@ -253,19 +254,19 @@ def test_fixed_point_fails_with_its_pairs_premise():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_fixed_point_base_cases_fail_alone(m):
     # a wrong letter after η(f1), or η(f0) reversed: each breaks its pairs
-    # image too, so the base case is checked here under the premise of the
-    # true η, where it alone decides
+    # image too, so the base cases are checked here without their premise,
+    # which the true η passes, where they alone decide
     level = eta_system(m)
     theta_n, eta = level.nblock, level.eta
     f0, f1 = fixed_letters(eta.size)
-    assert level.pairs.ok
+    assert level.report("pairs").ok
     after = nth_image(theta_n, f1, 2)[len(eta.image(f1))]
     wrong = (ord(after) + 1) % eta.size
     for letter, image, failed in ((f1, tuple(eta.image(f1)) + (wrong,), "f1_common_fixed_point"),
                                   (f0, tuple(eta.image(f0))[::-1], "f0_orbit")):
         sub = _with_images(eta, {letter: image})
         assert not verify_pair_images(m, theta_n, sub).ok
-        rep = verify_fixed_point(m, theta_n, sub, level.pairs)
+        rep = verify_fixed_point(m, theta_n, sub)
         assert [e.claim for e in rep.entries if not e.passed] == [f"fixedpoint.{failed}"]
 
 
@@ -352,10 +353,9 @@ def test_even_position_pairs_are_exactly_the_image_pairs():
 
 
 def _theorem(m, theta_n, sub):
-    """theorem_report on ``sub`` in the place of η, with its own primitivity
-    verdict and fixed-point report against ``theta_n``."""
-    fixed_point = verify_fixed_point(m, theta_n, sub, verify_pair_images(m, theta_n, sub))
-    return theorem_report(m, sub, sub.is_primitive(), fixed_point)
+    """The theorem report with ``sub`` in the place of η, with its own
+    primitivity verdict and fixed-point report against ``theta_n``."""
+    return level_with(m, nblock=theta_n, eta=sub).report("theorem")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -529,7 +529,7 @@ def test_index_claims_hold_and_peak_under_100_bytes_a_letter():
     try:
         level = Level(m)
         for claim in ("nblock", "pairs", "fixedpoint", "primitivity", "theorem"):
-            assert CLAIMS[claim].run(level).ok
+            assert level.report(claim).ok
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

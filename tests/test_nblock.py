@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from helpers import (factor_labels, first_image_index, image_tuples, labels, nth_image,
-                     off_prefix, second_image_index, theta, theta_text)
-from tmblocks.claims import CLAIMS, Level
-from tmblocks.nblock import half_shift, thue_morse_block_system, verify_block_formula
+from helpers import (factor_labels, first_image_index, half_shift, image_tuples, labels,
+                     nth_image, off_prefix, second_image_index, theta, theta_text)
+from tmblocks.claims import Level
+from tmblocks.nblock import thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import Substitution
 from tmblocks.thue_morse import MAX_M, FactorSet, enumerate_by_descendants, enumerate_by_scan
 
@@ -110,7 +110,7 @@ def _off_prefix_level(m):
 def test_off_prefix_factor_set_fails_the_window_check(m, bad):
     # the flip is in the window of w_1 and of the factors that overlap it,
     # so their closed-form images are not the windows of θ(P)
-    entries = {e.claim: e for e in CLAIMS["nblock"].run(_off_prefix_level(m)).entries}
+    entries = {e.claim: e for e in _off_prefix_level(m).report("nblock").entries}
     assert not entries["nblock.images"].passed
     assert entries["nblock.images"].detail == f"mismatch at j=[{bad}]"
 
@@ -120,7 +120,7 @@ def test_claims_on_theta_n_fail_with_the_nblock_premise(m):
     def outcomes(claim):
         # a level of its own, so that the claim meets the failed window
         # check without the nblock claim having run before it
-        return {(e.passed, e.detail) for e in CLAIMS[claim].run(_off_prefix_level(m)).entries}
+        return {(e.passed, e.detail) for e in _off_prefix_level(m).report(claim).entries}
 
     assert outcomes("pairs") == outcomes("primitivity") == {(False, "premise nblock failed")}
     assert outcomes("fixedpoint") == {(False, "premise pairs failed")}

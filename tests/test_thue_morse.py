@@ -312,14 +312,15 @@ def test_quarters_need_m_at_least_2():
     with pytest.raises(ValueError):
         fs.quarter_size
     with pytest.raises(ValueError):
-        verify_quarter_minima(fs)
+        verify_quarter_minima(fs, 1)
 
 
 def test_verify_quarter_minima():
     for m in (2, 3, 4):
-        rep = verify_quarter_minima(enumerate_by_scan(m))
+        rep = verify_quarter_minima(enumerate_by_scan(m), m)
         assert rep.ok
-        assert [e.claim for e in rep.entries] == ["qandf.q1", "qandf.q2", "qandf.q3", "qandf.q4"]
+        assert [e.claim for e in rep.entries] == ["qandf.count", "qandf.q1", "qandf.q2",
+                                                  "qandf.q3", "qandf.q4"]
 
 
 def test_verify_quarter_minima_fails_off_the_fixed_point():
@@ -328,12 +329,28 @@ def test_verify_quarter_minima_fails_off_the_fixed_point():
     one it got next to f1."""
     fs = off_prefix(enumerate_by_scan(3))
     q, f1 = fs.quarter_size, "100101100"
-    rep = verify_quarter_minima(fs)
+    rep = verify_quarter_minima(fs, 3)
     assert [(e.claim, e.passed) for e in rep.entries] == [
-        ("qandf.q1", False), ("qandf.q2", True), ("qandf.q3", False), ("qandf.q4", True)]
+        ("qandf.count", True), ("qandf.q1", False), ("qandf.q2", True), ("qandf.q3", False),
+        ("qandf.q4", True)]
     for i in (0, 2):
         got = fs.label(i * q)
-        assert got != f1 and rep.entries[i].detail == f"q{i + 1}={got}, from f1={f1}"
+        assert got != f1 and rep.entries[i + 1].detail == f"q{i + 1}={got}, from f1={f1}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_quarters_fail_on_windows_cut_at_another_quarter_size(m, monkeypatch):
+    """Negative control: with the quarters cut at q - 1, every window is
+    still in order, but none reads its k/4 labels (one more after Q1), so
+    the pairs where the true quarters meet would go unchecked."""
+    fs_next = grow(enumerate_by_scan(m))
+    q = fs_next.quarter_size
+    monkeypatch.setattr(FactorSet, "quarter_size", property(lambda fs: fs.size // 4 - 1))
+    rep = verify_quarter_descendants(fs_next)
+    images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
+    assert [(e.claim, e.passed, e.detail) for e in rep.entries] == [
+        (f"quarters.Q{n + 1}", False, f"{image} read {q - 1 + (n > 0)} labels, not {q + (n > 0)}")
+        for n, image in enumerate(images)]
 
 
 def test_verify_quarter_descendants_with_golden_cross_check():
@@ -392,10 +409,13 @@ def _quarter_descendants_reference(fs_next):
     images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
     entries = []
     for quarter, what in enumerate(images):
-        bad = [i + 1 for i in range(max(quarter * q, 1), (quarter + 1) * q)
-               if words[i] <= words[i - 1]]
+        upper = range(max(quarter * q, 1), (quarter + 1) * q)
+        bad = [i + 1 for i in upper if words[i] <= words[i - 1]]
+        # the pairs upper[0] - 1, upper[0] .. upper[-1] - 1, upper[-1] read
+        # one label more than they compare
         entries.append((f"quarters.Q{quarter + 1}", not bad,
-                        f"{what} out of order at i={bad[0]}" if bad else f"{what} increases"))
+                        f"{what} out of order at i={bad[0]}" if bad
+                        else f"{what} increases over {len(upper) + 1} labels"))
     return entries
 
 
