@@ -21,8 +21,8 @@ _MODULE_OF = {
     **dict.fromkeys(("CheckEntry", "VerificationReport"), "report"),
     **dict.fromkeys(("Substitution", "pf_eigenvalue"), "substitution"),
     **dict.fromkeys(
-        ("FactorSet", "descendant_words", "enumerate_by_descendants", "enumerate_by_scan",
-         "matches_descendants", "thue_morse_prefix", "verify_prefix_pairs",
+        ("FactorSet", "LevelFailed", "descendant_words", "enumerate_by_descendants",
+         "enumerate_by_scan", "matches_descendants", "thue_morse_prefix", "verify_prefix_pairs",
          "verify_quarter_descendants", "verify_quarter_minima"),
         "thue_morse"),
 }

@@ -23,9 +23,9 @@ from typing import NamedTuple
 from .injectivize import (build_eta, theorem_report, verify_fixed_point, verify_pair_images,
                           verify_primitivity_argument)
 from .nblock import thue_morse_block_system, verify_block_formula
-from .report import VerificationReport
+from .report import CheckEntry, VerificationReport
 from .substitution import Substitution
-from .thue_morse import (FactorSet, enumerate_by_scan, grow, verify_prefix_pairs,
+from .thue_morse import (FactorSet, LevelFailed, enumerate_by_scan, grow, verify_prefix_pairs,
                          verify_quarter_descendants, verify_quarter_minima)
 
 
@@ -61,11 +61,16 @@ class Level:
 
     def report(self, name: str) -> VerificationReport:
         """The report of the claim ``name`` on this level, run at most once,
-        after its premises; each entry FAILs if a premise failed."""
+        after its premises; each entry FAILs if a premise failed, and one
+        entry, ``factors``, if the level failed its check while it was built."""
         if name not in self.reports:
             claim = CLAIMS[name]
             premises = {premise: self.report(premise) for premise in claim.premises}
-            self.reports[name] = claim.check(self).given(premises)
+            try:
+                self.reports[name] = claim.check(self).given(premises)
+            except LevelFailed as exc:  # level m, or one below it, failed its check
+                self.reports[name] = VerificationReport(
+                    (CheckEntry(self.m, f"{name}.factors", False, str(exc)),))
         return self.reports[name]
 
 

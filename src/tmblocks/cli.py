@@ -146,7 +146,8 @@ def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
-    from .thue_morse import MAX_M, enumerate_by_descendants, enumerate_by_scan, matches_descendants
+    from .thue_morse import (MAX_M, LevelFailed, enumerate_by_descendants, enumerate_by_scan,
+                             matches_descendants)
 
     if not 1 <= args.m <= MAX_M:
         print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
@@ -156,9 +157,13 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         words, n = enumerate_by_descendants(args.m), 2 ** args.m + 1
         size, label = len(words), lambda i: f"{words[i]:0{n}b}"
     else:
-        fs = enumerate_by_scan(args.m)
+        try:
+            fs = enumerate_by_scan(args.m)
+        except LevelFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         # the oracle's words are streamed and joined with the windows of the
-        # grown level by their hashes, so neither is held as words
+        # grown level by their positions in P, so neither is held as words
         if args.method == "both" and not matches_descendants(fs):
             print("error: enumeration methods disagree", file=sys.stderr)
             return 1

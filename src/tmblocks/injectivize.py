@@ -30,6 +30,12 @@ def fixed_letters(k: int) -> tuple[int, int]:
     return k // 2 - 1, k // 2
 
 
+def first_odd(q: int, n: int) -> int:
+    """The first 0-based letter of quarter n + 1 of 4q letters whose 1-based
+    index is odd."""
+    return n * q + n * q % 2
+
+
 def build_eta(m: int, theta_n: Substitution) -> Substitution:
     """The injective refinement of the Thue-Morse block substitution
     ``theta_n`` of width 2^m + 1, four quarters of letters whose images
@@ -46,7 +52,7 @@ def build_eta(m: int, theta_n: Substitution) -> Substitution:
     # the 0-based letters j = cut[n], cut[n] + 2, ... below (n + 1)·q are the
     # odd-indexed ones of quarter n + 1; half the alphabet away from those of
     # Q3 and Q4 lie those of Q1 and Q2
-    cut = [n * q + n * q % 2 for n in range(4)]
+    cut = [first_odd(q, n) for n in range(4)]
 
     def odd(column: array, n: int, shift: int = 0) -> array:
         """Letter ``column`` of the images of the odd-indexed letters of
@@ -181,14 +187,23 @@ def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution
     mid = slice(k // 4, 3 * k // 4)  # 0-based span of Q2 u Q3
     rb.check("psi_phi_q2_q3", psi[mid] == phi[mid], "initials maps agree on Q2 u Q3")
 
-    q4 = 3 * k // 4 + 3 * k // 4 % 2  # the first odd letter of Q4, 0-based
-    rb.check("psi_q4_increasing", all(map(gt, psi[q4::2], range(q4, k, 2))),
-             "strictly index-increasing on odd letters of Q4")
+    # each check below FAILs unless it read the letters of its quarter, so
+    # that it cannot pass on a slice cut short
+    q = k // 4
+    q4 = first_odd(q, 3)
+    # the odd letters of Q4 are the even 0-based ones below 4q, less those below 3q
+    odd_q4, want = psi[q4::2], (4 * q + 1) // 2 - (3 * q + 1) // 2
+    rb.check("psi_q4_increasing", len(odd_q4) == want and all(map(gt, odd_q4, range(q4, k, 2))),
+             f"strictly index-increasing on the {want} odd letters of Q4" if len(odd_q4) == want
+             else f"read {len(odd_q4)} odd letters of Q4, not {want}")
 
-    odd_ok = all(3 * k // 4 <= a < k for a in psi[0:k // 4:2])
-    even_ok = all(k // 4 <= a < k // 2 for a in psi[1:k // 4:2])
-    rb.check("psi_q1_to_q4", odd_ok and even_ok,
-             "odd letters of Q1 map into Q4; even ones follow phi into Q2")
+    q1 = first_odd(q, 0)
+    odd, even = psi[q1:q:2], psi[q1 + 1:q:2]
+    read = len(odd) + len(even)
+    into = all(3 * q <= a < k for a in odd) and all(q <= a < 2 * q for a in even)
+    rb.check("psi_q1_to_q4", into and read == q,
+             f"odd ones of the {q} letters of Q1 map into Q4; even ones follow phi into Q2"
+             if read == q else f"read {read} letters of Q1, not {q}")
 
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
     rb.check("matrix", primitive, note)

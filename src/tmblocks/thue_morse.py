@@ -19,10 +19,12 @@ count.
 The descendant recursion on the ints of the words is an independent
 oracle. The descendants of a word u at depth d are the windows of θ^d(u) at
 its first 2^d offsets, so it yields the words of a level as windows of θ^d
-of the six words of level 1, in no order; ``matches_descendants`` joins
-that stream with the grown level by the hashes of its windows, and
-``enumerate_by_descendants`` sorts it. On top of the ordered set sit the
-quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes,
+of the six words of level 1, one block per word. θ^d maps the window of
+θ^3(0) at t onto the slice of 3·2^d letters of P at 2^d·t, so block u reads
+the windows of P at 2^d·t_u + s, s = 0 .. 2^d - 1, where u starts θ^3(0)
+at t_u; ``matches_descendants`` joins the stream with the grown level by
+these positions, and ``enumerate_by_descendants`` sorts it. On top of the
+ordered set sit the quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes,
 and executable verifiers for the identities that tie them together.
 """
 
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import chain, pairwise, repeat, starmap, tee
-from operator import add, and_, getitem, lt
+from itertools import chain, pairwise, repeat, starmap, tee, zip_longest
+from operator import add, and_, eq, getitem, lt
 
 from .report import ReportBuilder, VerificationReport, first_failures
 from .words import read_windows, theta_bits
@@ -106,6 +108,10 @@ class FactorSet:
         return f"{theta_bits(length, int(self.prefix, 2)):0{2 * length}b}"
 
 
+class LevelFailed(RuntimeError):
+    """A level that failed its check while ``enumerate_by_scan`` built it."""
+
+
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
@@ -129,7 +135,7 @@ def grow(fs: FactorSet) -> FactorSet:
 
 def enumerate_by_scan(m: int) -> FactorSet:
     """The factor set of level m: level 1 from θ^3(0), grown m - 1 times,
-    each level checked; a failed check raises ``RuntimeError``. P is
+    each level checked; a failed check raises ``LevelFailed``. P is
     θ^(m+2)(0), and the offsets are a permutation of 0 .. 3·2^m - 1."""
     _check_m(m)
     fs = _base()
@@ -138,25 +144,27 @@ def enumerate_by_scan(m: int) -> FactorSet:
     # u = θ(u) lies in θ(ab) for a factor ab, and all four occur in θ^3(0)
     words, text = list(map(fs.label, range(fs.size))), thue_morse_prefix(0, 16)
     if words != sorted({text[p:p + 3] for p in range(14)}):
-        raise RuntimeError(f"level 1 reads {words}, not the width-3 windows of θ^4(0)")
+        raise LevelFailed(f"level 1 reads {words}, not the width-3 windows of θ^4(0)")
     for _ in range(m - 1):
         fs = grow(fs)
         failed = [f"{e.claim}: {e.detail}" for e in verify_quarter_descendants(fs).entries
                   if not e.passed]
         if failed:
-            raise RuntimeError(f"level {fs.m} is out of order: {'; '.join(failed)}")
+            raise LevelFailed(f"level {fs.m} is out of order: {'; '.join(failed)}")
     return fs
 
 
 def descendant_words(m: int) -> Iterator[int]:
-    """The factors of length N as the ints of their bits, in no order: the
-    descendant recursion from the hard-coded length-3 base, in blocks.
+    """The factors of length N as the ints of their bits: the descendant
+    recursion from the hard-coded length-3 base, in six blocks of 2^d words,
+    d = m - 1, one per word u of ``A1_WORDS`` in that order.
 
     δ(u) drops the last letter of θ(u) and ε(u) the first, so they are the
     windows of θ(u) at offsets 0 and 1, one letter narrower than it. θ maps
     the window at t of a word to the one of twice the width at 2t of its
     image, so by induction the descendants of u at depth d are the width-N
-    windows of θ^d(u) at offsets 0 .. 2^d - 1, each read once."""
+    windows of θ^d(u) at offsets 0 .. 2^d - 1, which block u yields in
+    that order, each once."""
     _check_m(m)
     d = m - 1
     for text in A1_WORDS:
@@ -179,30 +187,26 @@ def enumerate_by_descendants(m: int) -> tuple[int, ...]:
 def matches_descendants(fs: FactorSet) -> bool:
     """True iff the windows of ``fs`` increase and are, as a set, the words
     of ``descendant_words(fs.m)``, each yielded once: what comparing them
-    with ``enumerate_by_descendants(fs.m)`` one by one proves, with k small
-    ints held in place of k words.
+    with ``enumerate_by_descendants(fs.m)`` one by one proves, with no word
+    held and no object a factor.
 
-    One pass over the windows checks their order and maps the hash of each
-    to its offset; a collision leaves fewer offsets than windows and fails.
-    The stream then names an offset by the hash of each word, which must
-    read exactly that word, and each offset must be named once. A
-    collision can only fail the check, and ``hash`` of an int is
-    deterministic."""
-    start = {}
-    previous = -1
-    for p, w in zip(fs.offsets, fs.windows()):
-        if w <= previous:
-            return False
-        start[hash(w)] = p
-        previous = w
-    if len(start) != fs.size:
+    There must be k = 3·2^m offsets, counted from m, all below k, and one
+    pass checks that each window exceeds the one before. Windows that
+    increase lie at distinct offsets, so the offsets are then a permutation
+    of 0 .. k - 1. P = θ^(m+2)(0) is θ^d(θ^3(0)), d = m - 1, so the block
+    of the stream grown from u is the windows of P at 2^d·t_u + s,
+    s = 0 .. 2^d - 1, where u starts θ^3(0) at t_u, and the six blocks start
+    at 0 .. k - 1 in some order. The stream is read to its end against P's
+    windows at those starts: equal one by one, it is the level's windows as
+    a set."""
+    k, d = 3 << fs.m, fs.m - 1
+    if len(fs.offsets) != k or max(fs.offsets) >= k:
         return False
-    words, keys = tee(descendant_words(fs.m))
-    try:
-        same = all(map(int.__eq__, words, fs.windows(map(start.pop, map(hash, keys)))))
-    except KeyError:  # a word with no window, or one named twice
+    if not all(starmap(lt, pairwise(fs.windows()))):
         return False
-    return same and not start
+    t = map(thue_morse_prefix(0, 8).index, A1_WORDS)  # the oracle's own base
+    starts = chain.from_iterable(range(t_u << d, t_u + 1 << d) for t_u in t)
+    return all(starmap(eq, zip_longest(descendant_words(fs.m), fs.windows(starts))))
 
 
 def verify_quarter_minima(fs: FactorSet, m: int) -> VerificationReport:

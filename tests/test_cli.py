@@ -292,6 +292,34 @@ def test_a_level_out_of_order_fails_quarters_and_is_not_handed_on(capsys, monkey
     assert scans == {2: 1, 3: 1}
 
 
+_LEVEL_2_FAILED = "level 2 is out of order: quarters.Q2: delta(Q1 u Q2) read 3 labels, not 4"
+
+
+@pytest.mark.parametrize("argv, want_out, want_err", [
+    (["verify", "--m", "2..3", "--claims", "qandf,nblock"],
+     "".join(f"FAIL m={m} {claim}\n  {claim}.factors: {_LEVEL_2_FAILED}\n"
+             for m in (2, 3) for claim in ("qandf", "nblock")),
+     "0/4 claims passed\n"),
+    (["factors", "--m", "3"], "", f"error: {_LEVEL_2_FAILED}\n"),
+    (["build", "theta", "--m", "3"], "", f"error: nblock.factors: {_LEVEL_2_FAILED}\n"),
+    (["build", "eta", "--m", "3"], "", f"error: nblock.factors: {_LEVEL_2_FAILED}\n"),
+])
+def test_a_level_that_fails_its_order_pass_while_built_exits_1(capsys, monkeypatch, argv,
+                                                                want_out, want_err):
+    """Negative control: the order pass of level 2 FAILs while
+    ``enumerate_by_scan`` grows it. ``verify`` prints a FAIL line per claim
+    naming the failed entry, ``factors`` and ``build`` an error, and all
+    three exit 1 without a traceback."""
+    def failed(fs):
+        return VerificationReport((CheckEntry(fs.m - 1, "quarters.Q2", False,
+                                              "delta(Q1 u Q2) read 3 labels, not 4"),))
+    monkeypatch.setattr(thue_morse, "verify_quarter_descendants", failed)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, want_out, want_err)
+    assert "Traceback" not in err
+
+
 def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
     # the window check of θ_N is the premise of pairs, so it runs although
     # the nblock claim is not selected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (apply, dense, factor_labels, image_tuples, iterates, labels, level_with,
                      nth_image)
+from tmblocks import injectivize
 from tmblocks.claims import Level, eta_system
 from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
                                   theorem_report, verify_fixed_point, verify_pair_images,
@@ -296,6 +297,28 @@ def test_primitivity_argument(m):
     assert [e.claim.split(".", 1)[1] for e in rep.entries] == [
         "phi_reaches", "psi_reaches", "psi_phi_q2_q3", "psi_q4_increasing",
         "psi_q1_to_q4", "matrix", "forward"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("cut", ["shifted", "past the end"])
+def test_quarter_checks_fail_on_slices_cut_short(m, cut, monkeypatch):
+    """Negative control: with the first odd letter of each quarter moved on
+    by two, or past the last letter, ψ still maps every letter it reads as
+    the paper says, but psi_q4_increasing does not read the odd letters of
+    Q4 nor psi_q1_to_q4 the q letters of Q1, and each names its count."""
+    level = eta_system(m)
+    theta_n, eta = level.nblock, level.eta
+    q = theta_n.size // 4
+    first_odd = injectivize.first_odd
+    monkeypatch.setattr(injectivize, "first_odd",
+                        (lambda q, n: first_odd(q, n) + 2) if cut == "shifted"
+                        else (lambda q, n: 4 * q))
+    rep = _primitivity_argument(m, theta_n, eta)
+    odd_q4 = q // 2  # the odd numbers in 3q + 1 .. 4q, q = 3 at m = 2 and even above
+    read_q4, read_q1 = (odd_q4 - 1, q - 2) if cut == "shifted" else (0, 0)
+    assert [(e.claim, e.detail) for e in rep.entries if not e.passed] == [
+        ("primitivity.psi_q4_increasing", f"read {read_q4} odd letters of Q4, not {odd_q4}"),
+        ("primitivity.psi_q1_to_q4", f"read {read_q1} letters of Q1, not {q}")]
 
 
 def test_eta_incidence_column_sums_m2():

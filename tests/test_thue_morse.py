@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from helpers import descendants_by_level, descendants_text, factor_labels, off_prefix, theta_text
 from tmblocks import thue_morse
-from tmblocks.thue_morse import (MAX_M, FactorSet, descendant_words, enumerate_by_descendants,
-                                 enumerate_by_scan, grow, matches_descendants, thue_morse_prefix,
-                                 verify_prefix_pairs, verify_quarter_descendants,
-                                 verify_quarter_minima)
+from tmblocks.thue_morse import (MAX_M, FactorSet, LevelFailed, descendant_words,
+                                 enumerate_by_descendants, enumerate_by_scan, grow,
+                                 matches_descendants, thue_morse_prefix, verify_prefix_pairs,
+                                 verify_quarter_descendants, verify_quarter_minima)
 
 A2_GOLDEN = ["00101", "00110", "01001", "01011", "01100", "01101",
              "10010", "10011", "10100", "10110", "11001", "11010"]
@@ -85,6 +85,19 @@ def test_descendant_stream_against_the_breadth_first_oracle():
         assert tuple(sorted(set(words))) == descendants_by_level(m) == enumerate_by_descendants(m)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_descendant_stream_reads_the_prefix_block_by_block(m):
+    """The stream's order, which the join reads: block u, for u in
+    ``A1_WORDS`` in order, is the windows of P = θ^(m+2)(0) at
+    2^d·t_u + s, s = 0 .. 2^d - 1, d = m - 1, where u starts θ^3(0) at t_u;
+    P by the parity of popcount."""
+    d, n = m - 1, 2 ** m + 1
+    text = _parity_text(2 ** (m + 2))
+    starts = [(text.index(u) << d) + s for u in thue_morse.A1_WORDS for s in range(2 ** d)]
+    assert sorted(starts) == list(range(3 * 2 ** m))
+    assert [f"{w:0{n}b}" for w in descendant_words(m)] == [text[p:p + n] for p in starts]
+
+
 def test_descendant_stream_yields_each_word_once():
     """The stream against the one-level recursion on 0/1 text, kept as a
     multiset: for m = 1..8 both hold every factor exactly once."""
@@ -131,8 +144,36 @@ def test_join_fails_on_permuted_offsets(case):
     assert not matches_descendants(_with_offsets(fs, (fs.offsets[i] for i in order)))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_join_fails_on_every_single_letter_flip(m):
+    """Negative control: every letter of P lies in a window at 0 .. k - 1,
+    so P with any one letter flipped fails the join."""
+    fs = enumerate_by_scan(m)
+    p = fs.prefix
+    for i in range(len(p)):
+        flipped = p[:i] + "10"[int(p[i])] + p[i + 1:]
+        assert not matches_descendants(FactorSet(m, flipped, fs.offsets))
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_join_fails_on_windows_past_the_level(m):
+    """Negative controls: the offsets shifted by one, a permutation of
+    1 .. k; one offset set to k; and P one letter short, so that the window
+    at k - 1 runs past its end."""
+    fs = enumerate_by_scan(m)
+    k = fs.size
+    assert not matches_descendants(_with_offsets(fs, (p + 1 for p in fs.offsets)))
+    for i in (0, k // 2, k - 1):
+        off = array("I", fs.offsets)
+        off[i] = k
+        assert not matches_descendants(_with_offsets(fs, off))
+    assert not matches_descendants(FactorSet(m, fs.prefix[:-1], fs.offsets))
+
+
 @pytest.mark.parametrize("m", [1, 5])
 def test_join_fails_when_the_stream_repeats_or_drops_a_word(monkeypatch, m):
+    """A stream one word longer, one without its first word, and one without
+    its last, which a plain ``zip`` would not see."""
     fs = enumerate_by_scan(m)
     stream = thue_morse.descendant_words
     monkeypatch.setattr(thue_morse, "descendant_words",
@@ -140,23 +181,15 @@ def test_join_fails_when_the_stream_repeats_or_drops_a_word(monkeypatch, m):
     assert not matches_descendants(fs)
     monkeypatch.setattr(thue_morse, "descendant_words", lambda m: islice(stream(m), 1, None))
     assert not matches_descendants(fs)
-
-
-def test_join_fails_under_a_constant_hash(monkeypatch):
-    """A hash collision can only fail the check: with every window on one
-    hash, one offset is left for all of them."""
-    fs = enumerate_by_scan(4)
-    monkeypatch.setattr(thue_morse, "hash", lambda x: 0, raising=False)
-    assert not matches_descendants(fs)
-    # and a stream of the one word whose offset is left names every offset
-    # the map holds, but not every offset of the level
-    last = list(fs.windows())[-1]
-    monkeypatch.setattr(thue_morse, "descendant_words", lambda m: iter((last,)))
+    monkeypatch.setattr(thue_morse, "descendant_words",
+                        lambda m: islice(stream(m), 3 * 2 ** m - 1))
     assert not matches_descendants(fs)
 
 
 def test_join_holds_less_than_the_sorted_oracle():
-    """The join holds k small ints, the sorted oracle k words of N bits."""
+    """The join holds k marks of one byte and reads the windows one at a
+    time: under 16 bytes a factor at MAX_M, where the sorted oracle holds k
+    words of N bits."""
     fs = enumerate_by_scan(MAX_M)
     tracemalloc.start()
     try:
@@ -167,15 +200,15 @@ def test_join_holds_less_than_the_sorted_oracle():
         oracle_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert join_peak < oracle_peak / 2
+    assert join_peak < 16 * fs.size and join_peak < oracle_peak / 2
 
 
 def test_scan_raises_when_the_base_repeats_a_window(monkeypatch):
     # an all-zero prefix of the same length: the six windows of length 3 of
     # the base are one word
     monkeypatch.setattr(thue_morse, "thue_morse_prefix", lambda a, n: "0" * n)
-    with pytest.raises(RuntimeError, match=r"level 1 reads \['000', '000', '000', '000', '000', "
-                                           r"'000'\], not the width-3 windows of θ\^4\(0\)"):
+    with pytest.raises(LevelFailed, match=r"level 1 reads \['000', '000', '000', '000', '000', "
+                                          r"'000'\], not the width-3 windows of θ\^4\(0\)"):
         enumerate_by_scan(2)
 
 
@@ -188,7 +221,7 @@ def test_scan_raises_when_the_base_drops_a_factor(monkeypatch, dropped):
     monkeypatch.setattr(thue_morse, "_base", lambda: FactorSet(1, base.prefix, offsets))
     words = [w for w in thue_morse.A1_WORDS if w != base.label(dropped)]
     for m in (1, 4):
-        with pytest.raises(RuntimeError, match=re.escape(f"level 1 reads {words}, not")):
+        with pytest.raises(LevelFailed, match=re.escape(f"level 1 reads {words}, not")):
             enumerate_by_scan(m)
 
 
@@ -198,8 +231,8 @@ def test_scan_raises_when_a_grown_level_is_out_of_order(monkeypatch):
     monkeypatch.setattr(thue_morse, "grow",
                         lambda fs, grow=grow: off_prefix(grow(fs)) if fs.m == 2 else grow(fs))
     enumerate_by_scan(2)
-    with pytest.raises(RuntimeError, match=r"level 3 is out of order: quarters\.Q1: eps\(Q3 u Q4\) "
-                                           r"out of order at i=2"):
+    with pytest.raises(LevelFailed, match=r"level 3 is out of order: quarters\.Q1: eps\(Q3 u Q4\) "
+                                          r"out of order at i=2"):
         enumerate_by_scan(5)
 
 
