@@ -38,10 +38,19 @@ class Level:
     def __init__(self, m: int) -> None:
         self.m = m
         self.reports: dict[str, VerificationReport] = {}
+        self.failed: LevelFailed | None = None  # why level m could not be built
 
     @cached_property
     def factors(self) -> FactorSet:
-        return enumerate_by_scan(self.m)
+        """Level m, built at most once: a ``cached_property`` keeps no
+        exception, so a failed build is kept in ``failed`` and raised again
+        by every later read."""
+        if self.failed is None:
+            try:
+                return enumerate_by_scan(self.m)
+            except LevelFailed as exc:
+                self.failed = exc
+        raise self.failed
 
     @cached_property
     def factors_next(self) -> FactorSet:

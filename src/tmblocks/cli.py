@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 
 # Each command imports the modules it uses, so that start-up costs what the
-# command needs: `eigen` loads substitution.py alone.
+# command needs: `eigen` loads substitution.py and its JSON reader alone.
 from .substitution import Substitution, pf_eigenvalue
 
 
@@ -233,14 +233,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _read_substitution(path: str) -> Substitution:
+    """The substitution in the JSON file ``path``, or on stdin for "-"."""
+    if path == "-":
+        return Substitution.read_json(sys.stdin)
+    with open(path) as fh:
+        return Substitution.read_json(fh)
+
+
 def _cmd_eigen(args: argparse.Namespace) -> int:
     try:
-        if args.sub == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.sub) as fh:
-                text = fh.read()
-        sub = Substitution.from_json(text)
+        sub = _read_substitution(args.sub)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: could not load substitution: {exc}", file=sys.stderr)
         return 3

@@ -16,10 +16,15 @@ the image of b is the graph of M. The same pair for the transpose holds its
 rows: the letters b whose images contain a. The strongly connected
 components of the graph give the irreducible diagonal blocks on which
 ``pf_bracket`` certifies ρ.
+
+A substitution is read from JSON text in chunks (``Substitution.read_json``,
+by ``substitution_json``), so that reading a file holds its labels and the
+two arrays, not the whole text beside them.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -29,6 +34,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
 from operator import getitem, lt, ne, sub
+
 
 
 class Substitution:
@@ -150,27 +156,35 @@ class Substitution:
 
     @classmethod
     def from_json(cls, text: str) -> "Substitution":
-        data = json.loads(text)
-        if not isinstance(data, dict) or "alphabet" not in data or "images" not in data:
-            raise ValueError("substitution JSON must contain 'alphabet' and 'images'")
-        alphabet, images = data["alphabet"], data["images"]
-        if not isinstance(alphabet, list) or not isinstance(images, list):
-            raise ValueError("'alphabet' and 'images' must be lists")
-        for b, img in enumerate(images):
-            if not isinstance(img, list):
-                raise ValueError(f"image of letter {b} must be a list, got {img!r}")
-            for a in img:
-                # bool is a subclass of int, but true/false are not letters
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise ValueError(f"image of letter {b} has non-integer letter {a!r}")
-        if not all(isinstance(label, str) for label in alphabet):
-            raise ValueError("alphabet labels must be strings")
-        labels = tuple(alphabet)
-        if len(set(labels)) != len(labels):
-            raise ValueError("alphabet labels must be distinct")
-        if len(labels) != len(images):
-            raise ValueError(f"expected {len(labels)} images, got {len(images)}")
-        return cls.from_images(images, labels.__getitem__)
+        """The substitution of the JSON text of ``to_json``, read by
+        ``read_json``."""
+        return cls.read_json(io.StringIO(text))
+
+    @classmethod
+    def read_json(cls, fh: io.TextIOBase) -> "Substitution":
+        """The substitution of the JSON text ``{"alphabet": [label, ...],
+        "images": [[letter, ...], ...]}`` in the text file ``fh``.
+
+        The file is read a chunk at a time and decoded a label or image at
+        a time (``substitution_json``), so that what is held is the labels,
+        the two image arrays and about a chunk of text: a label goes
+        straight into the list of labels and an image into ``letters`` and
+        ``starts``, and no copy of the text or list of images is made.
+
+        The text is accepted exactly when ``json.loads`` accepts it and its
+        object has a list of distinct string labels and as many lists of
+        letters, each nonempty and below the number of labels; other keys
+        are read and ignored, and of a repeated key the last value counts.
+        A JSON syntax error raises ``json.JSONDecodeError`` with the message,
+        line, column and offset in the whole text that ``json.loads`` gives.
+        Any other fault raises ValueError once the whole text has been read:
+        the first fault in the text, of the values that count, but for a
+        letter at or above the number of labels, which is checked last.
+        """
+        from .substitution_json import read_substitution  # only here: other commands stay off it
+
+        letters, starts, labels = read_substitution(fh)
+        return cls(letters, starts, labels.__getitem__)
 
     def iter_dot(self, name: str = "substitution") -> Iterator[str]:
         """Graphviz digraph, one line at a time: node per letter, edge b->a

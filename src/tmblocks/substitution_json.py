@@ -1,0 +1,271 @@
+"""The chunked reader of a substitution's JSON text, behind
+``Substitution.read_json`` and ``from_json``: only the commands that read
+JSON load it.
+
+The text is read from a text file JSON_CHUNK characters at a time, and only
+the part not yet decoded is held. The object is decoded key by key and its
+arrays an element at a time by ``json.JSONDecoder.raw_decode``, so that a
+label goes straight into the list of labels and an image into the two flat
+arrays, and no copy of the text or list of images is made.
+"""
+
+from __future__ import annotations
+
+import json
+from array import array
+from collections.abc import Iterator
+from io import TextIOBase
+from itertools import islice
+from json.decoder import WHITESPACE
+from operator import eq
+
+# Characters of JSON text read at a time. Between half a chunk and a chunk
+# and a half of text is held, unless a single value is longer. The reader of
+# a text file holds two more chunks: at 64 K characters the η file at m = 9
+# peaks at 1.35 times its size in tracemalloc, at 32 K at 1.24 times.
+JSON_CHUNK = 1 << 15
+_HALF_CHUNK = JSON_CHUNK // 2
+_DECODER = json.JSONDecoder()
+# An array and an object that end in a trailing comma, by their closer
+TRAILING_COMMAS = {"]": "[0, ]", "}": '{"": 0, }'}
+
+
+class _JsonText:
+    """The JSON text of a text file, of which only the part not yet decoded
+    is held: ``buf[pos:]``, at offset ``base + pos`` of the whole text. The
+    methods follow ``json``'s own scanner, and so do the errors: a syntax
+    error gets the message and offset that ``json.loads`` gives."""
+
+    def __init__(self, fh: TextIOBase) -> None:
+        self.fh = fh
+        self.buf = ""
+        self.pos = self.base = 0
+        self.lines = self.line_start = 0  # newlines before ``base``; offset after the last
+        self.comma = -1  # offset of a comma whose next value is not yet found, else -1
+        self.ended = False  # the file is read to its end
+
+    def read(self, size: int) -> None:
+        """Drop the decoded text but for a pending ``comma``, and append
+        chunks, at least one and at least ``size`` characters unless the
+        text ends."""
+        pos = self.pos if self.comma < 0 else self.comma - self.base
+        if self.buf.find("\n", 0, pos) >= 0:  # find is faster than count
+            self.lines += self.buf.count("\n", 0, pos)
+            self.line_start = self.base + self.buf.rindex("\n", 0, pos) + 1
+        pieces = [self.buf[pos:]]
+        self.buf, self.pos, self.base = "", self.pos - pos, self.base + pos
+        while True:
+            chunk = self.fh.read(JSON_CHUNK)
+            if not chunk:
+                self.ended = True
+                break
+            pieces.append(chunk)
+            size -= len(chunk)
+            if size <= 0:
+                break
+        self.buf = "".join(pieces)
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, which is skipped; ""
+        at the end of the text. A chunk is read first when less than half a
+        chunk is left, so that a value of up to half a chunk lies whole in
+        the buffer and decodes at the first try."""
+        while True:
+            if len(self.buf) - self.pos < _HALF_CHUNK and not self.ended:
+                self.read(1)
+            buf = self.buf
+            self.pos = pos = WHITESPACE.match(buf, self.pos).end()
+            if pos < len(buf) or self.ended:
+                return buf[pos:pos + 1]
+
+    def value(self):
+        """The JSON value at ``pos``, where ``peek`` has left it. It is
+        decoded once it lies whole in the buffer with 3 characters after
+        it, or the text ends: a number split as 1.|5 or 1e+|5 decodes as 1
+        with 2 characters after it. Each retry first doubles the text not
+        yet decoded, so that a long value costs linear time."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.ended:
+                    raise self.error(exc.msg, exc.pos) from None
+            else:
+                if len(self.buf) - end >= 3 or self.ended:
+                    self.pos = end
+                    return value
+            self.read(len(self.buf) - self.pos)
+
+    def members(self) -> Iterator[str]:
+        """The keys of the JSON object at the next character, in order. The
+        caller reads the value of each key before it asks for the next."""
+        self.peek()
+        self.pos += 1
+        if self.peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            if self.peek() != '"':
+                raise self.error("Expecting property name enclosed in double quotes")
+            key = self.value()
+            if self.peek() != ":":
+                raise self.error("Expecting ':' delimiter")
+            self.pos += 1
+            yield key
+            if not self.more("}"):
+                return
+
+    def elements(self) -> Iterator:
+        """The elements of the JSON array at the next character, in order,
+        each decoded by itself."""
+        self.peek()
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if not self.more("]"):
+                return
+
+    def more(self, closer: str) -> bool:
+        """Whether another member or element follows the one just read in an
+        object or array that ends in ``closer``: reads the comma, or the
+        closer."""
+        separator = self.buf[self.pos:self.pos + 1]  # mostly right after the value
+        if separator != "," and separator != closer:
+            separator = self.peek()
+        self.pos += 1
+        if separator == ",":
+            self.comma = self.base + self.pos - 1
+            if self.peek() == closer:
+                raise self.trailing_comma()
+            self.comma = -1
+            return True
+        if separator != closer:
+            raise self.error("Expecting ',' delimiter", self.pos - 1)
+        return False
+
+    def trailing_comma(self) -> json.JSONDecodeError:
+        """The error of ``json.loads`` on the ``comma`` before the closer at
+        the next character. Python 3.13 names it at the comma, as a trailing
+        comma, and earlier versions at the closer, as a missing value or
+        key: the error is taken from the running ``json`` on a text of the
+        same kind."""
+        text = TRAILING_COMMAS[self.buf[self.pos]]
+        try:
+            _DECODER.raw_decode(text)
+        except json.JSONDecodeError as exc:
+            return self.error(exc.msg, self.comma - self.base if text[exc.pos] == "," else self.pos)
+        raise AssertionError(f"json accepts {text!r}")
+
+    def end(self) -> None:
+        """Raise unless only whitespace is left."""
+        if self.peek():
+            raise self.error("Extra data")
+
+    def error(self, msg: str, pos: int | None = None) -> json.JSONDecodeError:
+        """``json.JSONDecodeError`` at ``pos`` of the buffer, by default the
+        next character, giving the line, column and offset in the whole text;
+        its ``doc`` is the buffer."""
+        pos = self.pos if pos is None else pos
+        exc = json.JSONDecodeError(msg, self.buf, pos)
+        if exc.lineno == 1:
+            exc.colno = self.base + pos - self.line_start + 1
+        exc.lineno += self.lines
+        exc.pos = self.base + pos
+        exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
+        return exc
+
+
+class _Labels:
+    """The value of "alphabet" read from a ``_JsonText``: its labels, or the
+    first fault that makes it no list of distinct strings."""
+
+    def __init__(self, text: _JsonText) -> None:
+        self.labels = labels = []
+        self.fault = fault = None
+        if text.peek() != "[":
+            text.value()
+            self.fault = ValueError("'alphabet' and 'images' must be lists")
+            return
+        for label in text.elements():
+            if fault is not None:
+                continue
+            if type(label) is str:
+                labels.append(label)
+            else:
+                fault = ValueError("alphabet labels must be strings")
+        if fault is None:
+            # no two are equal next to each other once sorted: 8 bytes a
+            # label, where a set of them takes 85
+            ordered = sorted(labels)
+            if any(map(eq, ordered, islice(ordered, 1, None))):
+                fault = ValueError("alphabet labels must be distinct")
+        self.fault = fault
+
+
+class _Images:
+    """The value of "images" read from a ``_JsonText``: its images in
+    ``letters`` and ``starts``, or the first fault that makes it no list of
+    lists of letters."""
+
+    def __init__(self, text: _JsonText) -> None:
+        self.letters, self.starts = letters, starts = array("I"), array("I", [0])
+        self.fault = fault = None
+        if text.peek() != "[":
+            text.value()
+            self.fault = ValueError("'alphabet' and 'images' must be lists")
+            return
+        for img in text.elements():
+            if fault is not None:
+                continue
+            try:
+                # true and false decode as bools, which are ints but not letters
+                if type(img) is not list or bool in map(type, img):
+                    raise TypeError
+                letters.extend(img)
+            except (TypeError, OverflowError):
+                fault = _image_fault(len(starts) - 1, img)
+            else:
+                starts.append(len(letters))
+        self.fault = fault
+
+
+def _image_fault(b: int, img) -> ValueError:
+    """Why ``img``, a decoded JSON value, is no image of letter b."""
+    if not isinstance(img, list):
+        return ValueError(f"image of letter {b} must be a list, got {img!r}")
+    not_ints = [a for a in img if type(a) is not int]  # floats, bools, None, ...
+    if not_ints:
+        return ValueError(f"image of letter {b} has non-integer letter {not_ints[0]!r}")
+    a = next(a for a in img if not 0 <= a <= 0xFFFFFFFF)
+    return ValueError(f"image of letter {b} uses unknown letter {a}")
+
+
+def read_substitution(fh: TextIOBase) -> tuple[array, array, list[str]]:
+    """The letters, the image offsets and the labels of the substitution
+    whose JSON text is read from ``fh``, checked as ``read_json`` says; the
+    caller's constructor checks the letters against the labels."""
+    text = _JsonText(fh)
+    values: dict[str, _Labels | _Images] = {}  # the values that count, in text order
+    if text.peek() == "{":
+        for key in text.members():
+            if key in ("alphabet", "images"):
+                values.pop(key, None)
+                values[key] = (_Labels if key == "alphabet" else _Images)(text)
+            else:
+                text.peek()
+                text.value()
+    else:
+        text.value()  # no object: a syntax error in it comes first, as in json.loads
+    text.end()
+    if "alphabet" not in values or "images" not in values:
+        raise ValueError("substitution JSON must contain 'alphabet' and 'images'")
+    for value in values.values():
+        if value.fault is not None:
+            raise value.fault
+    labels, images = values["alphabet"].labels, values["images"]
+    if len(labels) != len(images.starts) - 1:
+        raise ValueError(f"expected {len(labels)} images, got {len(images.starts) - 1}")
+    return images.letters, images.starts, labels

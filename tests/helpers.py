@@ -3,7 +3,8 @@ incidence matrix, the
 substitution of a dense matrix, its labels, its image of a word of
 codepoint text, and the image words of one letter;
 of a factor set: its labels, and a factor set read off a corrupted prefix;
-a Level that runs its claims on given inputs;
+a Level that runs its claims on given inputs; the reader of a
+substitution's JSON that decodes the whole text first;
 the closed form of θ_N one letter at a time; the entries of the quarters,
 firsthalf and nblock passes computed on the ints of the windows, one window
 at a time; the breadth-first descendant oracle; and text references for
@@ -12,6 +13,7 @@ at a time; the breadth-first descendant oracle; and text references for
 reference for the flat arrays."""
 
 import itertools
+import json
 import math
 from collections.abc import Iterator
 from functools import lru_cache
@@ -47,6 +49,47 @@ def from_dense(counts) -> Substitution:
     images = tuple(tuple(a for a in range(k) for _ in range(int(counts[a][b])))
                    for b in range(k))
     return Substitution.from_images(images, str)
+
+
+# Substitution files that ``eigen`` must refuse with exit code 3
+MALFORMED_SUBSTITUTIONS = [
+    '{"alphabet": ["a", "b"], "images": [[1.9], [0]]}',
+    '{"alphabet": ["a", "b"], "images": [[true], [0]]}',
+    '{"alphabet": ["a", "b"], "images": [["0"], [0]]}',
+    '{"alphabet": ["a"], "images": 5}',
+    '{"alphabet": "ab", "images": [[0], [1]]}',
+    '{"alphabet": ["a"], "images": [0]}',
+    '{"alphabet": ["a", "a"], "images": [[0], [1]]}',
+    '{"alphabet": [1, "1"], "images": [[0], [1]]}',
+    '{"alphabet": [null, [1], {"a": 2}], "images": [[1], [2], [0]]}',
+    '{"alphabet": ["a", "b"], "images": [[0]]}',
+    '{"alphabet": [], "images": []}',
+    "[" * 100_000,
+]
+
+
+def from_json_reference(text: str) -> Substitution:
+    """The substitution of a JSON text, decoded whole by ``json.loads`` and
+    then checked value by value: the reference for ``Substitution.read_json``,
+    which reads the text in chunks."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or "alphabet" not in data or "images" not in data:
+        raise ValueError("substitution JSON must contain 'alphabet' and 'images'")
+    alphabet, images = data["alphabet"], data["images"]
+    if not isinstance(alphabet, list) or not isinstance(images, list):
+        raise ValueError("'alphabet' and 'images' must be lists")
+    for b, img in enumerate(images):
+        if not isinstance(img, list):
+            raise ValueError(f"image of letter {b} must be a list, got {img!r}")
+        if not all(type(a) is int for a in img):  # true and false are not letters
+            raise ValueError(f"image of letter {b} has a non-integer letter")
+    if not all(isinstance(label, str) for label in alphabet):
+        raise ValueError("alphabet labels must be strings")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet labels must be distinct")
+    if len(alphabet) != len(images):
+        raise ValueError(f"expected {len(alphabet)} images, got {len(images)}")
+    return Substitution.from_images(images, tuple(alphabet).__getitem__)
 
 
 def labels(sub: Substitution) -> tuple[str, ...]:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -14,11 +15,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import off_prefix
+from helpers import MALFORMED_SUBSTITUTIONS, off_prefix
 from tmblocks import claims, cli, injectivize, nblock, thue_morse
 from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
 from tmblocks.substitution import Substitution
+from tmblocks.substitution_json import JSON_CHUNK
 from tmblocks.thue_morse import MAX_M, enumerate_by_descendants
 
 
@@ -320,6 +322,21 @@ def test_a_level_that_fails_its_order_pass_while_built_exits_1(capsys, monkeypat
     assert "Traceback" not in err
 
 
+def test_a_level_that_fails_while_built_is_built_once_per_m(capsys, monkeypatch):
+    # each of the 8 claims of an m reads the one failure of its level
+    def failed(fs):
+        return VerificationReport((CheckEntry(fs.m - 1, "quarters.Q2", False,
+                                              "delta(Q1 u Q2) read 3 labels, not 4"),))
+    monkeypatch.setattr(thue_morse, "verify_quarter_descendants", failed)
+    scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
+    code = cli.main(["verify", "--m", "2..5"])
+    out, err = capsys.readouterr()
+    assert scans == {m: 1 for m in range(2, 6)}
+    assert (code, err) == (1, "0/32 claims passed\n")
+    assert out == "".join(f"FAIL m={m} {claim}\n  {claim}.factors: {_LEVEL_2_FAILED}\n"
+                          for m in range(2, 6) for claim in claims.CLAIMS)
+
+
 def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
     # the window check of θ_N is the premise of pairs, so it runs although
     # the nblock claim is not selected
@@ -491,20 +508,44 @@ def test_eigen_error_paths(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("payload", [
-    '{"alphabet": ["a", "b"], "images": [[1.9], [0]]}',
-    '{"alphabet": ["a", "b"], "images": [[true], [0]]}',
-    '{"alphabet": ["a", "b"], "images": [["0"], [0]]}',
-    '{"alphabet": ["a"], "images": 5}',
-    '{"alphabet": "ab", "images": [[0], [1]]}',
-    '{"alphabet": ["a"], "images": [0]}',
-    '{"alphabet": ["a", "a"], "images": [[0], [1]]}',
-    '{"alphabet": [1, "1"], "images": [[0], [1]]}',
-    '{"alphabet": [null, [1], {"a": 2}], "images": [[1], [2], [0]]}',
-    '{"alphabet": ["a", "b"], "images": [[0]]}',
-    '{"alphabet": [], "images": []}',
-    "[" * 100_000,
-])
+def test_eigen_reads_its_file_within_1_3_times_its_size(tmp_path):
+    # what is held is the labels, the two image arrays and about a chunk of
+    # text; the whole text beside the labels decoded from it took 2.2 times
+    import tmblocks.substitution_json  # noqa: F401  the reader's code is not part of the count
+
+    eta = claims.eta_system(9).eta
+    path = tmp_path / "eta_m9.json"
+    with open(path, "w") as fh:
+        fh.writelines(eta.iter_json())
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        sub = cli._read_substitution(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 24 * JSON_CHUNK
+    assert sub.letters == eta.letters and sub.starts == eta.starts
+    assert list(map(sub.label, range(sub.size))) == list(map(eta.label, range(eta.size)))
+    assert peak < 1.3 * size, f"{peak} B traced for a file of {size} B"
+
+
+def test_eigen_names_a_syntax_error_at_its_offset_in_the_file(capsys, tmp_path):
+    text = claims.eta_system(7).eta.to_json()
+    i = len(text) - 3  # in the last image, past the first chunk
+    assert i > JSON_CHUNK
+    bad = text[:i] + " x" + text[i:]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    code, out, err = _run(capsys, ["eigen", "--sub", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"error: could not load substitution: {want.value}\n"
+    assert f"(char {i + 1})" in err
+
+
+@pytest.mark.parametrize("payload", MALFORMED_SUBSTITUTIONS)
 def test_eigen_rejects_malformed_substitution(capsys, tmp_path, payload):
     path = tmp_path / "sub.json"
     path.write_text(payload)
@@ -673,7 +714,7 @@ def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
     assert result.stdout == ("PF ≈ 2.000000000, primitive: false\n"
                              "PF ≈ 1.000000000, primitive: false\n")
     loaded = set(result.stderr.split())
-    assert "tmblocks.substitution" in loaded
+    assert {"tmblocks.substitution", "tmblocks.substitution_json"} <= loaded
     for name in ("dataclasses", "tmblocks.thue_morse", "tmblocks.nblock",
                  "tmblocks.injectivize", "tmblocks.words", "tmblocks.report"):
         assert name not in loaded, name
@@ -692,7 +733,7 @@ def test_word_commands_load_neither_dataclasses_nor_inspect():
     assert result.stdout.startswith("PASS m=2 qandf\n")
     loaded = set(result.stderr.split())
     assert {"tmblocks.claims", "tmblocks.thue_morse", "tmblocks.nblock"} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "tmblocks.substitution_json"}
 
 
 def test_every_public_name_resolves():
