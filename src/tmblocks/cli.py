@@ -83,52 +83,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# stdout is written in strings of about this many characters: fewer system
-# calls than one write per line, and each string stays below glibc's 128 KiB
+# stdout is written in batches of about this many bytes: fewer system
+# calls than one write per line, and each batch stays below glibc's 128 KiB
 # mmap threshold
 _WRITE_BATCH = 1 << 16
 
 
-def _write_batched(pieces: Iterable[str]) -> None:
-    """Write the concatenation of ``pieces`` to stdout, joined into strings
-    of about ``_WRITE_BATCH`` characters, each written once."""
-    write = sys.stdout.write
-    batch: list[str] = []
+def _write_batched(pieces: Iterable[bytes]) -> None:
+    """Write the concatenation of ``pieces``, each bytes or a memoryview of
+    bytes, to stdout's binary buffer, joined into batches of about
+    ``_WRITE_BATCH`` bytes, each written once."""
+    sys.stdout.flush()  # what the text layer holds goes out first
+    write = sys.stdout.buffer.write
+    batch: list[bytes] = []
     size = 0
     for piece in pieces:
         batch.append(piece)
         size += len(piece)
         if size >= _WRITE_BATCH:
-            write("".join(batch))
+            write(b"".join(batch))
             batch.clear()
             size = 0
-    write("".join(batch))
+    write(b"".join(batch))
 
 
-def _factor_table(size: int, label: Callable[[int], str], header: str) -> Iterator[str]:
-    """The factor table of the words ``label(0..size-1)`` line by line: at
+def _factor_table(size: int, label: Callable[[int], bytes], header: str) -> Iterator[bytes]:
+    """The factor table of the words ``label(0..size-1)`` piece by piece: at
     m = 12 it is 50 MB of text, so it is written as it is formatted."""
     ncols = 4 if size % 4 == 0 else (2 if size % 2 == 0 else 1)
     rows = size // ncols
     width = len(str(size))
-    yield f"{header}\n"
+    yield f"{header}\n".encode()
     for r in range(rows):
-        cells = []
         for c in range(ncols):
             i = c * rows + r
-            cells.append(f"w_{i + 1:<{width}} = {label(i)}")
-        yield "   ".join(cells).rstrip() + "\n"
+            if c:
+                yield b"   "
+            yield b"w_%-*d = " % (width, i + 1)
+            yield label(i)
+        yield b"\n"
 
 
-def _factor_json(m: int, size: int, label: Callable[[int], str]) -> Iterator[str]:
+def _factor_json(m: int, size: int, label: Callable[[int], bytes]) -> Iterator[bytes]:
     """The bytes of json.dump({"m": m, "words": [...]}) one word at a time:
     a word is 0/1 text, so it needs quotes and no escapes."""
-    yield f'{{"m": {m}, "words": ["'
+    yield b'{"m": %d, "words": ["' % m
     for i in range(size):
         if i:
-            yield '", "'
+            yield b'", "'
         yield label(i)
-    yield '"]}\n'
+    yield b'"]}\n'
 
 
 def _sub_table(sub: Substitution, name: str) -> Iterator[str]:
@@ -138,11 +142,12 @@ def _sub_table(sub: Substitution, name: str) -> Iterator[str]:
 
 def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
     if fmt == "json":
-        _write_batched(chain(sub.iter_json(), ("\n",)))
+        pieces = chain(sub.iter_json(), ("\n",))
     elif fmt == "dot":
-        _write_batched(sub.iter_dot(name))
+        pieces = sub.iter_dot(name)
     else:
-        _write_batched(_sub_table(sub, name))
+        pieces = _sub_table(sub, name)
+    _write_batched(map(str.encode, pieces))
 
 
 def _cmd_factors(args: argparse.Namespace) -> int:
@@ -155,19 +160,21 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     if args.method == "descend":
         # the word-level oracle prints each word from its own bits
         words, n = enumerate_by_descendants(args.m), 2 ** args.m + 1
-        size, label = len(words), lambda i: f"{words[i]:0{n}b}"
+        size, label = len(words), lambda i: f"{words[i]:0{n}b}".encode()
     else:
         try:
             fs = enumerate_by_scan(args.m)
         except LevelFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        # the oracle's words are streamed and joined with the windows of the
-        # grown level by their positions in P, so neither is held as words
+        # the oracle's blocks θ^d(u) are checked against slices of P, and
+        # the level's windows are ordered on keys, so neither is held as words
         if args.method == "both" and not matches_descendants(fs):
             print("error: enumeration methods disagree", file=sys.stderr)
             return 1
-        size, label = fs.size, fs.label
+        # a label is a view of P's bytes, copied only into its batch
+        text, offsets, n = memoryview(fs.prefix.encode()), fs.offsets, fs.word_length
+        size, label = fs.size, lambda i: text[offsets[i]:offsets[i] + n]
     if args.format == "json":
         _write_batched(_factor_json(args.m, size, label))
     else:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 from array import array
 from bisect import bisect_right
@@ -146,6 +145,8 @@ class Substitution:
         """``to_json`` in pieces of one label or one image each, so that a
         block alphabet is written without a copy of all its labels. A list
         of ints prints as its JSON."""
+        import json  # only here: the commands that print no JSON stay off it
+
         yield '{"alphabet": ['
         for a, label in enumerate(map(self.label, range(self.size))):
             yield f", {json.dumps(label)}" if a else json.dumps(label)

@@ -22,8 +22,9 @@ its first 2^d offsets, so it yields the words of a level as windows of θ^d
 of the six words of level 1, one block per word. θ^d maps the window of
 θ^3(0) at t onto the slice of 3·2^d letters of P at 2^d·t, so block u reads
 the windows of P at 2^d·t_u + s, s = 0 .. 2^d - 1, where u starts θ^3(0)
-at t_u; ``matches_descendants`` joins the stream with the grown level by
-these positions, and ``enumerate_by_descendants`` sorts it. On top of the
+at t_u, and these windows cover θ^d(u); ``matches_descendants`` checks
+that θ^d(u) is that slice of P, for each of the six words, and
+``enumerate_by_descendants`` sorts the words. On top of the
 ordered set sit the quarter partition Q_1..Q_4, its minima, the f_0/f_1 fixed-point prefixes,
 and executable verifiers for the identities that tie them together.
 """
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import chain, pairwise, repeat, starmap, tee, zip_longest
-from operator import add, and_, eq, getitem, lt
+from itertools import chain, pairwise, repeat, starmap, tee
+from operator import add, and_, getitem, lt
 
 from .report import ReportBuilder, VerificationReport, first_failures
-from .words import read_windows, theta_bits
+from .words import read_windows, theta_bits, window_keys
 
 MAX_M = 12
 
@@ -61,9 +62,8 @@ class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
     windows of one Thue-Morse prefix: ``prefix`` is the 0/1 text of a prefix
     P of the fixed point, and ``offsets[i]``, an ``array('I')``, the start
-    of an occurrence of w_{i+1} in P. Its label is a slice of P's text, its bits the window of P
-    there, and its θ image the width-2N slice of θ(P) at twice its
-    offset."""
+    of an occurrence of w_{i+1} in P. Its label is a slice of P's text,
+    and its θ image the width-2N slice of θ(P) at twice its offset."""
 
     def __init__(self, m: int, prefix: str, offsets: array) -> None:
         self.m = m
@@ -95,12 +95,6 @@ class FactorSet:
         starts, ends = tee(self.offsets if starts is None else starts)
         return map(getitem, repeat(self.prefix),
                    map(slice, starts, map(add, ends, repeat(self.word_length))))
-
-    def windows(self, starts: Iterable[int] | None = None) -> Iterator[int]:
-        """The width-N windows of P at ``starts`` as the ints of their bits,
-        by default the factors in order, one at a time."""
-        return read_windows(len(self.prefix), int(self.prefix, 2), self.word_length,
-                            self.offsets if starts is None else starts)
 
     def theta_prefix(self) -> str:
         """θ(P) as 0/1 text, the prefix of the next level."""
@@ -154,6 +148,14 @@ def enumerate_by_scan(m: int) -> FactorSet:
     return fs
 
 
+def _theta_block(u: str, d: int) -> tuple[int, int]:
+    """θ^d of the 0/1 text u as the length and the bits of the word."""
+    length, bits = len(u), int(u, 2)
+    for _ in range(d):
+        length, bits = 2 * length, theta_bits(length, bits)
+    return length, bits
+
+
 def descendant_words(m: int) -> Iterator[int]:
     """The factors of length N as the ints of their bits: the descendant
     recursion from the hard-coded length-3 base, in six blocks of 2^d words,
@@ -167,10 +169,8 @@ def descendant_words(m: int) -> Iterator[int]:
     that order, each once."""
     _check_m(m)
     d = m - 1
-    for text in A1_WORDS:
-        length, bits = 3, int(text, 2)
-        for _ in range(d):
-            length, bits = 2 * length, theta_bits(length, bits)
+    for u in A1_WORDS:
+        length, bits = _theta_block(u, d)
         yield from read_windows(length, bits, 2 ** m + 1, range(2 ** d))
 
 
@@ -188,25 +188,31 @@ def matches_descendants(fs: FactorSet) -> bool:
     """True iff the windows of ``fs`` increase and are, as a set, the words
     of ``descendant_words(fs.m)``, each yielded once: what comparing them
     with ``enumerate_by_descendants(fs.m)`` one by one proves, with no word
-    held and no object a factor.
+    held and no int a factor.
 
-    There must be k = 3·2^m offsets, counted from m, all below k, and one
-    pass checks that each window exceeds the one before. Windows that
-    increase lie at distinct offsets, so the offsets are then a permutation
-    of 0 .. k - 1. P = θ^(m+2)(0) is θ^d(θ^3(0)), d = m - 1, so the block
-    of the stream grown from u is the windows of P at 2^d·t_u + s,
-    s = 0 .. 2^d - 1, where u starts θ^3(0) at t_u, and the six blocks start
-    at 0 .. k - 1 in some order. The stream is read to its end against P's
-    windows at those starts: equal one by one, it is the level's windows as
-    a set."""
-    k, d = 3 << fs.m, fs.m - 1
+    P = θ^(m+2)(0) is θ^d(θ^3(0)), d = m - 1, so the block of the stream
+    grown from u is the windows of P at 2^d·t_u + s, s = 0 .. 2^d - 1,
+    where u starts θ^3(0) at t_u. Those windows, of width 2^(d+1) + 1,
+    cover the 3·2^d letters of θ^d(u), so the block equals them one by one
+    exactly when θ^d(u) is the 3·2^d letters of P from 2^d·t_u on: that is
+    checked for each u, one slice of P a block. The six t_u are 0 .. 5, so
+    the windows of the blocks start at 0 .. k - 1, k = 3·2^m, and their
+    slices cover P. There must then be k offsets,
+    counted from m, all below k, and one pass checks that each window
+    exceeds the one before, on keys that order and tie as the windows do
+    (``window_keys``). Windows that increase lie at distinct offsets, so
+    the offsets are a permutation of 0 .. k - 1, and the level's windows
+    are the stream's words as a set."""
+    k, d, text = 3 << fs.m, fs.m - 1, fs.prefix
     if len(fs.offsets) != k or max(fs.offsets) >= k:
         return False
-    if not all(starmap(lt, pairwise(fs.windows()))):
-        return False
     t = map(thue_morse_prefix(0, 8).index, A1_WORDS)  # the oracle's own base
-    starts = chain.from_iterable(range(t_u << d, t_u + 1 << d) for t_u in t)
-    return all(starmap(eq, zip_longest(descendant_words(fs.m), fs.windows(starts))))
+    for u, t_u in zip(A1_WORDS, t):
+        length, bits = _theta_block(u, d)
+        if text[t_u << d:t_u + 3 << d] != f"{bits:0{length}b}":
+            return False
+    keys = window_keys(len(text), int(text, 2), fs.word_length, fs.offsets)
+    return all(starmap(lt, pairwise(keys)))
 
 
 def verify_quarter_minima(fs: FactorSet, m: int) -> VerificationReport:

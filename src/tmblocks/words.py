@@ -3,9 +3,10 @@
 A word of n letters is the int of its bits, the first letter in the most
 significant bit, so that on words of one length int order is lexicographic
 order; its 0/1 text is ``f"{bits:0{n}b}"``. Lengths of several thousand
-letters are routine since Python ints are arbitrary precision. Two
+letters are routine since Python ints are arbitrary precision. Three
 operations act on the ints without going through text: θ (0 -> 01,
-1 -> 10), and the windows of one width read at many offsets.
+1 -> 10), and the windows of one width read at many offsets, as ints or
+as keys that order and tie as the windows do.
 """
 
 from __future__ import annotations
@@ -56,3 +57,25 @@ def read_windows(length: int, bits: int, n: int, starts: Iterable[int]) -> Itera
         s = last - p
         i = s >> 3
         yield int.from_bytes(shifted[s & 7][i:i + span], "little") & mask
+
+
+def window_keys(length: int, bits: int, n: int,
+                starts: Iterable[int]) -> Iterator[tuple[bytes, int]]:
+    """The width-n windows at the offsets ``starts`` of the word of
+    ``length`` letters and ``bits``, as keys that order and tie as the
+    windows do, one at a time: the window's first 8·(n // 8) letters as
+    bytes, then its last n % 8 letters as an int.
+
+    The window at p starts byte p // 8 of the big-endian bytes of the word
+    shifted p % 8 letters to the left, so its head is a slice of them and
+    its tail the high bits of the byte after that. One zero byte past the
+    end holds the tail of a window that ends on the last letter.
+    """
+    size = (length + 7) // 8 + 1
+    top = bits << (8 * size - length)
+    mask = (1 << 8 * size) - 1
+    shifted = [((top << r) & mask).to_bytes(size, "big") for r in range(8)]
+    span, drop = n // 8, 8 - n % 8
+    for p in starts:
+        word, i = shifted[p & 7], p >> 3
+        yield word[i:i + span], word[i + span] >> drop

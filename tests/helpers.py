@@ -2,7 +2,8 @@
 incidence matrix, the
 substitution of a dense matrix, its labels, its image of a word of
 codepoint text, and the image words of one letter;
-of a factor set: its labels, and a factor set read off a corrupted prefix;
+of a factor set: its labels, its windows as ints, and a factor set read
+off a corrupted prefix;
 a Level that runs its claims on given inputs; the reader of a
 substitution's JSON that decodes the whole text first;
 the closed form of θ_N one letter at a time; the entries of the quarters,
@@ -216,6 +217,12 @@ Entry = tuple[str, bool, str]
 def _windows(text: str, n: int, starts) -> Iterator[int]:
     """The width-n windows of the 0/1 text at ``starts``, as ints."""
     return read_windows(len(text), int(text, 2), n, starts)
+
+
+def windows(fs: FactorSet) -> Iterator[int]:
+    """The factors of ``fs`` in order as the ints of their bits: the
+    width-N windows of its prefix at its offsets, one at a time."""
+    return _windows(fs.prefix, fs.word_length, fs.offsets)
 
 
 def quarters_by_windows(fs_next: FactorSet) -> list[Entry]:

@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import apply, image_tuples, iterates, level_with
+from helpers import apply, image_tuples, iterates, level_with, windows
 from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
 from tmblocks.injectivize import fixed_letters, verify_primitivity_argument, zeta5_fixture
@@ -59,7 +59,7 @@ def test_c01_cardinality_and_method_agreement():
         desc = enumerate_by_descendants(m)
         if scan.size != 3 * 2 ** m:
             failures.append(f"m={m}: size {scan.size}")
-        if tuple(scan.windows()) != desc:
+        if tuple(windows(scan)) != desc:
             failures.append(f"m={m}: methods disagree")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -206,12 +206,12 @@ def test_c10_eigenvalue_and_full_suite(capsys, systems):
 def test_c11_property_suites(factors):
     failures = []
     rng = random.Random(20260810)
-    windows = {m: list(factors[m].windows()) for m in range(1, 9)}
+    words = {m: list(windows(factors[m])) for m in range(1, 9)}
     violations = 0
     for _ in range(10_000):
         m = rng.randrange(2, 9)
         n = factors[m].word_length
-        u, v = sorted(rng.sample(windows[m], 2))
+        u, v = sorted(rng.sample(words[m], 2))
         # u, v and their images each share one length: int order is lex order
         tu, tv = theta_bits(n, u), theta_bits(n, v)
         if not tu < tv:
@@ -226,9 +226,9 @@ def test_c11_property_suites(factors):
         failures.append(f"{violations} order-preservation violations")
     for m in range(1, 9):
         fs = factors[m]
-        for i, bits in enumerate(windows[m]):
+        for i, bits in enumerate(words[m]):
             mirror = bits ^ ((1 << fs.word_length) - 1)
-            if windows[m].index(mirror) != fs.size - 1 - i:
+            if words[m].index(mirror) != fs.size - 1 - i:
                 failures.append(f"m={m}: mirror reversal broken at w_{i + 1}")
                 break
             text = fs.label(i)

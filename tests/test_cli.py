@@ -112,7 +112,7 @@ def _whole_factor_table(m, words):
 def test_streamed_factors_match_whole_document_output(capsys, m):
     # the words as the descendant oracle prints them, each from its own bits
     words = [f"{b:0{2 ** m + 1}b}" for b in enumerate_by_descendants(m)]
-    for method in ("scan", "descend"):
+    for method in ("scan", "descend", "both"):
         code, out, _ = _run(capsys, ["factors", "--m", str(m), "--method", method,
                                      "--format", "json"])
         assert code == 0
@@ -125,10 +125,13 @@ def test_streamed_factors_match_whole_document_output(capsys, m):
 @pytest.mark.parametrize("argv", ["factors --m 10 --method both --format json", "factors --m 9",
                                   "build eta --m 9 --format dot"])
 def test_output_is_written_in_batches(monkeypatch, argv):
-    """Each write but the last carries at least one batch and less than two."""
+    """Each write to stdout's binary buffer but the last carries at least
+    one batch of bytes and less than two."""
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(flush=lambda: None,
+                                                       buffer=SimpleNamespace(write=writes.append)))
     assert run(argv.split()) == 0
+    assert all(type(w) is bytes for w in writes)
     batch = cli._WRITE_BATCH
     assert len(writes) > 2 and all(batch <= len(w) < 2 * batch for w in writes[:-1])
     assert len(writes[-1]) < 2 * batch
@@ -720,12 +723,13 @@ def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
         assert name not in loaded, name
 
 
-def test_word_commands_load_neither_dataclasses_nor_inspect():
+def test_word_commands_load_neither_dataclasses_nor_inspect_nor_json():
     code = ("import sys\n"
             "from tmblocks.cli import main\n"
             "main(['verify', '--m', '2'])\n"
             "main(['factors', '--m', '2'])\n"
             "main(['build', 'theta', '--m', '2'])\n"
+            "main(['build', 'eta', '--m', '2', '--format', 'dot'])\n"
             "print(*sorted(sys.modules), file=sys.stderr)\n")
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, timeout=60)
@@ -733,7 +737,7 @@ def test_word_commands_load_neither_dataclasses_nor_inspect():
     assert result.stdout.startswith("PASS m=2 qandf\n")
     loaded = set(result.stderr.split())
     assert {"tmblocks.claims", "tmblocks.thue_morse", "tmblocks.nblock"} <= loaded
-    assert not loaded & {"dataclasses", "inspect", "tmblocks.substitution_json"}
+    assert not loaded & {"dataclasses", "inspect", "json", "tmblocks.substitution_json"}
 
 
 def test_every_public_name_resolves():

@@ -3,13 +3,13 @@ import re
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import descendants_by_level, descendants_text, factor_labels, off_prefix, theta_text
+from helpers import (descendants_by_level, descendants_text, factor_labels, off_prefix, theta_text,
+                     windows)
 from tmblocks import thue_morse
 from tmblocks.thue_morse import (MAX_M, FactorSet, LevelFailed, descendant_words,
                                  enumerate_by_descendants, enumerate_by_scan, grow,
@@ -59,7 +59,7 @@ def test_enumeration_methods_agree():
     for m in range(1, MAX_M + 1):
         scan = enumerate_by_scan(m)
         desc = enumerate_by_descendants(m)
-        assert tuple(scan.windows()) == desc
+        assert tuple(windows(scan)) == desc
         # each factor's label is the window of the prefix at its offset
         n = scan.word_length
         assert factor_labels(scan) == [f"{b:0{n}b}" for b in desc]
@@ -158,12 +158,14 @@ def test_join_fails_on_every_single_letter_flip(m):
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_join_fails_on_windows_past_the_level(m):
     """Negative controls: the offsets shifted by one, a permutation of
-    1 .. k; one offset set to k; and P one letter short, so that the window
-    at k - 1 runs past its end."""
+    1 .. k; one offset set to k, also in place of the factor that is P's
+    last N - 1 letters and a 0, the window at k if P were followed by zeros,
+    which keeps the windows in order; and P one letter short, so that the
+    window at k - 1 runs past its end."""
     fs = enumerate_by_scan(m)
     k = fs.size
     assert not matches_descendants(_with_offsets(fs, (p + 1 for p in fs.offsets)))
-    for i in (0, k // 2, k - 1):
+    for i in (0, k // 2, k - 1, factor_labels(fs).index(fs.prefix[k:] + "0")):
         off = array("I", fs.offsets)
         off[i] = k
         assert not matches_descendants(_with_offsets(fs, off))
@@ -171,25 +173,38 @@ def test_join_fails_on_windows_past_the_level(m):
 
 
 @pytest.mark.parametrize("m", [1, 5])
-def test_join_fails_when_the_stream_repeats_or_drops_a_word(monkeypatch, m):
-    """A stream one word longer, one without its first word, and one without
-    its last, which a plain ``zip`` would not see."""
+def test_join_fails_when_a_descendant_block_differs(monkeypatch, m):
+    """Negative controls on the block check: θ^d(u) for one base word u with
+    its first, middle or last letter flipped, or without its first or its
+    last letter; and the blocks of the base words in another order, each
+    checked at the start of another word."""
     fs = enumerate_by_scan(m)
-    stream = thue_morse.descendant_words
-    monkeypatch.setattr(thue_morse, "descendant_words",
-                        lambda m: chain(stream(m), islice(stream(m), 1)))
-    assert not matches_descendants(fs)
-    monkeypatch.setattr(thue_morse, "descendant_words", lambda m: islice(stream(m), 1, None))
-    assert not matches_descendants(fs)
-    monkeypatch.setattr(thue_morse, "descendant_words",
-                        lambda m: islice(stream(m), 3 * 2 ** m - 1))
-    assert not matches_descendants(fs)
+    block, words = thue_morse._theta_block, thue_morse.A1_WORDS
+
+    def join_with(theta_block):
+        monkeypatch.setattr(thue_morse, "_theta_block", theta_block)
+        return matches_descendants(fs)
+
+    def corrupt(bad, change):
+        return join_with(lambda u, d: change(*block(u, d)) if u == bad else block(u, d))
+
+    assert join_with(block)
+    for bad in words:
+        for part in (0, 1, 2):  # the first, middle and last letter
+            assert not corrupt(bad, lambda n, bits: (n, bits ^ 1 << n - 1 - part * (n - 1) // 2))
+        assert not corrupt(bad, lambda n, bits: (n - 1, bits & (1 << n - 1) - 1))
+        assert not corrupt(bad, lambda n, bits: (n - 1, bits >> 1))
+    for shift in range(1, 6):
+        assert not join_with(lambda u, d: block(words[(words.index(u) + shift) % 6], d))
+    swapped = dict(zip(words, words))
+    swapped["001"], swapped["110"] = "110", "001"
+    assert not join_with(lambda u, d: block(swapped[u], d))
 
 
 def test_join_holds_less_than_the_sorted_oracle():
-    """The join holds k marks of one byte and reads the windows one at a
-    time: under 16 bytes a factor at MAX_M, where the sorted oracle holds k
-    words of N bits."""
+    """The join holds eight shifted copies of P's bytes, one block θ^d(u)
+    and two window keys at a time: under 16 bytes a factor at MAX_M, where
+    the sorted oracle holds k words of N bits."""
     fs = enumerate_by_scan(MAX_M)
     tracemalloc.start()
     try:
@@ -416,9 +431,9 @@ def test_every_offset_reads_back_its_word(m):
     # the prefix of level m + 1
     assert len(fs.prefix) == 2 ** (m + 2) and fs.prefix == text
     assert sorted(fs.offsets) == list(range(3 * 2 ** m))
-    windows = list(fs.windows())
-    assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, windows))
-    assert factor_labels(fs) == [format(b, f"0{n}b") for b in windows]
+    words = list(windows(fs))
+    assert all(int(text[p:p + n], 2) == b for p, b in zip(fs.offsets, words))
+    assert factor_labels(fs) == [format(b, f"0{n}b") for b in words]
 
 
 @pytest.mark.parametrize("m", range(1, 11))

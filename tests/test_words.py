@@ -1,10 +1,12 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply, theta, theta_text
-from tmblocks.words import read_windows, theta_bits
+from tmblocks.words import read_windows, theta_bits, window_keys
 
 
 @st.composite
@@ -67,3 +69,21 @@ def test_read_windows_matches_text_slices(w, data):
     starts = data.draw(st.lists(st.integers(0, len(w) - n), max_size=20))
     got = list(read_windows(len(w), _bits(w), n, starts))
     assert got == [_bits(w[p:p + n]) for p in starts]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_window_keys_order_and_tie_as_the_windows(n, data):
+    """Every width 1..40, so n % 8 = 0, where a key's tail is 0, and n < 8,
+    where its bytes are empty; ties come from repeated starts and from equal
+    windows at different starts."""
+    length = data.draw(st.integers(n, 70))
+    bits = data.draw(st.integers(0, (1 << length) - 1))
+    starts = data.draw(st.lists(st.integers(0, length - n), min_size=2, max_size=12))
+    ints = list(read_windows(length, bits, n, starts))
+    keys = list(window_keys(length, bits, n, starts))
+    assert all(len(head) == n // 8 and 0 <= tail < 1 << n % 8 for head, tail in keys)
+    for a, b in itertools.product(range(len(starts)), repeat=2):
+        assert (keys[a] < keys[b]) == (ints[a] < ints[b])
+        assert (keys[a] == keys[b]) == (ints[a] == ints[b])
