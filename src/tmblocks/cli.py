@@ -107,6 +107,14 @@ def _write_batched(pieces: Iterable[bytes]) -> None:
     write(b"".join(batch))
 
 
+def _write_line(line: str) -> None:
+    """Write ``line`` and a newline to stdout as UTF-8, whatever the locale,
+    and flush it at once when stdout is a terminal, as ``print`` does."""
+    _write_batched((line.encode(), b"\n"))
+    if sys.stdout.line_buffering:
+        sys.stdout.buffer.flush()
+
+
 def _factor_table(size: int, label: Callable[[int], bytes], header: str) -> Iterator[bytes]:
     """The factor table of the words ``label(0..size-1)`` piece by piece: at
     m = 12 it is 50 MB of text, so it is written as it is formatted."""
@@ -229,22 +237,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rep = level.report(claim)
             total += 1
             if rep.ok:
-                print(f"PASS m={level.m} {claim}")
+                _write_line(f"PASS m={level.m} {claim}")
             else:
                 failed += 1
-                print(f"FAIL m={level.m} {claim}")
+                _write_line(f"FAIL m={level.m} {claim}")
                 for entry in rep.entries:
-                    if not entry.passed:
-                        print(f"  {entry.claim}: {entry.detail or 'failed'}")
+                    if not entry.passed:  # a detail may name θ_N or η
+                        _write_line(f"  {entry.claim}: {entry.detail or 'failed'}")
     print(f"{total - failed}/{total} claims passed", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _read_substitution(path: str) -> Substitution:
-    """The substitution in the JSON file ``path``, or on stdin for "-"."""
+    """The substitution in the JSON file ``path``, or on stdin for "-", read
+    as UTF-8 (RFC 8259, section 8.1) whatever the locale."""
     if path == "-":
+        sys.stdin.reconfigure(encoding="utf-8")
         return Substitution.read_json(sys.stdin)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return Substitution.read_json(fh)
 
 
@@ -256,10 +266,10 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
         return 3
     primitive = "true" if sub.is_primitive() else "false"
     try:
-        value = pf_eigenvalue(sub)
-        print(f"PF ≈ {value:.9f}, primitive: {primitive}")
+        line = f"PF ≈ {pf_eigenvalue(sub):.9f}, primitive: {primitive}"
     except ArithmeticError:
-        print(f"PF did not converge, primitive: {primitive}")
+        line = f"PF did not converge, primitive: {primitive}"
+    _write_line(line)
     return 0
 
 

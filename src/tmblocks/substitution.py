@@ -19,7 +19,8 @@ components of the graph give the irreducible diagonal blocks on which
 
 A substitution is read from JSON text in chunks (``Substitution.read_json``,
 by ``substitution_json``), so that reading a file holds its labels and the
-two arrays, not the whole text beside them.
+two arrays, not the whole text beside them; a long 0/1 label is held as the
+int of its bits.
 """
 
 from __future__ import annotations
@@ -170,7 +171,10 @@ class Substitution:
         a time (``substitution_json``), so that what is held is the labels,
         the two image arrays and about a chunk of text: a label goes
         straight into the list of labels and an image into ``letters`` and
-        ``starts``, and no copy of the text or list of images is made.
+        ``starts``, and no copy of the text or list of images is made. A
+        0/1 label of ``substitution_json.INT_LABEL_LENGTH`` letters or more,
+        such as a block letter's, is held as the int of its bits, about a
+        sixth of its ``str``, and ``label`` gives it back as the same text.
 
         The text is accepted exactly when ``json.loads`` accepts it and its
         object has a list of distinct string labels and as many lists of
@@ -184,8 +188,7 @@ class Substitution:
         """
         from .substitution_json import read_substitution  # only here: other commands stay off it
 
-        letters, starts, labels = read_substitution(fh)
-        return cls(letters, starts, labels.__getitem__)
+        return cls(*read_substitution(fh))
 
     def iter_dot(self, name: str = "substitution") -> Iterator[str]:
         """Graphviz digraph, one line at a time: node per letter, edge b->a

@@ -5,15 +5,20 @@ JSON load it.
 The text is read from a text file JSON_CHUNK characters at a time, and only
 the part not yet decoded is held. The object is decoded key by key and its
 arrays an element at a time by ``json.JSONDecoder.raw_decode``, so that a
-label goes straight into the list of labels and an image into the two flat
-arrays, and no copy of the text or list of images is made.
+label goes straight into the list of label keys and an image into the two
+flat arrays, and no copy of the text or list of images is made.
+
+A label is held as its key (``label_key``): a long 0/1 label, such as a
+block letter's, as the int of its bits, which takes about a sixth of its
+``str``, and any other label as itself. The label function that
+``read_substitution`` hands back gives each letter's label exactly.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from io import TextIOBase
 from itertools import islice
 from json.decoder import WHITESPACE
@@ -28,6 +33,11 @@ _HALF_CHUNK = JSON_CHUNK // 2
 _DECODER = json.JSONDecoder()
 # An array and an object that end in a trailing comma, by their closer
 TRAILING_COMMAS = {"]": "[0, ]", "}": '{"": 0, }'}
+# A label of at least this many letters that is a word over {0, 1} is held as
+# an int: at m = 10 a label of 1 025 letters takes 164 bytes as an int and
+# 1 074 as a str. Shorter labels, such as the decimal ones of small inputs,
+# skip the conversion.
+INT_LABEL_LENGTH = 64
 
 
 class _JsonText:
@@ -178,12 +188,33 @@ class _JsonText:
         return exc
 
 
+def label_key(label: str) -> int | str:
+    """The key in which ``label`` is held: ``int("1" + label, 2)`` when the
+    label is a word over {0, 1} of at least INT_LABEL_LENGTH letters, else
+    the label itself. The leading 1 keeps the length, so two keys are equal
+    exactly when their labels are, and an int never equals a str."""
+    if len(label) < INT_LABEL_LENGTH or not label.isascii():  # int reads "١" as 1
+        return label
+    try:
+        key = int("1" + label, 2)
+    except ValueError:
+        return label
+    # int also reads "_" between digits and trailing whitespace, each of
+    # which leaves one bit fewer than letters
+    return key if key.bit_length() == len(label) + 1 else label
+
+
+def key_label(key: int | str) -> str:
+    """The label held as ``key``, the inverse of ``label_key``."""
+    return key if type(key) is str else format(key, "b")[1:]
+
+
 class _Labels:
-    """The value of "alphabet" read from a ``_JsonText``: its labels, or the
-    first fault that makes it no list of distinct strings."""
+    """The value of "alphabet" read from a ``_JsonText``: the keys of its
+    labels, or the first fault that makes it no list of distinct strings."""
 
     def __init__(self, text: _JsonText) -> None:
-        self.labels = labels = []
+        self.keys = keys = []
         self.fault = fault = None
         if text.peek() != "[":
             text.value()
@@ -193,15 +224,17 @@ class _Labels:
             if fault is not None:
                 continue
             if type(label) is str:
-                labels.append(label)
+                keys.append(label_key(label))
             else:
                 fault = ValueError("alphabet labels must be strings")
         if fault is None:
-            # no two are equal next to each other once sorted: 8 bytes a
-            # label, where a set of them takes 85
-            ordered = sorted(labels)
-            if any(map(eq, ordered, islice(ordered, 1, None))):
-                fault = ValueError("alphabet labels must be distinct")
+            # no two are equal next to each other once sorted, the ints and
+            # the strs apart: 8 bytes a key, where a set of them takes 85
+            for kind in (int, str):
+                ordered = sorted(key for key in keys if type(key) is kind)
+                if any(map(eq, ordered, islice(ordered, 1, None))):
+                    fault = ValueError("alphabet labels must be distinct")
+                    break
         self.fault = fault
 
 
@@ -243,10 +276,11 @@ def _image_fault(b: int, img) -> ValueError:
     return ValueError(f"image of letter {b} uses unknown letter {a}")
 
 
-def read_substitution(fh: TextIOBase) -> tuple[array, array, list[str]]:
-    """The letters, the image offsets and the labels of the substitution
-    whose JSON text is read from ``fh``, checked as ``read_json`` says; the
-    caller's constructor checks the letters against the labels."""
+def read_substitution(fh: TextIOBase) -> tuple[array, array, Callable[[int], str]]:
+    """The letters, the image offsets and the label function of the
+    substitution whose JSON text is read from ``fh``, checked as
+    ``read_json`` says; the caller's constructor checks the letters against
+    the labels."""
     text = _JsonText(fh)
     values: dict[str, _Labels | _Images] = {}  # the values that count, in text order
     if text.peek() == "{":
@@ -265,7 +299,11 @@ def read_substitution(fh: TextIOBase) -> tuple[array, array, list[str]]:
     for value in values.values():
         if value.fault is not None:
             raise value.fault
-    labels, images = values["alphabet"].labels, values["images"]
-    if len(labels) != len(images.starts) - 1:
-        raise ValueError(f"expected {len(labels)} images, got {len(images.starts) - 1}")
-    return images.letters, images.starts, labels
+    keys, images = values["alphabet"].keys, values["images"]
+    if len(keys) != len(images.starts) - 1:
+        raise ValueError(f"expected {len(keys)} images, got {len(images.starts) - 1}")
+
+    def label(a: int) -> str:
+        return key_label(keys[a])
+
+    return images.letters, images.starts, label

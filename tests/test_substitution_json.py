@@ -13,7 +13,7 @@ from helpers import MALFORMED_SUBSTITUTIONS, from_json_reference, labels
 from tmblocks.claims import eta_system
 from tmblocks import substitution_json
 from tmblocks.substitution import Substitution
-from tmblocks.substitution_json import JSON_CHUNK
+from tmblocks.substitution_json import INT_LABEL_LENGTH, JSON_CHUNK, key_label, label_key
 
 
 class _Chunks(io.StringIO):
@@ -60,6 +60,46 @@ _VALUES = st.recursive(_SCALARS, lambda values: st.one_of(
     max_leaves=5)
 
 
+# 0/1 words on both sides of the length from which they are held as ints,
+# some with leading zeros
+_BINARY_WORDS = st.one_of(
+    st.text("01", min_size=INT_LABEL_LENGTH - 2, max_size=INT_LABEL_LENGTH + 2),
+    st.builds(str.__add__, st.text("0", min_size=1, max_size=3),
+              st.text("01", min_size=INT_LABEL_LENGTH - 3, max_size=INT_LABEL_LENGTH + 1)))
+
+
+@st.composite
+def _near_binary_words(draw) -> str:
+    """A long 0/1 word with a mark in it that ``int(_, 2)`` may read past:
+    an underscore, a space or tab (trailing ones are read), a sign, a base
+    prefix, or a digit that is not ASCII."""
+    word = draw(_BINARY_WORDS)
+    mark = draw(st.sampled_from(["_", " ", "  ", "\t", " \t", "+", "-", "0b", "١", "𝟏"]))
+    i = draw(st.integers(0, len(word)))
+    return word[:i] + mark + word[i:]
+
+
+_LABELS = st.one_of(st.text(max_size=3), _BINARY_WORDS, _near_binary_words())
+
+
+@st.composite
+def _label_pairs(draw) -> tuple[str, str]:
+    """Two labels, one time in three the same one."""
+    a = draw(_LABELS)
+    return a, draw(st.one_of(_LABELS, _LABELS, st.just(a)))
+
+
+@settings(max_examples=300)
+@given(_label_pairs())
+def test_a_label_key_gives_back_its_label_and_equals_only_its_own(pair):
+    a, b = pair
+    for label in pair:
+        key = label_key(label)
+        assert key_label(key) == label
+        assert (type(key) is int) == (len(label) >= INT_LABEL_LENGTH and set(label) <= {"0", "1"})
+    assert (label_key(a) == label_key(b)) == (a == b)
+
+
 @st.composite
 def _dump(draw, value) -> str:
     """``value`` as JSON text, with whitespace between its tokens and its
@@ -81,12 +121,20 @@ def _dump(draw, value) -> str:
 def _substitution_texts(draw) -> str:
     """The JSON text of a substitution, its keys in either order, with other
     keys and repeated keys among them (the last value counts); in one text
-    of four, labels and letters may be any JSON value."""
+    of four, labels and letters may be any JSON value. Labels are short
+    text, long 0/1 words and near-binary words; in one text of two with
+    more than one label, two of them are the same long 0/1 word, or that
+    word with and without a leading zero."""
     k = draw(st.integers(1, 4))
     faulty = draw(st.integers(0, 3)) == 0
-    label = st.one_of(st.text(max_size=3), _VALUES) if faulty else st.text(max_size=3)
+    label = st.one_of(_LABELS, _VALUES) if faulty else _LABELS
     letter = st.one_of(st.integers(0, k - 1), _SCALARS) if faulty else st.integers(0, k - 1)
     alphabet = draw(st.lists(label, min_size=k - faulty, max_size=k, unique=not faulty))
+    if len(alphabet) > 1 and draw(st.booleans()):
+        word = draw(_BINARY_WORDS)
+        i, j = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=2, max_size=2,
+                             unique=True))
+        alphabet[i], alphabet[j] = word, draw(st.sampled_from([word, "0" + word]))
     images = draw(st.lists(st.lists(letter, min_size=1 - faulty, max_size=3),
                            min_size=k - faulty, max_size=k))
     members = [("alphabet", alphabet), ("images", images)]
