@@ -7,14 +7,18 @@ runs; data goes to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
+from types import SimpleNamespace
 
 # Each command imports the modules it uses, so that start-up costs what the
-# command needs: `eigen` loads substitution.py and its JSON reader alone.
+# command needs: `eigen` loads substitution.py and its JSON reader alone. A
+# command line in the plain form `COMMAND [CHOICE] (--option VALUE)*` is
+# parsed from the grammar table below without argparse, which with gettext
+# and locale costs about 6 ms a call; argparse is loaded only for --help and
+# usage errors, and for any other form of command line.
 from .substitution import Substitution, pf_eigenvalue
 
 
@@ -26,61 +30,30 @@ def _m_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected M or LO..HI, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+        error = f"expected M or LO..HI, got {text!r}"
+    else:
+        if lo <= hi:
+            return lo, hi
+        error = f"empty range {text!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(error)
 
 
 def _claim_list(text: str) -> tuple[str, ...]:
     from .claims import CLAIMS
 
     names = tuple(s.strip() for s in text.split(",") if s.strip())
-    for name in names:
-        if name not in CLAIMS:
-            raise argparse.ArgumentTypeError(
-                f"unknown claim {name!r} (choose from {', '.join(CLAIMS)})")
-    if not names:
-        raise argparse.ArgumentTypeError(f"no claim named in {text!r}")
-    return names
+    unknown = [name for name in names if name not in CLAIMS]
+    if unknown:
+        error = f"unknown claim {unknown[0]!r} (choose from {', '.join(CLAIMS)})"
+    elif not names:
+        error = f"no claim named in {text!r}"
+    else:
+        return names
+    import argparse
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tmblocks",
-        description="Enumerate Thue-Morse factors, build block substitutions and "
-                    "their injective refinements, and verify the whole chain.")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p_factors = commands.add_parser("factors", help="enumerate the factor set A_m")
-    p_factors.add_argument("--m", type=int, required=True)
-    p_factors.add_argument("--method", choices=("scan", "descend", "both"), default="scan")
-    p_factors.add_argument("--format", choices=("text", "json"), default="text")
-    p_factors.set_defaults(run=_cmd_factors)
-
-    p_build = commands.add_parser("build", help="construct a substitution")
-    build_kind = p_build.add_subparsers(dest="kind", required=True)
-    for kind, what in (("theta", "the N-block substitution"), ("eta", "the injective refinement")):
-        p_kind = build_kind.add_parser(kind, help=what)
-        p_kind.add_argument("--m", type=int, required=True)
-        p_kind.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        p_kind.set_defaults(run=_cmd_build)
-
-    p_fixture = commands.add_parser("fixture", help="dump a hard-coded fixture")
-    p_fixture.add_argument("name", choices=("zeta5",))
-    p_fixture.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p_fixture.set_defaults(run=_cmd_fixture)
-
-    p_verify = commands.add_parser("verify", help="run claim verifiers over a range of m")
-    p_verify.add_argument("--m", type=_m_range, required=True, metavar="M|LO..HI")
-    p_verify.add_argument("--claims", type=_claim_list)
-    p_verify.set_defaults(run=_cmd_verify)
-
-    p_eigen = commands.add_parser("eigen", help="dominant eigenvalue and primitivity "
-                                                "of a substitution JSON file")
-    p_eigen.add_argument("--sub", required=True, metavar="FILE|-")
-    p_eigen.set_defaults(run=_cmd_eigen)
-    return parser
+    raise argparse.ArgumentTypeError(error)
 
 
 # stdout is written in batches of about this many bytes: fewer system
@@ -158,7 +131,7 @@ def _emit_substitution(sub: Substitution, name: str, fmt: str) -> None:
     _write_batched(map(str.encode, pieces))
 
 
-def _cmd_factors(args: argparse.Namespace) -> int:
+def _cmd_factors(args: SimpleNamespace) -> int:
     from .thue_morse import (MAX_M, LevelFailed, enumerate_by_descendants, enumerate_by_scan,
                              matches_descendants)
 
@@ -190,7 +163,7 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: SimpleNamespace) -> int:
     from .claims import Level
     from .thue_morse import MAX_M
 
@@ -209,14 +182,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fixture(args: argparse.Namespace) -> int:
+def _cmd_fixture(args: SimpleNamespace) -> int:
     from .injectivize import zeta5_fixture
 
     _emit_substitution(zeta5_fixture(), "zeta_5", args.format)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .claims import CLAIMS, levels
     from .thue_morse import MAX_M
 
@@ -252,13 +225,15 @@ def _read_substitution(path: str) -> Substitution:
     """The substitution in the JSON file ``path``, or on stdin for "-", read
     as UTF-8 (RFC 8259, section 8.1) whatever the locale."""
     if path == "-":
+        if sys.stdin is None:  # the process started with stdin closed
+            raise OSError("stdin is closed")
         sys.stdin.reconfigure(encoding="utf-8")
         return Substitution.read_json(sys.stdin)
     with open(path, encoding="utf-8") as fh:
         return Substitution.read_json(fh)
 
 
-def _cmd_eigen(args: argparse.Namespace) -> int:
+def _cmd_eigen(args: SimpleNamespace) -> int:
     try:
         sub = _read_substitution(args.sub)
     except (OSError, ValueError, RecursionError) as exc:
@@ -273,19 +248,118 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     return 0
 
 
+_FORMATS = ("text", "json", "dot")
+# The command grammar. A command is its help, its handler, its CHOICE and its
+# options. CHOICE is None, or the name, the values and the help of each value
+# of the word after the command: build's kind is a subcommand, with a help
+# each, and fixture's name a positional, without. An option is its name and
+# the keyword arguments of argparse's add_argument.
+_GRAMMAR = {
+    "factors": ("enumerate the factor set A_m", _cmd_factors, None, (
+        ("--m", {"type": int, "required": True}),
+        ("--method", {"choices": ("scan", "descend", "both"), "default": "scan"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}))),
+    "build": ("construct a substitution", _cmd_build, ("kind", ("theta", "eta"), (
+        "the N-block substitution", "the injective refinement")), (
+        ("--m", {"type": int, "required": True}),
+        ("--format", {"choices": _FORMATS, "default": "text"}))),
+    "fixture": ("dump a hard-coded fixture", _cmd_fixture, ("name", ("zeta5",), None), (
+        ("--format", {"choices": _FORMATS, "default": "text"}),)),
+    "verify": ("run claim verifiers over a range of m", _cmd_verify, None, (
+        ("--m", {"type": _m_range, "required": True, "metavar": "M|LO..HI"}),
+        ("--claims", {"type": _claim_list}))),
+    "eigen": ("dominant eigenvalue and primitivity of a substitution JSON file", _cmd_eigen,
+              None, (("--sub", {"required": True, "metavar": "FILE|-"}),)),
+}
+
+
+def _build_parser():
+    """The argparse parser of ``_GRAMMAR``, for what ``_parse_plain`` leaves:
+    help, usage errors and the forms of command line it does not read."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="tmblocks",
+        description="Enumerate Thue-Morse factors, build block substitutions and "
+                    "their injective refinements, and verify the whole chain.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (what, handler, choice, options) in _GRAMMAR.items():
+        p_command = commands.add_parser(command, help=what)
+        leaves = [p_command]
+        if choice is not None:
+            dest, values, helps = choice
+            if helps is None:
+                p_command.add_argument(dest, choices=values)
+            else:
+                kinds = p_command.add_subparsers(dest=dest, required=True)
+                leaves = [kinds.add_parser(v, help=h) for v, h in zip(values, helps)]
+        for leaf in leaves:
+            for name, spec in options:
+                leaf.add_argument(name, **spec)
+            leaf.set_defaults(run=handler)
+    return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments that argparse would parse from ``argv`` when it is
+    ``COMMAND [CHOICE] (--option VALUE)*``: each option named in full and at
+    most once, no VALUE but "-" starting with "-", each VALUE valid and each
+    required option given. Any other ``argv`` gives None, and argparse
+    parses it, so that help and usage errors are argparse's own."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, handler, choice, options = _GRAMMAR[argv[0]]
+    args = {"command": argv[0], "run": handler}
+    tokens = argv[1:]
+    if choice is not None:
+        dest, values, _ = choice
+        if not tokens or tokens[0] not in values:
+            return None
+        args[dest] = tokens.pop(0)
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    if 2 * len(given) != len(tokens):  # a name without a value, or a name twice
+        return None
+    for name, spec in options:
+        text = given.pop(name, None)
+        if text is None:
+            if spec.get("required"):
+                return None
+            args[name[2:]] = spec.get("default")
+            continue
+        if text.startswith("-") and text != "-":
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # ValueError or ArgumentTypeError: argparse calls the type again
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[name[2:]] = value
+    return None if given else SimpleNamespace(**args)
+
+
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     return args.run(args)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # the process started with stdout closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 3
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (`| head`). What is still buffered would
-        # raise again when the interpreter flushes stdout at exit, so stdout
-        # goes to the null device from here on.
+    except OSError as exc:
+        # the commands read no file but eigen's, whose faults it reports
+        # itself, so the fault is stdout's: the reader closed it (`| head`),
+        # which needs no message, or it is full. What is still buffered
+        # would raise again when the interpreter flushes stdout at exit, so
+        # stdout goes to the null device from here on.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: could not write to stdout: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
     return code

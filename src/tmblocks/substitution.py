@@ -167,10 +167,10 @@ class Substitution:
         """The substitution of the JSON text ``{"alphabet": [label, ...],
         "images": [[letter, ...], ...]}`` in the text file ``fh``.
 
-        The file is read a chunk at a time and decoded a label or image at
-        a time (``substitution_json``), so that what is held is the labels,
-        the two image arrays and about a chunk of text: a label goes
-        straight into the list of labels and an image into ``letters`` and
+        The file is read a chunk at a time and decoded a run of labels or
+        images at a time (``substitution_json``), so that what is held is
+        the labels, the two image arrays and about a chunk of text: labels
+        go straight into the list of labels and images into ``letters`` and
         ``starts``, and no copy of the text or list of images is made. A
         0/1 label of ``substitution_json.INT_LABEL_LENGTH`` letters or more,
         such as a block letter's, is held as the int of its bits, about a

@@ -3,10 +3,15 @@
 JSON load it.
 
 The text is read from a text file JSON_CHUNK characters at a time, and only
-the part not yet decoded is held. The object is decoded key by key and its
-arrays an element at a time by ``json.JSONDecoder.raw_decode``, so that a
-label goes straight into the list of label keys and an image into the two
-flat arrays, and no copy of the text or list of images is made.
+the part not yet decoded is held. The object is decoded key by key, and its
+arrays a run of whole elements at a time by ``json.JSONDecoder.raw_decode``,
+a run of up to JSON_BATCH characters: a run of short labels goes into the
+list of label keys with one ``extend``, and a run of images into the two
+flat arrays with one ``extend`` each, and no copy of the whole text or list
+of images is made. A long label, a wrong value and the elements of a run
+that does not decode, such as one cut inside a string, are taken one at a
+time, so that each fault and syntax error is named as when every element
+is decoded by itself.
 
 A label is held as its key (``label_key``): a long 0/1 label, such as a
 block letter's, as the int of its bits, which takes about a sixth of its
@@ -20,7 +25,7 @@ import json
 from array import array
 from collections.abc import Callable, Iterator
 from io import TextIOBase
-from itertools import islice
+from itertools import accumulate, chain, islice
 from json.decoder import WHITESPACE
 from operator import eq
 
@@ -30,6 +35,10 @@ from operator import eq
 # peaks at 1.35 times its size in tracemalloc, at 32 K at 1.24 times.
 JSON_CHUNK = 1 << 15
 _HALF_CHUNK = JSON_CHUNK // 2
+# Characters of an array decoded at a time, as a run of whole elements: a
+# run of 4 K characters holds a few hundred short labels or images, and its
+# list of them adds less than 0.1 MB to the peak of reading a file.
+JSON_BATCH = 1 << 12
 _DECODER = json.JSONDecoder()
 # An array and an object that end in a trailing comma, by their closer
 TRAILING_COMMAS = {"]": "[0, ]", "}": '{"": 0, }'}
@@ -125,18 +134,44 @@ class _JsonText:
             if not self.more("}"):
                 return
 
-    def elements(self) -> Iterator:
+    def elements(self, separator: str) -> Iterator[list]:
         """The elements of the JSON array at the next character, in order,
-        each decoded by itself."""
+        in lists. ``separator`` is how an element and the comma after it
+        end, ``"],"`` for arrays and ``'",'`` for strings: the text up to
+        the last separator in the next JSON_BATCH characters is decoded at
+        once, as an array. That fails when the cut falls inside a string or
+        past the array's end, or the text holds a syntax error; then the
+        elements up to the cut are decoded one at a time, so that an error
+        is named as before and the cost stays linear."""
         self.peek()
         self.pos += 1
         if self.peek() == "]":
             self.pos += 1
             return
         while True:
-            yield self.value()
-            if not self.more("]"):
-                return
+            pos = self.pos
+            cut = self.buf.rfind(separator, pos, pos + JSON_BATCH) + 1
+            if cut > pos:
+                run = "[" + self.buf[pos:cut] + "]"
+                try:
+                    batch, end = _DECODER.raw_decode(run)
+                except (ValueError, RecursionError):
+                    end = 0
+                if end == len(run):
+                    self.pos = cut
+                    yield batch
+                    self.more("]")  # the comma that ``separator`` ends in
+                    continue
+            cut += self.base  # an offset of the whole text: ``value`` may drop the text before it
+            batch = []
+            while True:
+                batch.append(self.value())
+                if not self.more("]"):
+                    yield batch
+                    return
+                if self.base + self.pos >= cut:
+                    break
+            yield batch
 
     def more(self, closer: str) -> bool:
         """Whether another member or element follows the one just read in an
@@ -220,13 +255,17 @@ class _Labels:
             text.value()
             self.fault = ValueError("'alphabet' and 'images' must be lists")
             return
-        for label in text.elements():
+        for batch in text.elements('",'):
             if fault is not None:
                 continue
-            if type(label) is str:
+            if {*map(type, batch)} == {str} and max(map(len, batch)) < INT_LABEL_LENGTH:
+                keys.extend(batch)  # each short label is its own key
+                continue
+            for label in batch:
+                if type(label) is not str:
+                    fault = ValueError("alphabet labels must be strings")
+                    break
                 keys.append(label_key(label))
-            else:
-                fault = ValueError("alphabet labels must be strings")
         if fault is None:
             # no two are equal next to each other once sorted, the ints and
             # the strs apart: 8 bytes a key, where a set of them takes 85
@@ -250,17 +289,28 @@ class _Images:
             text.value()
             self.fault = ValueError("'alphabet' and 'images' must be lists")
             return
-        for img in text.elements():
+        for batch in text.elements("],"):
             if fault is not None:
                 continue
-            try:
-                # true and false decode as bools, which are ints but not letters
-                if type(img) is not list or bool in map(type, img):
-                    raise TypeError
-                letters.extend(img)
-            except (TypeError, OverflowError):
-                fault = _image_fault(len(starts) - 1, img)
-            else:
+            if {*map(type, batch)} == {list} and {*map(type, chain.from_iterable(batch))} <= {int}:
+                n = len(letters)
+                try:
+                    letters.extend(chain.from_iterable(batch))
+                except OverflowError:  # a letter below 0 or of more than 32 bits
+                    del letters[n:]
+                else:
+                    # the last offset is n, which accumulate puts back first
+                    starts.extend(accumulate(map(len, batch), initial=starts.pop()))
+                    continue
+            for img in batch:
+                try:
+                    # true and false decode as bools, which are ints but not letters
+                    if type(img) is not list or bool in map(type, img):
+                        raise TypeError
+                    letters.extend(img)
+                except (TypeError, OverflowError):
+                    fault = _image_fault(len(starts) - 1, img)
+                    break
                 starts.append(len(letters))
         self.fault = fault
 

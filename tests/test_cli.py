@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import importlib.util
@@ -14,6 +15,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MALFORMED_SUBSTITUTIONS, off_prefix
 from tmblocks import claims, cli, injectivize, nblock, thue_morse
@@ -751,7 +754,8 @@ def test_eigen_loads_only_the_substitution_module(capsys, tmp_path):
     loaded = set(result.stderr.split())
     assert {"tmblocks.substitution", "tmblocks.substitution_json"} <= loaded
     for name in ("dataclasses", "tmblocks.thue_morse", "tmblocks.nblock",
-                 "tmblocks.injectivize", "tmblocks.words", "tmblocks.report"):
+                 "tmblocks.injectivize", "tmblocks.words", "tmblocks.report",
+                 "argparse", "gettext", "locale"):
         assert name not in loaded, name
 
 
@@ -769,7 +773,24 @@ def test_word_commands_load_neither_dataclasses_nor_inspect_nor_json():
     assert result.stdout.startswith("PASS m=2 qandf\n")
     loaded = set(result.stderr.split())
     assert {"tmblocks.claims", "tmblocks.thue_morse", "tmblocks.nblock"} <= loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "tmblocks.substitution_json"}
+    assert not loaded & {"dataclasses", "inspect", "json", "tmblocks.substitution_json",
+                         "argparse", "gettext", "locale"}
+
+
+def test_a_usage_error_loads_argparse_and_exits_2():
+    # the plain parser leaves a command line it does not read to argparse,
+    # which names the fault
+    code = ("import sys\n"
+            "from tmblocks.cli import main\n"
+            "try:\n"
+            "    main(['verify', '--m', '2..1'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'argparse' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout == "2 True\n"
+    assert result.stderr.startswith("usage: tmblocks verify")
+    assert "error: argument --m: empty range '2..1'" in result.stderr
 
 
 def test_every_public_name_resolves():
@@ -788,3 +809,127 @@ def test_usage_error_exit_code():
         run(["no-such-command"])
     assert exc.value.code == 2
 
+
+def _argparse_outcome(argv):
+    """argparse's namespace of ``argv`` as a dict, or the code it exits
+    with, for help (0) or a usage error (2)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# the values drawn for each option: values that some command takes, then
+# values that none does
+_OPTION_VALUES = {
+    "--m": (["0", "3", "12", " 4", "+5", "1_0", "2..5", "3..3"],
+            ["x", "5..2", "2..", "-", "-3", "-h", "-m"]),
+    "--method": (["scan", "descend", "both"], ["text", "sc", "-h"]),
+    "--format": (["text", "json", "dot"], ["csv", "-x"]),
+    "--claims": (["qandf", "qandf,pairs", " pairs , "], [",", "nonsense", "qandf,nonsense", "-h"]),
+    "--sub": (["-", "f.json", "", "a b"], ["--sub", "-f", "-h", "-1"]),
+}
+# the other forms of an option: abbreviated, joined to its value, help, the
+# end of options, unknown
+_OTHER_NAMES = ["--me", "--meth", "--form", "--cl", "--su", "--m=3", "--format=json",
+                "--sub=-", "-h", "--help", "--", "--tol"]
+_WORDS = [*cli._GRAMMAR, "theta", "eta", "zeta5", "nope", *_OPTION_VALUES, *_OTHER_NAMES,
+          *(v for values in _OPTION_VALUES.values() for v in values[0] + values[1])]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command and, most of the time, a CHOICE that fits it and each of
+    its options in any order, each with a value that some command takes;
+    now and then an option left out, in another form or twice, a value
+    that no command takes or none, or any word put in at any place."""
+    def now_and_then():
+        return draw(st.integers(0, 7)) == 0
+
+    command = draw(st.sampled_from([*cli._GRAMMAR, "nope"]))
+    _, _, choice, options = cli._GRAMMAR.get(command, (None, None, None, ()))
+    argv = [command]
+    if choice is not None and not now_and_then():
+        argv.append(draw(st.sampled_from(choice[1])))
+    names = [name for name in draw(st.permutations([name for name, _ in options]))
+             if not now_and_then()]
+    if names and now_and_then():
+        names.append(names[0])
+    for name in names:
+        argv.append(draw(st.sampled_from(_OTHER_NAMES)) if now_and_then() else name)
+        if not now_and_then():
+            valid, invalid = _OPTION_VALUES[name]
+            argv.append(draw(st.sampled_from(valid if draw(st.integers(0, 3)) else invalid)))
+    if now_and_then():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_WORDS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_command_lines(), _command_lines(),
+                 st.lists(st.sampled_from(_WORDS), max_size=6)))
+def test_the_plain_parser_reads_a_command_line_as_argparse_does_or_not_at_all(argv):
+    # where argparse prints help or a usage error, the plain parser leaves
+    # the command line to it, so that help and usage errors keep their text
+    plain = cli._parse_plain(argv)
+    want = _argparse_outcome(argv)
+    if type(want) is not dict:
+        assert plain is None, (argv, want)
+    elif plain is not None:
+        assert vars(plain) == want, argv
+
+
+@pytest.mark.parametrize("command", [*STDOUT_SHA256, "verify --m 2..5 --claims qandf,pairs",
+                                     "eigen --sub -", "eigen --sub f.json", "fixture zeta5",
+                                     "factors --format json --method both --m 3"])
+def test_the_plain_parser_reads_every_plain_command_line(command):
+    plain = cli._parse_plain(command.split())
+    assert plain is not None and vars(plain) == _argparse_outcome(command.split())
+
+
+# each command line, and the exit codes it may end in when its reader closes
+# stdout after 100 bytes: the output of the first two is far larger than a
+# pipe holds, fixture and eigen write theirs at once, before the reader
+# closes, and verify writes its lines as it checks them
+_STREAM_COMMANDS = {
+    "factors --m 10 --format json": (3,),
+    "build eta --m 9 --format json": (3,),
+    "fixture zeta5": (0,),
+    "verify --m 2..3": (0, 3),
+    "eigen --sub FILE": (0,),
+    "eigen --sub -": (0,),
+}
+
+
+@pytest.mark.parametrize("case", ["closed stdin", "closed stdout", "full stdout",
+                                  "stdout closed after 100 bytes"])
+@pytest.mark.parametrize("command", _STREAM_COMMANDS)
+def test_closed_and_full_streams_exit_3_without_traceback(tmp_path, command, case):
+    """A closed stdin that the command reads, a closed or full stdout, and a
+    reader that closes stdout early each end in exit 3 without a traceback:
+    the first three with one ``error:`` line on stderr, the last silently."""
+    sub = tmp_path / "zeta5.json"
+    sub.write_text(injectivize.zeta5_fixture().to_json())
+    argv = command.replace("FILE", str(sub)).split()
+    redirect = {"closed stdin": "0<&-", "closed stdout": ">&-", "full stdout": ">/dev/full",
+                "stdout closed after 100 bytes": ""}[case]
+    if case == "full stdout" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    # the shell starts the command with the redirection in place
+    cmd = ["sh", "-c", f'exec "$0" -m tmblocks "$@" {redirect}', sys.executable, *argv]
+    with open(sub, "rb") as stdin, open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(cmd, env=_src_env(), stdin=stdin, stdout=subprocess.PIPE,
+                                stderr=err)
+        proc.stdout.read(100 if case == "stdout closed after 100 bytes" else -1)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    text = (tmp_path / "err").read_text()
+    assert "Traceback" not in text and "Exception ignored" not in text, text
+    errors = [line for line in text.splitlines() if line.startswith("error:")]
+    if case == "stdout closed after 100 bytes":
+        assert code in _STREAM_COMMANDS[command] and not errors
+    elif case == "closed stdin" and argv[-1] != "-":
+        assert code == 0 and not errors
+    else:
+        assert code == 3 and len(errors) == 1, errors

@@ -4,6 +4,7 @@ the text end."""
 
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from helpers import MALFORMED_SUBSTITUTIONS, from_json_reference, labels
 from tmblocks.claims import eta_system
 from tmblocks import substitution_json
 from tmblocks.substitution import Substitution
-from tmblocks.substitution_json import INT_LABEL_LENGTH, JSON_CHUNK, key_label, label_key
+from tmblocks.substitution_json import (INT_LABEL_LENGTH, JSON_BATCH, JSON_CHUNK, key_label,
+                                        label_key)
 
 
 class _Chunks(io.StringIO):
@@ -29,24 +31,37 @@ class _Chunks(io.StringIO):
 
 def _outcome(load):
     """What ``load()`` gives: the arrays and labels of the substitution, or
-    the line, column and offset of a JSON syntax error, or the kind of any
-    other error."""
+    the message, offset, line and column of a JSON syntax error, or the
+    message of any other fault."""
     try:
         sub = load()
     except json.JSONDecodeError as exc:
-        return "syntax", exc.pos, exc.lineno, exc.colno
-    except ValueError:
-        return "fault",
+        return "syntax", exc.msg, exc.pos, exc.lineno, exc.colno
+    except ValueError as exc:
+        return "fault", str(exc)
     except RecursionError:
         return "too deep",
     return sub.letters, sub.starts, labels(sub)
 
 
-def _outcomes_at_every_chunk_size(text: str):
-    """The reference outcome, and each chunk size whose outcome differs."""
-    want = _outcome(lambda: from_json_reference(text))
-    return want, {size: got for size in range(1, len(text) + 1)
-                  if (got := _outcome(lambda: Substitution.read_json(_Chunks(text, size)))) != want}
+def _read(text: str, chunk: int, batch: int):
+    """The outcome of the reader on ``text`` read ``chunk`` characters at a
+    time, with runs of ``batch`` characters: at 0, one element at a time."""
+    with mock.patch.object(substitution_json, "JSON_BATCH", batch):
+        return _outcome(lambda: Substitution.read_json(_Chunks(text, chunk)))
+
+
+def _outcomes_at_every_chunk_size(text: str, batches=(JSON_BATCH,)):
+    """The outcome of the reader that decodes one element at a time, which
+    must be the reference's but for the words of a fault (the reference
+    names faults in its own words and order), and each chunk size and batch
+    size whose outcome differs from it."""
+    want = _read(text, max(len(text), 1), 0)
+    reference = _outcome(lambda: from_json_reference(text))
+    assert want[:1] == reference[:1] and (want[0] == "fault" or want == reference), (
+        want, reference)
+    return want, {(size, batch): got for size in range(1, len(text) + 1) for batch in batches
+                  if (got := _read(text, size, batch)) != want}
 
 
 class _Object(list):
@@ -79,7 +94,13 @@ def _near_binary_words(draw) -> str:
     return word[:i] + mark + word[i:]
 
 
-_LABELS = st.one_of(st.text(max_size=3), _BINARY_WORDS, _near_binary_words())
+# text in which a run of labels or images may be cut: it holds '",' and
+# '],', escaped quotes and backslashes before a comma
+_CUT_TEXT = st.text('",]\\[ a', max_size=5)
+_LABELS = st.one_of(st.text(max_size=3), _BINARY_WORDS, _near_binary_words(), _CUT_TEXT)
+# images that no substitution has, each after any run of valid ones
+_BAD_IMAGES = st.sampled_from([[0.5], [True], [-1], [0, 2 ** 32], "x", [[0]], None, [0, None],
+                               {"a": [0]}])
 
 
 @st.composite
@@ -122,9 +143,12 @@ def _substitution_texts(draw) -> str:
     """The JSON text of a substitution, its keys in either order, with other
     keys and repeated keys among them (the last value counts); in one text
     of four, labels and letters may be any JSON value. Labels are short
-    text, long 0/1 words and near-binary words; in one text of two with
-    more than one label, two of them are the same long 0/1 word, or that
-    word with and without a leading zero."""
+    text, long 0/1 words, near-binary words and text that holds '",' or
+    '],'; in one text of two with more than one label, two of them are the
+    same long 0/1 word, or that word with and without a leading zero. In one
+    text of four a bad image is put among the images, and the other keys may
+    hold such text, so that a run of labels or images may end inside a
+    string, past its array's end or at a fault."""
     k = draw(st.integers(1, 4))
     faulty = draw(st.integers(0, 3)) == 0
     label = st.one_of(_LABELS, _VALUES) if faulty else _LABELS
@@ -137,12 +161,15 @@ def _substitution_texts(draw) -> str:
         alphabet[i], alphabet[j] = word, draw(st.sampled_from([word, "0" + word]))
     images = draw(st.lists(st.lists(letter, min_size=1 - faulty, max_size=3),
                            min_size=k - faulty, max_size=k))
+    if draw(st.integers(0, 3)) == 0:
+        images.insert(draw(st.integers(0, len(images))), draw(_BAD_IMAGES))
     members = [("alphabet", alphabet), ("images", images)]
     if draw(st.booleans()):
         members.reverse()
     for _ in range(draw(st.integers(0, 2))):
         key = draw(st.sampled_from(["alphabet", "images", "x", "", "images "]))
-        members.insert(draw(st.integers(0, len(members))), (key, draw(_VALUES)))
+        value = draw(st.one_of(_VALUES, _CUT_TEXT, st.lists(_CUT_TEXT, max_size=2)))
+        members.insert(draw(st.integers(0, len(members))), (key, value))
     return draw(_dump(_Object(members)))
 
 
@@ -166,7 +193,7 @@ def test_reader_matches_json_loads_at_every_chunk_size(text):
     # chunk edges fall inside numbers (12|34), literals (tru|e), strings and
     # \uXXXX escapes; a syntax error is named at the same line, column and
     # offset of the whole text as by json.loads
-    want, differ = _outcomes_at_every_chunk_size(text)
+    want, differ = _outcomes_at_every_chunk_size(text, (8, JSON_BATCH))
     assert not differ, (want, differ)
 
 
@@ -201,7 +228,7 @@ def test_reader_matches_json_loads_at_every_chunk_size(text):
     "{}",
 ])
 def test_reader_matches_json_loads_on_chunk_edges(text):
-    want, differ = _outcomes_at_every_chunk_size(text)
+    want, differ = _outcomes_at_every_chunk_size(text, (8, JSON_BATCH))
     assert not differ, (want, differ)
 
 
@@ -276,3 +303,61 @@ def test_letters_outside_the_alphabet_are_checked_last():
         Substitution.from_json('{"alphabet": ["a", "b"], "images": [[5], [-1]]}')
     with pytest.raises(ValueError, match="image of letter 0 uses unknown letter 5"):
         Substitution.from_json('{"alphabet": ["a", "b"], "images": [[5], [0]]}')
+
+
+def _count_decodes(monkeypatch, fail=lambda s, idx: False):
+    """The number of calls of the reader's decoder, in a list of one, from
+    here on; a call for which ``fail(s, idx)`` raises RecursionError."""
+    calls = [0]
+
+    class Decoder(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            calls[0] += 1
+            if fail(s, idx):
+                raise RecursionError("maximum recursion depth exceeded")
+            return super().raw_decode(s, idx)
+
+    monkeypatch.setattr(substitution_json, "_DECODER", Decoder())
+    return calls
+
+
+@pytest.mark.parametrize("label", ['a",b', 'a",bc'])
+def test_runs_cut_inside_strings_cost_linear_time(monkeypatch, label):
+    # in the text ["a\",b", "a\",b", ...] a run may end at the '",' of an
+    # escaped quote, inside a string, where it does not decode: then its
+    # labels are decoded one at a time, once each, and the next run starts
+    # after them. Runs of 4 K characters end inside a string now and then
+    # for the label a",b and every time for a",bc
+    calls = _count_decodes(monkeypatch)
+    n = 20_000
+    text = json.dumps({"alphabet": [label] * n, "images": [[0]] * n})
+    assert text.count('\\",') == n
+    with pytest.raises(ValueError, match="must be distinct"):
+        Substitution.from_json(text)
+    assert calls[0] <= 1.1 * n, calls
+
+
+def test_a_run_that_nests_too_deep_is_read_one_element_at_a_time(monkeypatch):
+    # a run nests one level deeper than its elements, so near the recursion
+    # limit it may fail where each element decodes: a decoder that fails on
+    # every run stands in for that
+    text = '{"alphabet": ["a", "b"], "images": [[1, 0], [[0]], [0]]}'
+    want = _read(text, len(text), 0)
+    calls = _count_decodes(monkeypatch, lambda s, idx: s.startswith("[[") and idx == 0)
+    assert _read(text, len(text), JSON_BATCH) == want == ("fault", "image of letter 1 has "
+                                                          "non-integer letter [0]")
+    assert calls[0] > 2
+
+
+def test_runs_resume_after_a_run_that_fails(monkeypatch):
+    # a run fails far into the text, past the first chunks: only its labels
+    # are decoded one at a time, and the next run starts after them
+    n = 20_000
+    alphabet = [str(i) for i in range(n)]
+    alphabet[n // 2] = "x"
+    text = json.dumps({"alphabet": alphabet, "images": [[0]] * n})
+    assert text.index('"x"') > 2 * JSON_CHUNK
+    calls = _count_decodes(monkeypatch, lambda s, idx: idx == 0 and '"x"' in s)
+    sub = Substitution.from_json(text)
+    assert labels(sub) == tuple(alphabet)
+    assert calls[0] < n / 20, calls
