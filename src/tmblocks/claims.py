@@ -20,8 +20,8 @@ from collections.abc import Callable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
-from .injectivize import (build_eta, theorem_report, verify_fixed_point, verify_pair_images,
-                          verify_primitivity_argument)
+from .injectivize import (Reach, build_eta, search_fixed_letters, theorem_report,
+                          verify_fixed_point, verify_pair_images, verify_primitivity_argument)
 from .nblock import thue_morse_block_system, verify_block_formula
 from .report import CheckEntry, VerificationReport
 from .substitution import Substitution
@@ -32,8 +32,9 @@ from .thue_morse import (FactorSet, LevelFailed, enumerate_by_scan, grow, verify
 class Level:
     """The inputs of the claims at one m: the factor sets of levels m and
     m + 1, the block substitution θ_N on the first, the refinement η and
-    η's primitivity verdict; and, in ``reports``, the report of each claim
-    run so far."""
+    what η's searches from its fixed-point letters show, its primitivity
+    verdict among it; and, in ``reports``, the report of each claim run so
+    far."""
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -65,8 +66,12 @@ class Level:
         return build_eta(self.m, self.nblock)
 
     @cached_property
+    def eta_reach(self) -> Reach:
+        return search_fixed_letters(self.eta)
+
+    @property
     def eta_primitive(self) -> bool:
-        return self.eta.is_primitive()
+        return self.eta_reach.primitive
 
     def report(self, name: str) -> VerificationReport:
         """The report of the claim ``name`` on this level, run at most once,
@@ -118,7 +123,7 @@ CLAIMS = {
     "fixedpoint": Claim(False, ("pairs",),
                         lambda lv: verify_fixed_point(lv.m, lv.nblock, lv.eta)),
     "primitivity": Claim(False, ("nblock",), lambda lv: verify_primitivity_argument(
-        lv.m, lv.nblock, lv.eta, lv.eta_primitive)),
+        lv.m, lv.nblock, lv.eta, lv.eta_reach)),
     "theorem": Claim(False, (), lambda lv: theorem_report(
         lv.m, lv.eta, lv.eta_primitive, lv.report("fixedpoint"))),
 }

@@ -65,8 +65,9 @@ _WRITE_BATCH = 1 << 16
 def _write_batched(pieces: Iterable[bytes]) -> None:
     """Write the concatenation of ``pieces``, each bytes or a memoryview of
     bytes, to stdout's binary buffer, joined into batches of about
-    ``_WRITE_BATCH`` bytes, each written once."""
-    sys.stdout.flush()  # what the text layer holds goes out first
+    ``_WRITE_BATCH`` bytes, each written once. The buffer holds them until
+    it is full or flushed, so that short outputs, such as verify's lines,
+    go out in one system call."""
     write = sys.stdout.buffer.write
     batch: list[bytes] = []
     size = 0
@@ -86,6 +87,17 @@ def _write_line(line: str) -> None:
     _write_batched((line.encode(), b"\n"))
     if sys.stdout.line_buffering:
         sys.stdout.buffer.flush()
+
+
+def _warn(message: str) -> None:
+    """Print ``message`` and a newline to stderr. A closed or failing stderr
+    loses it, and the exit code alone then tells the outcome."""
+    if sys.stderr is None:  # the process started with stderr closed
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _factor_table(size: int, label: Callable[[int], bytes], header: str) -> Iterator[bytes]:
@@ -136,7 +148,7 @@ def _cmd_factors(args: SimpleNamespace) -> int:
                              matches_descendants)
 
     if not 1 <= args.m <= MAX_M:
-        print(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}", file=sys.stderr)
+        _warn(f"error: factors requires 1 <= m <= {MAX_M}, got {args.m}")
         return 2
     if args.method == "descend":
         # the word-level oracle prints each word from its own bits
@@ -146,12 +158,12 @@ def _cmd_factors(args: SimpleNamespace) -> int:
         try:
             fs = enumerate_by_scan(args.m)
         except LevelFailed as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _warn(f"error: {exc}")
             return 1
         # the oracle's blocks θ^d(u) are checked against slices of P, and
         # the level's windows are ordered on keys, so neither is held as words
         if args.method == "both" and not matches_descendants(fs):
-            print("error: enumeration methods disagree", file=sys.stderr)
+            _warn("error: enumeration methods disagree")
             return 1
         # a label is a view of P's bytes, copied only into its batch
         text, offsets, n = memoryview(fs.prefix.encode()), fs.offsets, fs.word_length
@@ -168,14 +180,13 @@ def _cmd_build(args: SimpleNamespace) -> int:
     from .thue_morse import MAX_M
 
     if not 2 <= args.m <= MAX_M:
-        print(f"error: build {args.kind} requires 2 <= m <= {MAX_M}, got {args.m}",
-              file=sys.stderr)
+        _warn(f"error: build {args.kind} requires 2 <= m <= {MAX_M}, got {args.m}")
         return 2
     level = Level(args.m)
     # both are built on θ_N, the closed form, which must pass its window check
     failed = [f"{e.claim}: {e.detail}" for e in level.report("nblock").entries if not e.passed]
     if failed:
-        print(f"error: {'; '.join(failed)}", file=sys.stderr)
+        _warn(f"error: {'; '.join(failed)}")
         return 1
     sub = level.nblock if args.kind == "theta" else level.eta
     _emit_substitution(sub, f"{args.kind}_{2 ** args.m + 1}", args.format)
@@ -195,13 +206,13 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
     lo, hi = args.m
     if lo < 2 or hi > MAX_M:
-        print(f"error: verify requires 2 <= m <= {MAX_M}, got {lo}..{hi}", file=sys.stderr)
+        _warn(f"error: verify requires 2 <= m <= {MAX_M}, got {lo}..{hi}")
         return 2
     claims = [c for c in CLAIMS if args.claims is None or c in args.claims]
     next_level = [c for c in claims if CLAIMS[c].needs_next_level]
     if next_level and hi + 1 > MAX_M:
-        print(f"error: claims {', '.join(next_level)} need the factor set of level m+1, "
-              f"so verify them with m <= {MAX_M - 1}, got {lo}..{hi}", file=sys.stderr)
+        _warn(f"error: claims {', '.join(next_level)} need the factor set of level m+1, "
+              f"so verify them with m <= {MAX_M - 1}, got {lo}..{hi}")
         return 2
     failed = 0
     total = 0
@@ -217,7 +228,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
                 for entry in rep.entries:
                     if not entry.passed:  # a detail may name θ_N or η
                         _write_line(f"  {entry.claim}: {entry.detail or 'failed'}")
-    print(f"{total - failed}/{total} claims passed", file=sys.stderr)
+    _warn(f"{total - failed}/{total} claims passed")
     return 1 if failed else 0
 
 
@@ -237,7 +248,7 @@ def _cmd_eigen(args: SimpleNamespace) -> int:
     try:
         sub = _read_substitution(args.sub)
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: could not load substitution: {exc}", file=sys.stderr)
+        _warn(f"error: could not load substitution: {exc}")
         return 3
     primitive = "true" if sub.is_primitive() else "false"
     try:
@@ -347,19 +358,22 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # the process started with stdout closed
-        print("error: stdout is closed", file=sys.stderr)
+        _warn("error: stdout is closed")
         return 3
     try:
+        # what a caller printed before goes out before the command's bytes
+        sys.stdout.flush()
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
     except OSError as exc:
         # the commands read no file but eigen's, whose faults it reports
-        # itself, so the fault is stdout's: the reader closed it (`| head`),
-        # which needs no message, or it is full. What is still buffered
-        # would raise again when the interpreter flushes stdout at exit, so
-        # stdout goes to the null device from here on.
+        # itself, and ``_warn`` keeps stderr's own, so the fault is stdout's:
+        # the reader closed it (`| head`), which needs no message, or it is
+        # full. What is still buffered would raise again when the
+        # interpreter flushes stdout at exit, so stdout goes to the null
+        # device from here on.
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: could not write to stdout: {exc}", file=sys.stderr)
+            _warn(f"error: could not write to stdout: {exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
     return code

@@ -1,20 +1,35 @@
 """Thue-Morse factors of length N = 2^m + 1 and their lexicographic structure.
 
 The factor set A_m (3·2^m words, lexicographically ordered) is one prefix
-P = θ^(m+2)(0) of the fixed point u plus, for each factor, the offset of one
-of its occurrences in P. A factor is its offset: its label is the slice of
-P's text there, and labels are compared as text, which on words of one
-length is lexicographic order, streamed one slice at a time.
+P = θ^(m+2)(0) of the fixed point u, whose letter i is the parity of
+popcount(i), plus, for each factor, the offset p_i of one of its
+occurrences, and the LCP array: ``lcp[i]`` is the longest common extension
+LCE(p_i, p_{i+1}) of u at the offsets of two neighbours, capped at N. A
+factor's label is the slice of P's text at its offset, read only where a
+label is printed or compared with a given word.
 
-Each level is grown from the one below. θ(P) is again a prefix of u = θ(u),
-so the window of length 2N - 1 at 2t is δ of the width-N window at t (θ of
-it without the last letter) and the one at 2t + 1 is ε of it (without the
-first): A_{m+1} = {δ(w), ε(w) : w in A_m}. ``grow`` lays these windows out
-as ε(Q3 u Q4), δ(Q1 u Q2), δ(Q3 u Q4), ε(Q1 u Q2) of level m, and one
-streamed pass checks that each label exceeds the one before it (the
-``quarters`` claim). By induction from level 1, which is checked from both
-sides, that proves each level sorted, distinct and complete, with no cited
-count.
+The order passes read no text. Two windows of width N first differ at
+ℓ = LCE(p, q) when ℓ < N, so the window at q exceeds the one at p exactly
+when ℓ < N and u[p + ℓ] = 0: pair i increases iff lcp[i] < N and
+popcount(p_i + lcp[i]) is even, two integer steps a pair.
+
+Each level is grown from the one below. u = θ(u), so the window of length
+2N - 1 at 2t is δ of the width-N window at t (θ of it without the last
+letter) and the one at 2t + 1 is ε of it (without the first):
+A_{m+1} = {δ(w), ε(w) : w in A_m}. ``grow`` lays these windows out as
+ε(Q3 u Q4), δ(Q1 u Q2), δ(Q3 u Q4), ε(Q1 u Q2) of level m. θ doubles an
+LCE: LCE(2a, 2b) = 2·LCE(a, b), and LCE(2a + 1, 2b + 1) = 2·LCE(a, b) - 1
+when that is positive, else 0, so inside each of the four blocks the LCP
+array is grown from the one below, and only the three pairs where the
+blocks meet are compared letter by letter. One pass then checks that each
+window exceeds the one before it (the ``quarters`` claim). By induction
+from level 1, which is checked from both sides, that proves each level
+sorted, distinct and complete, with no cited count.
+
+On level m + 1, sorted, the pairs w'_{2i-1}, w'_{2i} share their N-prefix
+and neighbouring pairs do not (the ``firsthalf`` claim): lcp[2i] >= N >
+lcp[2i + 1], 0-based. Every factor of length N extends to one of length
+2N - 1, so the k pair prefixes are all of A_m, each once, in order.
 
 The descendant recursion on the ints of the words is an independent
 oracle. The descendants of a word u at depth d are the windows of θ^d(u) at
@@ -31,10 +46,11 @@ and executable verifiers for the identities that tie them together.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from collections.abc import Iterable, Iterator
-from itertools import chain, pairwise, repeat, starmap, tee
-from operator import add, and_, getitem, lt
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, compress, count, islice, pairwise, repeat, starmap
+from operator import add, and_, gt, le, lt, or_, sub, truth, xor
 
 from .report import ReportBuilder, VerificationReport, first_failures
 from .words import read_windows, theta_bits, window_keys
@@ -45,6 +61,15 @@ MAX_M = 12
 A1_WORDS = ("001", "010", "011", "100", "101", "110")
 
 
+def _thue_morse_bits(first_letter: int, n: int) -> tuple[int, int]:
+    """A prefix of at least n letters of the Thue-Morse fixed point starting
+    with ``first_letter``, as its length, a power of two, and its bits."""
+    length, bits = 1, first_letter
+    while length < n:
+        length, bits = 2 * length, theta_bits(length, bits)
+    return length, bits
+
+
 def thue_morse_prefix(first_letter: int, n: int) -> str:
     """The length-n prefix of the Thue-Morse fixed point starting with
     ``first_letter`` (0 gives 0110..., 1 gives 1001...), as 0/1 text."""
@@ -52,23 +77,69 @@ def thue_morse_prefix(first_letter: int, n: int) -> str:
         raise ValueError(f"first letter must be 0 or 1, got {first_letter!r}")
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got {n}")
-    length, bits = 1, first_letter
-    while length < n:
-        length, bits = 2 * length, theta_bits(length, bits)
+    length, bits = _thue_morse_bits(first_letter, n)
     return f"{bits:0{length}b}"[:n]
+
+
+def lce(starts: Sequence[int], others: Sequence[int], n: int) -> Iterator[int]:
+    """The longest common extension of u at each offset of ``starts`` and
+    the offset of ``others`` beside it, capped at n: the letters that the
+    two width-n windows of u there share before they first differ, read
+    off the highest bit of the xor of their bits."""
+    length, bits = _thue_morse_bits(0, max(chain(starts, others), default=0) + n)
+    xors = map(xor, read_windows(length, bits, n, starts), read_windows(length, bits, n, others))
+    return map(sub, repeat(n), map(int.bit_length, xors))
+
+
+def _letter_lce(a: int, b: int, n: int) -> int:
+    """The longest common extension of u at a and b, capped at n, compared
+    letter by letter: letter i of u is the parity of popcount(i)."""
+    return next((i for i in range(n) if ((a + i).bit_count() ^ (b + i).bit_count()) & 1), n)
+
+
+def _lcp_array(n: int, values: Iterable[int]) -> array:
+    """LCP ``values`` capped at n, 2 bytes an entry while 2n fits in them."""
+    return array(_lcp_typecode(n), values)
+
+
+def _lcp_typecode(n: int) -> str:
+    return "H" if n < 1 << 15 else "I"
+
+
+def _twice(values: array, plus: int = 0) -> array:
+    """2v + ``plus`` for each entry v of ``values``, where ``plus`` is 0, 1,
+    or -1 if no entry is 0. The entries are the lanes of one int, shifted
+    one bit up together: each must leave the top bit of its lane clear, so
+    that nothing carries from one lane into the next."""
+    order, size = sys.byteorder, len(values) * values.itemsize
+    lanes = int.from_bytes(values.tobytes(), order) << 1
+    if plus:
+        ones = array(values.typecode, [1]) * len(values)
+        lanes += plus * int.from_bytes(ones.tobytes(), order)
+    doubled = array(values.typecode)
+    doubled.frombytes(lanes.to_bytes(size, order))
+    return doubled
 
 
 class FactorSet:
     """The lexicographically sorted factors of length N = 2^m + 1, as
     windows of one Thue-Morse prefix: ``prefix`` is the 0/1 text of a prefix
-    P of the fixed point, and ``offsets[i]``, an ``array('I')``, the start
-    of an occurrence of w_{i+1} in P. Its label is a slice of P's text,
-    and its θ image the width-2N slice of θ(P) at twice its offset."""
+    P of the fixed point, ``offsets[i]``, an ``array('I')``, the start of an
+    occurrence of w_{i+1} in u, and ``lcp[i]`` the LCE of u at the offsets
+    of w_{i+1} and w_{i+2}, capped at N. Its label is a slice of P's text.
+    ``grow`` hands the LCP array on; when ``lcp`` is not given it is read
+    off u at the offsets (``lce``), whatever P's text says."""
 
-    def __init__(self, m: int, prefix: str, offsets: array) -> None:
+    def __init__(self, m: int, prefix: str, offsets: array, lcp: array | None = None) -> None:
         self.m = m
         self.prefix = prefix
         self.offsets = offsets
+        n = self.word_length
+        if lcp is None:
+            lcp = _lcp_array(n, lce(offsets[:-1], offsets[1:], n))
+        elif len(lcp) != max(len(offsets) - 1, 0):
+            raise ValueError(f"{len(lcp)} LCP entries for {len(offsets)} offsets")
+        self.lcp = lcp
 
     @property
     def word_length(self) -> int:
@@ -89,12 +160,21 @@ class FactorSet:
         start = self.offsets[i]
         return self.prefix[start:start + self.word_length]
 
-    def labels(self, starts: Iterable[int] | None = None) -> Iterator[str]:
-        """The width-N slices of P's text at ``starts``, by default the
-        factors' offsets in order, one at a time."""
-        starts, ends = tee(self.offsets if starts is None else starts)
-        return map(getitem, repeat(self.prefix),
-                   map(slice, starts, map(add, ends, repeat(self.word_length))))
+    def disorder(self, lo: int = 0, hi: int | None = None, limit: int = 5) -> list[int]:
+        """The 1-based upper indices i of the first ``limit`` pairs of
+        neighbours w_{i-1}, w_i among w_{lo+1} .. w_hi, by default all the
+        factors, where w_i does not exceed w_{i-1}: their LCE ℓ reaches N,
+        or u[p + ℓ] = 1 at the offset p of w_{i-1}."""
+        hi = self.size if hi is None else hi
+        n, offsets, lcp = self.word_length, self.offsets[lo:hi], self.lcp[lo:max(hi - 1, lo)]
+
+        def ones() -> Iterator[int]:
+            return map(and_, map(int.bit_count, map(add, offsets, lcp)), repeat(1))
+
+        if max(lcp, default=0) < n and not any(ones()):
+            return []
+        return list(islice(compress(count(lo + 2), map(or_, map(le, repeat(n), lcp), ones())),
+                           limit))
 
     def theta_prefix(self) -> str:
         """θ(P) as 0/1 text, the prefix of the next level."""
@@ -119,12 +199,37 @@ def _base() -> FactorSet:
 
 def grow(fs: FactorSet) -> FactorSet:
     """Level m + 1 from level m, unchecked: over θ(P), ε of the second half
-    of ``fs``, δ of the first half, δ of the second and ε of the first."""
-    h = fs.size // 2
-    twice = array("I", map(add, fs.offsets, fs.offsets))  # δ of each word starts at 2p
-    low, high = twice[:h], twice[h:]
-    offsets = array("I", chain(map(add, high, repeat(1)), low, high, map(add, low, repeat(1))))
-    return FactorSet(fs.m + 1, fs.theta_prefix(), offsets)
+    of ``fs``, δ of the first half, δ of the second and ε of the first.
+    Inside each block the LCE L of two neighbours of level m becomes 2L
+    under δ and 2L - 1 under ε, 0 if L is 0, both capped at 2N - 1; the
+    three pairs where the blocks meet are compared letter by letter."""
+    h, n, cap = fs.size // 2, fs.word_length, 2 * fs.word_length - 1
+    # δ of each word starts at 2p, ε at 2p + 1
+    offsets = (_twice(fs.offsets[h:], 1) + _twice(fs.offsets[:h]) + _twice(fs.offsets[h:])
+               + _twice(fs.offsets[:h], 1))
+
+    def images(lcp: array) -> tuple[array, array]:
+        """The LCEs under δ and under ε of the pairs with LCE ``lcp``."""
+        if lcp.typecode != _lcp_typecode(cap):
+            lcp = _lcp_array(cap, lcp)
+        under_delta = _twice(lcp)
+        under_eps = (_twice(lcp, -1) if 0 not in lcp
+                     else _lcp_array(cap, map(sub, under_delta, map(truth, lcp))))
+        if n in lcp:
+            under_delta = _lcp_array(cap, map(min, under_delta, repeat(cap)))
+        return under_delta, under_eps
+
+    (delta_low, eps_low), (delta_high, eps_high) = images(fs.lcp[:h - 1]), images(fs.lcp[h:])
+    first, second, third = map(_letter_lce, offsets[h - 1:3 * h:h], offsets[h:3 * h + 1:h],
+                               repeat(cap))
+    lcp = eps_high
+    lcp.append(first)
+    lcp += delta_low
+    lcp.append(second)
+    lcp += delta_high
+    lcp.append(third)
+    lcp += eps_low
+    return FactorSet(fs.m + 1, fs.theta_prefix(), offsets, lcp)
 
 
 def enumerate_by_scan(m: int) -> FactorSet:
@@ -241,22 +346,20 @@ def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
     """Check the four quarter image identities one level up, on the level
     ``fs_next`` that ``grow`` built from level m:
     Q1' = eps(Q3 u Q4), Q2' = delta(Q1 u Q2), Q3' = delta(Q3 u Q4), Q4' = eps(Q1 u Q2).
-    Its quarters are these images, so they hold if each label exceeds the
-    one before it: one streamed pass over consecutive labels per quarter,
-    whose entry names the first index there that does not, and fails unless
-    it read k/4 labels, one more after Q1: so the three pairs where quarters
+    Its quarters are these images, so they hold if each factor exceeds the
+    one before it: one order pass over the LCP array per quarter, whose
+    entry names the first index there that does not, and fails unless it
+    read k/4 labels, one more after Q1: so the three pairs where quarters
     meet, the only ones not ordered by level m, are compared."""
     q = fs_next.quarter_size
     rb = ReportBuilder(fs_next.m - 1, "quarters")
     images = ("eps(Q3 u Q4)", "delta(Q1 u Q2)", "delta(Q3 u Q4)", "eps(Q1 u Q2)")
     for n, image in enumerate(images):
-        # the pairs of consecutive labels from the one before the quarter on;
-        # i is the 1-based upper index of the first that does not increase
-        lo = max(n * q - 1, 0)
-        window = fs_next.offsets[lo:(n + 1) * q]
-        bad = first_failures(starmap(lt, pairwise(fs_next.labels(window))), 1)
-        i = lo + 1 + bad[0] if bad else 0
-        read, want = len(window), fs_next.size // 4 + (n > 0)
+        # the pairs of neighbours from the one before the quarter on; i is
+        # the 1-based upper index of the first that does not increase
+        lo, hi = max(n * q - 1, 0), (n + 1) * q
+        i = next(iter(fs_next.disorder(lo, hi, 1)), 0)
+        read, want = len(fs_next.offsets[lo:hi]), fs_next.size // 4 + (n > 0)
         rb.check(f"Q{n + 1}", not i and read == want,
                  f"{image} out of order at i={i}" if i
                  else f"{image} increases over {read} labels" if read == want
@@ -267,14 +370,19 @@ def verify_quarter_descendants(fs_next: FactorSet) -> VerificationReport:
 def verify_prefix_pairs(fs: FactorSet, fs_next: FactorSet) -> VerificationReport:
     """Check that consecutive pairs of the next level (``fs_next``) share
     their length-N prefix with the corresponding word one level down:
-    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i: the label of w_i
-    must start the next level's prefix at the offsets of w'_{2i-1} and
-    w'_{2i}."""
-    upper, starts_with = fs_next.offsets, fs_next.prefix.startswith
-    first, second = tee(fs.labels())
-    bad = first_failures(map(and_, map(starts_with, first, upper[0::2]),
-                             map(starts_with, second, upper[1::2])))
+    Pref_N(w'_{2i-1}) = Pref_N(w'_{2i}) = w_i for every i. Level m + 1 is
+    sorted (the ``quarters`` premise), and every factor of length N extends
+    to one of length 2N - 1, so this holds iff it has 2k factors and, on
+    its LCP array, each pair's LCE reaches N and that of the pair with the
+    next does not: the k pair prefixes are then A_m, each once, in order,
+    which is level m. Of level m, N and k are read."""
+    k, n, lcp = fs.size, fs.word_length, fs_next.lcp
+    inside = map(le, repeat(n), lcp[0::2])
+    between = chain(map(gt, repeat(n), lcp[1::2]), (True,))
+    bad = first_failures(map(and_, inside, between))
     rb = ReportBuilder(fs.m, "firsthalf")
-    rb.check("pairs", not bad,
-             f"all {fs.size} prefix pairs match" if not bad else f"mismatch at i={bad}")
+    rb.check("pairs", not bad and fs_next.size == 2 * k,
+             f"mismatch at i={bad}" if bad
+             else f"all {k} prefix pairs match" if fs_next.size == 2 * k
+             else f"{fs_next.size} factors one level up, not {2 * k}")
     return rb.build()

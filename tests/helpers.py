@@ -3,7 +3,8 @@ incidence matrix, the
 substitution of a dense matrix, its labels, its image of a word of
 codepoint text, and the image words of one letter;
 of a factor set: its labels, its windows as ints, and a factor set read
-off a corrupted prefix;
+off a corrupted prefix, with two offsets swapped or with an LCP entry off;
+θ_N with two letters swapped; the LCE of 0/1 text by slices;
 a Level that runs its claims on given inputs; the reader of a
 substitution's JSON that decodes the whole text first;
 the closed form of θ_N one letter at a time; the entries of the quarters,
@@ -16,6 +17,7 @@ reference for the flat arrays."""
 import itertools
 import json
 import math
+from array import array
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
@@ -143,6 +145,45 @@ def off_prefix(fs: FactorSet) -> FactorSet:
     which starts with 0, so the windows are out of order."""
     text, p = fs.prefix, fs.offsets[0]
     return FactorSet(fs.m, text[:p] + "10"[int(text[p])] + text[p + 1:], fs.offsets)
+
+
+def swapped(fs: FactorSet, *starts: int) -> FactorSet:
+    """A factor set like ``fs``, over the same prefix, with the offsets of
+    w_{i+1} and w_{i+2} swapped for each i of ``starts`` in turn: its LCP
+    array is read off u at the new offsets, and w_{i+2} no longer exceeds
+    w_{i+1}."""
+    offsets = array("I", fs.offsets)
+    for i in starts:
+        offsets[i], offsets[i + 1] = offsets[i + 1], offsets[i]
+    return FactorSet(fs.m, fs.prefix, offsets)
+
+
+def lcp_changed(fs: FactorSet, i: int, by: int) -> FactorSet:
+    """A factor set like ``fs`` with its LCP entry i off by ``by``."""
+    lcp = array(fs.lcp.typecode, fs.lcp)
+    lcp[i] += by
+    return FactorSet(fs.m, fs.prefix, fs.offsets, lcp)
+
+
+def letters_swapped(sub: Substitution, x: int, y: int) -> Substitution:
+    """``sub`` with the letters at positions x and y of its images swapped."""
+    letters = array("I", sub.letters)
+    letters[x], letters[y] = letters[y], letters[x]
+    return Substitution(letters, sub.starts, sub.label)
+
+
+def text_lce(text: str, a: int, b: int, n: int) -> int:
+    """The longest common extension of the 0/1 text at a and b, capped at n:
+    the longest prefix that the two slices of n letters there share, found
+    by halving on slice equality."""
+    lo, hi = 0, n  # the slices agree on lo letters; hi bounds the LCE
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text[a:a + mid] == text[b:b + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def half_shift(i: int, size: int) -> int:

@@ -13,7 +13,8 @@ import pytest
 from helpers import apply, image_tuples, iterates, level_with, windows
 from tmblocks.claims import eta_system
 from tmblocks.cli import run as cli_run
-from tmblocks.injectivize import fixed_letters, verify_primitivity_argument, zeta5_fixture
+from tmblocks.injectivize import (fixed_letters, search_fixed_letters,
+                                  verify_primitivity_argument, zeta5_fixture)
 from tmblocks.nblock import verify_block_formula
 from tmblocks.substitution import pf_eigenvalue
 from tmblocks.thue_morse import (enumerate_by_descendants, enumerate_by_scan, grow,
@@ -154,7 +155,7 @@ def test_c08_injective_refinement(systems):
 
 
 def _primitivity_argument(m, sys_m):
-    return verify_primitivity_argument(m, sys_m.nblock, sys_m.eta, sys_m.eta.is_primitive())
+    return verify_primitivity_argument(m, sys_m.nblock, sys_m.eta, search_fixed_letters(sys_m.eta))
 
 
 def test_c09_primitivity_argument(systems):

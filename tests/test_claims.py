@@ -3,7 +3,7 @@
 
 import pytest
 
-from helpers import off_prefix
+from helpers import swapped
 from tmblocks.claims import CLAIMS, Level
 from tmblocks.thue_morse import FactorSet, enumerate_by_scan
 
@@ -48,10 +48,10 @@ def test_report_runs_a_claim_once_after_its_premises(monkeypatch):
 
 
 def test_only_the_runner_applies_a_premise():
-    # over a corrupted prefix the window check of θ_N fails; η's pair images
-    # do not read the prefix, so the check of pairs alone passes
+    # with two offsets swapped the window check of θ_N fails; η's pair images
+    # do not read the offsets, so the check of pairs alone passes
     level = Level(3)
-    level.factors = off_prefix(enumerate_by_scan(3))
+    level.factors = swapped(enumerate_by_scan(3), 0)
     assert CLAIMS["pairs"].check(level).ok
     assert {(e.passed, e.detail) for e in level.report("pairs").entries} == {
         (False, "premise nblock failed")}

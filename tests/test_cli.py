@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MALFORMED_SUBSTITUTIONS, off_prefix
+from helpers import MALFORMED_SUBSTITUTIONS, off_prefix, swapped
 from tmblocks import claims, cli, injectivize, nblock, thue_morse
 from tmblocks.cli import run
 from tmblocks.report import CheckEntry, VerificationReport
@@ -165,10 +165,10 @@ def test_build_refuses_width_three(capsys, kind):
 @pytest.mark.parametrize("kind", ["theta", "eta"])
 def test_build_fails_when_theta_n_fails_its_window_check(capsys, monkeypatch, kind):
     scan = claims.enumerate_by_scan
-    monkeypatch.setattr(claims, "enumerate_by_scan", lambda m: off_prefix(scan(m)))
+    monkeypatch.setattr(claims, "enumerate_by_scan", lambda m: swapped(scan(m), 0))
     code, out, err = _run(capsys, ["build", kind, "--m", "3"])
     assert code == 1 and out == ""
-    assert err.startswith("error: nblock.images: mismatch at j=[1, 3, 4, 5, 9]")
+    assert err.startswith("error: nblock.images: level 3: out of order at i=[2]")
 
 
 def test_build_eta_text_and_json(capsys):
@@ -231,7 +231,7 @@ def _count_calls(monkeypatch, name, key):
 
 def _count_theta_prefixes(monkeypatch):
     """Count the reads of θ(P), by the level m of P: ``grow`` reads it to
-    build level m + 1, and the window check of θ_N to check level m."""
+    build level m + 1."""
     seen = Counter()
     theta_prefix = thue_morse.FactorSet.theta_prefix
 
@@ -253,13 +253,7 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
     fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
                                 lambda m, nb, eta: m)
-    primitivity = Counter()
-    is_primitive = Substitution.is_primitive
-
-    def counting_is_primitive(sub):
-        primitivity[sub.size] += 1
-        return is_primitive(sub)
-    monkeypatch.setattr(Substitution, "is_primitive", counting_is_primitive)
+    searches = _count_calls(monkeypatch, "search_fixed_letters", lambda eta: eta.size)
     code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
     assert code == 0 and len(out.splitlines()) == 40
     # level 2 is grown from the base; each level above from the one below,
@@ -270,30 +264,36 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     assert blocks == {m: 1 for m in range(2, 7)}
     # nblock, pairs and primitivity read one window check of θ_N
     assert checks == {m: 1 for m in range(2, 7)}
-    # θ(P) of level 1 is read by grow alone, of levels 2..6 by grow and by
-    # the window check
-    assert theta_prefixes == {1: 1, **{m: 2 for m in range(2, 7)}}
+    # θ(P) is read by grow alone
+    assert theta_prefixes == {m: 1 for m in range(1, 7)}
     assert etas == {m: 1 for m in range(2, 7)}
     # pairs and fixedpoint read one pairs report, fixedpoint and theorem
     # one fixed-point report
     assert pairs == {m: 1 for m in range(2, 7)}
     assert fixed_points == {m: 1 for m in range(2, 7)}
-    assert primitivity == {3 * 2 ** m: 1 for m in range(2, 7)}
+    # primitivity and theorem read one search of η from its fixed letters
+    assert searches == {3 * 2 ** m: 1 for m in range(2, 7)}
 
 
 def test_a_level_out_of_order_fails_quarters_and_is_not_handed_on(capsys, monkeypatch):
-    # each level m + 1 is grown over a prefix with one letter flipped
+    # each level m + 1 is grown with the first two offsets of each quarter
+    # swapped
     grow = claims.grow
-    monkeypatch.setattr(claims, "grow", lambda fs: off_prefix(grow(fs)))
+
+    def swapped_grow(fs):
+        grown = grow(fs)
+        q = grown.quarter_size
+        return swapped(grown, 0, q, 2 * q, 3 * q)
+    monkeypatch.setattr(claims, "grow", swapped_grow)
     scans = _count_calls(monkeypatch, "enumerate_by_scan", lambda m: m)
     code, out, _ = _run(capsys, ["verify", "--m", "2..3", "--claims", "quarters,firsthalf"])
     assert code == 1
     assert out.splitlines()[:6] == [
         "FAIL m=2 quarters",
         "  quarters.Q1: eps(Q3 u Q4) out of order at i=2",
-        "  quarters.Q2: delta(Q1 u Q2) out of order at i=12",
+        "  quarters.Q2: delta(Q1 u Q2) out of order at i=8",
         "  quarters.Q3: delta(Q3 u Q4) out of order at i=14",
-        "  quarters.Q4: eps(Q1 u Q2) out of order at i=24",
+        "  quarters.Q4: eps(Q1 u Q2) out of order at i=20",
         "FAIL m=2 firsthalf"]
     assert out.count("  firsthalf.pairs: premise quarters failed\n") == 2
     # the failed level 3 is not handed on: m = 3 enumerates its own
@@ -350,8 +350,8 @@ def test_pairs_alone_runs_the_window_check(capsys, monkeypatch):
     theta_prefixes = _count_theta_prefixes(monkeypatch)
     code, out, _ = _run(capsys, ["verify", "--m", "4", "--claims", "pairs"])
     assert code == 0 and out == "PASS m=4 pairs\n"
-    # the scan grows levels 1..3, and the window check reads θ(P) of level 4
-    assert checks == {4: 1} and theta_prefixes == {1: 1, 2: 1, 3: 1, 4: 1}
+    # the scan grows levels 1..3, and the window check reads no θ(P)
+    assert checks == {4: 1} and theta_prefixes == {1: 1, 2: 1, 3: 1}
 
 
 def _is_thue_morse_prefix(length, bits):
@@ -891,7 +891,8 @@ def test_the_plain_parser_reads_every_plain_command_line(command):
 # each command line, and the exit codes it may end in when its reader closes
 # stdout after 100 bytes: the output of the first two is far larger than a
 # pipe holds, fixture and eigen write theirs at once, before the reader
-# closes, and verify writes its lines as it checks them
+# closes, and verify writes its lines as it checks them when its stdout is
+# unbuffered, else at its end
 _STREAM_COMMANDS = {
     "factors --m 10 --format json": (3,),
     "build eta --m 9 --format json": (3,),
@@ -903,17 +904,18 @@ _STREAM_COMMANDS = {
 
 
 @pytest.mark.parametrize("case", ["closed stdin", "closed stdout", "full stdout",
-                                  "stdout closed after 100 bytes"])
+                                  "stdout closed after 100 bytes", "closed stderr"])
 @pytest.mark.parametrize("command", _STREAM_COMMANDS)
 def test_closed_and_full_streams_exit_3_without_traceback(tmp_path, command, case):
     """A closed stdin that the command reads, a closed or full stdout, and a
     reader that closes stdout early each end in exit 3 without a traceback:
-    the first three with one ``error:`` line on stderr, the last silently."""
+    the first three with one ``error:`` line on stderr, the last silently.
+    A closed stderr is not stdout's fault: the command exits 0."""
     sub = tmp_path / "zeta5.json"
     sub.write_text(injectivize.zeta5_fixture().to_json())
     argv = command.replace("FILE", str(sub)).split()
     redirect = {"closed stdin": "0<&-", "closed stdout": ">&-", "full stdout": ">/dev/full",
-                "stdout closed after 100 bytes": ""}[case]
+                "stdout closed after 100 bytes": "", "closed stderr": "2>&-"}[case]
     if case == "full stdout" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     # the shell starts the command with the redirection in place
@@ -929,7 +931,52 @@ def test_closed_and_full_streams_exit_3_without_traceback(tmp_path, command, cas
     errors = [line for line in text.splitlines() if line.startswith("error:")]
     if case == "stdout closed after 100 bytes":
         assert code in _STREAM_COMMANDS[command] and not errors
-    elif case == "closed stdin" and argv[-1] != "-":
+    elif case == "closed stderr" or case == "closed stdin" and argv[-1] != "-":
         assert code == 0 and not errors
     else:
         assert code == 3 and len(errors) == 1, errors
+
+
+@pytest.mark.parametrize("executable", ["python", "shell script"])
+@pytest.mark.parametrize("command, code, lines", [
+    ("verify --m 2", 0, 8), ("eigen --sub /nonexistent", 3, 0), ("verify --m 1", 2, 0)])
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, executable, command, code, lines):
+    """With stderr closed, a command exits with its own code and prints its
+    data alone on stdout, whether the interpreter starts with no stderr or,
+    started from a shell script, with the script open in its place."""
+    script = tmp_path / "tmblocks.sh"
+    script.write_text(f'exec "{sys.executable}" -m tmblocks "$@"\n')
+    start = [sys.executable, "-m", "tmblocks"] if executable == "python" else ["sh", str(script)]
+    cmd = ["sh", "-c", 'exec "$@" 2>&-', "sh", *start, *command.split()]
+    proc = subprocess.run(cmd, env=_src_env(), stdout=subprocess.PIPE, timeout=60)
+    out = proc.stdout.decode().splitlines()
+    assert proc.returncode == code and len(out) == lines
+    assert all(line.startswith("PASS m=2 ") for line in out)
+
+
+class _CountingRaw(io.RawIOBase):
+    """A writable raw stream that keeps each write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_verify_writes_its_lines_in_one_call_unless_on_a_terminal(monkeypatch, terminal):
+    """Through a buffered stdout, verify's 16 lines go out in one write; on a
+    terminal, which is line-buffered, one write a line, as ``print`` does."""
+    raw = _CountingRaw()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", line_buffering=terminal)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert cli.main(["verify", "--m", "2..3"]) == 0
+    assert len(raw.writes) == (16 if terminal else 1)
+    assert b"".join(raw.writes).decode().splitlines() == [
+        f"PASS m={m} {claim}" for m in (2, 3) for claim in claims.CLAIMS]

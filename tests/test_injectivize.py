@@ -9,9 +9,9 @@ from helpers import (apply, dense, factor_labels, image_tuples, iterates, labels
                      nth_image)
 from tmblocks import injectivize
 from tmblocks.claims import Level, eta_system
-from tmblocks.injectivize import (_map_power, build_eta, fixed_letters, initials_map,
-                                  theorem_report, verify_fixed_point, verify_pair_images,
-                                  verify_primitivity_argument, zeta5_fixture)
+from tmblocks.injectivize import (Reach, _map_power, build_eta, fixed_letters, initials_map,
+                                  search_fixed_letters, theorem_report, verify_fixed_point,
+                                  verify_pair_images, verify_primitivity_argument, zeta5_fixture)
 from tmblocks.nblock import thue_morse_block_system
 from tmblocks.report import ReportBuilder
 from tmblocks.substitution import Substitution, pf_bracket, pf_eigenvalue
@@ -286,7 +286,7 @@ def test_initials_maps():
 
 
 def _primitivity_argument(m, theta_n, eta):
-    return verify_primitivity_argument(m, theta_n, eta, eta.is_primitive())
+    return verify_primitivity_argument(m, theta_n, eta, search_fixed_letters(eta))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -476,7 +476,7 @@ def test_psi_reaches_matches_step_by_step_walks(graph):
     k = len(chain)
     psi, rank = _relabelled(chain, targets)
     sub = Substitution.from_images(tuple((a,) for a in psi), str)
-    rep = verify_primitivity_argument(2, sub, sub, False)
+    rep = verify_primitivity_argument(2, sub, sub, Reach(False, False))
     bad = sorted(rank[i] + 1 for i in range(k) if _first_hit_walk(chain, i, targets, k) < 0)
     assert [(e.passed, e.detail) for e in rep.entries if e.claim == "primitivity.psi_reaches"] == [
         (not bad, "every letter reaches f0 or f1" if not bad else f"failures at w_{bad[:5]}")]
@@ -520,7 +520,7 @@ def test_forward_reachability_ends_when_an_iterate_stops_growing():
     images = list(image_tuples(sys2.eta))
     images[f0] = (f0,)
     probe = Substitution.from_images(tuple(images), sys2.eta.label)
-    rep = verify_primitivity_argument(2, sys2.nblock, probe, False)
+    rep = verify_primitivity_argument(2, sys2.nblock, probe, search_fixed_letters(probe))
     assert [e.claim for e in rep.entries if not e.passed][-1] == "primitivity.forward"
 
 
@@ -533,7 +533,7 @@ def test_forward_reachability_has_no_length_cap():
     images = list(image_tuples(sys2.eta))
     images[f0] += (f0,) * (64 * k)
     probe = Substitution.from_images(tuple(images), sys2.eta.label)
-    rep = verify_primitivity_argument(2, sys2.nblock, probe, probe.is_primitive())
+    rep = verify_primitivity_argument(2, sys2.nblock, probe, search_fixed_letters(probe))
     assert [e.passed for e in rep.entries if e.claim == "primitivity.forward"] == [True]
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from helpers import (factor_labels, first_image_index, half_shift, image_tuples, labels,
-                     nth_image, off_prefix, second_image_index, theta, theta_text)
+                     lcp_changed, nth_image, second_image_index, swapped, theta, theta_text)
 from tmblocks.claims import Level
 from tmblocks.nblock import thue_morse_block_system, verify_block_formula
 from tmblocks.substitution import Substitution
@@ -99,20 +99,34 @@ def test_verify_block_formula_names_a_block_that_is_not_f0():
     assert entries["nblock.f0"].detail == "w_12=111010011, f0=011010011"
 
 
-def _off_prefix_level(m):
+def _swapped_level(m, i):
     level = Level(m)
-    level.factors = off_prefix(enumerate_by_scan(m))
+    level.factors = swapped(enumerate_by_scan(m), i)
     return level
 
 
-@pytest.mark.parametrize("m, bad", [(2, "1, 3, 4, 7, 8"), (3, "1, 3, 4, 5, 9"),
-                                    (4, "1, 3, 4, 5, 9"), (6, "1, 3, 4, 5, 9")])
-def test_off_prefix_factor_set_fails_the_window_check(m, bad):
-    # the flip is in the window of w_1 and of the factors that overlap it,
-    # so their closed-form images are not the windows of θ(P)
-    entries = {e.claim: e for e in _off_prefix_level(m).report("nblock").entries}
-    assert not entries["nblock.images"].passed
-    assert entries["nblock.images"].detail == f"mismatch at j=[{bad}]"
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_a_level_with_two_offsets_swapped_fails_the_window_check(m):
+    # w_1 and w_2 swapped, and w_{k/2} and w_{k/2+1}: f0 and f1, whose
+    # first letters differ
+    k = 3 * 2 ** m
+    for i in (0, k // 2 - 1):
+        entries = {e.claim: e for e in _swapped_level(m, i).report("nblock").entries}
+        assert not entries["nblock.images"].passed
+        assert entries["nblock.images"].detail == f"level {m}: out of order at i=[{i + 2}]"
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_a_quarter_whose_words_differ_in_their_first_letter_fails_the_check(m):
+    """Negative control that keeps the level sorted and its pairs as they
+    are: an LCE of 0 inside Q1, between two pairs whose words start with 0.
+    (The parity condition has no such control: a word of Q2 u Q3, a δ image,
+    occurs in u at even offsets only.)"""
+    fs = enumerate_by_scan(m)
+    i = next(i for i in range(1, fs.quarter_size - 1, 2) if fs.label(i + 1)[0] == "0")
+    entry = verify_block_formula(lcp_changed(fs, i, -fs.lcp[i]), _theta_n(m)).entries[0]
+    assert (entry.claim, entry.passed) == ("nblock.images", False)
+    assert entry.detail == f"level {m}: the words of a quarter differ in their first letter"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -120,7 +134,7 @@ def test_claims_on_theta_n_fail_with_the_nblock_premise(m):
     def outcomes(claim):
         # a level of its own, so that the claim meets the failed window
         # check without the nblock claim having run before it
-        return {(e.passed, e.detail) for e in _off_prefix_level(m).report(claim).entries}
+        return {(e.passed, e.detail) for e in _swapped_level(m, 0).report(claim).entries}
 
     assert outcomes("pairs") == outcomes("primitivity") == {(False, "premise nblock failed")}
     assert outcomes("fixedpoint") == {(False, "premise pairs failed")}
@@ -224,9 +238,10 @@ def test_theta_n_memory_is_a_fraction_of_the_blocks():
     """At width N = 2^10 + 1 the k = 3·2^10 blocks as text would be k·N
     bytes. theta_N holds no block text and no block word: the closed form is
     two flat arrays, 12 bytes a block (4 for each letter of its image and 4
-    for its offset), and the window check reads one pair of windows at a
-    time on top of it, 16 to 25 bytes a block (tracemalloc, m = 8, 10 and
-    12, Python 3.11). Neither bound grows with N."""
+    for its offset), and the check holds on top of it the index map it
+    compares the images with, 8 bytes a block, and slices of the LCP array:
+    14 to 16 bytes a block (tracemalloc, m = 8, 10 and 12, Python 3.11).
+    Neither bound grows with N."""
     import tracemalloc
 
     m = 10

@@ -16,7 +16,7 @@ from helpers import (apply, bfs_levels_reference, components_reference, dense, f
                      image_tuples, is_primitive_reference, iterates, labels, nth_image,
                      pf_bracket_reference, theta, transpose_reference)
 from tmblocks.claims import eta_system
-from tmblocks.injectivize import zeta5_fixture
+from tmblocks.injectivize import fixed_letters, search_fixed_letters, zeta5_fixture
 from tmblocks.substitution import (Substitution, _bfs_levels, _components, _transpose, pf_bracket,
                                    pf_eigenvalue)
 
@@ -466,6 +466,18 @@ def test_is_primitive_and_injective_match_the_tuple_reference(sub):
     images = image_tuples(sub)
     assert sub.is_primitive() == is_primitive_reference(images)
     assert sub.is_injective() == (len(set(images)) == len(images))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs().filter(lambda sub: sub.size >= 2))
+def test_searches_from_the_fixed_letters_give_the_generic_verdict(sub):
+    # the searches from f0 give the verdict of the ones from letter 0, and
+    # forward holds iff f0 and f1 each reach every letter
+    images = image_tuples(sub)
+    reach = search_fixed_letters(sub)
+    assert reach.primitive == is_primitive_reference(images)
+    assert reach.forward == all(min(bfs_levels_reference(images, letter)) >= 0
+                                for letter in fixed_letters(sub.size))
 
 
 @settings(max_examples=100, deadline=None)

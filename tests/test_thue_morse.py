@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (descendants_by_level, descendants_text, factor_labels, off_prefix, theta_text,
-                     windows)
+from helpers import (descendants_by_level, descendants_text, factor_labels, off_prefix, swapped,
+                     theta_text, windows)
 from tmblocks import thue_morse
 from tmblocks.thue_morse import (MAX_M, FactorSet, LevelFailed, descendant_words,
                                  enumerate_by_descendants, enumerate_by_scan, grow,
@@ -241,10 +241,10 @@ def test_scan_raises_when_the_base_drops_a_factor(monkeypatch, dropped):
 
 
 def test_scan_raises_when_a_grown_level_is_out_of_order(monkeypatch):
-    """Negative control: level 3 grown over a prefix with one letter flipped
-    fails its order pass, and the enumeration stops there."""
+    """Negative control: level 3 grown with the offsets of w_1 and w_2
+    swapped fails its order pass, and the enumeration stops there."""
     monkeypatch.setattr(thue_morse, "grow",
-                        lambda fs, grow=grow: off_prefix(grow(fs)) if fs.m == 2 else grow(fs))
+                        lambda fs, grow=grow: swapped(grow(fs), 0) if fs.m == 2 else grow(fs))
     enumerate_by_scan(2)
     with pytest.raises(LevelFailed, match=r"level 3 is out of order: quarters\.Q1: eps\(Q3 u Q4\) "
                                           r"out of order at i=2"):
@@ -478,12 +478,14 @@ def _prefix_pairs_reference(fs, fs_next):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_level_claims_on_offsets_match_the_per_factor_reference(m):
+    # firsthalf reads of level m only N and k, so the negative controls
+    # corrupt level m + 1: two neighbours swapped across two pairs
     fs, fs_next = enumerate_by_scan(m), enumerate_by_scan(m + 1)
-    for lower, upper in ((fs, fs_next), (off_prefix(fs), fs_next)):
-        rep = verify_prefix_pairs(lower, upper)
-        assert _entries(rep) == _prefix_pairs_reference(lower, upper)
-        assert rep.ok == (lower is fs)
-    for upper in (fs_next, off_prefix(fs_next), grow(off_prefix(fs))):
+    for upper in (fs_next, swapped(fs_next, 1), swapped(fs_next, fs.size - 1)):
+        rep = verify_prefix_pairs(fs, upper)
+        assert _entries(rep) == _prefix_pairs_reference(fs, upper)
+        assert rep.ok == (upper is fs_next)
+    for upper in (fs_next, swapped(fs_next, 0), grow(swapped(fs, 0))):
         rep = verify_quarter_descendants(upper)
         assert _entries(rep) == _quarter_descendants_reference(upper)
         assert rep.ok == (upper is fs_next)
