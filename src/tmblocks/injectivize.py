@@ -18,10 +18,9 @@ from array import array
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import contains, eq, getitem, gt, ne, or_, sub
-from typing import NamedTuple
 
 from .report import ReportBuilder, VerificationReport, first_failures
-from .substitution import Substitution, _bfs_levels, _transpose, pf_bracket
+from .substitution import Substitution, _bfs_levels, pf_bracket
 from .thue_morse import enumerate_by_scan
 
 
@@ -164,37 +163,14 @@ def verify_fixed_point(m: int, theta_n: Substitution, eta: Substitution) -> Veri
     return rb.build()
 
 
-class Reach(NamedTuple):
-    """What η's breadth-first searches from its fixed-point letters show."""
-
-    primitive: bool  # the generic verdict of ``Substitution.is_primitive``
-    forward: bool  # every letter occurs in iterates of both f0 and f1
-
-
-def search_fixed_letters(eta: Substitution) -> Reach:
-    """One search from the f0 letter along the edges b -> a of the images
-    of ``eta``, with its period, and one against them. Strong connectivity
-    and the period of a strongly connected graph do not depend on the
-    letter the searches start from, so they give the verdict that
-    ``is_primitive`` reads from letter 0. f1 reaches every letter if it
-    reaches f0, which the search against the edges shows; only if it does
-    not is f1 searched from."""
-    f0, f1 = fixed_letters(eta.size)
-    letters, starts = eta.letters, eta.starts
-    level, period = _bfs_levels(letters, starts, f0)
-    back = _bfs_levels(*_transpose(letters, starts), f0)[0]
-    reached = min(level) >= 0
-    forward = reached and (back[f1] >= 0 or min(_bfs_levels(letters, starts, f1)[0]) >= 0)
-    return Reach(period == 1 and reached and min(back) >= 0, forward)
-
-
 def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution,
-                                reach: Reach) -> VerificationReport:
+                                primitive: bool) -> VerificationReport:
     """The first-letter reachability argument, checked independently of the
-    generic graph test of primitivity, plus what η's searches from its
-    fixed-point letters showed (``reach``): that test's verdict on the
-    refinement's incidence matrix, and forward reachability from the two
-    fixed-point letters."""
+    generic graph test of primitivity, plus that test's verdict on the
+    refinement's incidence matrix, ``primitive`` (``eta.is_primitive()``),
+    and forward reachability from the two fixed-point letters. A primitive
+    graph is strongly connected, so every letter is reached from each of
+    them; only a graph that is not is searched from f0 and from f1."""
     k = theta_n.size
     f0, f1 = fixed_letters(k)
     phi = initials_map(theta_n)
@@ -239,9 +215,10 @@ def verify_primitivity_argument(m: int, theta_n: Substitution, eta: Substitution
              if read == q else f"read {read} letters of Q1, not {q}")
 
     note = "" if m >= 3 else "m=2 outcome is empirical; the construction is stated for m >= 3"
-    rb.check("matrix", reach.primitive, note)
-    rb.check("forward", reach.forward,
-             "every letter occurs in iterates of both fixed-point letters")
+    rb.check("matrix", primitive, note)
+    forward = primitive or all(min(_bfs_levels(eta.letters, eta.starts, f)[0]) >= 0
+                               for f in (f0, f1))
+    rb.check("forward", forward, "every letter occurs in iterates of both fixed-point letters")
     return rb.build()
 
 

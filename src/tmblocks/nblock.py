@@ -32,6 +32,7 @@ from array import array
 from itertools import chain, repeat
 from operator import and_, eq, mod
 
+from .injectivize import fixed_letters
 from .report import ReportBuilder, VerificationReport, first_failures
 from .substitution import Substitution
 from .thue_morse import FactorSet, thue_morse_prefix
@@ -81,7 +82,7 @@ def verify_block_formula(fs: FactorSet, theta_n: Substitution) -> VerificationRe
                  f"level {fs.m}: {layout}" if layout
                  else f"mismatch at j={wrong}" if wrong
                  else f"all {k} two-letter images are windows of θ(P)")
-    f0_idx, f0 = k // 2 - 1, thue_morse_prefix(0, fs.word_length)
+    f0_idx, f0 = fixed_letters(k)[0], thue_morse_prefix(0, fs.word_length)
     label = fs.label(f0_idx)
     rb.check("f0", label == f0, f"w_{f0_idx + 1}={label}, f0={f0}")
     return rb.build()

@@ -37,14 +37,13 @@ class VerificationReport(NamedTuple):
 class ReportBuilder:
     """Collects entries for one verifier run."""
 
-    def __init__(self, m: int, prefix: str = ""):
+    def __init__(self, m: int, prefix: str):
         self.m = m
         self.prefix = prefix
         self._entries: list[CheckEntry] = []
 
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
-        claim = f"{self.prefix}.{name}" if self.prefix else name
-        self._entries.append(CheckEntry(self.m, claim, bool(passed), detail))
+        self._entries.append(CheckEntry(self.m, f"{self.prefix}.{name}", bool(passed), detail))
         return bool(passed)
 
     def build(self) -> VerificationReport:

@@ -97,16 +97,10 @@ class Substitution:
         """The image of letter b, a slice of ``letters``."""
         return self.letters[self.starts[b]:self.starts[b + 1]]
 
-    def iter_images(self, word: Sequence[int] | None = None) -> Iterator[array]:
-        """The images of the letters of ``word``, a sequence that is read
-        twice, by default of all letters in order, one slice at a time."""
+    def iter_images(self) -> Iterator[array]:
+        """The images of all letters in order, one slice at a time."""
         starts = self.starts
-        if word is None:
-            firsts, ends = starts, islice(starts, 1, None)
-        else:
-            firsts = map(getitem, repeat(starts), word)
-            ends = map(getitem, repeat(starts[1:]), word)
-        return map(getitem, repeat(self.letters), map(slice, firsts, ends))
+        return map(getitem, repeat(self.letters), map(slice, starts, islice(starts, 1, None)))
 
     def lengths(self) -> Iterator[int]:
         """The lengths of the images in order: the column sums of M."""

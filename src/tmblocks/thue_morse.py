@@ -64,10 +64,7 @@ A1_WORDS = ("001", "010", "011", "100", "101", "110")
 def _thue_morse_bits(first_letter: int, n: int) -> tuple[int, int]:
     """A prefix of at least n letters of the Thue-Morse fixed point starting
     with ``first_letter``, as its length, a power of two, and its bits."""
-    length, bits = 1, first_letter
-    while length < n:
-        length, bits = 2 * length, theta_bits(length, bits)
-    return length, bits
+    return _theta_block(str(first_letter), max(n - 1, 0).bit_length())
 
 
 def thue_morse_prefix(first_letter: int, n: int) -> str:

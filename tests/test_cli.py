@@ -229,17 +229,23 @@ def _count_calls(monkeypatch, name, key):
     return seen
 
 
+def _count_method_calls(monkeypatch, cls, name, key):
+    """Count the calls of the method ``name`` of ``cls`` by ``key(self)``."""
+    seen = Counter()
+    method = getattr(cls, name)
+
+    def counting(self, *args):
+        seen[key(self)] += 1
+        return method(self, *args)
+    monkeypatch.setattr(cls, name, counting)
+    return seen
+
+
 def _count_theta_prefixes(monkeypatch):
     """Count the reads of θ(P), by the level m of P: ``grow`` reads it to
     build level m + 1."""
-    seen = Counter()
-    theta_prefix = thue_morse.FactorSet.theta_prefix
-
-    def counting(fs):
-        seen[fs.m] += 1
-        return theta_prefix(fs)
-    monkeypatch.setattr(thue_morse.FactorSet, "theta_prefix", counting)
-    return seen
+    return _count_method_calls(monkeypatch, thue_morse.FactorSet, "theta_prefix",
+                               lambda fs: fs.m)
 
 
 def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
@@ -253,7 +259,8 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     pairs = _count_calls(monkeypatch, "verify_pair_images", lambda m, nb, eta: m)
     fixed_points = _count_calls(monkeypatch, "verify_fixed_point",
                                 lambda m, nb, eta: m)
-    searches = _count_calls(monkeypatch, "search_fixed_letters", lambda eta: eta.size)
+    verdicts = _count_method_calls(monkeypatch, Substitution, "is_primitive",
+                                   lambda sub: sub.size)
     code, out, _ = _run(capsys, ["verify", "--m", "2..6"])
     assert code == 0 and len(out.splitlines()) == 40
     # level 2 is grown from the base; each level above from the one below,
@@ -271,8 +278,9 @@ def test_verify_builds_each_input_once_per_m(capsys, monkeypatch):
     # one fixed-point report
     assert pairs == {m: 1 for m in range(2, 7)}
     assert fixed_points == {m: 1 for m in range(2, 7)}
-    # primitivity and theorem read one search of η from its fixed letters
-    assert searches == {3 * 2 ** m: 1 for m in range(2, 7)}
+    # primitivity and theorem read one primitivity verdict of η, and no
+    # claim asks for one of θ_N
+    assert verdicts == {3 * 2 ** m: 1 for m in range(2, 7)}
 
 
 def test_a_level_out_of_order_fails_quarters_and_is_not_handed_on(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from helpers import (apply, bfs_levels_reference, components_reference, dense, f
                      image_tuples, is_primitive_reference, iterates, labels, nth_image,
                      pf_bracket_reference, theta, transpose_reference)
 from tmblocks.claims import eta_system
-from tmblocks.injectivize import fixed_letters, search_fixed_letters, zeta5_fixture
+from tmblocks.injectivize import fixed_letters, verify_primitivity_argument, zeta5_fixture
 from tmblocks.substitution import (Substitution, _bfs_levels, _components, _transpose, pf_bracket,
                                    pf_eigenvalue)
 
@@ -185,7 +185,6 @@ def test_from_images_and_the_arrays_describe_one_substitution():
     assert sub.starts == array("I", (0, 3, 4, 6))
     assert sub.size == 3 and list(sub.lengths()) == [3, 1, 2]
     assert sub.image(2) == array("I", (2, 0))
-    assert list(sub.iter_images((2, 2, 1))) == [array("I", (2, 0))] * 2 + [array("I", (0,))]
     assert image_tuples(sub) == ((1, 1, 0), (0,), (2, 0))
 
 
@@ -468,16 +467,33 @@ def test_is_primitive_and_injective_match_the_tuple_reference(sub):
     assert sub.is_injective() == (len(set(images)) == len(images))
 
 
+def _matrix_and_forward(sub):
+    """The matrix and forward entries of the primitivity argument on ``sub``
+    as both its θ_N and its η, given ``is_primitive``'s verdict."""
+    rep = verify_primitivity_argument(2, sub, sub, sub.is_primitive())
+    entries = {e.claim: e.passed for e in rep.entries}
+    return entries["primitivity.matrix"], entries["primitivity.forward"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_graphs().filter(lambda sub: sub.size >= 2))
-def test_searches_from_the_fixed_letters_give_the_generic_verdict(sub):
-    # the searches from f0 give the verdict of the ones from letter 0, and
-    # forward holds iff f0 and f1 each reach every letter
+def test_matrix_and_forward_entries_match_the_tuple_reference(sub):
+    # matrix is the generic verdict, and forward holds iff f0 and f1 each
+    # reach every letter
     images = image_tuples(sub)
-    reach = search_fixed_letters(sub)
-    assert reach.primitive == is_primitive_reference(images)
-    assert reach.forward == all(min(bfs_levels_reference(images, letter)) >= 0
-                                for letter in fixed_letters(sub.size))
+    assert _matrix_and_forward(sub) == (
+        is_primitive_reference(images),
+        all(min(bfs_levels_reference(images, letter)) >= 0 for letter in fixed_letters(sub.size)))
+
+
+@pytest.mark.parametrize("images, want", [
+    # the cycle 0 -> 1 -> 2 -> 3 -> 0: strongly connected with period 4
+    (((1,), (2,), (3,), (0,)), (False, True)),
+    # f0 = 1 reaches every letter, but f1 = 2 maps to itself alone
+    (((1,), (0, 2, 3), (2,), (0,)), (False, False)),
+])
+def test_forward_needs_no_primitivity_but_reach_from_both_fixed_letters(images, want):
+    assert _matrix_and_forward(Substitution.from_images(images, str)) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,6 +28,11 @@ A3_GOLDEN = [
 
 
 def test_thue_morse_prefix():
+    # letter i of the fixed point from 0 is the parity of popcount(i)
+    for first in (0, 1):
+        for n in range(71):
+            assert thue_morse_prefix(first, n) == "".join(
+                str(first ^ i.bit_count() & 1) for i in range(n))
     assert thue_morse_prefix(0, 16) == "0110100110010110"
     assert thue_morse_prefix(1, 8) == "10010110"
     assert thue_morse_prefix(1, 5) == "10010"
@@ -182,7 +187,10 @@ def test_join_fails_when_a_descendant_block_differs(monkeypatch, m):
     block, words = thue_morse._theta_block, thue_morse.A1_WORDS
 
     def join_with(theta_block):
-        monkeypatch.setattr(thue_morse, "_theta_block", theta_block)
+        # the base words alone get the changed blocks: the prefix of the
+        # fixed point that the join reads its base from is θ^d of "0"
+        monkeypatch.setattr(thue_morse, "_theta_block",
+                            lambda u, d: theta_block(u, d) if u in words else block(u, d))
         return matches_descendants(fs)
 
     def corrupt(bad, change):
